@@ -39,45 +39,24 @@ EXIT_NUMERIC = 5
 SCHEMA_VERSION = 1
 
 
+def _defaults(cls, *leave_out) -> dict:
+    """Field defaults of a config dataclass, as the JSON values of a config file."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in dataclasses.fields(cls)
+        if f.name not in leave_out
+    }
+
+
 def default_config() -> dict:
     return {
         "seed": 0,
         "threads": 1,
         "train": dataclasses.asdict(training.TrainConfig()),
-        "deform": {"grid_m": 4, "lo": -6.0, "hi": 6.0},
-        "scene": {
-            "lo": -6.0,
-            "hi": 6.0,
-            "bg_translation": 3.0,
-            "bg_rotation": 0.03,
-            "bg_scale": 0.02,
-            "fg_translation": 2.5,
-            "fg_rotation": 0.05,
-            "fg_scale": 0.03,
-            "fg_size": [0.3, 0.5],
-            "max_retries": 100,
-        },
-        "infer": {
-            "margin": 8,
-            "smoothness_weight": 0.0,
-            "step_size": 0.25,
-            "max_iters": 200,
-            "tol": 1e-4,
-            "init": "random",
-        },
-        "unsupervised": {
-            "init_pairs": 64,
-            "init_steps": 300,
-            "steps_per_round": 100,
-            "rounds": 5,
-            "field_tol": 0.05,
-            "smoothness_weight": 0.05,
-            "infer_step": 0.2,
-            "infer_iters": 60,
-            "deform_grid_m": 4,
-            "deform_lo": -3.0,
-            "deform_hi": 3.0,
-        },
+        "deform": _defaults(datagen.DeformSpec, "seed"),
+        "scene": _defaults(datagen.AffineSceneSpec, "seed"),
+        "infer": _defaults(inference.InferConfig, "rng_seed", "init_field"),
+        "unsupervised": _defaults(training.UnsupervisedConfig, "train"),
         "datagen": {"pairs": 200, "image_size": 64, "synthetic_sources": 8, "mode": "binary"},
     }
 
@@ -99,24 +78,6 @@ def _merge_config(base: dict, override: dict, path: str = "") -> None:
             _merge_config(base[key], value, where)
         else:
             base[key] = value
-
-
-def load_config(path, overrides: dict | None = None) -> dict:
-    config = default_config()
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise FileNotFoundError(f"config file {p} not found")
-        try:
-            user = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
-        _merge_config(config, user)
-    if overrides:
-        _merge_config(config, overrides)
-    return config
 
 
 def config_hash(config: dict) -> str:
@@ -149,12 +110,28 @@ def parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _train_config(config: dict, seed: int) -> training.TrainConfig:
-    return training.TrainConfig(**{**config["train"], "rng_seed": seed})
+def _build_settings(config: dict) -> dict:
+    """The settings objects of a merged config, one per section.
 
-
-def _infer_config(config: dict, seed: int) -> inference.InferConfig:
-    return inference.InferConfig(**{**config["infer"], "rng_seed": seed})
+    Building them checks every value before any work; a value a settings
+    class rejects raises ConfigError.
+    """
+    seed = config["seed"]
+    try:
+        if config["datagen"]["pairs"] < 1:
+            raise ValueError("datagen.pairs must be at least 1")
+        train = training.TrainConfig(**{**config["train"], "rng_seed": seed})
+        unsup_train = dataclasses.replace(train, motion_variant="parametric")
+        scene = {**config["scene"], "fg_size": tuple(config["scene"]["fg_size"])}
+        return {
+            "train": train,
+            "unsupervised": training.UnsupervisedConfig(train=unsup_train, **config["unsupervised"]),
+            "infer": inference.InferConfig(**config["infer"], rng_seed=seed),
+            "deform": datagen.DeformSpec(**config["deform"], seed=seed),
+            "scene": datagen.AffineSceneSpec(**scene, seed=seed),
+        }
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_sources(args, config) -> list[np.ndarray]:
@@ -175,14 +152,9 @@ def _load_sources(args, config) -> list[np.ndarray]:
 # commands
 
 
-def cmd_gen_data(args, config) -> dict:
+def cmd_gen_data(args, config, settings) -> dict:
     sources = _load_sources(args, config)
-    spec = datagen.DeformSpec(
-        grid_m=config["deform"]["grid_m"],
-        lo=config["deform"]["lo"],
-        hi=config["deform"]["hi"],
-        seed=config["seed"],
-    )
+    spec = settings["deform"]
     n = config["datagen"]["pairs"]
     pairs = parallel_map(
         lambda i: datagen.deform_sample(sources, spec, i), range(n), config["threads"]
@@ -198,16 +170,14 @@ def _disk_mask(size: int) -> np.ndarray:
     return ((yy - r) ** 2 + (xx - r) ** 2 <= (0.45 * size) ** 2).astype(np.float64)
 
 
-def cmd_gen_objects(args, config) -> dict:
+def cmd_gen_objects(args, config, settings) -> dict:
     backgrounds = _load_sources(args, config)
     size = config["datagen"]["image_size"]
     fg_size = max(8, size // 2)
     n_fg = max(2, config["datagen"]["synthetic_sources"] // 2)
     foregrounds = datagen.synthetic_textures(n_fg, (fg_size, fg_size), seed=config["seed"] + 1)
     masks = [_disk_mask(fg_size)] * n_fg
-    scene = dict(config["scene"])
-    scene["fg_size"] = tuple(scene["fg_size"])
-    spec = datagen.AffineSceneSpec(**scene, seed=config["seed"])
+    spec = settings["scene"]
     n = config["datagen"]["pairs"]
     pairs = parallel_map(
         lambda i: datagen.scene_sample(backgrounds, foregrounds, masks, spec, i),
@@ -218,10 +188,9 @@ def cmd_gen_objects(args, config) -> dict:
     return {"pairs": n}
 
 
-def cmd_train(args, config) -> dict:
+def cmd_train(args, config, settings) -> dict:
     dataset = datagen.dataset_read(args.data)
-    tcfg = _train_config(config, config["seed"])
-    encoder, model, history = training.train_supervised(dataset, tcfg)
+    encoder, model, history = training.train_supervised(dataset, settings["train"])
     out = Path(args.out)
     training.save_checkpoint(out / "model.ckpt", encoder, model, extra={"train": config["train"], "seed": config["seed"]})
     with open(out / "loss_history.csv", "w") as fh:
@@ -252,16 +221,12 @@ def _read_sequences(frames_dir: Path) -> list[list[np.ndarray]]:
     return [[evalviz.load_image(f) for f in files]]
 
 
-def cmd_train_unsup(args, config) -> dict:
+def cmd_train_unsup(args, config, settings) -> dict:
     frames_dir = Path(args.frames)
     if not frames_dir.is_dir():
         raise FileNotFoundError(f"frames directory {frames_dir} not found")
     sequences = _read_sequences(frames_dir)
-    tcfg = dataclasses.replace(
-        _train_config(config, config["seed"]), motion_variant="parametric"
-    )
-    ucfg = training.UnsupervisedConfig(train=tcfg, **config["unsupervised"])
-    encoder, model, diag = training.train_unsupervised(sequences, ucfg)
+    encoder, model, diag = training.train_unsupervised(sequences, settings["unsupervised"])
     out = Path(args.out)
     training.save_checkpoint(out / "model.ckpt", encoder, model, extra={"seed": config["seed"]})
     for i, vec in enumerate(diag["fields"]):
@@ -280,9 +245,9 @@ def _infer_one(encoder, model, pair, icfg):
     return inference.infer_grid(encoder, model, pair.image_t, pair.image_t1, icfg)
 
 
-def cmd_infer(args, config) -> dict:
+def cmd_infer(args, config, settings) -> dict:
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
-    icfg = _infer_config(config, config["seed"])
+    icfg = settings["infer"]
     out = Path(args.out)
     if args.pair:
         img_a = evalviz.load_image(args.pair[0])
@@ -309,7 +274,7 @@ def cmd_infer(args, config) -> dict:
     return {"pairs": len(pairs)}
 
 
-def cmd_animate(args, config) -> dict:
+def cmd_animate(args, config, settings) -> dict:
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     start = evalviz.load_image(args.start)
     fields = [inference.read_field(f) for f in args.field]
@@ -320,7 +285,7 @@ def cmd_animate(args, config) -> dict:
     return {"frames": len(frames)}
 
 
-def cmd_interpolate(args, config) -> dict:
+def cmd_interpolate(args, config, settings) -> dict:
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     img_a = evalviz.load_image(args.start)
     img_b = evalviz.load_image(args.end)
@@ -333,7 +298,7 @@ def cmd_interpolate(args, config) -> dict:
     return {"frames": len(frames), "success": bool(ok)}
 
 
-def cmd_analyze(args, config) -> dict:
+def cmd_analyze(args, config, settings) -> dict:
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     fits = gabor.fit_all_units(encoder)
     out = Path(args.out)
@@ -360,7 +325,7 @@ def cmd_analyze(args, config) -> dict:
     return metrics
 
 
-def cmd_eval(args, config) -> dict:
+def cmd_eval(args, config, settings) -> dict:
     pairs = datagen.dataset_read(args.data)
     margin = config["infer"]["margin"]
     if args.zero_predictor:
@@ -403,7 +368,7 @@ def cmd_eval(args, config) -> dict:
     }
 
 
-def cmd_filters(args, config) -> dict:
+def cmd_filters(args, config, settings) -> dict:
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     deltas = []
     for token in args.delta_path.split(";"):
@@ -571,6 +536,7 @@ def run(args) -> int:
             raise ConfigError("config root must be a JSON object")
         _merge_config(config, user)
     _merge_config(config, _collect_overrides(args))
+    settings = _build_settings(config)
 
     # validate inputs before any work
     for attr in ("data", "checkpoint", "start", "end", "frames"):
@@ -589,7 +555,7 @@ def run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    metrics = COMMANDS[args.command](args, config)
+    metrics = COMMANDS[args.command](args, config, settings)
     timings = {"wall_seconds": round(time.time() - started, 3)}
     write_summary(out, args.command, config, metrics, timings, [p.name for p in out.iterdir()])
     return EXIT_OK

@@ -113,10 +113,12 @@ def extract_patch(image: np.ndarray, position, patch_size: int) -> np.ndarray:
     return image.ravel()[idx[0]]
 
 
-def extract_patches(image: np.ndarray, positions: np.ndarray, patch_size: int) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float64)
-    idx = _patch_indices(image.shape, positions, patch_size)
-    return image.ravel()[idx]
+def extract_patches(images: np.ndarray, positions: np.ndarray, patch_size: int) -> np.ndarray:
+    """Flattened patches of an image (H, W) or a stack (..., H, W), shape (..., N, p*p)."""
+    images = np.asarray(images, dtype=np.float64)
+    idx = _patch_indices(images.shape[-2:], positions, patch_size)
+    # take() keeps the result C-ordered; images[..., idx] would lay the stack axis last
+    return np.take(images.reshape(images.shape[:-2] + (-1,)), idx, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -190,9 +192,10 @@ class VectorField:
 
 
 def apply_encoder(weights: np.ndarray, patches: np.ndarray) -> np.ndarray:
-    """Encode flattened patches (N, p*p) into (N, K, d) block vectors."""
+    """Encode flattened patches (..., p*p) into (..., K, d) block vectors."""
     k, d, q = weights.shape
-    return (patches @ weights.reshape(k * d, q).T).reshape(len(patches), k, d)
+    flat = patches.reshape(-1, q) @ weights.reshape(k * d, q).T
+    return flat.reshape(patches.shape[:-1] + (k, d))
 
 
 def encode(encoder: Encoder, image: np.ndarray, positions: np.ndarray | None = None) -> VectorField:
@@ -315,12 +318,24 @@ def support_offsets(radius: int = 4, step: int = 2) -> np.ndarray:
     return np.stack([a.ravel(), b.ravel()], axis=1)
 
 
+# the support of a model without mixing: the patch at x alone
+_ZERO_SUPPORT = np.zeros((1, 2), dtype=np.int64)
+_ZERO_SUPPORT.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class NonParametricMotion:
-    """One learned d x d matrix per block per displacement candidate."""
+    """One learned d x d matrix per block per displacement candidate.
+
+    Its support is the zero offset alone, so it reads as a mixed model whose
+    table has a single offset.
+    """
 
     grid: DisplacementGrid
     matrices: np.ndarray  # (n_candidates, K, d, d)
+
+    offsets = _ZERO_SUPPORT
+    max_offset = 0
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=np.float64)
@@ -335,6 +350,11 @@ class NonParametricMotion:
     @property
     def block_dim(self):
         return self.matrices.shape[2]
+
+    @property
+    def table(self) -> np.ndarray:
+        """The matrices as a single-offset mixed table, (n_candidates, 1, K, d, d)."""
+        return self.matrices[:, None]
 
     @classmethod
     def identity(cls, grid, num_blocks, block_dim):
@@ -373,6 +393,10 @@ class MixedMotion:
     def max_offset(self) -> int:
         return int(np.max(np.abs(self.offsets))) if len(self.offsets) else 0
 
+    @property
+    def table(self) -> np.ndarray:
+        return self.matrices
+
     def offset_index(self, dx) -> int:
         hit = np.nonzero((self.offsets == np.asarray(dx)).all(axis=1))[0]
         if len(hit) == 0:
@@ -405,6 +429,9 @@ class ParametricMotion:
 
     coeffs: np.ndarray  # (5, K, d, d)
 
+    offsets = _ZERO_SUPPORT
+    max_offset = 0
+
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.float64)
         if c.ndim != 4 or c.shape[0] != 5 or c.shape[2] != c.shape[3]:
@@ -434,17 +461,26 @@ def delta_basis(deltas: np.ndarray) -> np.ndarray:
     return np.stack([d1, d2, d1 * d1, d2 * d2, d1 * d2], axis=-1)
 
 
+def polynomial_matrices(coeffs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """M(delta) = I + sum_j basis_j(delta) B_j for (5, K, d, d) coefficients, shape (..., K, d, d)."""
+    basis = delta_basis(deltas)
+    _, k, d, _ = coeffs.shape
+    m = (basis.reshape(-1, 5) @ coeffs.reshape(5, -1)).reshape(basis.shape[:-1] + (k, d, d))
+    m += np.eye(d)
+    return m
+
+
 def motion_matrices(model, deltas: np.ndarray) -> np.ndarray:
-    """Per-position block matrices M^(k)(delta), shape (N, K, d, d)."""
+    """Per-position block matrices M^(k)(delta), shape (N, K, d, d).
+
+    A table needs every delta to be one of its candidates.
+    """
     deltas = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
     if isinstance(model, NonParametricMotion):
         idx = np.array([model.grid.index_of(d) for d in deltas])
         return model.matrices[idx]
     if isinstance(model, ParametricMotion):
-        basis = delta_basis(deltas)  # (N, 5)
-        m = np.einsum("nj,jkde->nkde", basis, model.coeffs, optimize=True)
-        m += np.eye(model.block_dim)
-        return m
+        return polynomial_matrices(model.coeffs, deltas)
     raise ShapeError("mixed models have no per-delta matrix; index by offset too")
 
 
@@ -466,63 +502,84 @@ def apply_motion(model, v: np.ndarray, delta) -> np.ndarray:
     return np.einsum("kde,ke->kd", m, v)
 
 
-def offset_encodings(encoder, image, positions, offsets, clamp=False):
-    """Encodings and patches at every position + offset of the mixing support.
+# ---------------------------------------------------------------------------
+# the forward model: support gather, delta -> M lookup, prediction
 
-    Returns (vectors (N, m, K, d), patches (N, m, p*p)).  Duplicate centers
-    are encoded once.  With ``clamp`` the offset centers are clipped into the
-    valid patch range (border fallback for full-canvas decoding); otherwise
-    an out-of-bounds center raises BoundsError.
+
+def eval_positions(encoder, model, shape) -> np.ndarray:
+    """Lattice positions whose patch, over the model's whole support, fits in ``shape``."""
+    return encoder.grid.positions(*shape, inset=model.max_offset)
+
+
+def offset_encodings(encoder, images, positions, offsets, clamp=False):
+    """Encode an image (H, W) or a stack (..., H, W) at every position + offset.
+
+    Duplicate centers are encoded once.  Returns (patches (..., U, p*p),
+    vectors (..., U, K, d), inverse (N, m)): the patches and encodings at
+    the U unique centers, and the unique center that each position's
+    offset lands on, so ``vectors[..., inverse, :, :]`` is (..., N, m, K, d).
+    With ``clamp`` the centers are clipped into the valid patch range
+    (border fallback for full-canvas decoding); otherwise an out-of-bounds
+    center raises BoundsError.
     """
-    image = np.asarray(image, dtype=np.float64)
+    images = np.asarray(images, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.int64)
     centers = positions[:, None, :] + np.asarray(offsets, dtype=np.int64)[None, :, :]
-    n, m, _ = centers.shape
-    grid = GridSpec(encoder.patch_size, encoder.stride)
-    lo_r, hi_r = grid.center_range(image.shape[0])
-    lo_c, hi_c = grid.center_range(image.shape[1])
     if clamp:
-        centers = centers.copy()
-        centers[..., 0] = np.clip(centers[..., 0], lo_r, hi_r)
-        centers[..., 1] = np.clip(centers[..., 1], lo_c, hi_c)
-    flat = centers.reshape(n * m, 2)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    patches_u = extract_patches(image, uniq, encoder.patch_size)
-    vectors_u = apply_encoder(encoder.weights, patches_u)
-    k, d = encoder.num_blocks, encoder.block_dim
-    q = encoder.patch_size ** 2
-    return (
-        vectors_u[inverse].reshape(n, m, k, d),
-        patches_u[inverse].reshape(n, m, q),
-    )
+        for axis, length in enumerate(images.shape[-2:]):
+            centers[..., axis] = np.clip(centers[..., axis], *encoder.grid.center_range(length))
+    uniq, inverse = np.unique(centers.reshape(-1, 2), axis=0, return_inverse=True)
+    patches = extract_patches(images, uniq, encoder.patch_size)
+    return patches, apply_encoder(encoder.weights, patches), inverse.reshape(centers.shape[:2])
 
 
-def mixed_predict(model: MixedMotion, encoder, image, positions, deltas, clamp=False):
-    """Mixing prediction sum_dx M^(k)(delta, dx) W^(k) patch(x + dx), (N, K, d)."""
-    vec_off, _ = offset_encodings(encoder, image, positions, model.offsets, clamp=clamp)
-    idx = model.grid.round_indices(np.asarray(deltas, dtype=np.float64))
-    mats = model.matrices[idx]  # (N, m, K, d, d)
-    return np.einsum("nmkde,nmke->nkd", mats, vec_off, optimize=True)
+def support_matrices(model, deltas: np.ndarray) -> np.ndarray:
+    """M^(k)(delta, dx) for each offset dx of the model's support, shape (..., m, K, d, d).
+
+    Tables snap each delta to its nearest candidate; a parametric model has
+    the zero offset alone.
+    """
+    if isinstance(model, ParametricMotion):
+        return polynomial_matrices(model.coeffs, deltas)[..., None, :, :, :]
+    return model.table[model.grid.round_indices(deltas)]
+
+
+def predict(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_dx M^(k)(delta, dx) v^(k)(x + dx) for R matrix sets against n vector sets.
+
+    ``mats`` is (..., R, m, K, d, d) and ``vectors`` (..., n, m, K, d) over
+    the m offsets of a support; leading axes broadcast and the result is
+    (..., n, R, K, d).  Per-position callers pass R = n = 1; grid scoring
+    passes the whole candidate table as R and every position as n.  Either
+    way it runs as one (R*d, m*d) x (m*d, n) matrix product per block.
+    """
+    r, m, k, d, e = mats.shape[-5:]
+    n = vectors.shape[-4]
+    left = np.moveaxis(mats, [-3, -5, -2, -4], [-5, -4, -3, -2])  # (..., K, R, d, m, e)
+    left = left.reshape(left.shape[:-5] + (k, r * d, m * e))
+    right = np.moveaxis(vectors, [-2, -3, -1, -4], [-4, -3, -2, -1])  # (..., K, m, e, n)
+    right = right.reshape(right.shape[:-4] + (k, m * e, n))
+    out = left @ right
+    out = out.reshape(out.shape[:-2] + (r, d, n))  # (..., K, R, d, n)
+    return np.moveaxis(out, [-1, -3, -4], [-4, -3, -2])
+
+
+def predicted_vectors(encoder, model, image_t, positions, deltas, clamp=False):
+    """Next-frame vector prediction at each position for given displacements, (N, K, d)."""
+    _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
+    mats = support_matrices(model, deltas)
+    return predict(mats[:, None], vectors[inverse][:, None])[:, 0, 0]
 
 
 def apply_motion_mixed(model: MixedMotion, encoder, image, position, delta) -> np.ndarray:
     """Single-position mixing prediction; raises if the support exits the image."""
-    i = model.grid.index_of(delta)  # exact-candidate contract
-    pred = mixed_predict(model, encoder, image, np.asarray([position]), np.asarray([model.grid.candidates()[i]]))
-    return pred[0]
+    model.grid.index_of(delta)  # exact-candidate contract
+    deltas = np.asarray([delta], dtype=np.float64)
+    return predicted_vectors(encoder, model, image, np.asarray([position]), deltas)[0]
 
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def predicted_vectors(encoder, model, image_t, positions, deltas, clamp=False):
-    """Next-frame vector prediction at each position for given displacements."""
-    if isinstance(model, MixedMotion):
-        return mixed_predict(model, encoder, image_t, positions, deltas, clamp=clamp)
-    v = encode(encoder, image_t, positions).vectors
-    m = motion_matrices(model, deltas)
-    return np.einsum("nkde,nke->nkd", m, v, optimize=True)
 
 
 def rotation_loss(encoder, model, image_t, image_t1, field: DisplacementField) -> float:

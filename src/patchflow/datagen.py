@@ -458,37 +458,3 @@ def synthetic_textures(n: int, shape=(64, 64), seed: int = 0, contrast: float = 
         peak = np.max(np.abs(img)) + 1e-12
         out.append(np.clip(0.5 + 0.5 * contrast * img / peak, 0.0, 1.0))
     return out
-
-
-def oriented_textures(
-    n: int, shape=(64, 64), seed: int = 0, n_bands: int = 3, contrast: float = 0.9
-) -> list[np.ndarray]:
-    """Stand-in natural images with explicit orientation structure.
-
-    Each image sums a few oriented band-pass noise components (random
-    frequency band and orientation wedge in the Fourier plane), mimicking the
-    strong orientation statistics of natural scenes.
-    """
-    h, w = shape
-    fy = np.fft.fftfreq(h)[:, None]
-    fx = np.fft.fftfreq(w)[None, :]
-    f = np.hypot(fy, fx)
-    ang = np.arctan2(fy, fx)
-    out = []
-    for i in range(n):
-        rng = _pair_rng(seed, i)
-        img = np.zeros(shape)
-        for _ in range(n_bands):
-            f0 = rng.uniform(0.05, 0.2)
-            theta = rng.uniform(0.0, np.pi)
-            wedge_width = rng.uniform(0.3, 0.6)
-            radial = np.exp(-((f - f0) ** 2) / (2.0 * (0.4 * f0) ** 2))
-            # orientation distance folded to [-pi/2, pi/2)
-            d = np.angle(np.exp(1j * 2.0 * (ang - theta))) / 2.0
-            wedge = np.exp(-(d * d) / (2.0 * wedge_width * wedge_width))
-            spec = np.fft.fft2(rng.standard_normal(shape)) * radial * wedge
-            img += np.real(np.fft.ifft2(spec))
-        img -= img.mean()
-        peak = np.abs(img).max() + 1e-12
-        out.append(np.clip(0.5 + 0.5 * contrast * img / peak, 0.0, 1.0))
-    return out

@@ -10,17 +10,18 @@ import numpy as np
 
 from .core import (
     DisplacementField,
-    MixedMotion,
     NonParametricMotion,
     ParametricMotion,
     VectorField,
     border_filter,
     decode,
-    delta_basis,
     encode,
-    mixed_predict,
+    eval_positions,
     motion_matrices,
     offset_encodings,
+    polynomial_matrices,
+    predict,
+    predicted_vectors,
 )
 from .errors import PatchflowError, ShapeError
 
@@ -41,8 +42,7 @@ class InferConfig:
 
 def infer_positions(encoder, model, shape, margin: int = 8) -> np.ndarray:
     """Evaluation lattice: patch (and mixing support) in bounds, border left out."""
-    inset = model.max_offset if isinstance(model, MixedMotion) else 0
-    pos = encoder.grid.positions(*shape, inset=inset)
+    pos = eval_positions(encoder, model, shape)
     keep = border_filter(pos, shape, margin)
     if not np.any(keep):
         raise PatchflowError("no evaluation positions left after margins")
@@ -59,24 +59,12 @@ def _candidate_order(grid) -> np.ndarray:
 def _candidate_scores(encoder, model, image_t, target_vectors, positions, clamp=False):
     """Squared residual against ``target_vectors`` for every grid candidate.
 
-    Returns (scores (N, C), predictions (N, C, K, d)).  Both paths run as
-    per-block matrix products batched over k."""
-    if isinstance(model, MixedMotion):
-        voff, _ = offset_encodings(encoder, image_t, positions, model.offsets, clamp=clamp)
-        n, m, k, d = voff.shape
-        c = model.matrices.shape[0]
-        left = model.matrices.transpose(2, 0, 3, 1, 4).reshape(k, c * d, m * d)
-        right = voff.transpose(2, 1, 3, 0).reshape(k, m * d, n)
-        pred = (left @ right).reshape(k, c, d, n).transpose(3, 1, 0, 2)
-    elif isinstance(model, NonParametricMotion):
-        v = encode(encoder, image_t, positions).vectors
-        n, k, d = v.shape
-        c = model.matrices.shape[0]
-        left = model.matrices.transpose(1, 0, 2, 3).reshape(k, c * d, d)
-        right = v.transpose(1, 2, 0)
-        pred = (left @ right).reshape(k, c, d, n).transpose(3, 1, 0, 2)
-    else:
+    Returns (scores (N, C), predictions (N, C, K, d)): the shared prediction
+    with the whole candidate table against every position."""
+    if isinstance(model, ParametricMotion):
         raise ShapeError("grid scoring needs a non-parametric or mixed model")
+    _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
+    pred = predict(model.table, vectors[inverse])
     diff = target_vectors[:, None] - pred
     return np.einsum("nckd,nckd->nc", diff, diff), pred
 
@@ -125,9 +113,7 @@ def _smoothness_value_grad(deltas: np.ndarray, grid_shape: tuple[int, int]):
 def _taylor_terms(model: ParametricMotion, deltas: np.ndarray):
     """M(delta) plus its two partial derivatives, each (N, K, d, d)."""
     b1, b2, b11, b22, b12 = model.coeffs
-    basis = delta_basis(deltas)
-    m = np.einsum("nj,jkde->nkde", basis, model.coeffs, optimize=True)
-    m += np.eye(model.block_dim)
+    m = polynomial_matrices(model.coeffs, deltas)
     d1 = deltas[:, 0][:, None, None, None]
     d2 = deltas[:, 1][:, None, None, None]
     dm1 = b1[None] + 2.0 * d1 * b11[None] + d2 * b12[None]
@@ -165,16 +151,16 @@ def infer_parametric(encoder, model: ParametricMotion, image_t, image_t1, config
 
     def objective_grad(d, with_grad=True):
         m, dm1, dm2 = _taylor_terms(model, d)
-        r = v1 - np.einsum("nkde,nke->nkd", m, v0, optimize=True)
+        r = v1 - np.einsum("nkde,nke->nkd", m, v0)
         value = float(np.sum(r * r))
         grad = None
         if with_grad:
-            p1 = np.einsum("nkde,nke->nkd", dm1, v0, optimize=True)
-            p2 = np.einsum("nkde,nke->nkd", dm2, v0, optimize=True)
+            p1 = np.einsum("nkde,nke->nkd", dm1, v0)
+            p2 = np.einsum("nkde,nke->nkd", dm2, v0)
             grad = -2.0 * np.stack(
                 [
-                    np.einsum("nkd,nkd->n", r, p1, optimize=True),
-                    np.einsum("nkd,nkd->n", r, p2, optimize=True),
+                    np.einsum("nkd,nkd->n", r, p1),
+                    np.einsum("nkd,nkd->n", r, p2),
                 ],
                 axis=1,
             )
@@ -223,28 +209,19 @@ def _field_on_positions(field, positions) -> np.ndarray:
     raise ShapeError("field must be a DisplacementField on the lattice or dense (H, W, 2)")
 
 
-def _transform_state(encoder, model, image, positions, deltas):
-    """One animation step: transformed vectors at every lattice position.
-
-    Mixed supports that stick out of the image fall back to clamped patch
-    centers so the reconstruction canvas stays fully covered.
-    """
-    if isinstance(model, MixedMotion):
-        return mixed_predict(model, encoder, image, positions, deltas, clamp=True)
-    v = encode(encoder, image, positions).vectors
-    idx = model.grid.round_indices(deltas) if isinstance(model, NonParametricMotion) else None
-    mats = model.matrices[idx] if idx is not None else motion_matrices(model, deltas)
-    return np.einsum("nkde,nke->nkd", mats, v, optimize=True)
-
-
 def animate(encoder, model, image0, fields) -> list[np.ndarray]:
-    """Roll the model forward: transform encodings, decode, re-encode, repeat."""
+    """Roll the model forward: transform encodings, decode, re-encode, repeat.
+
+    Every lattice position is predicted; mixed supports that stick out of
+    the image fall back to clamped patch centers so the reconstruction
+    canvas stays fully covered.
+    """
     cur = np.asarray(image0, dtype=np.float64)
     positions = encoder.grid.positions(*cur.shape)
     frames = []
     for fld in fields:
         deltas = _field_on_positions(fld, positions)
-        pred = _transform_state(encoder, model, cur, positions, deltas)
+        pred = predicted_vectors(encoder, model, cur, positions, deltas, clamp=True)
         cur = decode(encoder, VectorField(positions, pred), cur.shape)
         frames.append(cur)
     return frames
@@ -267,6 +244,8 @@ def interpolate_frames(
     margin: overlap-add reconstruction under-covers the outer pixels, so the
     border is left out of the metric like everywhere else in the artifact.
     """
+    if isinstance(model, ParametricMotion):
+        raise ShapeError("interpolation scans a candidate grid; needs a nonparametric or mixed model")
     cur = np.asarray(image0, dtype=np.float64)
     target = np.asarray(image_target, dtype=np.float64)
     if cur.shape != target.shape:
@@ -369,7 +348,7 @@ def estimate_velocity(encoder, model, frames, position):
     u = np.zeros((len(candidates), encoder.num_blocks, encoder.block_dim))
     for frame in frames:
         v = encode(encoder, np.asarray(frame, dtype=np.float64), np.asarray([position])).vectors[0]
-        u = v[None] + np.einsum("ckde,cke->ckd", mats, u, optimize=True)
+        u = v[None] + np.einsum("ckde,cke->ckd", mats, u)
     scores = np.einsum("ckd,ckd->c", u, u)
     order = _candidate_order(model.grid)
     best = order[np.argmax(scores[order])]

@@ -21,6 +21,11 @@ from .core import (
     ParametricMotion,
     _patch_indices,
     delta_basis,
+    eval_positions,
+    extract_patches,
+    offset_encodings,
+    predict,
+    support_matrices,
     support_offsets,
 )
 from .datagen import DeformSpec, SamplePair, gen_v1deform
@@ -124,23 +129,18 @@ def init_model(config: TrainConfig, rng) -> tuple[Encoder, object]:
     return encoder, model
 
 
+def _motion_field(model) -> str:
+    """Name of the model's trained parameter tensor."""
+    return "coeffs" if isinstance(model, ParametricMotion) else "matrices"
+
+
 def _motion_params(model) -> np.ndarray:
-    return model.coeffs if isinstance(model, ParametricMotion) else model.matrices
+    return getattr(model, _motion_field(model))
 
 
 def _rebuild(encoder: Encoder, model, weights: np.ndarray, motion: np.ndarray):
     enc = Encoder(weights, encoder.patch_size, encoder.stride)
-    if isinstance(model, NonParametricMotion):
-        return enc, NonParametricMotion(model.grid, motion)
-    if isinstance(model, MixedMotion):
-        return enc, MixedMotion(model.grid, model.offsets, motion)
-    return enc, ParametricMotion(motion)
-
-
-def eval_positions(encoder: Encoder, model, shape) -> np.ndarray:
-    """Rotation-loss lattice: shrunk so mixing supports stay in bounds."""
-    inset = model.max_offset if isinstance(model, MixedMotion) else 0
-    return encoder.grid.positions(*shape, inset=inset)
+    return enc, replace(model, **{_motion_field(model): motion})
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +158,10 @@ def _scatter_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarr
 def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion):
     """Accumulate loss and gradients for a batch group sharing one image size.
 
-    The heavy contractions run as plain matrix products on (batch*positions,
-    features) views; einsum handles only the small block-diagonal pieces.
+    Every model runs the same forward pass over its support (the zero offset
+    alone for table and parametric models); only where the motion gradient
+    lands depends on the model type.  The heavy contractions run as plain
+    matrix products on (batch*positions, features) views.
     """
     w = encoder.weights
     k, d, q = w.shape
@@ -168,8 +170,6 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
     p = encoder.patch_size
     shape = imgs_t.shape[1:]
     b = imgs_t.shape[0]
-    flat_t = imgs_t.reshape(b, -1)
-    flat_t1 = imgs_t1.reshape(b, -1)
     lam_rot = config.weight_rotation
     lam_rec = config.weight_reconstruction
     lam_ns = config.weight_norm_stability
@@ -177,49 +177,26 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
     dw2 = d_weights.reshape(kd, q)
 
     if lam_rot > 0 or lam_ns > 0:
-        pos_rot = eval_positions(encoder, model, shape)
-        if deltas.shape[1] != len(pos_rot):
+        pos = eval_positions(encoder, model, shape)
+        if deltas.shape[1] != len(pos):
             raise ShapeError(
-                f"fields have {deltas.shape[1]} positions, evaluation grid has {len(pos_rot)}"
+                f"fields have {deltas.shape[1]} positions, evaluation grid has {len(pos)}"
             )
-        idx_rot = _patch_indices(shape, pos_rot, p)
-        n = len(pos_rot)
-        a1 = flat_t1[:, idx_rot].reshape(b * n, q)
+        n = len(pos)
+        a1 = extract_patches(imgs_t1, pos, p).reshape(b * n, q)
         v1 = (a1 @ w2.T).reshape(b, n, k, d)
-
-        if isinstance(model, MixedMotion):
-            centers = pos_rot[:, None, :] + model.offsets[None, :, :]
-            m_off = len(model.offsets)
-            uniq, inverse = np.unique(centers.reshape(-1, 2), axis=0, return_inverse=True)
-            idx_u = _patch_indices(shape, uniq, p)
-            n_u = len(uniq)
-            a_u = flat_t[:, idx_u].reshape(b * n_u, q)
-            v_u = (a_u @ w2.T).reshape(b, n_u, kd)
-            voff = v_u[:, inverse].reshape(b, n, m_off, k, d)
-            cidx = model.grid.round_indices(deltas)  # (B, N)
-            mats = model.matrices[cidx]  # (B, N, m, K, d, d)
-            pred = np.einsum("bnmkde,bnmke->bnkd", mats, voff)
-        else:
-            a = flat_t[:, idx_rot].reshape(b * n, q)
-            v = (a @ w2.T).reshape(b, n, k, d)
-            if isinstance(model, NonParametricMotion):
-                cidx = model.grid.round_indices(deltas)
-                mats = model.matrices[cidx]
-            else:
-                basis = delta_basis(deltas).reshape(b * n, 5)  # (B*N, 5)
-                mats = (basis @ model.coeffs.reshape(5, k * d * d)).reshape(b, n, k, d, d)
-                mats += np.eye(d)
-            pred = np.einsum("bnkde,bnke->bnkd", mats, v)
+        a_u, v_u, inverse = offset_encodings(encoder, imgs_t, pos, model.offsets)
+        n_u, m_off = a_u.shape[1], inverse.shape[1]
+        voff = v_u[:, inverse]  # (B, N, m, K, d)
+        mats = support_matrices(model, deltas)  # (B, N, m, K, d, d)
+        pred = predict(mats[:, :, None], voff[:, :, None])[:, :, 0, 0]
 
         r = v1 - pred
         loss += lam_rot * float(np.sum(r * r))
         d_pred = -2.0 * lam_rot * r
         if lam_ns > 0:
-            if isinstance(model, MixedMotion):
-                a_x = flat_t[:, idx_rot].reshape(b * n, q)
-                v_x = (a_x @ w2.T).reshape(b, n, k, d)
-            else:
-                a_x, v_x = a, v
+            a_x = extract_patches(imgs_t, pos, p).reshape(b * n, q)
+            v_x = (a_x @ w2.T).reshape(b, n, k, d)
             ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
             loss += lam_ns * float(np.sum(ns * ns))
             d_pred = d_pred + 4.0 * lam_ns * ns[..., None] * pred
@@ -227,28 +204,19 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
             dw2 += gv.T @ a_x
         dw2 += (2.0 * lam_rot * r).reshape(b * n, kd).T @ a1
 
-        if isinstance(model, MixedMotion):
-            mt_g = np.einsum("bnmkde,bnkd->bnmke", mats, d_pred)
-            rows = (np.arange(b)[:, None] * n_u + inverse[None, :]).ravel()
-            s = _scatter_rows(b * n_u, rows, mt_g.reshape(b * n * m_off, kd))
-            dw2 += s.T @ a_u
-            g_m = np.einsum("bnkd,bnmke->bnmkde", d_pred, voff)
-            d_motion += _scatter_rows(
-                model.grid.num_candidates, cidx.ravel(), g_m.reshape(b * n, m_off, k, d, d)
-            )
+        # back through the prediction: M^T d_pred per offset, scattered onto the
+        # unique support centers, and the outer product d_pred v^T per offset
+        mt_g = predict(np.swapaxes(mats, -1, -2)[:, :, :, None], d_pred[:, :, None, None])
+        rows = (np.arange(b)[:, None] * n_u + inverse.ravel()[None, :]).ravel()
+        s = _scatter_rows(b * n_u, rows, mt_g.reshape(b * n * m_off, kd))
+        dw2 += s.T @ a_u.reshape(b * n_u, q)
+        g_m = (d_pred[:, :, None, :, :, None] * voff[:, :, :, :, None, :]).reshape(b * n, -1)
+        if isinstance(model, ParametricMotion):
+            basis = delta_basis(deltas).reshape(b * n, 5)
+            d_motion += (basis.T @ g_m).reshape(d_motion.shape)
         else:
-            # the direct |v|^2 norm-stability term was added above via v_x
-            dv = np.einsum("bnkde,bnkd->bnke", mats, d_pred)
-            dw2 += dv.reshape(b * n, kd).T @ a
-            g_m = np.einsum("bnkd,bnke->bnkde", d_pred, v)
-            if isinstance(model, NonParametricMotion):
-                d_motion += _scatter_rows(
-                    model.grid.num_candidates, cidx.ravel(), g_m.reshape(b * n, k, d, d)
-                )
-            else:
-                d_motion += (
-                    basis.T @ g_m.reshape(b * n, k * d * d)
-                ).reshape(5, k, d, d)
+            cidx = model.grid.round_indices(deltas).ravel()
+            d_motion += _scatter_rows(len(d_motion), cidx, g_m).reshape(d_motion.shape)
 
     if lam_rec > 0:
         pos_rec = encoder.grid.positions(*shape)
@@ -256,14 +224,14 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
         n_rec = len(pos_rec)
         npix = shape[0] * shape[1]
         rows = (np.arange(b)[:, None, None] * npix + idx_rec[None, :, :]).ravel()
-        for flat in (flat_t, flat_t1):
-            a_rec = flat[:, idx_rec].reshape(b * n_rec, q)
+        for flat in (imgs_t.reshape(b, -1), imgs_t1.reshape(b, -1)):
+            a_rec = np.take(flat, idx_rec, axis=1).reshape(b * n_rec, q)
             v_rec = a_rec @ w2.T  # (B*N, kd)
             rec = v_rec @ w2  # (B*N, q)
             canvas = np.bincount(rows, weights=rec.ravel(), minlength=b * npix)
             e = flat - canvas.reshape(b, npix)
             loss += lam_rec * float(np.sum(e * e))
-            e_p = e[:, idx_rec].reshape(b * n_rec, q)
+            e_p = np.take(e, idx_rec, axis=1).reshape(b * n_rec, q)
             v_e = e_p @ w2.T
             dw2 += -2.0 * lam_rec * (v_rec.T @ e_p + v_e.T @ a_rec)
     return loss

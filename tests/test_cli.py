@@ -10,8 +10,10 @@ from patchflow.cli import (
     EXIT_FORMAT,
     EXIT_MISSING,
     EXIT_OK,
+    EXIT_UNEXPECTED,
     main,
 )
+from patchflow.evalviz import write_pgm
 
 
 def run_cli(*argv):
@@ -148,3 +150,43 @@ class TestExitCodes:
             "animate", "interpolate", "analyze", "eval", "filters",
         ):
             assert name in text
+
+    def test_negative_learning_rate_is_config_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--seed", 1)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = run_cli("train", "--data", ds, "--out", out, "--lr", -1)
+        assert code == EXIT_CONFIG
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_nonpositive_pair_count_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = run_cli("gen-data", "--out", out, "--pairs", -3, "--size", 32)
+        assert code == EXIT_CONFIG
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_interpolate_parametric_checkpoint(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 2, "--size", 48, "--seed", 1)
+        run_dir = tmp_path / "run"
+        run_cli(
+            "train", "--data", ds, "--out", run_dir, "--variant", "parametric",
+            "--steps", 2, "--blocks", 2, "--batch-size", 1, "--seed", 1,
+        )
+        rng = np.random.default_rng(0)
+        start, end = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        write_pgm(start, rng.random((48, 48)))
+        write_pgm(end, rng.random((48, 48)))
+        capsys.readouterr()
+        out = tmp_path / "interp"
+        code = run_cli(
+            "interpolate", "--checkpoint", run_dir / "model.ckpt",
+            "--start", start, "--end", end, "--out", out,
+        )
+        assert code == EXIT_UNEXPECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not list(out.glob("frame_*.pgm"))

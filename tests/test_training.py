@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from patchflow.core import (
+    DisplacementField,
     DisplacementGrid,
     Encoder,
     MixedMotion,
     NonParametricMotion,
     ParametricMotion,
+    encode,
+    predicted_vectors,
+    rotation_loss,
     support_offsets,
 )
 from patchflow.datagen import DeformSpec, gen_v1deform, synthetic_textures
 from patchflow.errors import DataFormatError, ShapeError
+from patchflow.inference import _candidate_scores
 from patchflow.training import (
     AdamState,
     TrainConfig,
@@ -158,6 +163,34 @@ class TestGradients:
         unused = [i for i in range(grid.num_candidates) if i not in used]
         assert unused
         assert np.all(bundle.d_motion[unused] == 0)
+
+
+class TestConsumersAgree:
+    """Training, the rotation loss and grid scoring read one forward model."""
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_total_loss_equals_rotation_loss(self, variant):
+        enc, model, batch, config = small_problem(variant)
+        config = TrainConfig(**{**config.__dict__, "weight_reconstruction": 0.0})
+        grid = config.displacement_grid
+        img_t, img_t1, deltas = batch[0]
+        deltas = grid.candidates()[grid.round_indices(deltas)]  # on-grid for every variant
+        pos = eval_positions(enc, model, img_t.shape)
+        want = rotation_loss(enc, model, img_t, img_t1, DisplacementField(pos, deltas))
+        got = total_loss(enc, model, [(img_t, img_t1, deltas)], config)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_grid_scores_equal_prediction_residuals(self, variant):
+        enc, model, batch, _ = small_problem(variant)
+        img_t, img_t1, deltas = batch[0]
+        pos = eval_positions(enc, model, img_t.shape)
+        v1 = encode(enc, img_t1, pos).vectors
+        scores, _ = _candidate_scores(enc, model, img_t, v1, pos)
+        given = scores[np.arange(len(pos)), model.grid.round_indices(deltas)]
+        resid = v1 - predicted_vectors(enc, model, img_t, pos, deltas)
+        np.testing.assert_allclose(given, np.sum(resid * resid, axis=(1, 2)), rtol=1e-10)
 
 
 class TestAdam:
