@@ -80,6 +80,34 @@ def _merge_config(base: dict, override: dict, path: str = "") -> None:
             base[key] = value
 
 
+def _same_kind(default, value) -> bool:
+    """Whether ``value`` has the JSON type of ``default``; an int may stand for a float."""
+    if isinstance(value, bool):  # JSON true/false, though Python counts it an int
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return (
+            isinstance(value, list)
+            and len(value) == len(default)
+            and all(map(_same_kind, default, value))
+        )
+    return isinstance(value, type(default))
+
+
+def _check_types(defaults: dict, config: dict, path: str = "") -> None:
+    """Raise ConfigError for a merged value whose type is not its default's."""
+    for key, value in config.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            _check_types(defaults[key], value, where)
+        elif not _same_kind(defaults[key], value):
+            raise ConfigError(
+                f"config key {where!r} must have type {type(defaults[key]).__name__} "
+                f"(like {json.dumps(defaults[key])}), got {json.dumps(value)}"
+            )
+
+
 def config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -113,9 +141,11 @@ def parallel_map(fn, items, threads: int):
 def _build_settings(config: dict) -> dict:
     """The settings objects of a merged config, one per section.
 
-    Building them checks every value before any work; a value a settings
-    class rejects raises ConfigError.
+    Building them checks every value before any work; a value whose type
+    is not its default's, or that a settings class rejects, raises
+    ConfigError.
     """
+    _check_types(default_config(), config)
     seed = config["seed"]
     try:
         if config["datagen"]["pairs"] < 1:

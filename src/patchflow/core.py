@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -356,6 +357,11 @@ class NonParametricMotion:
         """The matrices as a single-offset mixed table, (n_candidates, 1, K, d, d)."""
         return self.matrices[:, None]
 
+    @cached_property
+    def table_blocks(self) -> np.ndarray:
+        """The table in the block layout of `predict`, built on first use."""
+        return block_layout(self.table)
+
     @classmethod
     def identity(cls, grid, num_blocks, block_dim):
         m = np.zeros((grid.num_candidates, num_blocks, block_dim, block_dim))
@@ -396,6 +402,11 @@ class MixedMotion:
     @property
     def table(self) -> np.ndarray:
         return self.matrices
+
+    @cached_property
+    def table_blocks(self) -> np.ndarray:
+        """The table in the block layout of `predict`, built on first use."""
+        return block_layout(self.table)
 
     def offset_index(self, dx) -> int:
         hit = np.nonzero((self.offsets == np.asarray(dx)).all(axis=1))[0]
@@ -544,31 +555,36 @@ def support_matrices(model, deltas: np.ndarray) -> np.ndarray:
     return model.table[model.grid.round_indices(deltas)]
 
 
-def predict(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def block_layout(mats: np.ndarray) -> np.ndarray:
+    """R matrix sets (..., R, m, K, d, e) over a support of m offsets, laid out
+    for `predict` as one (R*d, m*e) block per sub-vector, shape (..., K, R*d, m*e)."""
+    r, m, k, d, e = mats.shape[-5:]
+    left = np.moveaxis(mats, [-3, -5, -2, -4], [-5, -4, -3, -2])  # (..., K, R, d, m, e)
+    return left.reshape(left.shape[:-5] + (k, r * d, m * e))
+
+
+def predict(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """sum_dx M^(k)(delta, dx) v^(k)(x + dx) for R matrix sets against n vector sets.
 
-    ``mats`` is (..., R, m, K, d, d) and ``vectors`` (..., n, m, K, d) over
-    the m offsets of a support; leading axes broadcast and the result is
-    (..., n, R, K, d).  Per-position callers pass R = n = 1; grid scoring
-    passes the whole candidate table as R and every position as n.  Either
-    way it runs as one (R*d, m*d) x (m*d, n) matrix product per block.
+    ``blocks`` holds the matrix sets in the layout of `block_layout`,
+    (..., K, R*d, m*d), and ``vectors`` is (..., n, m, K, d) over the same m
+    offsets; leading axes broadcast and the result is (..., K, R, d, n).
+    Per-position callers pass R = n = 1; grid scoring passes the whole
+    candidate table as R, laid out once per model (``table_blocks``), and
+    every position as n.  Either way it runs as one (R*d, m*d) x (m*d, n)
+    matrix product per block.
     """
-    r, m, k, d, e = mats.shape[-5:]
-    n = vectors.shape[-4]
-    left = np.moveaxis(mats, [-3, -5, -2, -4], [-5, -4, -3, -2])  # (..., K, R, d, m, e)
-    left = left.reshape(left.shape[:-5] + (k, r * d, m * e))
-    right = np.moveaxis(vectors, [-2, -3, -1, -4], [-4, -3, -2, -1])  # (..., K, m, e, n)
-    right = right.reshape(right.shape[:-4] + (k, m * e, n))
-    out = left @ right
-    out = out.reshape(out.shape[:-2] + (r, d, n))  # (..., K, R, d, n)
-    return np.moveaxis(out, [-1, -3, -4], [-4, -3, -2])
+    n, m, k, d = vectors.shape[-4:]
+    right = np.moveaxis(vectors, [-2, -3, -1, -4], [-4, -3, -2, -1])  # (..., K, m, d, n)
+    out = blocks @ right.reshape(right.shape[:-4] + (k, m * d, n))
+    return out.reshape(out.shape[:-2] + (-1, d, n))
 
 
 def predicted_vectors(encoder, model, image_t, positions, deltas, clamp=False):
     """Next-frame vector prediction at each position for given displacements, (N, K, d)."""
     _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
     mats = support_matrices(model, deltas)
-    return predict(mats[:, None], vectors[inverse][:, None])[:, 0, 0]
+    return predict(block_layout(mats[:, None]), vectors[inverse][:, None])[:, :, 0, :, 0]
 
 
 def apply_motion_mixed(model: MixedMotion, encoder, image, position, delta) -> np.ndarray:

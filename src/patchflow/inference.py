@@ -59,14 +59,17 @@ def _candidate_order(grid) -> np.ndarray:
 def _candidate_scores(encoder, model, image_t, target_vectors, positions, clamp=False):
     """Squared residual against ``target_vectors`` for every grid candidate.
 
-    Returns (scores (N, C), predictions (N, C, K, d)): the shared prediction
-    with the whole candidate table against every position."""
+    Returns (scores (N, C), predictions (K, C, d, N)): the shared prediction
+    with the whole candidate table against every position, left in the
+    layout `predict` gives it; the residual is reduced in that layout, over
+    d and then over K."""
     if isinstance(model, ParametricMotion):
         raise ShapeError("grid scoring needs a non-parametric or mixed model")
     _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
-    pred = predict(model.table, vectors[inverse])
-    diff = target_vectors[:, None] - pred
-    return np.einsum("nckd,nckd->nc", diff, diff), pred
+    pred = predict(model.table_blocks, vectors[inverse])
+    diff = pred - np.moveaxis(target_vectors, 0, -1)[:, None]
+    diff *= diff
+    return diff.sum(axis=2).sum(axis=0).T, pred
 
 
 def _argmin_tiebreak(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -266,7 +269,7 @@ def interpolate_frames(
     for _ in range(max_steps):
         scores, pred = _candidate_scores(encoder, model, cur, v_target, positions, clamp=True)
         ci = _argmin_tiebreak(scores, order)
-        chosen = pred[np.arange(len(positions)), ci]
+        chosen = pred[:, ci, :, np.arange(len(positions))]  # (N, K, d)
         cur = decode(encoder, VectorField(positions, chosen), cur.shape)
         frames.append(cur)
         if close(cur):

@@ -20,6 +20,7 @@ from .core import (
     NonParametricMotion,
     ParametricMotion,
     _patch_indices,
+    block_layout,
     delta_basis,
     eval_positions,
     extract_patches,
@@ -29,7 +30,7 @@ from .core import (
     support_offsets,
 )
 from .datagen import DeformSpec, SamplePair, gen_v1deform
-from .errors import DataFormatError, NumericError, ShapeError, TrainingDiverged
+from .errors import DataFormatError, GridLookupError, NumericError, ShapeError, TrainingDiverged
 
 CHECKPOINT_VERSION = 1
 
@@ -95,18 +96,32 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig) -> None:
-    """Bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update of parameters and moments, in place.
+
+    Two scratch buffers the size of a parameter replace the temporaries of
+    the textbook expressions; every product and sum is the textbook one,
+    taken in the same order, so the results are bit for bit the same.
+    """
     state.step += 1
     t = state.step
+    b1, b2 = config.beta1, config.beta2
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {key}")
-        state.m[key] = config.beta1 * state.m[key] + (1 - config.beta1) * g
-        state.v[key] = config.beta2 * state.v[key] + (1 - config.beta2) * g * g
-        m_hat = state.m[key] / (1 - config.beta1 ** t)
-        v_hat = state.v[key] / (1 - config.beta2 ** t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        m, v = state.m[key], state.v[key]
+        a, b = np.empty_like(p), np.empty_like(p)
+        m *= b1  # m = b1*m + (1-b1)*g
+        m += np.multiply(g, 1 - b1, out=a)
+        v *= b2  # v = b2*v + ((1-b2)*g)*g
+        np.multiply(g, 1 - b2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1 - b1 ** t, out=a)  # p -= (lr*m_hat) / (sqrt(v_hat) + eps)
+        a *= config.learning_rate
+        np.divide(v, 1 - b2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += config.eps
+        p -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +204,7 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
         n_u, m_off = a_u.shape[1], inverse.shape[1]
         voff = v_u[:, inverse]  # (B, N, m, K, d)
         mats = support_matrices(model, deltas)  # (B, N, m, K, d, d)
-        pred = predict(mats[:, :, None], voff[:, :, None])[:, :, 0, 0]
+        pred = predict(block_layout(mats[:, :, None]), voff[:, :, None])[..., 0, :, 0]
 
         r = v1 - pred
         loss += lam_rot * float(np.sum(r * r))
@@ -206,7 +221,8 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
 
         # back through the prediction: M^T d_pred per offset, scattered onto the
         # unique support centers, and the outer product d_pred v^T per offset
-        mt_g = predict(np.swapaxes(mats, -1, -2)[:, :, :, None], d_pred[:, :, None, None])
+        mt_g = predict(block_layout(np.swapaxes(mats, -1, -2)[:, :, :, None]), d_pred[:, :, None, None])
+        mt_g = np.swapaxes(mt_g[..., 0], 2, 3)  # (B, N, m, K, d)
         rows = (np.arange(b)[:, None] * n_u + inverse.ravel()[None, :]).ravel()
         s = _scatter_rows(b * n_u, rows, mt_g.reshape(b * n * m_off, kd))
         dw2 += s.T @ a_u.reshape(b * n_u, q)
@@ -299,7 +315,11 @@ def _as_triplet(sample):
 
 
 def prepare_dataset(dataset, encoder, model, snap_to_grid: bool) -> list:
-    """Sample dense fields on the evaluation lattice, snapping for table models."""
+    """Sample dense fields on the evaluation lattice, snapping for table models.
+
+    Snapping needs every sampled component to round onto the candidate grid;
+    data that reaches past it raises DataFormatError naming both ranges.
+    """
     prepared = []
     cache: dict[tuple[int, int], np.ndarray] = {}
     for sample in dataset:
@@ -314,9 +334,20 @@ def prepare_dataset(dataset, encoder, model, snap_to_grid: bool) -> list:
             vec = np.asarray(field, dtype=np.float64)
             if vec.shape != (len(pos), 2):
                 raise ShapeError("pre-sampled field does not match the evaluation grid")
-        if snap_to_grid:
-            vec = model.grid.candidates()[model.grid.round_indices(vec)]
         prepared.append((np.asarray(img_t, dtype=np.float64), np.asarray(img_t1, dtype=np.float64), vec))
+    if snap_to_grid and prepared:
+        grid = model.grid
+        lo = min(float(vec.min()) for *_, vec in prepared)
+        hi = max(float(vec.max()) for *_, vec in prepared)
+        try:
+            grid.round_indices(np.array([[lo, lo], [hi, hi]]))
+        except GridLookupError:
+            raise DataFormatError(
+                f"field components span [{lo:g}, {hi:g}] px, outside the "
+                f"candidate grid [{grid.lo:g}, {grid.hi:g}]"
+            ) from None
+        cand = grid.candidates()
+        prepared = [(img_t, img_t1, cand[grid.round_indices(vec)]) for img_t, img_t1, vec in prepared]
     return prepared
 
 

@@ -168,6 +168,46 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("eval", {"infer": {"margin": "x"}}),
+            ("train", {"train": {"batch_size": 2.5}}),
+            ("train", {"train": {"num_steps": True}}),
+        ],
+    )
+    def test_wrong_config_type_is_config_error(self, tmp_path, capsys, command, override):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--seed", 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        extra = ["--zero-predictor"] if command == "eval" else []
+        code = run_cli(command, "--data", ds, "--config", cfg, "--out", out, *extra)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists()
+
+    def test_int_config_value_stands_for_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deform": {"lo": -2, "hi": 2}, "train": {"learning_rate": 1}}))
+        code = run_cli("gen-data", "--out", tmp_path / "ds", "--pairs", 1, "--size", 32, "--config", cfg)
+        assert code == EXIT_OK
+
+    def test_data_outside_candidate_grid_is_format_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 2, "--size", 48, "--range", 8, "--seed", 1)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = run_cli("train", "--data", ds, "--out", out, "--steps", 2, "--blocks", 2)
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:")
+        assert "[-6, 6]" in err[0]  # the grid's range next to the data's
+        assert not (out / "model.ckpt").exists()
+
     def test_interpolate_parametric_checkpoint(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run_cli("gen-data", "--out", ds, "--pairs", 2, "--size", 48, "--seed", 1)

@@ -1,8 +1,11 @@
 """Gradient correctness (finite differences), Adam, training loops, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from patchflow import core
 from patchflow.core import (
     DisplacementField,
     DisplacementGrid,
@@ -10,6 +13,7 @@ from patchflow.core import (
     MixedMotion,
     NonParametricMotion,
     ParametricMotion,
+    block_layout,
     encode,
     predicted_vectors,
     rotation_loss,
@@ -17,7 +21,7 @@ from patchflow.core import (
 )
 from patchflow.datagen import DeformSpec, gen_v1deform, synthetic_textures
 from patchflow.errors import DataFormatError, ShapeError
-from patchflow.inference import _candidate_scores
+from patchflow.inference import InferConfig, _candidate_scores, infer_grid, interpolate_frames
 from patchflow.training import (
     AdamState,
     TrainConfig,
@@ -192,6 +196,53 @@ class TestConsumersAgree:
         resid = v1 - predicted_vectors(enc, model, img_t, pos, deltas)
         np.testing.assert_allclose(given, np.sum(resid * resid, axis=(1, 2)), rtol=1e-10)
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_every_grid_column_is_a_prediction_residual(self, variant, clamp):
+        enc, model, batch, _ = small_problem(variant)
+        img_t, img_t1, _ = batch[0]
+        # clamped, as interpolation scores it: the full lattice, supports clipped at the border
+        pos = enc.grid.positions(*img_t.shape) if clamp else eval_positions(enc, model, img_t.shape)
+        v1 = encode(enc, img_t1, pos).vectors
+        scores, pred = _candidate_scores(enc, model, img_t, v1, pos, clamp)
+        assert scores.shape == (len(pos), model.grid.num_candidates)
+        for c, delta in enumerate(model.grid.candidates()):
+            want = predicted_vectors(enc, model, img_t, pos, np.tile(delta, (len(pos), 1)), clamp)
+            np.testing.assert_allclose(np.moveaxis(pred[:, c], -1, 0), want, rtol=1e-10, atol=1e-14)
+            resid = v1 - want
+            np.testing.assert_allclose(scores[:, c], np.sum(resid * resid, axis=(1, 2)), rtol=1e-10)
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_replaced_table_scores_with_its_own_matrices(self, variant):
+        enc, model, batch, _ = small_problem(variant)
+        img_t, img_t1, _ = batch[0]
+        pos = eval_positions(enc, model, img_t.shape)
+        v1 = encode(enc, img_t1, pos).vectors
+        before, _ = _candidate_scores(enc, model, img_t, v1, pos)
+        other = np.random.default_rng(9).standard_normal(model.matrices.shape)
+        if variant == "mixed":
+            fresh = MixedMotion(model.grid, model.offsets, other)
+        else:
+            fresh = NonParametricMotion(model.grid, other)
+        got, _ = _candidate_scores(enc, replace(model, matrices=other), img_t, v1, pos)
+        want, _ = _candidate_scores(enc, fresh, img_t, v1, pos)
+        assert np.array_equal(got, want)
+        assert not np.allclose(got, before)
+
+    def test_table_laid_out_once_per_model(self, monkeypatch):
+        enc, model, batch, _ = small_problem("mixed")
+        calls = []
+
+        def counted(mats):
+            calls.append(mats.shape)
+            return block_layout(mats)
+
+        monkeypatch.setattr(core, "block_layout", counted)
+        for img_t, img_t1, _ in batch:
+            infer_grid(enc, model, img_t, img_t1, InferConfig(margin=0))
+        interpolate_frames(enc, model, *batch[0][:2], max_steps=2, stop_thresh=0.0)
+        assert calls == [model.table.shape]
+
 
 class TestAdam:
     def make(self):
@@ -230,6 +281,26 @@ class TestAdam:
         v = b2 * v + (1 - b2) * g * g
         w = w - lr * (m / (1 - b1 ** 2)) / (np.sqrt(v / (1 - b2 ** 2)) + eps)
         np.testing.assert_allclose(params["w"], w, rtol=1e-12)
+
+    def test_steps_match_textbook_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        params = {"w": rng.standard_normal((7, 3, 2, 2)), "u": rng.standard_normal(5)}
+        state = AdamState.init(params)
+        config = TrainConfig(learning_rate=0.01)
+        b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.eps
+        want = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for t in range(1, 6):
+            # sparse gradients, as a table gets them
+            grads = {k: rng.standard_normal(p.shape) * (rng.random(p.shape) < 0.5) for k, p in params.items()}
+            adam_step(params, grads, state, config)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                want[k] = want[k] - lr * (m[k] / (1 - b1 ** t)) / (np.sqrt(v[k] / (1 - b2 ** t)) + eps)
+                assert np.array_equal(params[k], want[k])
+                assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
 
 
 def desk_dataset(n_pairs, shape=(64, 64), lo=-3.0, hi=3.0, seed=0, grid_m=4):
