@@ -269,9 +269,9 @@ def cmd_train_unsup(args, config, settings) -> dict:
     }
 
 
-def _infer_one(encoder, model, pair, icfg):
+def _infer_one(encoder, model, pair, icfg, stops):
     if isinstance(model, training.ParametricMotion):
-        return inference.infer_parametric(encoder, model, pair.image_t, pair.image_t1, icfg)
+        return inference.infer_parametric(encoder, model, pair.image_t, pair.image_t1, icfg, stops=stops)
     return inference.infer_grid(encoder, model, pair.image_t, pair.image_t1, icfg)
 
 
@@ -289,8 +289,9 @@ def cmd_infer(args, config, settings) -> dict:
         pairs = datagen.dataset_read(args.data)
         if args.limit is not None:
             pairs = pairs[: args.limit]
+    stops: list = []  # (iterations, stop reason) of each descent
     fields = parallel_map(
-        lambda p: _infer_one(encoder, model, p, icfg), pairs, config["threads"]
+        lambda p: _infer_one(encoder, model, p, icfg, stops), pairs, config["threads"]
     )
     for i, fld in enumerate(fields):
         inference.write_field(out / f"field_{i:05d}.v1fd", fld)
@@ -301,7 +302,15 @@ def cmd_infer(args, config, settings) -> dict:
             nx = len(np.unique(fld.positions[:, 1]))
             rgb = evalviz.flow_to_color(fld.vectors.reshape(ny, nx, 2))
             evalviz.write_ppm(out / f"field_{i:05d}.ppm", rgb)
-    return {"pairs": len(pairs)}
+    metrics = {"pairs": len(pairs)}
+    if stops:
+        iters = [it for it, _ in stops]
+        metrics["descent"] = {
+            "stops": {reason: sum(r == reason for _, r in stops) for reason in inference.STOP_REASONS},
+            "iters_median": float(np.median(iters)),
+            "iters_max": max(iters),
+        }
+    return metrics
 
 
 def cmd_animate(args, config, settings) -> dict:

@@ -15,6 +15,7 @@ from .core import (
     VectorField,
     border_filter,
     decode,
+    delta_basis,
     encode,
     eval_positions,
     motion_matrices,
@@ -95,7 +96,11 @@ def infer_grid(encoder, model, image_t, image_t1, config: InferConfig | None = N
 
 
 # ---------------------------------------------------------------------------
-# parametric inference by gradient descent
+# parametric inference: descent on the residual's polynomial form
+
+STOP_REASONS = ("tol", "cap", "no_descent")
+_BACKTRACKS = 40  # step halvings before a gradient step counts as failed
+_DAMPINGS = 12  # damped solves before a Newton step counts as failed (9 at most seen)
 
 
 def _smoothness_value_grad(deltas: np.ndarray, grid_shape: tuple[int, int]):
@@ -114,7 +119,10 @@ def _smoothness_value_grad(deltas: np.ndarray, grid_shape: tuple[int, int]):
 
 
 def _taylor_terms(model: ParametricMotion, deltas: np.ndarray):
-    """M(delta) plus its two partial derivatives, each (N, K, d, d)."""
+    """M(delta) plus its two partial derivatives, each (N, K, d, d).
+
+    The matrix form of the descent objective; tests compare the polynomial
+    residual against it."""
     b1, b2, b11, b22, b12 = model.coeffs
     m = polynomial_matrices(model.coeffs, deltas)
     d1 = deltas[:, 0][:, None, None, None]
@@ -124,12 +132,200 @@ def _taylor_terms(model: ParametricMotion, deltas: np.ndarray):
     return m, dm1, dm2
 
 
-def infer_parametric(encoder, model: ParametricMotion, image_t, image_t1, config: InferConfig | None = None) -> DisplacementField:
-    """Gradient descent on the rotation residual plus a smoothness penalty.
+class _PolynomialObjective:
+    """Rotation residual plus smoothness, on the residual's polynomial form.
 
-    Backtracking halves the step until the objective decreases, so accepted
-    iterations are monotone; stops at the iteration cap or once the mean
-    update drops below ``config.tol`` pixels.
+    M(delta) = I + sum_j basis_j(delta) B_j, so with u_j = B_j v0 and
+    c = v1 - v0, both built once per pair, each position's residual is the
+    quadratic r(delta) = c - sum_j basis_j(delta) u_j, shape (N, K*d).  The
+    value, the gradient and the exact 2x2 Hessian of each position take a few
+    (N, K*d) array operations; no matrices are built per evaluation.
+    """
+
+    def __init__(self, coeffs, v0, v1, smoothness_weight, grid_shape):
+        n = len(v0)
+        self.u = np.einsum("jkde,nke->jnkd", coeffs, v0).reshape(5, n, -1)
+        self.c = (v1 - v0).reshape(n, -1)
+        self.lam = smoothness_weight
+        self.grid_shape = grid_shape
+
+    def value(self, deltas):
+        """(objective, residual) at ``deltas``."""
+        r = self.c - np.einsum("nj,jnm->nm", delta_basis(deltas), self.u)
+        value = float(np.sum(r * r))
+        if self.lam > 0:
+            value += self.lam * _smoothness_value_grad(deltas, self.grid_shape)[0]
+        return value, r
+
+    def derivatives(self, deltas, r, hessian=True):
+        """Gradient (N, 2) and, when ``hessian``, per-position residual
+        Hessians (N, 2, 2) at ``deltas``, given the residual there (else
+        None); the Hessians leave out the smoothness term, whose Hessian is
+        constant."""
+        u1, u2, u11, u22, u12 = self.u
+        d1, d2 = deltas[:, :1], deltas[:, 1:]
+        p1 = u1 + 2.0 * d1 * u11 + d2 * u12  # -dr/d(delta_1)
+        p2 = u2 + 2.0 * d2 * u22 + d1 * u12  # -dr/d(delta_2)
+        grad = -2.0 * np.stack(
+            [np.einsum("nm,nm->n", r, p1), np.einsum("nm,nm->n", r, p2)], axis=1
+        )
+        if self.lam > 0:
+            grad += self.lam * _smoothness_value_grad(deltas, self.grid_shape)[1]
+        if not hessian:
+            return grad, None
+        h12 = 2.0 * (np.einsum("nm,nm->n", p1, p2) - np.einsum("nm,nm->n", r, u12))
+        hess = np.empty((len(deltas), 2, 2))
+        hess[:, 0, 0] = 2.0 * (np.einsum("nm,nm->n", p1, p1) - 2.0 * np.einsum("nm,nm->n", r, u11))
+        hess[:, 1, 1] = 2.0 * (np.einsum("nm,nm->n", p2, p2) - 2.0 * np.einsum("nm,nm->n", r, u22))
+        hess[:, 0, 1] = hess[:, 1, 0] = h12
+        return grad, hess
+
+
+class _NewtonSystem:
+    """The Newton matrix blockdiag(hess) + 2 lam L (x) I_2 of one iteration,
+    L the graph Laplacian of the 4-neighbour lattice (the Hessian of the
+    smoothness term), solved with damping mu I added.
+
+    Without smoothness the positions decouple into N 2x2 systems, solved in
+    closed form.  With it the matrix is block tridiagonal over the lattice
+    rows, with -2 lam I between neighbouring rows: block elimination over the
+    rows takes O(N nx^2) time and O(N nx) memory for nx positions per row,
+    and a Cholesky test of each pivot block tells whether the matrix is
+    positive definite."""
+
+    def __init__(self, hess, lam, grid_shape):
+        self.w = 2.0 * lam  # the coupling between neighbours is -w I
+        if lam == 0:
+            self.hess = hess
+            self.diag_mean = float(np.mean(np.abs(hess[:, [0, 1], [0, 1]])))
+            return
+        ny, nx = grid_shape
+        rows, cols = np.indices(grid_shape)
+        degree = (rows > 0).astype(float) + (rows < ny - 1) + (cols > 0) + (cols < nx - 1)
+        m = 2 * nx  # unknowns per lattice row, position-major
+        blocks = np.zeros((ny, m, m))
+        j = np.arange(nx)
+        blocks.reshape(ny, nx, 2, nx, 2)[:, j, :, j, :] = np.swapaxes(hess.reshape(ny, nx, 2, 2), 0, 1)
+        k = np.arange(m)
+        blocks[:, k, k] += self.w * np.repeat(degree, 2, axis=1)
+        blocks[:, k[:-2], k[2:]] = blocks[:, k[2:], k[:-2]] = -self.w  # row neighbours
+        self.blocks = blocks
+        self.diag_mean = float(np.mean(np.abs(blocks[:, k, k])))
+
+    def solve(self, mu, grad):
+        """The step s with (matrix + mu I) s = -grad, (N, 2); None when that
+        matrix is not positive definite."""
+        if self.w == 0:
+            a = self.hess[:, 0, 0] + mu
+            b = self.hess[:, 0, 1]
+            c = self.hess[:, 1, 1] + mu
+            det = a * c - b * b
+            if not (np.all(a > 0) and np.all(det > 0)):
+                return None
+            g1, g2 = grad[:, 0], grad[:, 1]
+            return np.stack([b * g2 - c * g1, b * g1 - a * g2], axis=1) / det[:, None]
+        ny, m = self.blocks.shape[:2]
+        eye = np.eye(m)
+        y = -grad.reshape(ny, m)
+        inv = np.empty_like(self.blocks)  # inverses of the pivot blocks
+        for i in range(ny):
+            pivot = self.blocks[i] + mu * eye
+            if i:
+                pivot -= self.w * self.w * inv[i - 1]
+                y[i] += self.w * (inv[i - 1] @ y[i - 1])
+            try:
+                np.linalg.cholesky(pivot)
+            except np.linalg.LinAlgError:
+                return None
+            inv[i] = np.linalg.inv(pivot)
+        s = np.empty_like(y)
+        s[-1] = inv[-1] @ y[-1]
+        for i in range(ny - 2, -1, -1):
+            s[i] = inv[i] @ (y[i] + self.w * s[i + 1])
+        return s.reshape(-1, 2)
+
+
+def _gradient_step(objective, deltas, value, grad, step_size):
+    """Backtracking: halve the step along -grad until the objective drops.
+
+    Returns (step, value, residual) at the accepted point, or None."""
+    step = step_size
+    for _ in range(_BACKTRACKS):
+        s = -step * grad
+        trial_value, r = objective.value(deltas + s)
+        if trial_value < value:
+            return s, trial_value, r
+        step *= 0.5
+    return None
+
+
+def _newton_step(objective, deltas, value, r, grad, hess, mu, tol):
+    """Damped Newton: solve (blockdiag(hess) + 2 lam L (x) I_2 + mu I) s = -grad.
+
+    mu rises until the matrix is positive definite and the step lowers the
+    objective, and falls after an accepted step.  A step shorter than ``tol``
+    that does not lower the objective means descent has converged to
+    rounding (raising mu only shortens the step): the null step is returned,
+    which stops on tol.  Returns ((step, value, residual) or None, the next
+    mu)."""
+    system = _NewtonSystem(hess, objective.lam, objective.grid_shape)
+    mu_floor = 1e-3 * system.diag_mean
+    for _ in range(_DAMPINGS):
+        s = system.solve(mu, grad)
+        if s is not None:
+            trial_value, trial_r = objective.value(deltas + s)
+            if trial_value < value:
+                return (s, trial_value, trial_r), mu / 3.0
+            if np.mean(np.linalg.norm(s, axis=1)) < tol:
+                return (np.zeros_like(s), value, r), mu
+        mu = max(4.0 * mu, mu_floor)
+    return None, mu
+
+
+def _descend(objective, deltas, config: InferConfig, newton: bool):
+    """Monotone descent from ``deltas``: damped Newton steps when ``newton``,
+    else (and whenever no Newton step descends) backtracking gradient steps.
+    Returns (deltas, iterations, stop reason)."""
+    value, r = objective.value(deltas)
+    grad, hess = objective.derivatives(deltas, r, newton)
+    mu = 0.0
+    for it in range(config.max_iters):
+        if not grad.any():
+            return deltas, it, "no_descent"  # a stationary point: no step descends
+        accepted = None
+        if newton:
+            accepted, mu = _newton_step(objective, deltas, value, r, grad, hess, mu, config.tol)
+        if accepted is None:
+            accepted = _gradient_step(objective, deltas, value, grad, config.step_size)
+        if accepted is None:
+            return deltas, it, "no_descent"
+        s, value, r = accepted
+        mean_update = float(np.mean(np.linalg.norm(s, axis=1)))
+        deltas = deltas + s
+        if mean_update < config.tol:
+            return deltas, it + 1, "tol"
+        grad, hess = objective.derivatives(deltas, r, newton)
+    return deltas, config.max_iters, "cap"
+
+
+def infer_parametric(
+    encoder,
+    model: ParametricMotion,
+    image_t,
+    image_t1,
+    config: InferConfig | None = None,
+    newton: bool = True,
+    stops: list | None = None,
+) -> DisplacementField:
+    """Descent on the rotation residual plus a smoothness penalty.
+
+    Damped Newton steps solve the coupled system over all 2N unknowns by
+    elimination over the lattice rows, in O(N nx^2) time and O(N nx) memory
+    for nx positions per row; with ``newton=False`` every step is a backtracking
+    gradient step of at most ``config.step_size``.  Accepted iterations are
+    monotone either way.  Stops at the iteration cap, once the mean update
+    drops below ``config.tol`` pixels, or when no step descends; ``stops``,
+    when given, receives (iterations, stop reason) of the call.
     """
     config = config or InferConfig()
     if not isinstance(model, ParametricMotion):
@@ -152,46 +348,10 @@ def infer_parametric(encoder, model: ParametricMotion, image_t, image_t1, config
         rng = np.random.default_rng(config.rng_seed)
         deltas = rng.uniform(-0.5, 0.5, (len(pos), 2))
 
-    def objective_grad(d, with_grad=True):
-        m, dm1, dm2 = _taylor_terms(model, d)
-        r = v1 - np.einsum("nkde,nke->nkd", m, v0)
-        value = float(np.sum(r * r))
-        grad = None
-        if with_grad:
-            p1 = np.einsum("nkde,nke->nkd", dm1, v0)
-            p2 = np.einsum("nkde,nke->nkd", dm2, v0)
-            grad = -2.0 * np.stack(
-                [
-                    np.einsum("nkd,nkd->n", r, p1),
-                    np.einsum("nkd,nkd->n", r, p2),
-                ],
-                axis=1,
-            )
-        if lam > 0:
-            sval, sgrad = _smoothness_value_grad(d, grid_shape)
-            value += lam * sval
-            if with_grad:
-                grad += lam * sgrad
-        return value, grad
-
-    value, grad = objective_grad(deltas)
-    for _ in range(config.max_iters):
-        step = config.step_size
-        accepted = False
-        for _ in range(40):
-            trial = deltas - step * grad
-            trial_value, _ = objective_grad(trial, with_grad=False)
-            if trial_value < value:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        mean_update = float(np.mean(np.linalg.norm(step * grad, axis=1)))
-        deltas = trial
-        value, grad = objective_grad(deltas)
-        if mean_update < config.tol:
-            break
+    objective = _PolynomialObjective(model.coeffs, v0, v1, lam, grid_shape)
+    deltas, iters, stop = _descend(objective, deltas, config, newton)
+    if stops is not None:
+        stops.append((iters, stop))
     return DisplacementField(pos, deltas)
 
 
@@ -320,6 +480,8 @@ def read_field(path) -> DisplacementField:
     raw = Path(path).read_bytes()
     if raw[:4] != FIELD_MAGIC:
         raise DataFormatError(f"{path}: bad field magic {raw[:4]!r}")
+    if len(raw) < 32:
+        raise DataFormatError(f"{path}: {len(raw)}-byte field file is shorter than its 32-byte header")
     version, nx, ny, row0, col0, row_step, col_step = np.frombuffer(raw[4:32], dtype="<u4")
     if version != FIELD_VERSION:
         raise DataFormatError(f"{path}: unsupported field version {version}")

@@ -467,9 +467,13 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
     rows, cols = np.unique(pos[:, 0]), np.unique(pos[:, 1])
     grid_shape = (len(rows), len(cols))
 
-    # stage 2: infer fields with the initialized model
+    # stage 2: infer fields with the initialized model.  Stages 2 and 3 take
+    # at most infer_iters gradient steps on purpose: fields descended to
+    # convergence sit at the model's objective minimum, which at desk scale
+    # lies far from the true motion, and training on them raised scene EPE.
     fields = [
-        infer_parametric(encoder, model, a, b, icfg).vectors for a, b, _ in prepared
+        infer_parametric(encoder, model, a, b, icfg, newton=False).vectors
+        for a, b, _ in prepared
     ]
 
     # stage 3: alternate parameter updates and re-inference (warm-started)
@@ -489,7 +493,7 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
         new_fields = []
         for (img_t, img_t1, _), fld in zip(prepared, fields):
             warm = replace(icfg, init_field=fld)
-            new_fields.append(infer_parametric(encoder, model, img_t, img_t1, warm).vectors)
+            new_fields.append(infer_parametric(encoder, model, img_t, img_t1, warm, newton=False).vectors)
         change = float(
             np.mean([np.mean(np.linalg.norm(nf - of, axis=1)) for nf, of in zip(new_fields, fields)])
         )
@@ -554,8 +558,19 @@ def save_checkpoint(path, encoder: Encoder, model, extra: dict | None = None) ->
         fh.write(np.ascontiguousarray(motion, dtype="<f8").tobytes())
 
 
+def _header_entry(meta, key: str, path):
+    """``meta[key]`` of a checkpoint header; DataFormatError when it is missing."""
+    if not isinstance(meta, dict) or key not in meta:
+        raise DataFormatError(f"{path}: checkpoint header lacks {key!r}")
+    return meta[key]
+
+
 def load_checkpoint(path):
-    """Returns (encoder, model, header)."""
+    """Returns (encoder, model, header).
+
+    The header is checked for every entry the model needs before the
+    parameter blocks are read; a header that is not a checkpoint's raises
+    DataFormatError."""
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:
@@ -564,36 +579,46 @@ def load_checkpoint(path):
         header = json.loads(raw[:nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint header") from exc
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format") != "patchflow-checkpoint":
         raise DataFormatError(f"{path}: not a checkpoint file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise DataFormatError(
             f"{path}: checkpoint version {header.get('version')} != {CHECKPOINT_VERSION}"
         )
+    blocks = _header_entry(header, "blocks", path)
+    emeta = _header_entry(header, "encoder", path)
+    mmeta = _header_entry(header, "motion", path)
+    variant = _header_entry(mmeta, "variant", path)
+    if variant not in ("nonparametric", "mixed", "parametric"):
+        raise DataFormatError(f"{path}: unknown motion variant {variant!r}")
+    if variant != "parametric":
+        gmeta = _header_entry(mmeta, "grid", path)
+        grid = DisplacementGrid(*(_header_entry(gmeta, key, path) for key in ("lo", "hi", "step")))
+    if variant == "mixed":
+        offsets = np.asarray(_header_entry(mmeta, "offsets", path), dtype=np.int64)
+    if not isinstance(blocks, list) or len(blocks) != 2:
+        raise DataFormatError(f"{path}: checkpoint header needs two parameter blocks")
     body = raw[nl + 1 :]
     arrays = []
     offset = 0
-    for block in header["blocks"]:
-        count = int(np.prod(block["shape"], dtype=np.int64))
+    for block in blocks:
+        shape = _header_entry(block, "shape", path)
+        count = int(np.prod(shape, dtype=np.int64))
         end = offset + 8 * count
         if end > len(body):
-            raise DataFormatError(f"{path}: truncated parameter block {block['name']}")
-        arrays.append(np.frombuffer(body[offset:end], dtype="<f8").reshape(block["shape"]).copy())
+            raise DataFormatError(f"{path}: truncated parameter block {block.get('name')}")
+        arrays.append(np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy())
         offset = end
     if offset != len(body):
         raise DataFormatError(f"{path}: trailing bytes after parameter blocks")
     weights, motion = arrays
-    emeta = header["encoder"]
-    encoder = Encoder(weights, emeta["patch_size"], emeta["stride"])
-    mmeta = header["motion"]
-    if mmeta["variant"] == "nonparametric":
-        grid = DisplacementGrid(mmeta["grid"]["lo"], mmeta["grid"]["hi"], mmeta["grid"]["step"])
+    encoder = Encoder(weights, _header_entry(emeta, "patch_size", path), _header_entry(emeta, "stride", path))
+    if variant == "nonparametric":
         model = NonParametricMotion(grid, motion)
-    elif mmeta["variant"] == "mixed":
-        grid = DisplacementGrid(mmeta["grid"]["lo"], mmeta["grid"]["hi"], mmeta["grid"]["step"])
-        model = MixedMotion(grid, np.asarray(mmeta["offsets"], dtype=np.int64), motion)
-    elif mmeta["variant"] == "parametric":
-        model = ParametricMotion(motion)
+    elif variant == "mixed":
+        model = MixedMotion(grid, offsets, motion)
     else:
-        raise DataFormatError(f"{path}: unknown motion variant {mmeta['variant']!r}")
+        model = ParametricMotion(motion)
     return encoder, model, header

@@ -13,7 +13,9 @@ from patchflow.cli import (
     EXIT_UNEXPECTED,
     main,
 )
+from patchflow.core import DisplacementGrid, Encoder, MixedMotion, ParametricMotion, support_offsets
 from patchflow.evalviz import write_pgm
+from patchflow.training import save_checkpoint
 
 
 def run_cli(*argv):
@@ -98,6 +100,23 @@ class TestPipelines:
         for key in ("schema_version", "command", "config", "config_hash", "metrics", "timings", "artifacts"):
             assert key in summary
         assert summary["command"] == "gen-data"
+
+    def test_infer_summary_reports_descent_stops(self, tmp_path):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 3, "--size", 48, "--range", 2, "--seed", 4)
+        run_dir = tmp_path / "run"
+        run_cli(
+            "train", "--data", ds, "--out", run_dir, "--variant", "parametric",
+            "--steps", 4, "--blocks", 3, "--batch-size", 2, "--seed", 4,
+        )
+        pred = tmp_path / "pred"
+        code = run_cli("infer", "--checkpoint", run_dir / "model.ckpt", "--data", ds, "--out", pred)
+        assert code == EXIT_OK
+        descent = json.loads((pred / "run_summary.json").read_text())["metrics"]["descent"]
+        assert set(descent) == {"stops", "iters_median", "iters_max"}
+        assert set(descent["stops"]) == {"tol", "cap", "no_descent"}
+        assert sum(descent["stops"].values()) == 3
+        assert 0 <= descent["iters_median"] <= descent["iters_max"]
 
 
 class TestExitCodes:
@@ -230,3 +249,46 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not list(out.glob("frame_*.pgm"))
+
+    @pytest.mark.parametrize(
+        "case",
+        ["header_not_object", "no_blocks", "no_encoder", "no_motion", "no_grid", "no_offsets"],
+    )
+    def test_incomplete_checkpoint_header_is_format_error(self, tmp_path, capsys, case):
+        grid = DisplacementGrid(-1, 1, 1.0)
+        model = MixedMotion.identity(grid, support_offsets(2, 2), 2, 2)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=1), model)
+        raw = ckpt.read_bytes()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        if case == "header_not_object":
+            header = [header]
+        elif case in ("no_blocks", "no_encoder", "no_motion"):
+            del header[case[3:]]
+        else:
+            del header["motion"][case[3:]]
+        ckpt.write_bytes(json.dumps(header).encode() + raw[nl:])
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--seed", 1)
+        capsys.readouterr()
+        code = run_cli("infer", "--checkpoint", ckpt, "--data", ds, "--out", tmp_path / "x")
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:")
+
+    @pytest.mark.parametrize("size", [4, 10])
+    def test_field_shorter_than_header_is_format_error(self, tmp_path, capsys, size):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=2), ParametricMotion.zeros(2, 2))
+        start = tmp_path / "a.pgm"
+        write_pgm(start, np.random.default_rng(3).random((32, 32)))
+        field = tmp_path / "f.v1fd"
+        field.write_bytes((b"V1FD" + bytes(range(1, 7)))[:size])  # the magic, then part of the header
+        capsys.readouterr()
+        code = run_cli(
+            "animate", "--checkpoint", ckpt, "--start", start, "--field", field, "--out", tmp_path / "x",
+        )
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:")

@@ -17,7 +17,13 @@ from patchflow.core import (
 )
 from patchflow.datagen import synthetic_textures, warp
 from patchflow.inference import (
+    STOP_REASONS,
     InferConfig,
+    _newton_step,
+    _NewtonSystem,
+    _PolynomialObjective,
+    _smoothness_value_grad,
+    _taylor_terms,
     align_recurrent,
     animate,
     estimate_velocity,
@@ -183,6 +189,207 @@ class TestInferParametric:
         a = infer_parametric(enc, model, img, img2, cfg)
         b = infer_parametric(enc, model, img, img2, cfg)
         assert np.array_equal(a.vectors, b.vectors)
+
+
+def lattice_laplacian(grid_shape):
+    """Dense graph Laplacian L of the 4-neighbour lattice, (N, N)."""
+    ny, nx = grid_shape
+    idx = np.arange(ny * nx).reshape(ny, nx)
+    a = np.concatenate([idx[1:, :].ravel(), idx[:, 1:].ravel()])
+    b = np.concatenate([idx[:-1, :].ravel(), idx[:, :-1].ravel()])
+    lap = np.zeros((ny * nx, ny * nx))
+    lap[a, b] = lap[b, a] = -1.0
+    lap[np.diag_indices_from(lap)] = -lap.sum(axis=1)
+    return lap
+
+
+def descent_objective(enc, model, img, img2, field, lam):
+    """The descent objective at ``field`` in matrix form, from ``_taylor_terms``."""
+    pos = field.positions
+    v0 = encode(enc, img, pos).vectors
+    v1 = encode(enc, img2, pos).vectors
+    m, _, _ = _taylor_terms(model, field.vectors)
+    r = v1 - np.einsum("nkde,nke->nkd", m, v0)
+    ny, nx = len(np.unique(pos[:, 0])), len(np.unique(pos[:, 1]))
+    return float(np.sum(r * r)) + lam * _smoothness_value_grad(field.vectors, (ny, nx))[0]
+
+
+class TestPolynomialObjective:
+    """The polynomial residual against the matrix form and finite differences."""
+
+    LAM = 0.3
+    GRID = (3, 4)
+
+    def setup_method(self):
+        rng = np.random.default_rng(40)
+        k, d = 3, 2
+        n = self.GRID[0] * self.GRID[1]
+        self.model = ParametricMotion(0.3 * rng.standard_normal((5, k, d, d)))
+        self.v0 = rng.standard_normal((n, k, d))
+        self.v1 = rng.standard_normal((n, k, d))
+        self.deltas = rng.uniform(-1.5, 1.5, (n, 2))
+        self.obj = _PolynomialObjective(self.model.coeffs, self.v0, self.v1, self.LAM, self.GRID)
+
+    def reference(self, deltas):
+        """Value, gradient and per-position residual Hessians from the matrix
+        form M(delta), its first derivatives and its constant second ones."""
+        m, dm1, dm2 = _taylor_terms(self.model, deltas)
+        r = self.v1 - np.einsum("nkde,nke->nkd", m, self.v0)
+        p = [np.einsum("nkde,nke->nkd", dm, self.v0) for dm in (dm1, dm2)]
+        _, _, b11, b22, b12 = self.model.coeffs
+        second = [[2.0 * b11, b12], [b12, 2.0 * b22]]  # d^2 M / d delta_a d delta_b
+        sval, sgrad = _smoothness_value_grad(deltas, self.GRID)
+        grad = -2.0 * np.stack([np.sum(r * pa, axis=(1, 2)) for pa in p], axis=1)
+        hess = np.empty((len(deltas), 2, 2))
+        for a in range(2):
+            for b in range(2):
+                q = np.einsum("kde,nke->nkd", second[a][b], self.v0)
+                hess[:, a, b] = 2.0 * np.sum(p[a] * p[b] - r * q, axis=(1, 2))
+        return float(np.sum(r * r)) + self.LAM * sval, grad + self.LAM * sgrad, hess
+
+    def test_derivatives_match_matrix_form(self):
+        value, r = self.obj.value(self.deltas)
+        grad, hess = self.obj.derivatives(self.deltas, r)
+        ref_value, ref_grad, ref_hess = self.reference(self.deltas)
+        assert value == pytest.approx(ref_value, rel=1e-10)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10 * np.abs(ref_grad).max())
+        np.testing.assert_allclose(hess, ref_hess, rtol=1e-10, atol=1e-10 * np.abs(ref_hess).max())
+
+    def test_derivatives_match_central_differences(self):
+        h = 1e-5
+        value, r = self.obj.value(self.deltas)
+        grad, hess = self.obj.derivatives(self.deltas, r)
+        n = len(self.deltas)
+        fd_grad = np.zeros((n, 2))
+        fd_hess = np.zeros((n, 2, 2))
+        for i in range(n):
+            for a in range(2):
+                step = np.zeros((n, 2))
+                step[i, a] = h
+                fd_grad[i, a] = (self.obj.value(self.deltas + step)[0] - self.obj.value(self.deltas - step)[0]) / (2 * h)
+                # the residual part of the Hessian: the gradient less its smoothness term
+                up = self.obj.derivatives(self.deltas + step, self.obj.value(self.deltas + step)[1])[0]
+                down = self.obj.derivatives(self.deltas - step, self.obj.value(self.deltas - step)[1])[0]
+                smooth = self.LAM * (
+                    _smoothness_value_grad(self.deltas + step, self.GRID)[1]
+                    - _smoothness_value_grad(self.deltas - step, self.GRID)[1]
+                )
+                fd_hess[i, :, a] = (up - down - smooth)[i] / (2 * h)
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-7)
+
+    def test_laplacian_is_the_smoothness_hessian(self):
+        # the smoothness energy is quadratic: its gradient is 2 (L (x) I_2) delta
+        lap = np.kron(lattice_laplacian(self.GRID), np.eye(2))
+        want = _smoothness_value_grad(self.deltas, self.GRID)[1].ravel()
+        np.testing.assert_allclose(2.0 * lap @ self.deltas.ravel(), want, atol=1e-12)
+
+
+    def test_gradient_alone_skips_the_hessian(self):
+        _, r = self.obj.value(self.deltas)
+        grad, hess = self.obj.derivatives(self.deltas, r)
+        grad_only, none = self.obj.derivatives(self.deltas, r, hessian=False)
+        assert none is None
+        assert np.array_equal(grad_only, grad)
+
+
+class TestNewtonSystem:
+    """Elimination over the lattice rows against one dense solve."""
+
+    @staticmethod
+    def dense(hess, lam, grid_shape, mu):
+        full = np.kron(2.0 * lam * lattice_laplacian(grid_shape), np.eye(2))
+        for i, h in enumerate(hess):
+            full[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += h
+        return full + mu * np.eye(len(full))
+
+    @pytest.mark.parametrize("grid_shape", [(1, 1), (1, 5), (5, 1), (3, 4), (6, 6)])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_solve_matches_dense(self, grid_shape, lam):
+        rng = np.random.default_rng(41)
+        n = grid_shape[0] * grid_shape[1]
+        a = rng.standard_normal((n, 2, 2))
+        hess = a @ np.swapaxes(a, 1, 2) - 0.2 * np.eye(2)  # some blocks indefinite
+        hess[-1] = -0.5 * np.eye(2)  # negative definite, with a positive determinant
+        grad = rng.standard_normal((n, 2))
+        system = _NewtonSystem(hess, lam, grid_shape)
+        for mu in (0.0, 0.1, 1.0, 10.0):
+            full = self.dense(hess, lam, grid_shape, mu)
+            step = system.solve(mu, grad)
+            if np.linalg.eigvalsh(full).min() <= 0:
+                assert step is None
+                continue
+            want = np.linalg.solve(full, -grad.ravel()).reshape(n, 2)
+            np.testing.assert_allclose(step, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+    def test_null_step_when_converged_to_rounding(self):
+        rng = np.random.default_rng(42)
+        obj = _PolynomialObjective(
+            0.3 * rng.standard_normal((5, 3, 2, 2)), rng.standard_normal((6, 3, 2)),
+            rng.standard_normal((6, 3, 2)), 0.3, (2, 3),
+        )
+        deltas = rng.uniform(-1, 1, (6, 2))
+        _, r = obj.value(deltas)
+        grad, hess = obj.derivatives(deltas, r)
+        # a value nothing can undercut: no damped step descends
+        accepted, _ = _newton_step(obj, deltas, -np.inf, r, grad, hess, 0.0, tol=1e3)
+        step, kept, kept_r = accepted
+        assert not step.any() and kept == -np.inf and kept_r is r
+        assert _newton_step(obj, deltas, -np.inf, r, grad, hess, 0.0, tol=0.0)[0] is None
+
+
+class TestNewtonDescent:
+    """Damped Newton steps against backtracking gradient steps on seeded pairs."""
+
+    LAM = 0.05
+
+    def pair(self, seed, shape=(48, 48)):
+        rng = np.random.default_rng(seed)
+        enc = Encoder.random(4, 2, 8, 4, rng=rng)
+        model = ParametricMotion(0.05 * rng.standard_normal((5, 4, 2, 2)))
+        img = synthetic_textures(1, shape, seed=seed)[0]
+        from patchflow.datagen import interpolate_field
+
+        img2 = warp(img, interpolate_field(rng.uniform(-1, 1, (3, 3, 2)), img.shape, -2, 2))
+        return enc, model, img, img2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_newton_stops_on_tol_no_worse_than_gradient_cap(self, seed):
+        enc, model, img, img2 = self.pair(seed)
+        cfg = InferConfig(init="zeros", smoothness_weight=self.LAM, max_iters=200)
+        stops = []
+        newton = infer_parametric(enc, model, img, img2, cfg, stops=stops)
+        gradient = infer_parametric(enc, model, img, img2, cfg, newton=False)
+        iters, reason = stops[0]
+        assert reason == "tol" and iters <= 20  # a count, not a timing
+        got = descent_objective(enc, model, img, img2, newton, self.LAM)
+        assert got <= descent_objective(enc, model, img, img2, gradient, self.LAM)
+
+    def test_large_lattice_memory_grows_with_rows_not_positions_squared(self):
+        # 784 positions: one dense (2N)^2 matrix would take 19.7 MB; the
+        # elimination keeps two (ny, 2 nx, 2 nx) arrays of 0.7 MB each
+        import tracemalloc
+
+        enc, model, img, img2 = self.pair(1, shape=(128, 128))
+        cfg = InferConfig(init="zeros", smoothness_weight=self.LAM)
+        stops = []
+        tracemalloc.start()
+        try:
+            fld = infer_parametric(enc, model, img, img2, cfg, stops=stops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fld.positions) == 784
+        assert stops[0][1] == "tol"
+        assert peak < 8 * 2**20
+
+    def test_stop_reasons(self):
+        enc, model, img, img2 = self.pair(0)
+        stops = []
+        infer_parametric(enc, model, img, img, InferConfig(init="zeros"), stops=stops)
+        infer_parametric(enc, model, img, img2, InferConfig(init="zeros", max_iters=1), newton=False, stops=stops)
+        assert stops == [(0, "no_descent"), (1, "cap")]
+        assert {reason for _, reason in stops} < set(STOP_REASONS)
 
 
 class TestAnimate:

@@ -478,6 +478,70 @@ class TestUnsupervised:
         assert float(np.mean(mags)) < 0.1
         assert diag["objectives"][-1] <= diag["objectives"][0] * 1.01
 
+    def test_refinement_is_truncated_gradient_descent(self):
+        """Stages 2 and 3 equal a backtracking gradient loop on the matrix form:
+        their step rule and truncation are what scene EPE depends on."""
+        from patchflow.datagen import warp
+        from patchflow.inference import _smoothness_value_grad, _taylor_terms, infer_positions
+
+        frames = synthetic_textures(2, (40, 40), seed=30)
+        seqs = [[f, warp(f, np.full(f.shape + (2,), shift))] for f, shift in zip(frames, (0.7, -1.1))]
+        tcfg = TrainConfig(
+            motion_variant="parametric", num_blocks=3, block_dim=2, patch_size=8, stride=8,
+            delta_lo=-3, delta_hi=3, batch_size=4, rng_seed=31, learning_rate=0.002,
+        )
+        cfg = UnsupervisedConfig(
+            train=tcfg, init_pairs=8, init_steps=15, steps_per_round=5, rounds=0,
+            infer_iters=25, field_tol=0.0,
+        )
+
+        def reference(enc, model, img_t, img_t1, init):
+            pos = infer_positions(enc, model, img_t.shape, margin=0)
+            grid_shape = (len(np.unique(pos[:, 0])), len(np.unique(pos[:, 1])))
+            v0 = encode(enc, img_t, pos).vectors
+            v1 = encode(enc, img_t1, pos).vectors
+
+            def objective_grad(d):
+                m, dm1, dm2 = _taylor_terms(model, d)
+                r = v1 - np.einsum("nkde,nke->nkd", m, v0)
+                p1 = np.einsum("nkde,nke->nkd", dm1, v0)
+                p2 = np.einsum("nkde,nke->nkd", dm2, v0)
+                grad = -2.0 * np.stack([np.sum(r * p1, axis=(1, 2)), np.sum(r * p2, axis=(1, 2))], axis=1)
+                sval, sgrad = _smoothness_value_grad(d, grid_shape)
+                lam = cfg.smoothness_weight
+                return float(np.sum(r * r)) + lam * sval, grad + lam * sgrad
+
+            deltas = init
+            value, grad = objective_grad(deltas)
+            for _ in range(cfg.infer_iters):
+                step = cfg.infer_step
+                for _ in range(40):
+                    trial = deltas - step * grad
+                    if objective_grad(trial)[0] < value:
+                        break
+                    step *= 0.5
+                else:
+                    break
+                mean_update = float(np.mean(np.linalg.norm(step * grad, axis=1)))
+                deltas = trial
+                value, grad = objective_grad(deltas)
+                if mean_update < InferConfig().tol:
+                    break
+            return deltas
+
+        # stage 2 alone: zero starts with the stage-1 model
+        enc0, model0, diag0 = train_unsupervised(seqs, cfg)
+        stage2 = diag0["fields"]
+        for (a, b), got in zip(seqs, stage2):
+            want = reference(enc0, model0, a, b, np.zeros_like(got))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # one round of stage 3: warm starts from the stage-2 fields
+        enc1, model1, diag1 = train_unsupervised(seqs, replace(cfg, rounds=1))
+        for (a, b), start, got in zip(seqs, stage2, diag1["fields"]):
+            want = reference(enc1, model1, a, b, start)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert max(np.abs(f).max() for f in diag1["fields"]) > 0.05  # the fields moved
+
     def test_rejects_non_parametric(self):
         tcfg = TrainConfig(motion_variant="nonparametric")
         with pytest.raises(ValueError):
