@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, evalviz, gabor, inference, training
-from .core import DisplacementField
+from .core import DisplacementField, lattice_axes
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -259,8 +259,8 @@ def cmd_train_unsup(args, config, settings) -> dict:
     encoder, model, diag = training.train_unsupervised(sequences, settings["unsupervised"])
     out = Path(args.out)
     training.save_checkpoint(out / "model.ckpt", encoder, model, extra={"seed": config["seed"]})
-    for i, vec in enumerate(diag["fields"]):
-        inference.write_field(out / f"field_{i:05d}.v1fd", DisplacementField(diag["positions"], vec))
+    for i, (pos, vec) in enumerate(zip(diag["positions"], diag["fields"])):
+        inference.write_field(out / f"field_{i:05d}.v1fd", DisplacementField(pos, vec))
     return {
         "sequences": len(sequences),
         "rounds_run": len(diag["field_changes"]),
@@ -276,6 +276,8 @@ def _infer_one(encoder, model, pair, icfg, stops):
 
 
 def cmd_infer(args, config, settings) -> dict:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     icfg = settings["infer"]
     out = Path(args.out)
@@ -298,8 +300,7 @@ def cmd_infer(args, config, settings) -> dict:
         if args.text:
             inference.write_field_text(out / f"field_{i:05d}.txt", fld)
         if args.color:
-            ny = len(np.unique(fld.positions[:, 0]))
-            nx = len(np.unique(fld.positions[:, 1]))
+            ny, nx = map(len, lattice_axes(fld.positions))
             rgb = evalviz.flow_to_color(fld.vectors.reshape(ny, nx, 2))
             evalviz.write_ppm(out / f"field_{i:05d}.ppm", rgb)
     metrics = {"pairs": len(pairs)}
@@ -325,6 +326,8 @@ def cmd_animate(args, config, settings) -> dict:
 
 
 def cmd_interpolate(args, config, settings) -> dict:
+    if args.max_steps < 0:
+        raise ConfigError(f"--max-steps must be at least 0, got {args.max_steps}")
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     img_a = evalviz.load_image(args.start)
     img_b = evalviz.load_image(args.end)
@@ -408,11 +411,15 @@ def cmd_eval(args, config, settings) -> dict:
 
 
 def cmd_filters(args, config, settings) -> dict:
+    try:
+        deltas = np.array([t.split(",") for t in args.delta_path.split(";")], dtype=np.float64)
+    except ValueError:  # a value that is not a number, or a ragged path
+        deltas = np.empty((0, 0))
+    if deltas.shape[1:] != (2,) or not np.all(np.isfinite(deltas)):
+        raise ConfigError(f"--delta-path {args.delta_path!r} is not finite 'd_row,d_col' pairs joined by ';'")
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
-    deltas = []
-    for token in args.delta_path.split(";"):
-        a, b = token.split(",")
-        deltas.append((float(a), float(b)))
+    if not 0 <= args.block < encoder.num_blocks:
+        raise ConfigError(f"--block must be in [0, {encoder.num_blocks}), got {args.block}")
     frames = gabor.animate_filters(encoder, model, args.block, deltas)
     out = Path(args.out)
     for i, frame in enumerate(frames):
@@ -422,6 +429,15 @@ def cmd_filters(args, config, settings) -> dict:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+_KEY = "key:"  # dest prefix of a flag that sets a config key
+
+
+def _key_flag(parser, flag: str, key: str, **kwargs) -> None:
+    """Add ``flag``, whose dest names the config key it sets; help shows its own metavar."""
+    if "choices" not in kwargs:
+        kwargs["metavar"] = flag[2:].upper().replace("-", "_")
+    parser.add_argument(flag, dest=_KEY + key, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_out=True):
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker thread cap (default 1)")
+        _key_flag(p, "--seed", "seed", type=int, help="override the config seed")
+        _key_flag(p, "--threads", "threads", type=int, help="worker thread cap (default 1)")
         p.add_argument("--desk-scale", action="store_true", help="small-model preset")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
@@ -442,29 +458,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a smooth-deformation dataset")
     common(p)
     p.add_argument("--sources", help="directory of PGM/PPM source images")
-    p.add_argument("--pairs", type=int, help="number of pairs")
-    p.add_argument("--size", type=int, help="synthetic source image size")
+    _key_flag(p, "--pairs", "datagen.pairs", type=int, help="number of pairs")
+    _key_flag(p, "--size", "datagen.image_size", type=int, help="synthetic source image size")
     p.add_argument("--range", type=float, help="displacement range [-r, +r]")
 
     p = sub.add_parser("gen-objects", help="generate a layered affine-scene dataset")
     common(p)
     p.add_argument("--sources", help="directory of PGM/PPM background images")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--size", type=int)
+    _key_flag(p, "--pairs", "datagen.pairs", type=int)
+    _key_flag(p, "--size", "datagen.image_size", type=int)
 
     p = sub.add_parser("train", help="supervised training on a dataset")
     common(p)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--variant", choices=["nonparametric", "mixed", "parametric"])
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--blocks", type=int, help="number of sub-vectors K")
+    _key_flag(p, "--variant", "train.motion_variant", choices=["nonparametric", "mixed", "parametric"])
+    _key_flag(p, "--steps", "train.num_steps", type=int)
+    _key_flag(p, "--lr", "train.learning_rate", type=float)
+    _key_flag(p, "--batch-size", "train.batch_size", type=int)
+    _key_flag(p, "--blocks", "train.num_blocks", type=int, help="number of sub-vectors K")
 
     p = sub.add_parser("train-unsup", help="three-stage unsupervised training")
     common(p)
     p.add_argument("--frames", required=True, help="directory of frame sequences")
-    p.add_argument("--steps", type=int, help="stage-1 initialization steps")
+    _key_flag(p, "--steps", "unsupervised.init_steps", type=int, help="stage-1 initialization steps")
 
     p = sub.add_parser("infer", help="infer displacement fields")
     common(p)
@@ -474,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, help="only infer the first N pairs")
     p.add_argument("--text", action="store_true", help="also write text dumps")
     p.add_argument("--color", action="store_true", help="also write color-coded PPMs")
-    p.add_argument("--margin", type=int)
+    _key_flag(p, "--margin", "infer.margin", type=int)
 
     p = sub.add_parser("animate", help="animate frames from a start image and fields")
     common(p)
@@ -499,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="ground-truth dataset directory")
     p.add_argument("--pred", help="directory of predicted field files")
     p.add_argument("--zero-predictor", action="store_true", help="score the zero-field baseline")
-    p.add_argument("--margin", type=int)
+    _key_flag(p, "--margin", "infer.margin", type=int)
 
     p = sub.add_parser("filters", help="render filters moved by a displacement path")
     common(p)
@@ -525,37 +541,14 @@ COMMANDS = {
 
 
 def _collect_overrides(args) -> dict:
+    """The config keys set by the flags given; ``--range`` sets two."""
     over: dict = {}
-    if args.seed is not None:
-        over["seed"] = args.seed
-    if args.threads is not None:
-        over["threads"] = args.threads
-    train_over = {}
-    for attr, key in [
-        ("variant", "motion_variant"),
-        ("steps", "num_steps"),
-        ("lr", "learning_rate"),
-        ("batch_size", "batch_size"),
-        ("blocks", "num_blocks"),
-    ]:
-        if getattr(args, attr, None) is not None:
-            train_over[key] = getattr(args, attr)
-    if args.command == "train-unsup" and getattr(args, "steps", None) is not None:
-        over.setdefault("unsupervised", {})["init_steps"] = args.steps
-        train_over.pop("num_steps", None)
-    if train_over:
-        over["train"] = train_over
-    datagen_over = {}
-    if getattr(args, "pairs", None) is not None:
-        datagen_over["pairs"] = args.pairs
-    if getattr(args, "size", None) is not None:
-        datagen_over["image_size"] = args.size
-    if datagen_over:
-        over["datagen"] = datagen_over
+    for dest, value in vars(args).items():
+        if dest.startswith(_KEY) and value is not None:
+            section, _, key = dest[len(_KEY) :].rpartition(".")
+            (over.setdefault(section, {}) if section else over)[key] = value
     if getattr(args, "range", None) is not None:
         over["deform"] = {"lo": -args.range, "hi": args.range}
-    if getattr(args, "margin", None) is not None:
-        over["infer"] = {"margin": args.margin}
     return over
 
 

@@ -71,13 +71,21 @@ class GridSpec:
         rr, cc = np.meshgrid(rows, cols, indexing="ij")
         return np.stack([rr.ravel(), cc.ravel()], axis=1)
 
-    def grid_shape(self, height: int, width: int, inset: int = 0) -> tuple[int, int]:
-        return len(self._axis(height, inset)), len(self._axis(width, inset))
-
     def _axis(self, length: int, inset: int) -> np.ndarray:
         lo, hi = self.center_range(length)
         pts = np.arange(lo, hi + 1, self.stride)
         return pts[(pts >= lo + inset) & (pts <= hi - inset)]
+
+
+def lattice_axes(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted row and column coordinates of a lattice of (N, 2) positions; ShapeError
+    unless the positions are exactly the row-major product of the two."""
+    rows, cols = np.unique(positions[:, 0]), np.unique(positions[:, 1])
+    ny, nx = len(rows), len(cols)
+    grid = positions.reshape(ny, nx, 2) if len(positions) == ny * nx else None
+    if grid is None or np.any(grid[..., 0] != rows[:, None]) or np.any(grid[..., 1] != cols):
+        raise ShapeError("positions do not form a row-major rectangular lattice")
+    return rows, cols
 
 
 def border_filter(positions: np.ndarray, shape: tuple[int, int], margin: int) -> np.ndarray:
@@ -94,17 +102,12 @@ def border_filter(positions: np.ndarray, shape: tuple[int, int], margin: int) ->
 def _patch_indices(shape: tuple[int, int], positions: np.ndarray, p: int) -> np.ndarray:
     """Flat image indices of every patch pixel, shape (N, p*p)."""
     h, w = shape
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.ndim == 1:
-        pos = pos[None, :]
-    half = p // 2
-    top, left = pos[:, 0] - half, pos[:, 1] - half
-    if np.any(top < 0) or np.any(left < 0) or np.any(top + p > h) or np.any(left + p > w):
+    corner = np.asarray(positions, dtype=np.int64).reshape(-1, 2) - p // 2
+    if np.any(corner < 0) or np.any(corner + p > (h, w)):
         raise BoundsError(f"patch of size {p} out of bounds for image {h}x{w}")
-    dr = np.arange(p)
-    rows = top[:, None, None] + dr[None, :, None]
-    cols = left[:, None, None] + dr[None, None, :]
-    return (rows * w + cols).reshape(len(pos), p * p)
+    span = np.arange(p)
+    # each patch's top-left pixel plus the row-major offsets of a patch
+    return (corner[:, :1] * w + corner[:, 1:]) + (span[:, None] * w + span).ravel()
 
 
 def extract_patch(image: np.ndarray, position, patch_size: int) -> np.ndarray:
@@ -216,10 +219,19 @@ def decode(encoder: Encoder, field: VectorField, shape: tuple[int, int]) -> np.n
             f"field blocks {field.vectors.shape[1:]} do not match encoder ({k}, {d})"
         )
     patches = field.vectors.reshape(-1, k * d) @ encoder.weights.reshape(k * d, q)
-    canvas = np.zeros(shape[0] * shape[1], dtype=np.float64)
-    idx = _patch_indices(shape, field.positions, encoder.patch_size)
-    np.add.at(canvas, idx.ravel(), patches.ravel())
-    return canvas.reshape(shape)
+    return overlap_add(patches, field.positions, shape, encoder.patch_size)
+
+
+def overlap_add(patches: np.ndarray, positions: np.ndarray, shape, patch_size: int) -> np.ndarray:
+    """Sum flattened patches (..., N, p*p) into zeroed canvases (..., H, W) at
+    their positions; each canvas adds its patches in order."""
+    idx = _patch_indices(shape, positions, patch_size).ravel()
+    npix = shape[0] * shape[1]
+    stack = patches.reshape(int(np.prod(patches.shape[:-2])), -1)
+    canvas = np.empty((len(stack), npix))
+    for c, weights in enumerate(stack):  # one canvas at a time: no stack-sized index array
+        canvas[c] = np.bincount(idx, weights=weights, minlength=npix)
+    return canvas.reshape(patches.shape[:-2] + tuple(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +311,6 @@ class DisplacementField:
             raise ShapeError("displacement field contains non-finite components")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "vectors", vec)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, positions: np.ndarray) -> "DisplacementField":
-        """Sample a per-pixel (H, W, 2) field at integer positions."""
-        dense = np.asarray(dense, dtype=np.float64)
-        positions = np.asarray(positions, dtype=np.int64)
-        return cls(positions, dense[positions[:, 0], positions[:, 1]])
 
 
 # ---------------------------------------------------------------------------

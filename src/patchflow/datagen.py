@@ -345,14 +345,12 @@ def bandpass(image: np.ndarray, sigma1: float = 1.0, sigma2: float = 4.0, kernel
 # dataset container
 
 
-def _sample_bytes(pair: SamplePair) -> bytes:
+def _sample_bytes(pair: SamplePair, with_images: bool = True) -> bytes:
     h, w = pair.image_t.shape
     head = DATASET_MAGIC + np.asarray([DATASET_VERSION, w, h], dtype="<u4").tobytes()
-    body = b"".join(
-        np.ascontiguousarray(a, dtype="<f4").tobytes()
-        for a in (pair.image_t, pair.image_t1, pair.field[..., 0], pair.field[..., 1])
-    )
-    return head + body
+    planes = (pair.image_t, pair.image_t1) if with_images else ()
+    planes += (pair.field[..., 0], pair.field[..., 1])
+    return head + b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in planes)
 
 
 def _parse_sample(raw: bytes, with_images: bool = True) -> tuple[int, int, list[np.ndarray]]:
@@ -397,12 +395,7 @@ def dataset_write(pairs: list[SamplePair], path, mode: str = "binary", spec_echo
 
             write_pgm(path / f"{stem}_t0.pgm", pair.image_t)
             write_pgm(path / f"{stem}_t1.pgm", pair.image_t1)
-            h, w = pair.image_t.shape
-            head = DATASET_MAGIC + np.asarray([DATASET_VERSION, w, h], dtype="<u4").tobytes()
-            body = b"".join(
-                np.ascontiguousarray(pair.field[..., j], dtype="<f4").tobytes() for j in (0, 1)
-            )
-            (path / f"{stem}.v1ds").write_bytes(head + body)
+            (path / f"{stem}.v1ds").write_bytes(_sample_bytes(pair, with_images=False))
 
 
 def dataset_read(path) -> list[SamplePair]:

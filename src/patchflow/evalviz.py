@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DisplacementField, border_filter
+from .core import DisplacementField, as_image, border_filter
 from .errors import DataFormatError, PatchflowError
 
 
@@ -204,6 +204,5 @@ def load_image(path) -> np.ndarray:
     if raw == b"P5":
         return read_pgm(path) / 255.0
     if raw == b"P6":
-        rgb = read_ppm(path) / 255.0
-        return 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
+        return as_image(read_ppm(path) / 255.0)
     raise DataFormatError(f"{path}: not a binary PGM/PPM file")

@@ -301,9 +301,9 @@ def population_stats(encoder: Encoder, fits: list[GaborFit], r2_threshold: float
     folded = np.array([fold_phase(f.phase) for f in fits])
     nx, ny = np.array([envelope_shape(f) for f in fits]).T if fits else (np.array([]), np.array([]))
     pair_df, pair_dtheta, pair_dphi, skipped = quadrature_stats(encoder, fits, r2_threshold)
-    bw_hist = np.histogram(finite_bw, bins=np.arange(0.0, 5.5, 0.5)) if len(finite_bw) else (np.zeros(10, dtype=np.int64), np.arange(0.0, 5.5, 0.5))
+    bw_hist = np.histogram(finite_bw, bins=np.arange(0.0, 5.5, 0.5))
     ph_hist = np.histogram(folded, bins=np.linspace(0.0, math.pi / 2, 5))
-    dphi_hist = np.histogram(pair_dphi, bins=np.linspace(0.0, math.pi / 2, 4)) if len(pair_dphi) else (np.zeros(3, dtype=np.int64), np.linspace(0.0, math.pi / 2, 4))
+    dphi_hist = np.histogram(pair_dphi, bins=np.linspace(0.0, math.pi / 2, 4))
     return PopulationStats(
         r2_mean=float(r2.mean()),
         r2_std=float(r2.std()),

@@ -18,6 +18,7 @@ from .core import (
     delta_basis,
     encode,
     eval_positions,
+    lattice_axes,
     motion_matrices,
     offset_encodings,
     polynomial_matrices,
@@ -333,9 +334,7 @@ def infer_parametric(
     image_t = np.asarray(image_t, dtype=np.float64)
     image_t1 = np.asarray(image_t1, dtype=np.float64)
     pos = infer_positions(encoder, model, image_t.shape, config.margin)
-    rows = np.unique(pos[:, 0])
-    cols = np.unique(pos[:, 1])
-    grid_shape = (len(rows), len(cols))
+    grid_shape = tuple(map(len, lattice_axes(pos)))
     v0 = encode(encoder, image_t, pos).vectors
     v1 = encode(encoder, image_t1, pos).vectors
     lam = config.smoothness_weight
@@ -361,11 +360,11 @@ def infer_parametric(
 
 def _field_on_positions(field, positions) -> np.ndarray:
     if isinstance(field, DisplacementField):
-        if np.array_equal(field.positions, positions):
-            return field.vectors
-        # margin-trimmed field on a sub-lattice: nearest-position fill
-        d2 = ((positions[:, None, :] - field.positions[None, :, :]) ** 2).sum(axis=2)
-        return field.vectors[np.argmin(d2, axis=1)]
+        # the nearest field position (a margin-trimmed field has fewer), row and column apart
+        rows, cols = lattice_axes(field.positions)
+        i = np.argmin(np.abs(positions[:, :1] - rows), axis=1)
+        j = np.argmin(np.abs(positions[:, 1:] - cols), axis=1)
+        return field.vectors[i * len(cols) + j]
     dense = np.asarray(field, dtype=np.float64)
     if dense.ndim == 3 and dense.shape[2] == 2:
         return dense[positions[:, 0], positions[:, 1]]
@@ -456,13 +455,12 @@ FIELD_VERSION = 1
 
 def write_field(path, field: DisplacementField) -> None:
     """Serialize a lattice field: grid geometry header + (d_row, d_col) planes."""
-    rows = np.unique(field.positions[:, 0])
-    cols = np.unique(field.positions[:, 1])
+    rows, cols = lattice_axes(field.positions)
     ny, nx = len(rows), len(cols)
-    if ny * nx != len(field.positions):
-        raise ShapeError("field positions do not form a rectangular lattice")
     row_step = int(rows[1] - rows[0]) if ny > 1 else 0
     col_step = int(cols[1] - cols[0]) if nx > 1 else 0
+    if np.any(np.diff(rows) != row_step) or np.any(np.diff(cols) != col_step):
+        raise ShapeError("field lattice is not evenly spaced")
     head = FIELD_MAGIC + np.asarray(
         [FIELD_VERSION, nx, ny, int(rows[0]), int(cols[0]), row_step, col_step], dtype="<u4"
     ).tobytes()

@@ -19,12 +19,13 @@ from .core import (
     MixedMotion,
     NonParametricMotion,
     ParametricMotion,
-    _patch_indices,
     block_layout,
     delta_basis,
     eval_positions,
     extract_patches,
+    lattice_axes,
     offset_encodings,
+    overlap_add,
     predict,
     support_matrices,
     support_offsets,
@@ -236,18 +237,13 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
 
     if lam_rec > 0:
         pos_rec = encoder.grid.positions(*shape)
-        idx_rec = _patch_indices(shape, pos_rec, p)
         n_rec = len(pos_rec)
-        npix = shape[0] * shape[1]
-        rows = (np.arange(b)[:, None, None] * npix + idx_rec[None, :, :]).ravel()
-        for flat in (imgs_t.reshape(b, -1), imgs_t1.reshape(b, -1)):
-            a_rec = np.take(flat, idx_rec, axis=1).reshape(b * n_rec, q)
+        for imgs in (imgs_t, imgs_t1):  # one gather and one overlap-add per frame
+            a_rec = extract_patches(imgs, pos_rec, p).reshape(b * n_rec, q)
             v_rec = a_rec @ w2.T  # (B*N, kd)
-            rec = v_rec @ w2  # (B*N, q)
-            canvas = np.bincount(rows, weights=rec.ravel(), minlength=b * npix)
-            e = flat - canvas.reshape(b, npix)
+            e = imgs - overlap_add((v_rec @ w2).reshape(b, n_rec, q), pos_rec, shape, p)
             loss += lam_rec * float(np.sum(e * e))
-            e_p = np.take(e, idx_rec, axis=1).reshape(b * n_rec, q)
+            e_p = extract_patches(e, pos_rec, p).reshape(b * n_rec, q)
             v_e = e_p @ w2.T
             dw2 += -2.0 * lam_rec * (v_rec.T @ e_p + v_e.T @ a_rec)
     return loss
@@ -285,22 +281,8 @@ def grad_total(encoder, model, batch, config: TrainConfig):
 
 
 def total_loss(encoder, model, batch, config: TrainConfig) -> float:
-    """Batch-mean weighted loss without gradients (finite-difference probes)."""
-    d_w = np.zeros_like(encoder.weights)
-    d_m = np.zeros_like(_motion_params(model))
-    loss = 0.0
-    for img_t, img_t1, deltas in batch:
-        loss += _group_gradient(
-            encoder,
-            model,
-            np.asarray(img_t, dtype=np.float64)[None],
-            np.asarray(img_t1, dtype=np.float64)[None],
-            np.asarray(deltas, dtype=np.float64)[None],
-            config,
-            d_w,
-            d_m,
-        )
-    return loss / len(batch)
+    """Batch-mean weighted loss: the loss of `grad_total` (finite-difference probes)."""
+    return grad_total(encoder, model, batch, config)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +392,12 @@ class UnsupervisedConfig:
             raise ValueError("unsupervised training uses the parametric motion model")
 
 
-def _unsup_objective(encoder, model, prepared, fields, lam_s, config, grid_shape):
+def _unsup_objective(encoder, model, prepared, fields, lam_s, config, grid_shapes):
     from .inference import _smoothness_value_grad
 
     obj = 0.0
-    for (img_t, img_t1, _), fld in zip(prepared, fields):
-        batch = [(img_t, img_t1, fld)]
-        obj += total_loss(encoder, model, batch, config)
+    for (img_t, img_t1, _), fld, grid_shape in zip(prepared, fields, grid_shapes):
+        obj += total_loss(encoder, model, [(img_t, img_t1, fld)], config)
         if lam_s > 0:
             sval, _ = _smoothness_value_grad(fld, grid_shape)
             obj += lam_s * sval
@@ -462,26 +443,22 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
         max_iters=config.infer_iters,
         init="zeros",
     )
-    shape = prepared[0][0].shape
-    pos = encoder.grid.positions(*shape)
-    rows, cols = np.unique(pos[:, 0]), np.unique(pos[:, 1])
-    grid_shape = (len(rows), len(cols))
 
     # stage 2: infer fields with the initialized model.  Stages 2 and 3 take
     # at most infer_iters gradient steps on purpose: fields descended to
     # convergence sit at the model's objective minimum, which at desk scale
     # lies far from the true motion, and training on them raised scene EPE.
-    fields = [
-        infer_parametric(encoder, model, a, b, icfg, newton=False).vectors
-        for a, b, _ in prepared
-    ]
+    found = [infer_parametric(encoder, model, a, b, icfg, newton=False) for a, b, _ in prepared]
+    fields = [f.vectors for f in found]
+    positions = [f.positions for f in found]  # each pair's lattice, from its frame size
+    grid_shapes = [tuple(map(len, lattice_axes(pos))) for pos in positions]
 
     # stage 3: alternate parameter updates and re-inference (warm-started)
     params = {"weights": encoder.weights.copy(), "motion": model.coeffs.copy()}
     state = AdamState.init(params)
     rng = np.random.default_rng([tcfg.rng_seed, 3])
     objectives = [
-        _unsup_objective(encoder, model, prepared, fields, config.smoothness_weight, tcfg, grid_shape)
+        _unsup_objective(encoder, model, prepared, fields, config.smoothness_weight, tcfg, grid_shapes)
     ]
     field_changes = []
     for _ in range(config.rounds):
@@ -500,7 +477,7 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
         fields = new_fields
         field_changes.append(change)
         objectives.append(
-            _unsup_objective(encoder, model, prepared, fields, config.smoothness_weight, tcfg, grid_shape)
+            _unsup_objective(encoder, model, prepared, fields, config.smoothness_weight, tcfg, grid_shapes)
         )
         if change < config.field_tol:
             break
@@ -510,7 +487,7 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
         "field_changes": field_changes,
         "history": history,
         "fields": fields,
-        "positions": pos,
+        "positions": positions,
     }
     return encoder, model, diagnostics
 

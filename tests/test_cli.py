@@ -13,8 +13,18 @@ from patchflow.cli import (
     EXIT_UNEXPECTED,
     main,
 )
-from patchflow.core import DisplacementGrid, Encoder, MixedMotion, ParametricMotion, support_offsets
+from patchflow.core import (
+    DisplacementGrid,
+    Encoder,
+    GridSpec,
+    MixedMotion,
+    NonParametricMotion,
+    ParametricMotion,
+    support_offsets,
+)
+from patchflow.datagen import synthetic_textures, warp
 from patchflow.evalviz import write_pgm
+from patchflow.inference import read_field
 from patchflow.training import save_checkpoint
 
 
@@ -100,6 +110,25 @@ class TestPipelines:
         for key in ("schema_version", "command", "config", "config_hash", "metrics", "timings", "artifacts"):
             assert key in summary
         assert summary["command"] == "gen-data"
+
+    def test_train_unsup_on_two_frame_sizes(self, tmp_path):
+        frames = tmp_path / "frames"
+        for name, size, shift in (("seq0", 64, 0.8), ("seq1", 48, -0.6)):
+            img = synthetic_textures(1, (size, size), seed=size)[0]
+            (frames / name).mkdir(parents=True)
+            write_pgm(frames / name / "f0.pgm", img)
+            write_pgm(frames / name / "f1.pgm", warp(img, np.full((size, size, 2), shift)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "train": {"num_blocks": 2, "batch_size": 4},
+            "unsupervised": {"init_pairs": 6, "steps_per_round": 2, "rounds": 1, "infer_iters": 3},
+        }))
+        out = tmp_path / "run"
+        code = run_cli("train-unsup", "--frames", frames, "--out", out, "--steps", 2, "--config", cfg)
+        assert code == EXIT_OK
+        for i, size in enumerate((64, 48)):
+            field = read_field(out / f"field_{i:05d}.v1fd")
+            assert np.array_equal(field.positions, GridSpec(16, 8).positions(size, size))
 
     def test_infer_summary_reports_descent_stops(self, tmp_path):
         ds = tmp_path / "ds"
@@ -292,3 +321,37 @@ class TestExitCodes:
         assert code == EXIT_FORMAT
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("format error:")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("infer", ["--limit", 0]),
+            ("infer", ["--limit", -1]),
+            ("interpolate", ["--max-steps", -3]),
+            ("filters", ["--block", 99]),
+            ("filters", ["--block", -1]),
+            ("filters", ["--delta-path", "abc"]),
+            ("filters", ["--delta-path", "0,0;1,2,3"]),
+        ],
+    )
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, command, flags):
+        ckpt = tmp_path / "m.ckpt"
+        model = NonParametricMotion.identity(DisplacementGrid(-1, 1, 1.0), 2, 2)
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=4), model)
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 3, "--size", 32, "--range", 1, "--seed", 1)
+        start, end = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        write_pgm(start, np.random.default_rng(5).random((32, 32)))
+        write_pgm(end, np.random.default_rng(6).random((32, 32)))
+        inputs = {
+            "infer": ["--data", ds],
+            "interpolate": ["--start", start, "--end", end],
+            "filters": [],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = run_cli(command, "--checkpoint", ckpt, *inputs, *flags, "--out", out)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists() or not any(out.iterdir())

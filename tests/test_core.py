@@ -18,8 +18,10 @@ from patchflow.core import (
     decode,
     encode,
     extract_patch,
+    lattice_axes,
     motion_matrix,
     motion_matrices,
+    overlap_add,
     reconstruction_loss,
     rotation_loss,
     support_offsets,
@@ -100,6 +102,19 @@ class TestGridSpec:
             GridSpec(8, 9)
 
 
+class TestLatticeAxes:
+    def test_axes_of_grid_positions(self):
+        rows, cols = lattice_axes(GridSpec(8, 4).positions(24, 20))
+        assert rows.tolist() == [4, 8, 12, 16, 20]
+        assert cols.tolist() == [4, 8, 12, 16]
+
+    def test_rejects_non_rectangular_and_permuted_positions(self):
+        pos = GridSpec(8, 4).positions(24, 20)
+        for bad in (pos[:-1], pos[::-1], pos[np.lexsort((pos[:, 0], pos[:, 1]))]):
+            with pytest.raises(ShapeError):
+                lattice_axes(bad)
+
+
 class TestEncodeDecode:
     def test_one_hot_rows_select_entries(self):
         p = 4
@@ -167,6 +182,34 @@ class TestEncodeDecode:
                 patch += enc.weights[k].T @ vf.vectors[n, k]
             want[r - 4 : r + 4, c - 4 : c + 4] += patch.reshape(8, 8)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("p, stride, shape", [(7, 3, (23, 20)), (8, 4, (24, 24)), (16, 8, (64, 48))])
+    def test_decode_adds_patches_in_order(self, p, stride, shape):
+        # bit for bit the sequential scatter np.add.at makes
+        rng = np.random.default_rng(p)
+        enc = Encoder.random(3, 2, p, stride, rng=rng)
+        pos = enc.grid.positions(*shape)
+        vf = VectorField(pos, rng.standard_normal((len(pos), 3, 2)))
+        patches = vf.vectors.reshape(-1, 6) @ enc.matrix()
+        top = pos - p // 2
+        span = np.arange(p)
+        idx = (top[:, 0, None, None] + span[:, None]) * shape[1] + top[:, 1, None, None] + span
+        want = np.zeros(shape[0] * shape[1])
+        np.add.at(want, idx.ravel(), patches.ravel())
+        assert np.array_equal(decode(enc, vf, shape), want.reshape(shape))
+
+    def test_overlap_add_of_a_stack_equals_decode_per_canvas(self):
+        rng = np.random.default_rng(29)
+        enc = Encoder.random(3, 2, 7, 3, rng=rng)
+        shape = (23, 20)
+        pos = enc.grid.positions(*shape)
+        vec = rng.standard_normal((2, 3, len(pos), 3, 2))
+        patches = np.stack([[v.reshape(-1, 6) @ enc.matrix() for v in row] for row in vec])
+        got = overlap_add(patches, pos, shape, 7)
+        assert got.shape == (2, 3) + shape
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], decode(enc, VectorField(pos, vec[i, j]), shape))
 
     def test_decode_is_linear(self):
         rng = np.random.default_rng(17)

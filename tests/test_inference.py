@@ -31,7 +31,9 @@ from patchflow.inference import (
     infer_parametric,
     infer_positions,
     interpolate_frames,
+    write_field,
 )
+from patchflow.errors import ShapeError
 
 
 def orthonormal_encoder(p, stride, rng):
@@ -436,6 +438,40 @@ class TestAnimate:
         assert all(np.all(np.isfinite(f)) for f in frames)
 
 
+    def test_field_on_a_coarser_lattice_fills_from_the_nearest_position(self):
+        rng = np.random.default_rng(19)
+        enc = Encoder.random(2, 2, 8, 4, rng=rng)
+        model = ParametricMotion(0.2 * rng.standard_normal((5, 2, 2, 2)))
+        img = rng.random((32, 32))
+        rr, cc = np.meshgrid([8, 16, 24], [8, 16, 24], indexing="ij")
+        coarse = DisplacementField(np.stack([rr.ravel(), cc.ravel()], axis=1), rng.uniform(-1, 1, (9, 2)))
+        # reference: the first nearest position in row-major order, ties included
+        full = enc.grid.positions(32, 32)
+        d2 = ((full[:, None, :] - coarse.positions[None, :, :]) ** 2).sum(axis=2)
+        filled = DisplacementField(full, coarse.vectors[np.argmin(d2, axis=1)])
+        assert np.array_equal(animate(enc, model, img, [coarse])[0], animate(enc, model, img, [filled])[0])
+
+    def test_margin_trimmed_field_at_512_fills_in_small_memory(self):
+        # the fill of 4,096 lattice positions from a 3,844-position field takes
+        # one argmin per axis, not an (N, M, 2) distance array (378 MB)
+        import tracemalloc
+
+        rng = np.random.default_rng(20)
+        enc = Encoder.random(2, 2, 8, 8, rng=rng)
+        model = ParametricMotion(0.1 * rng.standard_normal((5, 2, 2, 2)))
+        img = rng.random((512, 512))
+        pos = infer_positions(enc, model, img.shape, margin=8)
+        fld = DisplacementField(pos, rng.uniform(-1, 1, (len(pos), 2)))
+        tracemalloc.start()
+        try:
+            frames = animate(enc, model, img, [fld])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pos) == 3844 and frames[0].shape == (512, 512)
+        assert peak < 16 * 2**20
+
+
 class TestInterpolateFrames:
     def test_identical_endpoints_succeed_immediately(self):
         rng = np.random.default_rng(19)
@@ -541,3 +577,13 @@ class TestAlignment:
     def test_single_frame_returns_zero_candidate(self):
         got = estimate_velocity(self.enc, self.model, self.frames[:1], self.pos)
         np.testing.assert_array_equal(got, [0.0, 0.0])
+
+
+class TestFieldFiles:
+    @pytest.mark.parametrize("rows, cols", [([8, 16, 40], [8, 16]), ([8, 16], [4, 8, 20])])
+    def test_rejects_unevenly_spaced_lattice(self, tmp_path, rows, cols):
+        rr, cc = np.meshgrid(rows, cols, indexing="ij")
+        fld = DisplacementField(np.stack([rr.ravel(), cc.ravel()], axis=1), np.zeros((rr.size, 2)))
+        with pytest.raises(ShapeError):
+            write_field(tmp_path / "f.v1fd", fld)
+        assert not (tmp_path / "f.v1fd").exists()
