@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import resource
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,10 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, evalviz, gabor, inference, training
-from .core import DisplacementField, lattice_axes
+from .core import DisplacementField, eval_positions, lattice_axes
 from .errors import (
     ConfigError,
     DataFormatError,
+    GridLookupError,
     NumericError,
     PatchflowError,
 )
@@ -291,6 +293,8 @@ def cmd_infer(args, config, settings) -> dict:
         pairs = datagen.dataset_read(args.data)
         if args.limit is not None:
             pairs = pairs[: args.limit]
+    for shape in {pair.image_t.shape for pair in pairs}:  # every size fits before any pair
+        eval_positions(encoder, model, shape)
     stops: list = []  # (iterations, stop reason) of each descent
     fields = parallel_map(
         lambda p: _infer_one(encoder, model, p, icfg, stops), pairs, config["threads"]
@@ -420,6 +424,11 @@ def cmd_filters(args, config, settings) -> dict:
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     if not 0 <= args.block < encoder.num_blocks:
         raise ConfigError(f"--block must be in [0, {encoder.num_blocks}), got {args.block}")
+    for delta in deltas if hasattr(model, "grid") else ():  # a table's candidates only
+        try:
+            model.grid.index_of(delta)
+        except GridLookupError as exc:
+            raise ConfigError(f"--delta-path: {exc}") from None
     frames = gabor.animate_filters(encoder, model, args.block, deltas)
     out = Path(args.out)
     for i, frame in enumerate(frames):
@@ -587,8 +596,14 @@ def run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     metrics = COMMANDS[args.command](args, config, settings)
-    timings = {"wall_seconds": round(time.time() - started, 3)}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    timings = {
+        "wall_seconds": round(time.time() - started, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # the process's peak so far
+        "minor_faults": usage.ru_minflt - faults,  # this command's own
+    }
     write_summary(out, args.command, config, metrics, timings, [p.name for p in out.iterdir()])
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundsError, GridLookupError, ShapeError
+from .errors import BoundsError, DataFormatError, GridLookupError, ShapeError
 
 
 def as_image(a) -> np.ndarray:
@@ -278,9 +278,9 @@ class DisplacementGrid:
         d = np.asarray(delta, dtype=np.float64)
         i = np.round((d - self.lo) / self.step).astype(np.int64)
         if np.any(i < 0) or np.any(i >= self.side):
-            raise GridLookupError(f"displacement {tuple(d)} outside grid [{self.lo}, {self.hi}]")
+            raise GridLookupError(f"displacement {tuple(d.tolist())} outside grid [{self.lo}, {self.hi}]")
         if np.max(np.abs(self.lo + i * self.step - d)) > 1e-9:
-            raise GridLookupError(f"displacement {tuple(d)} not on the {self.step}-step grid")
+            raise GridLookupError(f"displacement {tuple(d.tolist())} not on the {self.step}-step grid")
         return int(i[0] * self.side + i[1])
 
     def round_indices(self, deltas: np.ndarray) -> np.ndarray:
@@ -523,30 +523,45 @@ def apply_motion(model, v: np.ndarray, delta) -> np.ndarray:
 
 
 def eval_positions(encoder, model, shape) -> np.ndarray:
-    """Lattice positions whose patch, over the model's whole support, fits in ``shape``."""
-    return encoder.grid.positions(*shape, inset=model.max_offset)
+    """Lattice positions whose patch, over the model's whole support, fits in ``shape``.
+
+    An image without one raises DataFormatError naming the smallest side that
+    has one: the patch plus the support on both sides, where the support's
+    inner side rounds up to the lattice stride.
+    """
+    inset, stride = model.max_offset, encoder.stride
+    side = encoder.patch_size + inset + stride * -(-inset // stride)
+    if min(shape) < side:
+        raise DataFormatError(
+            f"image {shape[0]}x{shape[1]} is too small for the model: it needs at least "
+            f"{side}x{side} (patch {encoder.patch_size}, support radius {inset}, stride {stride})"
+        )
+    return encoder.grid.positions(*shape, inset=inset)
+
+
+def support_centers(encoder, shape, positions, offsets, clamp=False):
+    """Unique centers (U, 2) of every position + offset and the one each lands on (N, m);
+    ``clamp`` clips them into the patch range of ``shape`` (full-canvas decoding)."""
+    centers = np.asarray(positions, dtype=np.int64)[:, None, :] + np.asarray(offsets, dtype=np.int64)
+    if clamp:
+        for axis, length in enumerate(shape):
+            centers[..., axis] = np.clip(centers[..., axis], *encoder.grid.center_range(length))
+    uniq, inverse = np.unique(centers.reshape(-1, 2), axis=0, return_inverse=True)
+    return uniq, inverse.reshape(centers.shape[:2])
 
 
 def offset_encodings(encoder, images, positions, offsets, clamp=False):
     """Encode an image (H, W) or a stack (..., H, W) at every position + offset.
 
-    Duplicate centers are encoded once.  Returns (patches (..., U, p*p),
-    vectors (..., U, K, d), inverse (N, m)): the patches and encodings at
-    the U unique centers, and the unique center that each position's
-    offset lands on, so ``vectors[..., inverse, :, :]`` is (..., N, m, K, d).
-    With ``clamp`` the centers are clipped into the valid patch range
-    (border fallback for full-canvas decoding); otherwise an out-of-bounds
-    center raises BoundsError.
+    Returns (patches (..., U, p*p), vectors (..., U, K, d), inverse (N, m))
+    at the unique centers of `support_centers`, so ``vectors[..., inverse,
+    :, :]`` is (..., N, m, K, d).  Without ``clamp`` an out-of-bounds center
+    raises BoundsError.
     """
     images = np.asarray(images, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.int64)
-    centers = positions[:, None, :] + np.asarray(offsets, dtype=np.int64)[None, :, :]
-    if clamp:
-        for axis, length in enumerate(images.shape[-2:]):
-            centers[..., axis] = np.clip(centers[..., axis], *encoder.grid.center_range(length))
-    uniq, inverse = np.unique(centers.reshape(-1, 2), axis=0, return_inverse=True)
+    uniq, inverse = support_centers(encoder, images.shape[-2:], positions, offsets, clamp)
     patches = extract_patches(images, uniq, encoder.patch_size)
-    return patches, apply_encoder(encoder.weights, patches), inverse.reshape(centers.shape[:2])
+    return patches, apply_encoder(encoder.weights, patches), inverse
 
 
 def support_matrices(model, deltas: np.ndarray) -> np.ndarray:
@@ -583,6 +598,13 @@ def predict(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     right = np.moveaxis(vectors, [-2, -3, -1, -4], [-4, -3, -2, -1])  # (..., K, m, d, n)
     out = blocks @ right.reshape(right.shape[:-4] + (k, m * d, n))
     return out.reshape(out.shape[:-2] + (-1, d, n))
+
+
+def predict_adjoint(blocks: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Adjoint of `predict` in its vectors, from the same ``blocks``: sum_R M^(k)(delta, dx)^T g
+    per offset for ``grads`` laid out like `predict`'s result; shape (..., K, m, d, n)."""
+    out = np.swapaxes(blocks, -1, -2) @ grads.reshape(grads.shape[:-3] + (-1, grads.shape[-1]))
+    return out.reshape(out.shape[:-2] + (-1,) + grads.shape[-2:])
 
 
 def predicted_vectors(encoder, model, image_t, positions, deltas, clamp=False):

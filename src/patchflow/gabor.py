@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Encoder, motion_matrices
-from .errors import PatchflowError
+from .core import Encoder, support_matrices
+from .errors import GridLookupError, PatchflowError
 
 PARAM_NAMES = ("amplitude", "x0", "y0", "theta", "sigma_x", "sigma_y", "frequency", "phase")
 HALF_MAG = math.sqrt(2.0 * math.log(2.0))
@@ -352,11 +352,18 @@ def write_unit_csv(path, encoder: Encoder, fits: list[GaborFit]) -> None:
 
 
 def animate_filters(encoder: Encoder, model, k: int, deltas) -> list[np.ndarray]:
-    """Rows of M^(k)(delta) W^(k) as (d, p, p) images, one entry per delta."""
+    """Rows of M^(k)(delta) W^(k) as (d, p, p) images, one entry per delta.
+
+    A table snaps each delta to its nearest candidate, and a mixed model
+    shows its zero-offset matrices M^(k)(delta, 0).
+    """
     p = encoder.patch_size
+    zero = np.flatnonzero(~model.offsets.any(axis=1))
+    if len(zero) == 0:
+        raise GridLookupError("the mixing support has no zero offset")
     frames = []
     for delta in deltas:
-        m = motion_matrices(model, np.asarray([delta]))[0, k]
+        m = support_matrices(model, np.asarray([delta], dtype=np.float64))[0, zero[0], k]
         moved = m @ encoder.weights[k]
         frames.append(moved.reshape(encoder.block_dim, p, p))
     return frames

@@ -19,14 +19,16 @@ from .core import (
     MixedMotion,
     NonParametricMotion,
     ParametricMotion,
+    apply_encoder,
     block_layout,
     delta_basis,
     eval_positions,
     extract_patches,
     lattice_axes,
-    offset_encodings,
     overlap_add,
     predict,
+    predict_adjoint,
+    support_centers,
     support_matrices,
     support_offsets,
 )
@@ -163,21 +165,26 @@ def _rebuild(encoder: Encoder, model, weights: np.ndarray, motion: np.ndarray):
 # analytic gradient of the weighted loss
 
 
-def _scatter_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sum ``values`` into ``n_rows`` bins along axis 0 (deterministic)."""
-    block = int(np.prod(values.shape[1:], dtype=np.int64))
-    flat_idx = (rows.astype(np.int64)[:, None] * block + np.arange(block)).ravel()
-    out = np.bincount(flat_idx, weights=values.reshape(-1), minlength=n_rows * block)
-    return out.reshape((n_rows,) + values.shape[1:])
+# bytes of a chunk's support patch stack: 4 desk mixed frames, 39 table ones
+CHUNK_BYTES = 4_000_000
+
+
+def _scatter_rows(shape, rows: np.ndarray, values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sum ``values`` into a zeroed array of ``shape``, each at row ``rows`` and flat place
+    ``cols`` in the row (both broadcast); each bin adds in array order (deterministic)."""
+    width = int(np.prod(shape[1:]))
+    flat_idx = np.broadcast_to(rows * width + cols, values.shape).ravel()
+    return np.bincount(flat_idx, weights=values.ravel(), minlength=shape[0] * width).reshape(shape)
 
 
 def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion):
     """Accumulate loss and gradients for a batch group sharing one image size.
 
+    It runs in chunks of frames whose support patch stack fits in CHUNK_BYTES.
     Every model runs the same forward pass over its support (the zero offset
-    alone for table and parametric models); only where the motion gradient
-    lands depends on the model type.  The heavy contractions run as plain
-    matrix products on (batch*positions, features) views.
+    alone for table and parametric models), on matrices laid out once per
+    chunk for `predict`, its adjoint and the motion gradient; only where the
+    motion gradient lands depends on the model type.
     """
     w = encoder.weights
     k, d, q = w.shape
@@ -185,11 +192,10 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
     w2 = w.reshape(kd, q)
     p = encoder.patch_size
     shape = imgs_t.shape[1:]
-    b = imgs_t.shape[0]
     lam_rot = config.weight_rotation
     lam_rec = config.weight_reconstruction
     lam_ns = config.weight_norm_stability
-    loss = 0.0
+    loss, frames = 0.0, len(imgs_t)
     dw2 = d_weights.reshape(kd, q)
 
     if lam_rot > 0 or lam_ns > 0:
@@ -198,54 +204,62 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
             raise ShapeError(
                 f"fields have {deltas.shape[1]} positions, evaluation grid has {len(pos)}"
             )
-        n = len(pos)
-        a1 = extract_patches(imgs_t1, pos, p).reshape(b * n, q)
-        v1 = (a1 @ w2.T).reshape(b, n, k, d)
-        a_u, v_u, inverse = offset_encodings(encoder, imgs_t, pos, model.offsets)
-        n_u, m_off = a_u.shape[1], inverse.shape[1]
-        voff = v_u[:, inverse]  # (B, N, m, K, d)
-        mats = support_matrices(model, deltas)  # (B, N, m, K, d, d)
-        pred = predict(block_layout(mats[:, :, None]), voff[:, :, None])[..., 0, :, 0]
+        uniq, inverse = support_centers(encoder, shape, pos, model.offsets)
+        n, n_u = len(pos), len(uniq)
+        frames = max(1, CHUNK_BYTES // (8 * q * n_u))
+        # flat places of block-layout support vectors among encodings, and of entries in a table row
+        place = (inverse[:, None, :, None] * k + np.arange(k)[:, None, None]) * d + np.arange(d)
+        cols = block_layout(np.arange(d_motion[0].size).reshape(1, -1, k, d, d)).ravel()
 
-        r = v1 - pred
-        loss += lam_rot * float(np.sum(r * r))
-        d_pred = -2.0 * lam_rot * r
-        if lam_ns > 0:
-            a_x = extract_patches(imgs_t, pos, p).reshape(b * n, q)
-            v_x = (a_x @ w2.T).reshape(b, n, k, d)
-            ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
-            loss += lam_ns * float(np.sum(ns * ns))
-            d_pred = d_pred + 4.0 * lam_ns * ns[..., None] * pred
-            gv = (-4.0 * lam_ns * ns[..., None] * v_x).reshape(b * n, kd)
-            dw2 += gv.T @ a_x
-        dw2 += (2.0 * lam_rot * r).reshape(b * n, kd).T @ a1
+    for c in range(0, len(imgs_t), frames):
+        ch_t, ch_t1, ch_d = imgs_t[c : c + frames], imgs_t1[c : c + frames], deltas[c : c + frames]
+        b = len(ch_t)
+        if lam_rot > 0 or lam_ns > 0:
+            a1 = extract_patches(ch_t1, pos, p).reshape(b * n, q)
+            v1 = (a1 @ w2.T).reshape(b, n, k, d)
+            a_u = extract_patches(ch_t, uniq, p)
+            right = np.take(apply_encoder(w, a_u).reshape(b, -1), place, axis=1)  # (B, N, K, m, d)
+            blocks = block_layout(support_matrices(model, ch_d)[:, :, None])  # (B, N, K, d, m*d)
+            pred = predict(blocks, np.moveaxis(right, 3, 2)[:, :, None])[..., 0, :, 0]
 
-        # back through the prediction: M^T d_pred per offset, scattered onto the
-        # unique support centers, and the outer product d_pred v^T per offset
-        mt_g = predict(block_layout(np.swapaxes(mats, -1, -2)[:, :, :, None]), d_pred[:, :, None, None])
-        mt_g = np.swapaxes(mt_g[..., 0], 2, 3)  # (B, N, m, K, d)
-        rows = (np.arange(b)[:, None] * n_u + inverse.ravel()[None, :]).ravel()
-        s = _scatter_rows(b * n_u, rows, mt_g.reshape(b * n * m_off, kd))
-        dw2 += s.T @ a_u.reshape(b * n_u, q)
-        g_m = (d_pred[:, :, None, :, :, None] * voff[:, :, :, :, None, :]).reshape(b * n, -1)
-        if isinstance(model, ParametricMotion):
-            basis = delta_basis(deltas).reshape(b * n, 5)
-            d_motion += (basis.T @ g_m).reshape(d_motion.shape)
-        else:
-            cidx = model.grid.round_indices(deltas).ravel()
-            d_motion += _scatter_rows(len(d_motion), cidx, g_m).reshape(d_motion.shape)
+            r = v1 - pred
+            loss += lam_rot * float(np.sum(r * r))
+            d_pred = -2.0 * lam_rot * r
+            if lam_ns > 0:
+                a_x = extract_patches(ch_t, pos, p).reshape(b * n, q)
+                v_x = (a_x @ w2.T).reshape(b, n, k, d)
+                ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
+                loss += lam_ns * float(np.sum(ns * ns))
+                d_pred = d_pred + 4.0 * lam_ns * ns[..., None] * pred
+                gv = (-4.0 * lam_ns * ns[..., None] * v_x).reshape(b * n, kd)
+                dw2 += gv.T @ a_x
+            dw2 += (2.0 * lam_rot * r).reshape(b * n, kd).T @ a1
 
-    if lam_rec > 0:
-        pos_rec = encoder.grid.positions(*shape)
-        n_rec = len(pos_rec)
-        for imgs in (imgs_t, imgs_t1):  # one gather and one overlap-add per frame
-            a_rec = extract_patches(imgs, pos_rec, p).reshape(b * n_rec, q)
-            v_rec = a_rec @ w2.T  # (B*N, kd)
-            e = imgs - overlap_add((v_rec @ w2).reshape(b, n_rec, q), pos_rec, shape, p)
-            loss += lam_rec * float(np.sum(e * e))
-            e_p = extract_patches(e, pos_rec, p).reshape(b * n_rec, q)
-            v_e = e_p @ w2.T
-            dw2 += -2.0 * lam_rec * (v_rec.T @ e_p + v_e.T @ a_rec)
+            # back through the prediction: M^T d_pred per offset, scattered onto the
+            # unique support centers, and the outer product d_pred v^T per offset
+            mt_g = predict_adjoint(blocks, d_pred[..., None, :, None])[..., 0]  # (B, N, K, m, d)
+            s = _scatter_rows((b * n_u, kd), np.arange(b)[:, None, None, None, None] * n_u, mt_g, place)
+            dw2 += s.T @ a_u.reshape(b * n_u, q)
+            g_m = (d_pred[..., None] * right.reshape(b, n, k, 1, -1)).reshape(b * n, -1)
+            if isinstance(model, ParametricMotion):
+                basis = delta_basis(ch_d).reshape(b * n, 5)
+                d_motion += (basis.T @ g_m).reshape(d_motion.shape)
+            else:  # only the candidates hit gain
+                hit, cidx = np.unique(model.grid.round_indices(ch_d).ravel(), return_inverse=True)
+                table = d_motion.reshape(len(d_motion), -1)
+                table[hit] += _scatter_rows((len(hit), cols.size), cidx[:, None], g_m, cols)
+
+        if lam_rec > 0:
+            pos_rec = encoder.grid.positions(*shape)
+            n_rec = len(pos_rec)
+            for imgs in (ch_t, ch_t1):  # one gather and one overlap-add per frame
+                a_rec = extract_patches(imgs, pos_rec, p).reshape(b * n_rec, q)
+                v_rec = a_rec @ w2.T  # (B*N, kd)
+                e = imgs - overlap_add((v_rec @ w2).reshape(b, n_rec, q), pos_rec, shape, p)
+                loss += lam_rec * float(np.sum(e * e))
+                e_p = extract_patches(e, pos_rec, p).reshape(b * n_rec, q)
+                v_e = e_p @ w2.T
+                dw2 += -2.0 * lam_rec * (v_rec.T @ e_p + v_e.T @ a_rec)
     return loss
 
 

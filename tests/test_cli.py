@@ -355,3 +355,63 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestChecksBeforeWork:
+    """Mixed filters render, and bad paths and image sizes stop before any output."""
+
+    def test_filters_renders_mixed_checkpoint(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        grid = DisplacementGrid(-2, 2, 1.0)
+        off = support_offsets(2, 2)
+        model = MixedMotion(grid, off, rng.standard_normal((grid.num_candidates, len(off), 2, 2, 2)))
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=8), model)
+        out = tmp_path / "out"
+        code = run_cli("filters", "--checkpoint", ckpt, "--block", 1, "--out", out)
+        assert code == EXIT_OK
+        assert len(list(out.glob("filters_*.pgm"))) == 3  # the default path "0,0;1,0;2,0"
+
+    def test_off_grid_delta_path_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        model = NonParametricMotion.identity(DisplacementGrid(-1, 1, 0.5), 2, 2)
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=9), model)
+        out = tmp_path / "out"
+        code = run_cli("filters", "--checkpoint", ckpt, "--delta-path", "0,0;0.25,0", "--out", out)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "(0.25, 0.0)" in err[0] and "np.float64" not in err[0]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_image_smaller_than_patch_and_support_is_format_error(self, tmp_path, capsys, command):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 2, "--size", 20, "--range", 1, "--seed", 1)
+        ckpt = tmp_path / "m.ckpt"
+        model = MixedMotion.identity(DisplacementGrid(-1, 1, 1.0), support_offsets(4, 2), 2, 2)
+        save_checkpoint(ckpt, Encoder.random(2, 2, 16, 8, rng=10), model)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if command == "train":
+            code = run_cli("train", "--data", ds, "--variant", "mixed", "--blocks", 2, "--steps", 1, "--out", out)
+        else:
+            code = run_cli("infer", "--checkpoint", ckpt, "--data", ds, "--out", out)
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:")
+        assert "20x20" in err[0] and "28x28" in err[0]  # patch 16 + support 4 + the stride-8 row at 16
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["gen-data", "eval"])
+    def test_summary_reports_peak_rss_and_minor_faults(self, tmp_path, command):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 2, "--size", 32, "--seed", 0)
+        out = ds
+        if command == "eval":
+            out = tmp_path / "ev"
+            assert run_cli("eval", "--data", ds, "--zero-predictor", "--out", out) == EXIT_OK
+        timings = json.loads((out / "run_summary.json").read_text())["timings"]
+        assert set(timings) == {"wall_seconds", "peak_rss_mb", "minor_faults"}
+        assert timings["peak_rss_mb"] > 0
+        assert isinstance(timings["minor_faults"], int) and timings["minor_faults"] >= 0

@@ -455,3 +455,38 @@ class TestLosses:
         pos = enc.grid.positions(32, 32)
         fld = DisplacementField(pos, np.zeros((len(pos), 2)))
         assert rotation_loss(enc, mixed, img, img, fld) < 1e-22
+
+
+class TestChecksAndAdjoint:
+    def test_index_of_names_plain_numbers(self):
+        g = DisplacementGrid(-2, 2, 0.5)
+        for delta, words in (((0.25, 0.0), "not on the 0.5-step grid"), ((2.5, -1.0), "outside grid")):
+            with pytest.raises(GridLookupError) as exc:
+                g.index_of(np.asarray(delta))
+            assert str(exc.value).startswith(f"displacement {delta} {words}")
+
+    @pytest.mark.parametrize("patch, stride, radius", [(16, 8, 4), (8, 4, 2), (8, 8, 0), (9, 3, 4)])
+    def test_eval_positions_names_the_smallest_image(self, patch, stride, radius):
+        from patchflow.core import eval_positions
+        from patchflow.errors import DataFormatError
+
+        enc = Encoder.random(1, 2, patch, stride, rng=0)
+        grid = DisplacementGrid(-1, 1, 1.0)
+        model = MixedMotion.identity(grid, support_offsets(radius, 2) if radius else [[0, 0]], 1, 2)
+        side = next(n for n in range(1, 100) if len(GridSpec(patch, stride)._axis(n, radius)))
+        assert len(eval_positions(enc, model, (side, side + 5))) > 0
+        with pytest.raises(DataFormatError, match=f"at least {side}x{side}"):
+            eval_positions(enc, model, (side + 5, side - 1))
+
+    def test_predict_adjoint_is_the_transpose(self):
+        from patchflow.core import block_layout, predict, predict_adjoint
+
+        rng = np.random.default_rng(11)
+        mats = rng.standard_normal((4, 3, 5, 2, 2))  # R sets over m offsets of K blocks
+        vectors = rng.standard_normal((6, 3, 5, 2))  # n sets over the same m offsets
+        grads = rng.standard_normal((5, 4, 2, 6))  # like predict's result, (K, R, d, n)
+        blocks = block_layout(mats)
+        lhs = np.sum(predict(blocks, vectors) * grads)
+        adj = predict_adjoint(blocks, grads)  # (K, m, d, n)
+        rhs = np.sum(adj * np.moveaxis(vectors, [0, 1, 2, 3], [3, 1, 0, 2]))
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)

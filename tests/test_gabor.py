@@ -260,3 +260,29 @@ class TestAnimateFilters:
         img = filter_montage(tiles, cols=3)
         assert img.shape == (2 * 9 + 1, 3 * 9 + 1)
         assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+class TestMixedFilters:
+    def test_mixed_model_shows_zero_offset_matrices(self):
+        from patchflow.core import MixedMotion, support_offsets
+
+        rng = np.random.default_rng(12)
+        enc = Encoder.random(2, 2, 8, 8, rng=rng)
+        grid = DisplacementGrid(-1, 1, 0.5)
+        off = support_offsets(2, 2)
+        model = MixedMotion(grid, off, rng.standard_normal((grid.num_candidates, len(off), 2, 2, 2)))
+        deltas = [(0.0, 0.0), (0.5, -1.0)]
+        frames = animate_filters(enc, model, 1, deltas)
+        zero = int(np.flatnonzero((off == 0).all(axis=1))[0])
+        for frame, delta in zip(frames, deltas):
+            want = model.matrices[grid.index_of(delta), zero, 1] @ enc.weights[1]
+            assert np.array_equal(frame.reshape(2, 64), want)
+
+    def test_table_frames_are_the_candidate_matrices(self):
+        rng = np.random.default_rng(13)
+        enc = Encoder.random(2, 2, 8, 8, rng=rng)
+        grid = DisplacementGrid(-1, 1, 0.5)
+        model = NonParametricMotion(grid, rng.standard_normal((grid.num_candidates, 2, 2, 2)))
+        frames = animate_filters(enc, model, 0, [(1.0, -0.5)])
+        want = model.matrices[grid.index_of((1.0, -0.5)), 0] @ enc.weights[0]
+        assert np.array_equal(frames[0].reshape(2, 64), want)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patchflow import core
+from patchflow import core, training
 from patchflow.core import (
     DisplacementField,
     DisplacementGrid,
@@ -615,3 +615,189 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# chunked gradient against the unchunked reference
+
+
+def reference_scatter_rows(n_rows, rows, values):
+    """`_scatter_rows` before chunking: whole rows of ``values`` into ``n_rows`` bins."""
+    block = int(np.prod(values.shape[1:], dtype=np.int64))
+    flat_idx = (rows.astype(np.int64)[:, None] * block + np.arange(block)).ravel()
+    out = np.bincount(flat_idx, weights=values.reshape(-1), minlength=n_rows * block)
+    return out.reshape((n_rows,) + values.shape[1:])
+
+
+def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion):
+    """`_group_gradient` before chunking: the whole group at once, the matrices laid
+    out a second time for the adjoint, the motion gradient as a 6-D outer product."""
+    w = encoder.weights
+    k, d, q = w.shape
+    kd = k * d
+    w2 = w.reshape(kd, q)
+    p = encoder.patch_size
+    shape = imgs_t.shape[1:]
+    b = imgs_t.shape[0]
+    lam_rot = config.weight_rotation
+    lam_rec = config.weight_reconstruction
+    lam_ns = config.weight_norm_stability
+    loss = 0.0
+    dw2 = d_weights.reshape(kd, q)
+
+    if lam_rot > 0 or lam_ns > 0:
+        pos = eval_positions(encoder, model, shape)
+        n = len(pos)
+        a1 = core.extract_patches(imgs_t1, pos, p).reshape(b * n, q)
+        v1 = (a1 @ w2.T).reshape(b, n, k, d)
+        a_u, v_u, inverse = core.offset_encodings(encoder, imgs_t, pos, model.offsets)
+        n_u, m_off = a_u.shape[1], inverse.shape[1]
+        voff = v_u[:, inverse]  # (B, N, m, K, d)
+        mats = core.support_matrices(model, deltas)  # (B, N, m, K, d, d)
+        pred = core.predict(block_layout(mats[:, :, None]), voff[:, :, None])[..., 0, :, 0]
+
+        r = v1 - pred
+        loss += lam_rot * float(np.sum(r * r))
+        d_pred = -2.0 * lam_rot * r
+        if lam_ns > 0:
+            a_x = core.extract_patches(imgs_t, pos, p).reshape(b * n, q)
+            v_x = (a_x @ w2.T).reshape(b, n, k, d)
+            ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
+            loss += lam_ns * float(np.sum(ns * ns))
+            d_pred = d_pred + 4.0 * lam_ns * ns[..., None] * pred
+            gv = (-4.0 * lam_ns * ns[..., None] * v_x).reshape(b * n, kd)
+            dw2 += gv.T @ a_x
+        dw2 += (2.0 * lam_rot * r).reshape(b * n, kd).T @ a1
+
+        mt_g = core.predict(block_layout(np.swapaxes(mats, -1, -2)[:, :, :, None]), d_pred[:, :, None, None])
+        mt_g = np.swapaxes(mt_g[..., 0], 2, 3)  # (B, N, m, K, d)
+        rows = (np.arange(b)[:, None] * n_u + inverse.ravel()[None, :]).ravel()
+        s = reference_scatter_rows(b * n_u, rows, mt_g.reshape(b * n * m_off, kd))
+        dw2 += s.T @ a_u.reshape(b * n_u, q)
+        g_m = (d_pred[:, :, None, :, :, None] * voff[:, :, :, :, None, :]).reshape(b * n, -1)
+        if isinstance(model, ParametricMotion):
+            basis = core.delta_basis(deltas).reshape(b * n, 5)
+            d_motion += (basis.T @ g_m).reshape(d_motion.shape)
+        else:
+            cidx = model.grid.round_indices(deltas).ravel()
+            d_motion += reference_scatter_rows(len(d_motion), cidx, g_m).reshape(d_motion.shape)
+
+    if lam_rec > 0:
+        pos_rec = encoder.grid.positions(*shape)
+        n_rec = len(pos_rec)
+        for imgs in (imgs_t, imgs_t1):
+            a_rec = core.extract_patches(imgs, pos_rec, p).reshape(b * n_rec, q)
+            v_rec = a_rec @ w2.T
+            e = imgs - core.overlap_add((v_rec @ w2).reshape(b, n_rec, q), pos_rec, shape, p)
+            loss += lam_rec * float(np.sum(e * e))
+            e_p = core.extract_patches(e, pos_rec, p).reshape(b * n_rec, q)
+            v_e = e_p @ w2.T
+            dw2 += -2.0 * lam_rec * (v_rec.T @ e_p + v_e.T @ a_rec)
+    return loss
+
+
+def reference_grad_total(monkeypatch, enc, model, batch, config):
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_group_gradient", reference_group_gradient)
+        return grad_total(enc, model, batch, config)
+
+
+def support_stack_bytes(enc, model, shape):
+    """Bytes of one frame's support patch stack, the unit of the chunk budget."""
+    pos = eval_positions(enc, model, shape)
+    uniq, _ = core.support_centers(enc, shape, pos, model.offsets)
+    return 8 * enc.patch_size ** 2 * len(uniq)
+
+
+# frames per image size and frames per chunk of each batch layout
+CHUNK_CASES = {
+    "one_chunk": ([(24, 24)] * 3, None),
+    "two_chunks": ([(24, 24)] * 4, 2),
+    "uneven_chunks": ([(24, 24)] * 5, 2),
+    "two_sizes": ([(24, 24), (32, 32), (24, 24), (32, 32), (24, 24)], 2),
+}
+
+
+def chunk_problem(variant, shapes, norm_stability, seed=0):
+    enc, model, _, config = small_problem(variant, seed, norm_stability)
+    rng = np.random.default_rng(seed + 100)
+    batch = []
+    for shape in shapes:
+        pos = eval_positions(enc, model, shape)
+        if variant == "parametric":
+            deltas = rng.uniform(-2, 2, (len(pos), 2))
+        else:
+            grid = config.displacement_grid
+            deltas = grid.candidates()[rng.integers(0, grid.num_candidates, len(pos))]
+        batch.append((rng.random(shape), rng.random(shape), deltas))
+    return enc, model, batch, config
+
+
+class TestChunkedGradient:
+    """`_group_gradient` runs a group in chunks on one block layout of its matrices."""
+
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    @pytest.mark.parametrize("norm_stability", [0.0, 0.05])
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_matches_reference(self, monkeypatch, variant, norm_stability, case):
+        shapes, per_chunk = CHUNK_CASES[case]
+        enc, model, batch, config = chunk_problem(variant, shapes, norm_stability)
+        if per_chunk is not None:
+            budget = per_chunk * support_stack_bytes(enc, model, shapes[0])
+            monkeypatch.setattr(training, "CHUNK_BYTES", budget)
+        want, want_loss = reference_grad_total(monkeypatch, enc, model, batch, config)
+        got, loss = grad_total(enc, model, batch, config)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for a, b in ((got.d_weights, want.d_weights), (got.d_motion, want.d_motion)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+    def test_chunks_split_the_group(self, monkeypatch):
+        enc, model, batch, config = chunk_problem("mixed", [(24, 24)] * 5, 0.0)
+        monkeypatch.setattr(training, "CHUNK_BYTES", 2 * support_stack_bytes(enc, model, (24, 24)))
+        sizes = []
+        real = training.extract_patches
+        monkeypatch.setattr(
+            training, "extract_patches", lambda imgs, pos, p: sizes.append(len(imgs)) or real(imgs, pos, p)
+        )
+        grad_total(enc, model, batch, config)
+        assert sizes == [2] * 12 + [1] * 6  # chunks of 2, 2 and 1 frames, six gathers each
+
+    @pytest.mark.parametrize("norm_stability", [0.0, 0.05])
+    @pytest.mark.parametrize("variant", ["nonparametric", "parametric"])
+    def test_single_chunk_bit_for_bit(self, monkeypatch, variant, norm_stability):
+        enc, model, batch, config = chunk_problem(variant, [(24, 24), (32, 32), (24, 24)], norm_stability)
+        want, want_loss = reference_grad_total(monkeypatch, enc, model, batch, config)
+        got, loss = grad_total(enc, model, batch, config)
+        assert loss == want_loss
+        assert np.array_equal(got.d_weights, want.d_weights)
+        assert np.array_equal(got.d_motion, want.d_motion)
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "parametric"])
+    def test_desk_batch_is_one_chunk_bit_for_bit(self, monkeypatch, variant):
+        config = TrainConfig(motion_variant=variant, num_blocks=10, block_dim=2, batch_size=32)
+        enc, model = training.init_model(config, np.random.default_rng(0))
+        assert 32 * support_stack_bytes(enc, model, (64, 64)) <= training.CHUNK_BYTES
+        pairs = desk_dataset(32, seed=5)
+        prepared = training.prepare_dataset(pairs, enc, model, variant != "parametric")
+        want, want_loss = reference_grad_total(monkeypatch, enc, model, prepared, config)
+        got, loss = grad_total(enc, model, prepared, config)
+        assert loss == want_loss
+        assert np.array_equal(got.d_weights, want.d_weights)
+        assert np.array_equal(got.d_motion, want.d_motion)
+
+    def test_desk_mixed_step_memory_bounded(self):
+        # a desk mixed batch of 32 frames gathers a 29 MB support patch stack at
+        # once unchunked, and peaked at 74.5 MB traced in one grad_total
+        import tracemalloc
+
+        config = TrainConfig(motion_variant="mixed", num_blocks=10, block_dim=2, batch_size=32)
+        enc, model = training.init_model(config, np.random.default_rng(0))
+        pairs = desk_dataset(32, seed=6)
+        prepared = training.prepare_dataset(pairs, enc, model, True)
+        tracemalloc.start()
+        try:
+            grad_total(enc, model, prepared, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
