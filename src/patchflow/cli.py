@@ -263,11 +263,13 @@ def cmd_train_unsup(args, config, settings) -> dict:
     training.save_checkpoint(out / "model.ckpt", encoder, model, extra={"seed": config["seed"]})
     for i, (pos, vec) in enumerate(zip(diag["positions"], diag["fields"])):
         inference.write_field(out / f"field_{i:05d}.v1fd", DisplacementField(pos, vec))
+    stage2, *rounds = map(inference.descent_summary, diag["descents"])
     return {
         "sequences": len(sequences),
         "rounds_run": len(diag["field_changes"]),
         "objectives": diag["objectives"],
         "field_changes": diag["field_changes"],
+        "descent": {"stage2": stage2, "rounds": rounds},
     }
 
 
@@ -309,12 +311,7 @@ def cmd_infer(args, config, settings) -> dict:
             evalviz.write_ppm(out / f"field_{i:05d}.ppm", rgb)
     metrics = {"pairs": len(pairs)}
     if stops:
-        iters = [it for it, _ in stops]
-        metrics["descent"] = {
-            "stops": {reason: sum(r == reason for _, r in stops) for reason in inference.STOP_REASONS},
-            "iters_median": float(np.median(iters)),
-            "iters_max": max(iters),
-        }
+        metrics["descent"] = inference.descent_summary(stops)
     return metrics
 
 

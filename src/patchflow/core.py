@@ -117,12 +117,15 @@ def extract_patch(image: np.ndarray, position, patch_size: int) -> np.ndarray:
     return image.ravel()[idx[0]]
 
 
-def extract_patches(images: np.ndarray, positions: np.ndarray, patch_size: int) -> np.ndarray:
-    """Flattened patches of an image (H, W) or a stack (..., H, W), shape (..., N, p*p)."""
+def extract_patches(images: np.ndarray, positions: np.ndarray, patch_size: int, out=None) -> np.ndarray:
+    """Flattened patches of an image (H, W) or a stack (..., H, W), shape (..., N, p*p),
+    written into ``out`` when given."""
     images = np.asarray(images, dtype=np.float64)
     idx = _patch_indices(images.shape[-2:], positions, patch_size)
-    # take() keeps the result C-ordered; images[..., idx] would lay the stack axis last
-    return np.take(images.reshape(images.shape[:-2] + (-1,)), idx, axis=-1)
+    # take() keeps the result C-ordered; images[..., idx] would lay the stack axis last.
+    # The indices are checked above: mode "clip" spares take() the temporary copy
+    # that mode "raise" makes of ``out``.
+    return np.take(images.reshape(images.shape[:-2] + (-1,)), idx, axis=-1, out=out, mode="clip")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ multi-frame alignment."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from .core import (
     lattice_axes,
     motion_matrices,
     offset_encodings,
-    polynomial_matrices,
     predict,
     predicted_vectors,
 )
@@ -38,7 +38,7 @@ class InferConfig:
     max_iters: int = 200
     tol: float = 1e-4  # mean update (px) that counts as converged
     init: str = "random"  # "random" | "zeros"; or pass init_field
-    init_field: np.ndarray | None = None
+    init_field: np.ndarray | None = None  # (N, 2), or (P, N, 2) for a stack of pairs
     rng_seed: int = 0
 
 
@@ -104,33 +104,24 @@ _BACKTRACKS = 40  # step halvings before a gradient step counts as failed
 _DAMPINGS = 12  # damped solves before a Newton step counts as failed (9 at most seen)
 
 
-def _smoothness_value_grad(deltas: np.ndarray, grid_shape: tuple[int, int]):
-    """Forward-difference smoothness energy and its gradient (free boundary)."""
-    ny, nx = grid_shape
-    f = deltas.reshape(ny, nx, 2)
+def _smoothness_value_grad(deltas: np.ndarray, grid_shape: tuple[int, int], value=True, gradient=True):
+    """Forward-difference smoothness energy of fields (..., N, 2), shape (...), and
+    its gradient (..., N, 2) (free boundary); None for either one not asked for."""
+    f = deltas.reshape(deltas.shape[:-2] + tuple(grid_shape) + (2,))
+    dr = f[..., 1:, :, :] - f[..., :-1, :, :]
+    dc = f[..., :, 1:, :] - f[..., :, :-1, :]
+    energy = np.sum(dr * dr, axis=(-3, -2, -1)) + np.sum(dc * dc, axis=(-3, -2, -1)) if value else None
+    if not gradient:
+        return energy, None
     g = np.zeros_like(f)
-    dr = f[1:, :] - f[:-1, :]
-    dc = f[:, 1:] - f[:, :-1]
-    value = float(np.sum(dr * dr) + np.sum(dc * dc))
-    g[1:, :] += 2 * dr
-    g[:-1, :] -= 2 * dr
-    g[:, 1:] += 2 * dc
-    g[:, :-1] -= 2 * dc
-    return value, g.reshape(-1, 2)
+    g[..., 1:, :, :] += 2 * dr
+    g[..., :-1, :, :] -= 2 * dr
+    g[..., :, 1:, :] += 2 * dc
+    g[..., :, :-1, :] -= 2 * dc
+    return energy, g.reshape(deltas.shape)
 
 
-def _taylor_terms(model: ParametricMotion, deltas: np.ndarray):
-    """M(delta) plus its two partial derivatives, each (N, K, d, d).
-
-    The matrix form of the descent objective; tests compare the polynomial
-    residual against it."""
-    b1, b2, b11, b22, b12 = model.coeffs
-    m = polynomial_matrices(model.coeffs, deltas)
-    d1 = deltas[:, 0][:, None, None, None]
-    d2 = deltas[:, 1][:, None, None, None]
-    dm1 = b1[None] + 2.0 * d1 * b11[None] + d2 * b12[None]
-    dm2 = b2[None] + 2.0 * d2 * b22[None] + d1 * b12[None]
-    return m, dm1, dm2
+_ROW_DOT = "...nm,...nm->...n"  # per-position dot products of (..., N, M) arrays
 
 
 class _PolynomialObjective:
@@ -141,44 +132,52 @@ class _PolynomialObjective:
     quadratic r(delta) = c - sum_j basis_j(delta) u_j, shape (N, K*d).  The
     value, the gradient and the exact 2x2 Hessian of each position take a few
     (N, K*d) array operations; no matrices are built per evaluation.
+
+    Leading axes of ``v0`` and ``v1`` (..., N, K, d) stack pairs of one
+    lattice; every result then carries them, and each pair's numbers are the
+    ones it has alone.
     """
 
     def __init__(self, coeffs, v0, v1, smoothness_weight, grid_shape):
-        n = len(v0)
-        self.u = np.einsum("jkde,nke->jnkd", coeffs, v0).reshape(5, n, -1)
-        self.c = (v1 - v0).reshape(n, -1)
+        lead, n = v0.shape[:-3], v0.shape[-3]
+        self.u = np.einsum("jkde,...nke->j...nkd", coeffs, v0).reshape((5,) + lead + (n, -1))
+        self.c = (v1 - v0).reshape(lead + (n, -1))
         self.lam = smoothness_weight
         self.grid_shape = grid_shape
 
-    def value(self, deltas):
-        """(objective, residual) at ``deltas``."""
-        r = self.c - np.einsum("nj,jnm->nm", delta_basis(deltas), self.u)
-        value = float(np.sum(r * r))
+    def take(self, pairs):
+        """The objective of the pairs ``pairs`` of a stack."""
+        sub = copy.copy(self)
+        sub.u, sub.c = self.u[:, pairs], self.c[pairs]
+        return sub
+
+    def value(self, deltas, pairs=None):
+        """(objective, residual) at ``deltas``, of the stack's pairs ``pairs`` when given."""
+        u, c = (self.u, self.c) if pairs is None else (self.u[:, pairs], self.c[pairs])
+        r = c - np.einsum("...nj,j...nm->...nm", delta_basis(deltas), u)
+        value = np.sum(r * r, axis=(-2, -1))
         if self.lam > 0:
-            value += self.lam * _smoothness_value_grad(deltas, self.grid_shape)[0]
+            value = value + self.lam * _smoothness_value_grad(deltas, self.grid_shape, gradient=False)[0]
         return value, r
 
     def derivatives(self, deltas, r, hessian=True):
-        """Gradient (N, 2) and, when ``hessian``, per-position residual
-        Hessians (N, 2, 2) at ``deltas``, given the residual there (else
+        """Gradient (..., N, 2) and, when ``hessian``, per-position residual
+        Hessians (..., N, 2, 2) at ``deltas``, given the residual there (else
         None); the Hessians leave out the smoothness term, whose Hessian is
         constant."""
         u1, u2, u11, u22, u12 = self.u
-        d1, d2 = deltas[:, :1], deltas[:, 1:]
+        d1, d2 = deltas[..., :1], deltas[..., 1:]
         p1 = u1 + 2.0 * d1 * u11 + d2 * u12  # -dr/d(delta_1)
         p2 = u2 + 2.0 * d2 * u22 + d1 * u12  # -dr/d(delta_2)
-        grad = -2.0 * np.stack(
-            [np.einsum("nm,nm->n", r, p1), np.einsum("nm,nm->n", r, p2)], axis=1
-        )
+        grad = -2.0 * np.stack([np.einsum(_ROW_DOT, r, p1), np.einsum(_ROW_DOT, r, p2)], axis=-1)
         if self.lam > 0:
-            grad += self.lam * _smoothness_value_grad(deltas, self.grid_shape)[1]
+            grad += self.lam * _smoothness_value_grad(deltas, self.grid_shape, value=False)[1]
         if not hessian:
             return grad, None
-        h12 = 2.0 * (np.einsum("nm,nm->n", p1, p2) - np.einsum("nm,nm->n", r, u12))
-        hess = np.empty((len(deltas), 2, 2))
-        hess[:, 0, 0] = 2.0 * (np.einsum("nm,nm->n", p1, p1) - 2.0 * np.einsum("nm,nm->n", r, u11))
-        hess[:, 1, 1] = 2.0 * (np.einsum("nm,nm->n", p2, p2) - 2.0 * np.einsum("nm,nm->n", r, u22))
-        hess[:, 0, 1] = hess[:, 1, 0] = h12
+        hess = np.empty(deltas.shape + (2,))
+        hess[..., 0, 0] = 2.0 * (np.einsum(_ROW_DOT, p1, p1) - 2.0 * np.einsum(_ROW_DOT, r, u11))
+        hess[..., 1, 1] = 2.0 * (np.einsum(_ROW_DOT, p2, p2) - 2.0 * np.einsum(_ROW_DOT, r, u22))
+        hess[..., 0, 1] = hess[..., 1, 0] = 2.0 * (np.einsum(_ROW_DOT, p1, p2) - np.einsum(_ROW_DOT, r, u12))
         return grad, hess
 
 
@@ -246,22 +245,34 @@ class _NewtonSystem:
         return s.reshape(-1, 2)
 
 
-def _gradient_step(objective, deltas, value, grad, step_size):
-    """Backtracking: halve the step along -grad until the objective drops.
+def _gradient_steps(objective, deltas, value, grad, step_size):
+    """Backtracking for a stack of pairs: halve each pair's step along its -grad
+    until its objective drops.
 
-    Returns (step, value, residual) at the accepted point, or None."""
-    step = step_size
-    for _ in range(_BACKTRACKS):
-        s = -step * grad
-        trial_value, r = objective.value(deltas + s)
-        if trial_value < value:
-            return s, trial_value, r
-        step *= 0.5
-    return None
+    Returns (descended (P,) bool, step, value, residual), the last three at each
+    pair's accepted point; the rows of pairs that did not descend are meaningless."""
+    step = np.full(len(deltas), step_size)
+    s = -step[:, None, None] * grad
+    new_value, new_r = objective.value(deltas + s)
+    descended = new_value < value
+    search = np.flatnonzero(~descended & grad.any(axis=(1, 2)))  # no step leaves a stationary point
+    for _ in range(_BACKTRACKS - 1):
+        if not search.size:
+            break
+        step[search] *= 0.5
+        trial = -step[search, None, None] * grad[search]
+        trial_value, trial_r = objective.value(deltas[search] + trial, search)
+        hit = trial_value < value[search]
+        found = search[hit]
+        s[found], new_value[found], new_r[found] = trial[hit], trial_value[hit], trial_r[hit]
+        descended[found] = True
+        search = search[~hit]
+    return descended, s, new_value, new_r
 
 
 def _newton_step(objective, deltas, value, r, grad, hess, mu, tol):
-    """Damped Newton: solve (blockdiag(hess) + 2 lam L (x) I_2 + mu I) s = -grad.
+    """Damped Newton for one pair, alone or as a stack of one: solve
+    (blockdiag(hess) + 2 lam L (x) I_2 + mu I) s = -grad.
 
     mu rises until the matrix is positive definite and the step lowers the
     objective, and falls after an accepted step.  A step shorter than ``tol``
@@ -269,44 +280,95 @@ def _newton_step(objective, deltas, value, r, grad, hess, mu, tol):
     rounding (raising mu only shortens the step): the null step is returned,
     which stops on tol.  Returns ((step, value, residual) or None, the next
     mu)."""
-    system = _NewtonSystem(hess, objective.lam, objective.grid_shape)
+    system = _NewtonSystem(hess.reshape(-1, 2, 2), objective.lam, objective.grid_shape)
     mu_floor = 1e-3 * system.diag_mean
     for _ in range(_DAMPINGS):
-        s = system.solve(mu, grad)
+        s = system.solve(mu, grad.reshape(-1, 2))
         if s is not None:
+            s = s.reshape(grad.shape)
             trial_value, trial_r = objective.value(deltas + s)
             if trial_value < value:
                 return (s, trial_value, trial_r), mu / 3.0
-            if np.mean(np.linalg.norm(s, axis=1)) < tol:
+            if np.mean(np.linalg.norm(s, axis=-1)) < tol:
                 return (np.zeros_like(s), value, r), mu
         mu = max(4.0 * mu, mu_floor)
     return None, mu
 
 
 def _descend(objective, deltas, config: InferConfig, newton: bool):
-    """Monotone descent from ``deltas``: damped Newton steps when ``newton``,
-    else (and whenever no Newton step descends) backtracking gradient steps.
-    Returns (deltas, iterations, stop reason)."""
+    """Monotone descent of a stack of pairs from ``deltas`` (P, N, 2): damped
+    Newton steps when ``newton`` (a stack of one), else (and whenever no
+    Newton step descends) backtracking gradient steps.  Each pair keeps its
+    own step sizes and stops on its own, after the iterations it takes alone.
+    Returns (deltas, iterations (P,), stop reasons (P,))."""
+    if newton and len(deltas) != 1:
+        raise ShapeError("Newton steps descend one pair at a time")
+    out = np.empty_like(deltas)
+    iters = np.full(len(deltas), config.max_iters)
+    stops = np.full(len(deltas), "cap", dtype=object)
+    live = np.arange(len(deltas))  # the pairs still descending, whose rows the arrays hold
+
+    def finish(rows, fields, it, reason):
+        out[rows], iters[rows], stops[rows] = fields, it, reason
+
     value, r = objective.value(deltas)
     grad, hess = objective.derivatives(deltas, r, newton)
     mu = 0.0
     for it in range(config.max_iters):
-        if not grad.any():
-            return deltas, it, "no_descent"  # a stationary point: no step descends
         accepted = None
-        if newton:
+        if newton and grad.any():
             accepted, mu = _newton_step(objective, deltas, value, r, grad, hess, mu, config.tol)
+            descended = np.ones(1, dtype=bool)
         if accepted is None:
-            accepted = _gradient_step(objective, deltas, value, grad, config.step_size)
-        if accepted is None:
-            return deltas, it, "no_descent"
+            descended, *accepted = _gradient_steps(objective, deltas, value, grad, config.step_size)
         s, value, r = accepted
-        mean_update = float(np.mean(np.linalg.norm(s, axis=1)))
-        deltas = deltas + s
-        if mean_update < config.tol:
-            return deltas, it + 1, "tol"
+        stopped = ~descended | (np.mean(np.linalg.norm(s, axis=-1), axis=-1) < config.tol)
+        moved = deltas + s
+        if stopped.any():
+            finish(live[~descended], deltas[~descended], it, "no_descent")
+            converged = stopped & descended
+            finish(live[converged], moved[converged], it + 1, "tol")
+            if stopped.all():
+                break
+            keep = ~stopped
+            live, moved, value, r = (a[keep] for a in (live, moved, value, r))
+            objective = objective.take(keep)
+        deltas = moved
         grad, hess = objective.derivatives(deltas, r, newton)
-    return deltas, config.max_iters, "cap"
+    else:
+        out[live] = deltas
+    return out, iters, stops
+
+
+def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1, config=None, newton=False):
+    """Descent for a stack of pairs of one frame size, (P, H, W) each, with
+    the iterates, iteration counts and stop reasons that `infer_parametric`
+    gives each pair alone.  A ``config.init_field`` holds (P, N, 2) starts;
+    Newton steps need a stack of one.
+
+    Returns (positions (N, 2), fields (P, N, 2), iterations (P,), stop reasons (P,)).
+    """
+    config = config or InferConfig()
+    if not isinstance(model, ParametricMotion):
+        raise ShapeError("infer_parametric needs a parametric motion model")
+    images_t = np.asarray(images_t, dtype=np.float64)
+    images_t1 = np.asarray(images_t1, dtype=np.float64)
+    if images_t.shape != images_t1.shape:
+        raise ShapeError("frame pair dimensions differ")
+    pos = infer_positions(encoder, model, images_t.shape[-2:], config.margin)
+    grid_shape = tuple(map(len, lattice_axes(pos)))
+    # one encode per frame: a stacked product rounds some rows differently
+    v0 = np.stack([encode(encoder, img, pos).vectors for img in images_t])
+    v1 = np.stack([encode(encoder, img, pos).vectors for img in images_t1])
+    shape = (len(images_t), len(pos), 2)
+    if config.init_field is not None:
+        deltas = np.array(config.init_field, dtype=np.float64).reshape(shape)
+    elif config.init == "zeros":
+        deltas = np.zeros(shape)
+    else:
+        deltas = np.random.default_rng(config.rng_seed).uniform(-0.5, 0.5, shape)
+    objective = _PolynomialObjective(model.coeffs, v0, v1, config.smoothness_weight, grid_shape)
+    return (pos,) + _descend(objective, deltas, config, newton)
 
 
 def infer_parametric(
@@ -328,30 +390,23 @@ def infer_parametric(
     drops below ``config.tol`` pixels, or when no step descends; ``stops``,
     when given, receives (iterations, stop reason) of the call.
     """
-    config = config or InferConfig()
-    if not isinstance(model, ParametricMotion):
-        raise ShapeError("infer_parametric needs a parametric motion model")
-    image_t = np.asarray(image_t, dtype=np.float64)
-    image_t1 = np.asarray(image_t1, dtype=np.float64)
-    pos = infer_positions(encoder, model, image_t.shape, config.margin)
-    grid_shape = tuple(map(len, lattice_axes(pos)))
-    v0 = encode(encoder, image_t, pos).vectors
-    v1 = encode(encoder, image_t1, pos).vectors
-    lam = config.smoothness_weight
-
-    if config.init_field is not None:
-        deltas = np.array(config.init_field, dtype=np.float64).reshape(len(pos), 2)
-    elif config.init == "zeros":
-        deltas = np.zeros((len(pos), 2))
-    else:
-        rng = np.random.default_rng(config.rng_seed)
-        deltas = rng.uniform(-0.5, 0.5, (len(pos), 2))
-
-    objective = _PolynomialObjective(model.coeffs, v0, v1, lam, grid_shape)
-    deltas, iters, stop = _descend(objective, deltas, config, newton)
+    pos, fields, iters, reasons = infer_parametric_stack(
+        encoder, model, np.asarray(image_t)[None], np.asarray(image_t1)[None], config, newton=newton
+    )
     if stops is not None:
-        stops.append((iters, stop))
-    return DisplacementField(pos, deltas)
+        stops.append((int(iters[0]), reasons[0]))
+    return DisplacementField(pos, fields[0])
+
+
+def descent_summary(stops) -> dict:
+    """Counts of each stop reason and the median and largest iteration count of
+    (iterations, stop reason) pairs, as run summaries report them."""
+    iters = [it for it, _ in stops]
+    return {
+        "stops": {reason: sum(r == reason for _, r in stops) for reason in STOP_REASONS},
+        "iters_median": float(np.median(iters)),
+        "iters_max": max(iters),
+    }
 
 
 # ---------------------------------------------------------------------------

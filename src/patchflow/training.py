@@ -19,7 +19,6 @@ from .core import (
     MixedMotion,
     NonParametricMotion,
     ParametricMotion,
-    apply_encoder,
     block_layout,
     delta_basis,
     eval_positions,
@@ -72,6 +71,16 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.motion_variant not in ("nonparametric", "mixed", "parametric"):
             raise ValueError(f"unknown motion variant {self.motion_variant!r}")
+        if self.motion_variant == "mixed":  # the support must hold the zero offset
+            if self.support_step < 1:
+                raise ValueError(f"support_step must be at least 1, got {self.support_step}")
+            if self.support_radius < 0:
+                raise ValueError(f"support_radius must be non-negative, got {self.support_radius}")
+            if self.support_radius % self.support_step:
+                raise ValueError(
+                    f"support_radius {self.support_radius} must be a multiple of support_step "
+                    f"{self.support_step}, or the support lacks the zero offset"
+                )
 
     @property
     def displacement_grid(self) -> DisplacementGrid:
@@ -169,6 +178,27 @@ def _rebuild(encoder: Encoder, model, weights: np.ndarray, motion: np.ndarray):
 CHUNK_BYTES = 4_000_000
 
 
+class Workspace:
+    """Patch-stack buffers that the gradient calls of one training run share.
+
+    A stack of a few MB allocated afresh on every step goes back to the OS
+    when it is freed and is faulted in again on the next step; a buffer kept
+    for the run, grown to the largest stack asked of it, is not.  Each request
+    returns a view of exactly the requested shape, which the caller writes in
+    full before reading it.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = int(np.prod(shape))
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 def _scatter_rows(shape, rows: np.ndarray, values: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum ``values`` into a zeroed array of ``shape``, each at row ``rows`` and flat place
     ``cols`` in the row (both broadcast); each bin adds in array order (deterministic)."""
@@ -177,14 +207,36 @@ def _scatter_rows(shape, rows: np.ndarray, values: np.ndarray, cols: np.ndarray)
     return np.bincount(flat_idx, weights=values.ravel(), minlength=shape[0] * width).reshape(shape)
 
 
-def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion):
+def _union_rows(width: int, *position_sets):
+    """The union of position sets in the order of first appearance, and each set's
+    rows in it: None for a set whose rows are the whole union in order."""
+    every = np.concatenate(position_sets)
+    _, first, inverse = np.unique(every[:, 0] * width + every[:, 1], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rows = np.split(np.argsort(order)[inverse.ravel()], np.cumsum([len(s) for s in position_sets])[:-1])
+    whole = np.arange(len(order))
+    return every[first[order]], [None if np.array_equal(r, whole) else r for r in rows]
+
+
+def _rows(stack: np.ndarray, rows) -> np.ndarray:
+    """``stack`` (B, U, ...) at rows ``rows`` of each frame, flattened to (B*len(rows), ...)."""
+    part = stack if rows is None else stack[:, rows]
+    return part.reshape((-1,) + stack.shape[2:])
+
+
+def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion, workspace):
     """Accumulate loss and gradients for a batch group sharing one image size.
 
     It runs in chunks of frames whose support patch stack fits in CHUNK_BYTES.
-    Every model runs the same forward pass over its support (the zero offset
-    alone for table and parametric models), on matrices laid out once per
-    chunk for `predict`, its adjoint and the motion gradient; only where the
-    motion gradient lands depends on the model type.
+    Each chunk gathers and encodes each frame once, into ``workspace``'s
+    buffers: frame t at the support centers and the reconstruction lattice,
+    frame t+1 on the lattice, which holds the evaluation positions.  Each term
+    reads its rows of those stacks; for table and parametric models, whose
+    support centers are the lattice, those are the whole stacks.  Every model
+    runs the same forward pass over its support (the zero offset alone for
+    table and parametric models), on matrices laid out once per chunk for
+    `predict`, its adjoint and the motion gradient; only where the motion
+    gradient lands depends on the model type.
     """
     w = encoder.weights
     k, d, q = w.shape
@@ -195,10 +247,15 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
     lam_rot = config.weight_rotation
     lam_rec = config.weight_reconstruction
     lam_ns = config.weight_norm_stability
+    rotation = lam_rot > 0 or lam_ns > 0
     loss, frames = 0.0, len(imgs_t)
     dw2 = d_weights.reshape(kd, q)
 
-    if lam_rot > 0 or lam_ns > 0:
+    pos_rec = encoder.grid.positions(*shape)
+    n_rec = len(pos_rec)
+    centers_t = centers_t1 = pos_rec
+    rows_rec_t = rows_rec_t1 = None
+    if rotation:
         pos = eval_positions(encoder, model, shape)
         if deltas.shape[1] != len(pos):
             raise ShapeError(
@@ -210,15 +267,22 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
         # flat places of block-layout support vectors among encodings, and of entries in a table row
         place = (inverse[:, None, :, None] * k + np.arange(k)[:, None, None]) * d + np.arange(d)
         cols = block_layout(np.arange(d_motion[0].size).reshape(1, -1, k, d, d)).ravel()
+        # the support centers lead frame t's stack, where ``place`` finds them
+        centers_t, (_, rows_x, rows_rec_t) = _union_rows(shape[1], uniq, pos, pos_rec)
+        centers_t1, (rows_rec_t1, rows_1) = _union_rows(shape[1], pos_rec, pos)
+    n_t, n_t1 = len(centers_t), len(centers_t1)
 
     for c in range(0, len(imgs_t), frames):
         ch_t, ch_t1, ch_d = imgs_t[c : c + frames], imgs_t1[c : c + frames], deltas[c : c + frames]
         b = len(ch_t)
-        if lam_rot > 0 or lam_ns > 0:
-            a1 = extract_patches(ch_t1, pos, p).reshape(b * n, q)
-            v1 = (a1 @ w2.T).reshape(b, n, k, d)
-            a_u = extract_patches(ch_t, uniq, p)
-            right = np.take(apply_encoder(w, a_u).reshape(b, -1), place, axis=1)  # (B, N, K, m, d)
+        a_t = extract_patches(ch_t, centers_t, p, out=workspace.array("frame_t", (b, n_t, q)))
+        a_t1 = extract_patches(ch_t1, centers_t1, p, out=workspace.array("frame_t1", (b, n_t1, q)))
+        v_t = (a_t.reshape(b * n_t, q) @ w2.T).reshape(b, n_t, kd)
+        v_t1 = (a_t1.reshape(b * n_t1, q) @ w2.T).reshape(b, n_t1, kd)
+        if rotation:
+            a1 = _rows(a_t1, rows_1)
+            v1 = _rows(v_t1, rows_1).reshape(b, n, k, d)
+            right = np.take(v_t.reshape(b, -1), place, axis=1)  # (B, N, K, m, d)
             blocks = block_layout(support_matrices(model, ch_d)[:, :, None])  # (B, N, K, d, m*d)
             pred = predict(blocks, np.moveaxis(right, 3, 2)[:, :, None])[..., 0, :, 0]
 
@@ -226,8 +290,8 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
             loss += lam_rot * float(np.sum(r * r))
             d_pred = -2.0 * lam_rot * r
             if lam_ns > 0:
-                a_x = extract_patches(ch_t, pos, p).reshape(b * n, q)
-                v_x = (a_x @ w2.T).reshape(b, n, k, d)
+                a_x = _rows(a_t, rows_x)
+                v_x = _rows(v_t, rows_x).reshape(b, n, k, d)
                 ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
                 loss += lam_ns * float(np.sum(ns * ns))
                 d_pred = d_pred + 4.0 * lam_ns * ns[..., None] * pred
@@ -238,8 +302,8 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
             # back through the prediction: M^T d_pred per offset, scattered onto the
             # unique support centers, and the outer product d_pred v^T per offset
             mt_g = predict_adjoint(blocks, d_pred[..., None, :, None])[..., 0]  # (B, N, K, m, d)
-            s = _scatter_rows((b * n_u, kd), np.arange(b)[:, None, None, None, None] * n_u, mt_g, place)
-            dw2 += s.T @ a_u.reshape(b * n_u, q)
+            s = _scatter_rows((b * n_t, kd), np.arange(b)[:, None, None, None, None] * n_t, mt_g, place)
+            dw2 += s.T @ a_t.reshape(b * n_t, q)
             g_m = (d_pred[..., None] * right.reshape(b, n, k, 1, -1)).reshape(b * n, -1)
             if isinstance(model, ParametricMotion):
                 basis = delta_basis(ch_d).reshape(b * n, 5)
@@ -250,40 +314,50 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
                 table[hit] += _scatter_rows((len(hit), cols.size), cidx[:, None], g_m, cols)
 
         if lam_rec > 0:
-            pos_rec = encoder.grid.positions(*shape)
-            n_rec = len(pos_rec)
-            for imgs in (ch_t, ch_t1):  # one gather and one overlap-add per frame
-                a_rec = extract_patches(imgs, pos_rec, p).reshape(b * n_rec, q)
-                v_rec = a_rec @ w2.T  # (B*N, kd)
-                e = imgs - overlap_add((v_rec @ w2).reshape(b, n_rec, q), pos_rec, shape, p)
+            decoded = workspace.array("decoded", (b * n_rec, q))
+            e_p = workspace.array("errors", (b, n_rec, q))
+            # one overlap-add per frame
+            for imgs, a_s, v_s, rows in ((ch_t, a_t, v_t, rows_rec_t), (ch_t1, a_t1, v_t1, rows_rec_t1)):
+                a_rec, v_rec = _rows(a_s, rows), _rows(v_s, rows)
+                np.matmul(v_rec, w2, out=decoded)
+                e = imgs - overlap_add(decoded.reshape(b, n_rec, q), pos_rec, shape, p)
                 loss += lam_rec * float(np.sum(e * e))
-                e_p = extract_patches(e, pos_rec, p).reshape(b * n_rec, q)
-                v_e = e_p @ w2.T
-                dw2 += -2.0 * lam_rec * (v_rec.T @ e_p + v_e.T @ a_rec)
+                extract_patches(e, pos_rec, p, out=e_p)
+                e_flat = e_p.reshape(b * n_rec, q)
+                v_e = e_flat @ w2.T
+                dw2 += -2.0 * lam_rec * (v_rec.T @ e_flat + v_e.T @ a_rec)
     return loss
 
 
-def grad_total(encoder, model, batch, config: TrainConfig):
+def _size_groups(images) -> list[list[int]]:
+    """Indices of ``images`` grouped by image size, in order of first appearance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, img in enumerate(images):
+        groups.setdefault(np.shape(img), []).append(i)
+    return list(groups.values())
+
+
+def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace | None = None):
     """Gradient of the batch-mean weighted loss.
 
     ``batch`` holds (image_t, image_t1, deltas) triplets whose ``deltas``
-    align with ``eval_positions`` for that image size.  Returns the bundle
-    and the loss value.
+    align with ``eval_positions`` for that image size.  The patch stacks go
+    into ``workspace``'s buffers (a fresh workspace's by default).  Returns
+    the bundle and the loss value.
     """
     if not batch:
         raise ShapeError("empty batch")
     d_weights = np.zeros_like(encoder.weights)
     d_motion = np.zeros_like(_motion_params(model))
     loss = 0.0
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (img_t, _, _) in enumerate(batch):
-        groups.setdefault(np.asarray(img_t).shape, []).append(i)
-    for shape, members in groups.items():
+    if workspace is None:
+        workspace = Workspace()
+    for members in _size_groups([img_t for img_t, _, _ in batch]):
         imgs_t = np.stack([np.asarray(batch[i][0], dtype=np.float64) for i in members])
         imgs_t1 = np.stack([np.asarray(batch[i][1], dtype=np.float64) for i in members])
         deltas = np.stack([np.asarray(batch[i][2], dtype=np.float64) for i in members])
         loss += _group_gradient(
-            encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion
+            encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion, workspace
         )
     scale = 1.0 / len(batch)
     loss *= scale
@@ -347,13 +421,13 @@ def prepare_dataset(dataset, encoder, model, snap_to_grid: bool) -> list:
     return prepared
 
 
-def _run_steps(params, state, prepared, encoder0, model0, config, rng, num_steps, history):
+def _run_steps(params, state, prepared, encoder0, model0, config, rng, num_steps, history, workspace):
     for _ in range(num_steps):
         take = rng.integers(0, len(prepared), size=config.batch_size)
         enc, model = _rebuild(encoder0, model0, params["weights"], params["motion"])
         batch = [prepared[i] for i in take]
         try:
-            bundle, loss = grad_total(enc, model, batch, config)
+            bundle, loss = grad_total(enc, model, batch, config, workspace)
         except NumericError as exc:
             raise TrainingDiverged(str(exc), history) from exc
         history.append(loss)
@@ -375,7 +449,7 @@ def train_supervised(dataset, config: TrainConfig):
     params = {"weights": encoder0.weights.copy(), "motion": _motion_params(model0).copy()}
     state = AdamState.init(params)
     history: list[float] = []
-    _run_steps(params, state, prepared, encoder0, model0, config, rng, config.num_steps, history)
+    _run_steps(params, state, prepared, encoder0, model0, config, rng, config.num_steps, history, Workspace())
     enc, model = _rebuild(encoder0, model0, params["weights"].copy(), params["motion"].copy())
     return enc, model, history
 
@@ -406,25 +480,47 @@ class UnsupervisedConfig:
             raise ValueError("unsupervised training uses the parametric motion model")
 
 
-def _unsup_objective(encoder, model, prepared, fields, lam_s, config, grid_shapes):
+def _unsup_objective(encoder, model, triplets, lam_s, config, grid_shapes, workspace):
+    """Mean over the pairs of the weighted loss and the fields' smoothness: one batched loss call."""
     from .inference import _smoothness_value_grad
 
-    obj = 0.0
-    for (img_t, img_t1, _), fld, grid_shape in zip(prepared, fields, grid_shapes):
-        obj += total_loss(encoder, model, [(img_t, img_t1, fld)], config)
-        if lam_s > 0:
-            sval, _ = _smoothness_value_grad(fld, grid_shape)
-            obj += lam_s * sval
-    return obj / len(prepared)
+    obj = grad_total(encoder, model, triplets, config, workspace)[1]
+    if lam_s > 0:
+        smooth = [_smoothness_value_grad(fld, shape, gradient=False)[0] for (*_, fld), shape in zip(triplets, grid_shapes)]
+        obj += lam_s * float(np.sum(smooth)) / len(triplets)
+    return obj
+
+
+def _descend_pairs(encoder, model, pairs, icfg, starts=None):
+    """Fields of every pair by gradient-step descent, all pairs of one frame size as
+    one stack, from ``icfg``'s start or, when given, from the fields ``starts``.
+
+    Returns (fields, positions, (iterations, stop reason) of each pair)."""
+    from .inference import infer_parametric_stack
+
+    fields, positions, stops = [None] * len(pairs), [None] * len(pairs), [None] * len(pairs)
+    for members in _size_groups([img_t for img_t, _ in pairs]):
+        cfg = icfg if starts is None else replace(icfg, init_field=np.stack([starts[i] for i in members]))
+        pos, found, iters, reasons = infer_parametric_stack(
+            encoder,
+            model,
+            np.stack([pairs[i][0] for i in members]),
+            np.stack([pairs[i][1] for i in members]),
+            cfg,
+        )
+        for j, i in enumerate(members):
+            fields[i], positions[i], stops[i] = found[j], pos, (int(iters[j]), reasons[j])
+    return fields, positions, stops
 
 
 def train_unsupervised(sequences, config: UnsupervisedConfig):
     """Three stages: self-deformed init, inference, then alternation.
 
-    Returns (encoder, model, diagnostics) with per-round objective values and
-    mean field changes in the diagnostics dict.
+    Returns (encoder, model, diagnostics) with per-round objective values,
+    mean field changes, and the (iterations, stop reason) of each pair's
+    descent in stage 2 and in each round of stage 3, in the diagnostics dict.
     """
-    from .inference import InferConfig, infer_parametric
+    from .inference import InferConfig
 
     frames = [np.asarray(f, dtype=np.float64) for seq in sequences for f in seq]
     if any(len(seq) < 2 for seq in sequences) or not sequences:
@@ -443,11 +539,9 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
     encoder, model, history = train_supervised(init_pairs, stage1_cfg)
 
     pairs = [
-        (seq[i], seq[i + 1]) for seq in sequences for i in range(len(seq) - 1)
-    ]
-    prepared = [
-        (np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), None)
-        for a, b in pairs
+        (np.asarray(seq[i], dtype=np.float64), np.asarray(seq[i + 1], dtype=np.float64))
+        for seq in sequences
+        for i in range(len(seq) - 1)
     ]
     # margin 0: inferred fields must cover the full training lattice
     icfg = InferConfig(
@@ -462,37 +556,34 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
     # at most infer_iters gradient steps on purpose: fields descended to
     # convergence sit at the model's objective minimum, which at desk scale
     # lies far from the true motion, and training on them raised scene EPE.
-    found = [infer_parametric(encoder, model, a, b, icfg, newton=False) for a, b, _ in prepared]
-    fields = [f.vectors for f in found]
-    positions = [f.positions for f in found]  # each pair's lattice, from its frame size
+    fields, positions, stops = _descend_pairs(encoder, model, pairs, icfg)
+    descents = [stops]
     grid_shapes = [tuple(map(len, lattice_axes(pos))) for pos in positions]
 
     # stage 3: alternate parameter updates and re-inference (warm-started)
     params = {"weights": encoder.weights.copy(), "motion": model.coeffs.copy()}
     state = AdamState.init(params)
+    workspace = Workspace()
     rng = np.random.default_rng([tcfg.rng_seed, 3])
-    objectives = [
-        _unsup_objective(encoder, model, prepared, fields, config.smoothness_weight, tcfg, grid_shapes)
-    ]
+
+    triplets = [(img_t, img_t1, fld) for (img_t, img_t1), fld in zip(pairs, fields)]
+    lam_s = config.smoothness_weight
+    objectives = [_unsup_objective(encoder, model, triplets, lam_s, tcfg, grid_shapes, workspace)]
     field_changes = []
     for _ in range(config.rounds):
-        triplets = [
-            (img_t, img_t1, fld) for (img_t, img_t1, _), fld in zip(prepared, fields)
-        ]
-        _run_steps(params, state, triplets, encoder, model, tcfg, rng, config.steps_per_round, history)
+        _run_steps(
+            params, state, triplets, encoder, model, tcfg, rng, config.steps_per_round, history, workspace
+        )
         encoder, model = _rebuild(encoder, model, params["weights"], params["motion"])
-        new_fields = []
-        for (img_t, img_t1, _), fld in zip(prepared, fields):
-            warm = replace(icfg, init_field=fld)
-            new_fields.append(infer_parametric(encoder, model, img_t, img_t1, warm, newton=False).vectors)
+        new_fields, _, stops = _descend_pairs(encoder, model, pairs, icfg, starts=fields)
+        descents.append(stops)
         change = float(
             np.mean([np.mean(np.linalg.norm(nf - of, axis=1)) for nf, of in zip(new_fields, fields)])
         )
         fields = new_fields
+        triplets = [(img_t, img_t1, fld) for (img_t, img_t1), fld in zip(pairs, fields)]
         field_changes.append(change)
-        objectives.append(
-            _unsup_objective(encoder, model, prepared, fields, config.smoothness_weight, tcfg, grid_shapes)
-        )
+        objectives.append(_unsup_objective(encoder, model, triplets, lam_s, tcfg, grid_shapes, workspace))
         if change < config.field_tol:
             break
     encoder, model = _rebuild(encoder, model, params["weights"].copy(), params["motion"].copy())
@@ -502,6 +593,7 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
         "history": history,
         "fields": fields,
         "positions": positions,
+        "descents": descents,
     }
     return encoder, model, diagnostics
 

@@ -148,6 +148,29 @@ class TestPipelines:
         assert 0 <= descent["iters_median"] <= descent["iters_max"]
 
 
+    def test_train_unsup_summary_reports_descent_stops(self, tmp_path):
+        frames = tmp_path / "frames"
+        for i, shift in enumerate((0.0, 0.7, -0.5)):
+            img = synthetic_textures(1, (40, 40), seed=60 + i)[0]
+            (frames / f"seq{i}").mkdir(parents=True)
+            write_pgm(frames / f"seq{i}" / "f0.pgm", img)
+            write_pgm(frames / f"seq{i}" / "f1.pgm", warp(img, np.full((40, 40, 2), shift)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "train": {"num_blocks": 2, "batch_size": 3, "patch_size": 8, "stride": 8},
+            "unsupervised": {"init_pairs": 4, "steps_per_round": 1, "rounds": 2, "infer_iters": 30, "field_tol": 0.0},
+        }))
+        out = tmp_path / "run"
+        assert run_cli("train-unsup", "--frames", frames, "--out", out, "--steps", 2, "--config", cfg) == EXIT_OK
+        descent = json.loads((out / "run_summary.json").read_text())["metrics"]["descent"]
+        assert set(descent) == {"stage2", "rounds"} and len(descent["rounds"]) == 2
+        for stage in [descent["stage2"], *descent["rounds"]]:
+            assert set(stage) == {"stops", "iters_median", "iters_max"}
+            assert set(stage["stops"]) == {"tol", "cap", "no_descent"}
+            assert sum(stage["stops"].values()) == 3
+            assert 0 <= stage["iters_median"] <= stage["iters_max"] <= 30
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -233,6 +256,27 @@ class TestExitCodes:
         out = tmp_path / "run"
         extra = ["--zero-predictor"] if command == "eval" else []
         code = run_cli(command, "--data", ds, "--config", cfg, "--out", out, *extra)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            {"support_radius": 3},  # offsets -3, -1, 1, 3 at step 2: no zero offset
+            {"support_step": 0},
+            {"support_radius": -2},
+        ],
+    )
+    def test_mixed_support_without_zero_offset_is_config_error(self, tmp_path, capsys, support):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--seed", 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": support}))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = run_cli("train", "--data", ds, "--config", cfg, "--out", out, "--variant", "mixed", "--steps", 1)
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")

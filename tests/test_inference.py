@@ -1,5 +1,7 @@
 """Grid/parametric inference, animation, interpolation, and alignment tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,17 +25,19 @@ from patchflow.inference import (
     _NewtonSystem,
     _PolynomialObjective,
     _smoothness_value_grad,
-    _taylor_terms,
     align_recurrent,
     animate,
     estimate_velocity,
     infer_grid,
     infer_parametric,
+    infer_parametric_stack,
     infer_positions,
     interpolate_frames,
     write_field,
 )
 from patchflow.errors import ShapeError
+
+from matrix_form import taylor_terms
 
 
 def orthonormal_encoder(p, stride, rng):
@@ -158,12 +162,12 @@ class TestInferParametric:
             cfg = InferConfig(init="zeros", max_iters=iters, smoothness_weight=0.1)
             fld = infer_parametric(enc, model, img, img2, cfg)
             # evaluate the descent objective at the returned field
-            from patchflow.inference import _smoothness_value_grad, _taylor_terms
+            from patchflow.inference import _smoothness_value_grad
 
             pos = fld.positions
             v0 = encode(enc, img, pos).vectors
             v1 = encode(enc, img2, pos).vectors
-            m, _, _ = _taylor_terms(model, fld.vectors)
+            m, _, _ = taylor_terms(model, fld.vectors)
             r = v1 - np.einsum("nkde,nke->nkd", m, v0)
             ny, nx = len(np.unique(pos[:, 0])), len(np.unique(pos[:, 1]))
             sval, _ = _smoothness_value_grad(fld.vectors, (ny, nx))
@@ -206,11 +210,11 @@ def lattice_laplacian(grid_shape):
 
 
 def descent_objective(enc, model, img, img2, field, lam):
-    """The descent objective at ``field`` in matrix form, from ``_taylor_terms``."""
+    """The descent objective at ``field`` in matrix form, from ``taylor_terms``."""
     pos = field.positions
     v0 = encode(enc, img, pos).vectors
     v1 = encode(enc, img2, pos).vectors
-    m, _, _ = _taylor_terms(model, field.vectors)
+    m, _, _ = taylor_terms(model, field.vectors)
     r = v1 - np.einsum("nkde,nke->nkd", m, v0)
     ny, nx = len(np.unique(pos[:, 0])), len(np.unique(pos[:, 1]))
     return float(np.sum(r * r)) + lam * _smoothness_value_grad(field.vectors, (ny, nx))[0]
@@ -235,7 +239,7 @@ class TestPolynomialObjective:
     def reference(self, deltas):
         """Value, gradient and per-position residual Hessians from the matrix
         form M(delta), its first derivatives and its constant second ones."""
-        m, dm1, dm2 = _taylor_terms(self.model, deltas)
+        m, dm1, dm2 = taylor_terms(self.model, deltas)
         r = self.v1 - np.einsum("nkde,nke->nkd", m, self.v0)
         p = [np.einsum("nkde,nke->nkd", dm, self.v0) for dm in (dm1, dm2)]
         _, _, b11, b22, b12 = self.model.coeffs
@@ -392,6 +396,98 @@ class TestNewtonDescent:
         infer_parametric(enc, model, img, img2, InferConfig(init="zeros", max_iters=1), newton=False, stops=stops)
         assert stops == [(0, "no_descent"), (1, "cap")]
         assert {reason for _, reason in stops} < set(STOP_REASONS)
+
+
+def reference_descent(objective, deltas, config):
+    """One pair's backtracking gradient-step descent, as it ran before pairs were stacked."""
+    value, r = objective.value(deltas)
+    grad, _ = objective.derivatives(deltas, r, hessian=False)
+    for it in range(config.max_iters):
+        if not grad.any():
+            return deltas, it, "no_descent"
+        step = config.step_size
+        for _ in range(40):
+            s = -step * grad
+            trial_value, trial_r = objective.value(deltas + s)
+            if trial_value < value:
+                break
+            step *= 0.5
+        else:
+            return deltas, it, "no_descent"
+        value, r = trial_value, trial_r
+        mean_update = float(np.mean(np.linalg.norm(s, axis=1)))
+        deltas = deltas + s
+        if mean_update < config.tol:
+            return deltas, it + 1, "tol"
+        grad, _ = objective.derivatives(deltas, r, hessian=False)
+    return deltas, config.max_iters, "cap"
+
+
+class TestStackedDescent:
+    """A stack of pairs descends each pair exactly as that pair's own descent."""
+
+    SHIFTS = (0.0, 0.2, 0.5, 1.0, 1.5, -0.8)  # the first pair is two identical frames
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(50)
+        enc = Encoder.random(3, 2, 8, 8, rng=rng)
+        model = ParametricMotion(0.3 * rng.standard_normal((5, 3, 2, 2)))
+        imgs = synthetic_textures(len(self.SHIFTS), (32, 32), seed=51)
+        frames_t1 = [warp(img, np.full(img.shape + (2,), shift)) if shift else img for img, shift in zip(imgs, self.SHIFTS)]
+        return enc, model, np.stack(imgs), np.stack(frames_t1)
+
+    # (smoothness, tol, iteration cap, step size, start) of each stack; every
+    # stack mixes stop reasons and iteration counts, together they stop on all
+    # three, and at step size 2 several pairs backtrack in the same iteration
+    CASES = {
+        "smooth_tol": (0.3, 1e-3, 80, 2.0, "zeros"),
+        "rough_tol_and_cap": (0.0, 1e-5, 60, 2.0, "zeros"),
+        "rounding_and_cap": (0.0, 0.0, 400, 0.25, "zeros"),
+        "smooth_rounding": (0.3, 0.0, 400, 2.0, "warm"),
+        "warm_tol_and_cap": (0.0, 3e-4, 40, 0.25, "warm"),
+    }
+
+    def run(self, problem, case):
+        enc, model, frames_t, frames_t1 = problem
+        lam, tol, cap, step, start = self.CASES[case]
+        cfg = InferConfig(margin=0, smoothness_weight=lam, step_size=step, max_iters=cap, tol=tol, init="zeros")
+        if start == "warm":  # a few steps of a rougher descent, the identical pair's start off zero
+            cfg = replace(cfg, init_field=infer_parametric_stack(
+                enc, model, frames_t, frames_t1, replace(cfg, smoothness_weight=0.0, max_iters=3))[1])
+            cfg.init_field[0] += 0.3
+        return cfg, infer_parametric_stack(enc, model, frames_t, frames_t1, cfg)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stack_matches_each_pair_alone(self, problem, case):
+        enc, model, frames_t, frames_t1 = problem
+        cfg, (pos, fields, iters, reasons) = self.run(problem, case)
+        grid_shape = tuple(len(np.unique(pos[:, i])) for i in (0, 1))
+        starts = np.zeros_like(fields) if cfg.init_field is None else cfg.init_field
+        for i, (a, b) in enumerate(zip(frames_t, frames_t1)):
+            alone = _PolynomialObjective(
+                model.coeffs, encode(enc, a, pos).vectors, encode(enc, b, pos).vectors,
+                cfg.smoothness_weight, grid_shape,
+            )
+            want, want_iters, want_reason = reference_descent(alone, starts[i], cfg)
+            assert np.array_equal(fields[i], want)
+            assert (iters[i], reasons[i]) == (want_iters, want_reason)
+            stops = []
+            one = infer_parametric(enc, model, a, b, replace(cfg, init_field=starts[i]), newton=False, stops=stops)
+            assert np.array_equal(one.vectors, want) and stops == [(want_iters, want_reason)]
+        assert len(set(iters.tolist())) > 2  # pairs leave the stack at different iterations
+
+    def test_cases_stop_on_every_reason(self, problem):
+        seen = set()
+        for case in self.CASES:
+            _, (_, _, iters, reasons) = self.run(problem, case)
+            seen |= {(reason, it > 0) for it, reason in zip(iters, reasons)}
+        assert {("tol", True), ("cap", True), ("no_descent", False), ("no_descent", True)} <= seen
+
+    def test_newton_needs_a_stack_of_one(self, problem):
+        enc, model, frames_t, frames_t1 = problem
+        with pytest.raises(ShapeError):
+            infer_parametric_stack(enc, model, frames_t, frames_t1, InferConfig(margin=0), newton=True)
 
 
 class TestAnimate:

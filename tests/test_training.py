@@ -482,7 +482,8 @@ class TestUnsupervised:
         """Stages 2 and 3 equal a backtracking gradient loop on the matrix form:
         their step rule and truncation are what scene EPE depends on."""
         from patchflow.datagen import warp
-        from patchflow.inference import _smoothness_value_grad, _taylor_terms, infer_positions
+        from matrix_form import taylor_terms as _taylor_terms
+        from patchflow.inference import _smoothness_value_grad, infer_positions
 
         frames = synthetic_textures(2, (40, 40), seed=30)
         seqs = [[f, warp(f, np.full(f.shape + (2,), shift))] for f, shift in zip(frames, (0.7, -1.1))]
@@ -629,9 +630,10 @@ def reference_scatter_rows(n_rows, rows, values):
     return out.reshape((n_rows,) + values.shape[1:])
 
 
-def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion):
+def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion, workspace=None):
     """`_group_gradient` before chunking: the whole group at once, the matrices laid
-    out a second time for the adjoint, the motion gradient as a 6-D outer product."""
+    out a second time for the adjoint, the motion gradient as a 6-D outer product,
+    every patch stack gathered afresh (``workspace`` unused)."""
     w = encoder.weights
     k, d, q = w.shape
     kd = k * d
@@ -757,10 +759,26 @@ class TestChunkedGradient:
         sizes = []
         real = training.extract_patches
         monkeypatch.setattr(
-            training, "extract_patches", lambda imgs, pos, p: sizes.append(len(imgs)) or real(imgs, pos, p)
+            training, "extract_patches", lambda imgs, pos, p, **kw: sizes.append(len(imgs)) or real(imgs, pos, p, **kw)
         )
         grad_total(enc, model, batch, config)
-        assert sizes == [2] * 12 + [1] * 6  # chunks of 2, 2 and 1 frames, six gathers each
+        # chunks of 2, 2 and 1 frames, four gathers each: frames t and t+1, and their errors
+        assert sizes == [2] * 8 + [1] * 4
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_reused_buffers_hold_no_stale_rows(self, monkeypatch, variant):
+        # one workspace through a 24x24 batch, a 32x32 one, then a 24x24 one whose
+        # last chunk is short; each call must equal a call on fresh buffers
+        enc, model, batch, config = chunk_problem(variant, [(24, 24)] * 5, 0.05)
+        _, _, batch32, _ = chunk_problem(variant, [(32, 32)] * 3, 0.05)
+        monkeypatch.setattr(training, "CHUNK_BYTES", 2 * support_stack_bytes(enc, model, (24, 24)))
+        workspace = training.Workspace()
+        for part in (batch[:4], batch32, [(b, a, d) for a, b, d in batch]):
+            got, loss = grad_total(enc, model, part, config, workspace)
+            want, want_loss = grad_total(enc, model, part, config)
+            assert loss == want_loss
+            assert np.array_equal(got.d_weights, want.d_weights)
+            assert np.array_equal(got.d_motion, want.d_motion)
 
     @pytest.mark.parametrize("norm_stability", [0.0, 0.05])
     @pytest.mark.parametrize("variant", ["nonparametric", "parametric"])
