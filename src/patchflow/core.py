@@ -424,9 +424,11 @@ class MixedMotion:
 
     @classmethod
     def identity(cls, grid, offsets, num_blocks, block_dim):
-        """Identity at dx = 0, zero elsewhere: the no-motion model."""
+        """Identity at dx = 0, zero elsewhere: the no-motion model, its matrices a view
+        of candidate-major block rows (`rows_table`), the layout training reads."""
         offsets = np.asarray(offsets, dtype=np.int64)
-        m = np.zeros((grid.num_candidates, len(offsets), num_blocks, block_dim, block_dim))
+        rows = np.zeros((grid.num_candidates, num_blocks, block_dim, len(offsets) * block_dim))
+        m = rows_table(rows, len(offsets))
         center = np.nonzero((offsets == 0).all(axis=1))[0]
         if len(center) == 0:
             raise ValueError("mixing support must contain the zero offset")
@@ -549,7 +551,11 @@ def support_centers(encoder, shape, positions, offsets, clamp=False):
     if clamp:
         for axis, length in enumerate(shape):
             centers[..., axis] = np.clip(centers[..., axis], *encoder.grid.center_range(length))
-    uniq, inverse = np.unique(centers.reshape(-1, 2), axis=0, return_inverse=True)
+    # one integer per center, ordered as its (row, col): a 1-D unique sorts as axis 0 would
+    lo = centers.min(axis=(0, 1), initial=0)
+    span = int(centers[..., 1].max(initial=0)) - int(lo[1]) + 1
+    keys, inverse = np.unique((centers[..., 0] - lo[0]) * span + (centers[..., 1] - lo[1]), return_inverse=True)
+    uniq = np.stack([keys // span + lo[0], keys % span + lo[1]], axis=1)
     return uniq, inverse.reshape(centers.shape[:2])
 
 
@@ -584,6 +590,19 @@ def block_layout(mats: np.ndarray) -> np.ndarray:
     r, m, k, d, e = mats.shape[-5:]
     left = np.moveaxis(mats, [-3, -5, -2, -4], [-5, -4, -3, -2])  # (..., K, R, d, m, e)
     return left.reshape(left.shape[:-5] + (k, r * d, m * e))
+
+
+def table_rows(table: np.ndarray) -> np.ndarray:
+    """A (C, m, K, d, d) table as candidate-major block rows (C, K, d, m*d): row c is
+    candidate c's matrix set in the layout of `block_layout`, so per-position blocks
+    are a gather of rows.  A view of a table that `rows_table` made, a copy of any other."""
+    return block_layout(table[:, None])
+
+
+def rows_table(rows: np.ndarray, m: int) -> np.ndarray:
+    """The (C, m, K, d, d) table that candidate-major block rows (C, K, d, m*d) hold, as a view."""
+    c, k, d, md = rows.shape
+    return np.moveaxis(rows.reshape(c, k, d, m, md // m), 3, 1)
 
 
 def predict(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:

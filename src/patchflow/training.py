@@ -8,6 +8,7 @@ the test-suite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
@@ -19,17 +20,18 @@ from .core import (
     MixedMotion,
     NonParametricMotion,
     ParametricMotion,
-    block_layout,
     delta_basis,
     eval_positions,
     extract_patches,
     lattice_axes,
     overlap_add,
+    polynomial_matrices,
     predict,
     predict_adjoint,
+    rows_table,
     support_centers,
-    support_matrices,
     support_offsets,
+    table_rows,
 )
 from .datagen import DeformSpec, SamplePair, gen_v1deform
 from .errors import DataFormatError, GridLookupError, NumericError, ShapeError, TrainingDiverged
@@ -107,33 +109,65 @@ class AdamState:
         )
 
 
+# entries of a parameter that Adam updates at a time: the update makes a dozen
+# passes over a block of each of six arrays (parameter, gradient, moments, two
+# scratch buffers), 3 MB at this size; on a 2 MB-L2 machine it ran faster than
+# whole-table passes over a desk mixed table and than blocks of 16k or 32k
+ADAM_BLOCK = 65_536
+
+
+def _flat_views(*arrays):
+    """1-D views of same-shaped arrays that hold their elements in one memory order,
+    or None when their layouts differ."""
+    order = np.argsort([-s for s in arrays[0].strides], kind="stable")
+    views = [a.transpose(order) for a in arrays]
+    if not all(v.flags.c_contiguous for v in views):
+        return None
+    return [v.reshape(-1) for v in views]
+
+
+def _adam_update(p, g, m, v, a, b, t, config) -> None:
+    """The textbook update of one block, through the scratch blocks ``a`` and ``b``."""
+    b1, b2 = config.beta1, config.beta2
+    m *= b1  # m = b1*m + (1-b1)*g
+    m += np.multiply(g, 1 - b1, out=a)
+    v *= b2  # v = b2*v + ((1-b2)*g)*g
+    np.multiply(g, 1 - b2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(m, 1 - b1 ** t, out=a)  # p -= (lr*m_hat) / (sqrt(v_hat) + eps)
+    a *= config.learning_rate
+    np.divide(v, 1 - b2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += config.eps
+    p -= np.divide(a, b, out=a)
+
+
 def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig) -> None:
     """Bias-corrected Adam update of parameters and moments, in place.
 
-    Two scratch buffers the size of a parameter replace the temporaries of
-    the textbook expressions; every product and sum is the textbook one,
-    taken in the same order, so the results are bit for bit the same.
+    A parameter larger than ADAM_BLOCK whose gradient and moments share its
+    memory layout (a mixed table in training is a view of block rows, and its
+    moments and gradient follow it) is updated in blocks of ADAM_BLOCK entries
+    in memory order; any other in one block.  Two block-sized scratch buffers
+    replace the temporaries of the textbook expressions; every product and sum
+    is the textbook one, taken in the same order, so the results are bit for
+    bit the same.
     """
     state.step += 1
-    t = state.step
-    b1, b2 = config.beta1, config.beta2
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {key}")
-        m, v = state.m[key], state.v[key]
-        a, b = np.empty_like(p), np.empty_like(p)
-        m *= b1  # m = b1*m + (1-b1)*g
-        m += np.multiply(g, 1 - b1, out=a)
-        v *= b2  # v = b2*v + ((1-b2)*g)*g
-        np.multiply(g, 1 - b2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(m, 1 - b1 ** t, out=a)  # p -= (lr*m_hat) / (sqrt(v_hat) + eps)
-        a *= config.learning_rate
-        np.divide(v, 1 - b2 ** t, out=b)
-        np.sqrt(b, out=b)
-        b += config.eps
-        p -= np.divide(a, b, out=a)
+        arrays = (p, g, state.m[key], state.v[key])
+        flat = _flat_views(*arrays) if p.size > ADAM_BLOCK else None
+        if flat is None:  # one block: a small parameter, or layouts that differ
+            _adam_update(*arrays, np.empty_like(p), np.empty_like(p), state.step, config)
+            continue
+        a, b = np.empty((2, ADAM_BLOCK))
+        for lo in range(0, p.size, ADAM_BLOCK):
+            block = [x[lo : lo + ADAM_BLOCK] for x in flat]
+            n = len(block[0])
+            _adam_update(*block, a[:n], b[:n], state.step, config)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +213,12 @@ CHUNK_BYTES = 4_000_000
 
 
 class Workspace:
-    """Patch-stack buffers that the gradient calls of one training run share.
+    """Buffers that the gradient calls of one training run share: the patch
+    stacks, the per-position block matrices and the motion gradient.
 
-    A stack of a few MB allocated afresh on every step goes back to the OS
+    An array of a few MB allocated afresh on every step goes back to the OS
     when it is freed and is faulted in again on the next step; a buffer kept
-    for the run, grown to the largest stack asked of it, is not.  Each request
+    for the run, grown to the largest array asked of it, is not.  Each request
     returns a view of exactly the requested shape, which the caller writes in
     full before reading it.
     """
@@ -199,12 +234,31 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def _scatter_rows(shape, rows: np.ndarray, values: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sum ``values`` into a zeroed array of ``shape``, each at row ``rows`` and flat place
-    ``cols`` in the row (both broadcast); each bin adds in array order (deterministic)."""
-    width = int(np.prod(shape[1:]))
-    flat_idx = np.broadcast_to(rows * width + cols, values.shape).ravel()
-    return np.bincount(flat_idx, weights=values.ravel(), minlength=shape[0] * width).reshape(shape)
+def _motion_gradient(model, workspace: Workspace) -> np.ndarray:
+    """A zeroed motion gradient in ``workspace``, shaped as the model's motion parameters:
+    a view of candidate-major block rows (`rows_table`; for a parametric model its five
+    coefficient tensors are the rows), the layout `_group_gradient` adds into."""
+    params = _motion_params(model)
+    m, k, d = len(model.offsets), model.num_blocks, model.block_dim
+    rows = workspace.array("d_motion", (len(params), k, d, m * d))
+    rows.fill(0.0)
+    return rows_table(rows, m).reshape(params.shape)
+
+
+def _add_rows(table: np.ndarray, cand: np.ndarray, values: np.ndarray) -> None:
+    """Add the rows of ``values`` (R, W) to rows ``cand`` of ``table`` (C, W), one sum per row
+    hit: each hit's rows summed in array order, then added to the table row.  The sums build
+    in place in ``values``.  They start from a hit's first row, not from zero: 0 + x and x
+    differ only in the sign of a zero, and a table that starts at +0 never holds -0 (a sum is
+    -0 only when both terms are), so adding either sum gives the same bits."""
+    order = np.argsort(cand, kind="stable")
+    grouped = cand[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
+        total = values[order[lo]]
+        for r in order[lo + 1 : hi].tolist():
+            total += values[r]
+        table[grouped[lo]] += total
 
 
 def _union_rows(width: int, *position_sets):
@@ -234,9 +288,12 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
     reads its rows of those stacks; for table and parametric models, whose
     support centers are the lattice, those are the whole stacks.  Every model
     runs the same forward pass over its support (the zero offset alone for
-    table and parametric models), on matrices laid out once per chunk for
-    `predict`, its adjoint and the motion gradient; only where the motion
-    gradient lands depends on the model type.
+    table and parametric models), on one set of per-position block matrices
+    per chunk for `predict`, its adjoint and the motion gradient.  A table's
+    are a gather of its candidate-major block rows (`table_rows`: a view of
+    a table in training's storage, a copy per call of any other), and its
+    gradient, ``d_motion`` as `_motion_gradient` lays it out, gains rows in
+    that same layout; a parametric model's are its polynomial M(delta).
     """
     w = encoder.weights
     k, d, q = w.shape
@@ -264,12 +321,19 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
         uniq, inverse = support_centers(encoder, shape, pos, model.offsets)
         n, n_u = len(pos), len(uniq)
         frames = max(1, CHUNK_BYTES // (8 * q * n_u))
-        # flat places of block-layout support vectors among encodings, and of entries in a table row
+        # flat places of block-layout support vectors among encodings
         place = (inverse[:, None, :, None] * k + np.arange(k)[:, None, None]) * d + np.arange(d)
-        cols = block_layout(np.arange(d_motion[0].size).reshape(1, -1, k, d, d)).ravel()
         # the support centers lead frame t's stack, where ``place`` finds them
         centers_t, (_, rows_x, rows_rec_t) = _union_rows(shape[1], uniq, pos, pos_rec)
         centers_t1, (rows_rec_t1, rows_1) = _union_rows(shape[1], pos_rec, pos)
+        # flat places of the support vectors' adjoint among a chunk's frame-t encodings
+        scatter = np.arange(frames)[:, None] * (len(centers_t) * kd) + place.ravel()
+        if isinstance(model, ParametricMotion):
+            table = None
+        else:
+            table = table_rows(model.table)
+            # a view: `_motion_gradient` lays the gradient out as these rows
+            d_table = table_rows(d_motion.reshape(model.table.shape)).reshape(len(table), -1)
     n_t, n_t1 = len(centers_t), len(centers_t1)
 
     for c in range(0, len(imgs_t), frames):
@@ -283,7 +347,12 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
             a1 = _rows(a_t1, rows_1)
             v1 = _rows(v_t1, rows_1).reshape(b, n, k, d)
             right = np.take(v_t.reshape(b, -1), place, axis=1)  # (B, N, K, m, d)
-            blocks = block_layout(support_matrices(model, ch_d)[:, :, None])  # (B, N, K, d, m*d)
+            if table is None:  # a single offset: M(delta) is its own block layout
+                blocks = polynomial_matrices(model.coeffs, ch_d)
+            else:
+                cand = model.grid.round_indices(ch_d)
+                out = workspace.array("blocks", cand.shape + table.shape[1:])
+                blocks = np.take(table, cand, axis=0, out=out, mode="clip")  # (B, N, K, d, m*d)
             pred = predict(blocks, np.moveaxis(right, 3, 2)[:, :, None])[..., 0, :, 0]
 
             r = v1 - pred
@@ -302,16 +371,15 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
             # back through the prediction: M^T d_pred per offset, scattered onto the
             # unique support centers, and the outer product d_pred v^T per offset
             mt_g = predict_adjoint(blocks, d_pred[..., None, :, None])[..., 0]  # (B, N, K, m, d)
-            s = _scatter_rows((b * n_t, kd), np.arange(b)[:, None, None, None, None] * n_t, mt_g, place)
-            dw2 += s.T @ a_t.reshape(b * n_t, q)
-            g_m = (d_pred[..., None] * right.reshape(b, n, k, 1, -1)).reshape(b * n, -1)
-            if isinstance(model, ParametricMotion):
+            s = np.bincount(scatter[:b].ravel(), weights=mt_g.ravel(), minlength=b * n_t * kd)
+            dw2 += s.reshape(b * n_t, kd).T @ a_t.reshape(b * n_t, q)
+            # per position, a table row's gradient in its block layout, over the spent blocks
+            g_m = np.multiply(d_pred[..., None], right.reshape(b, n, k, 1, -1), out=blocks).reshape(b * n, -1)
+            if table is None:
                 basis = delta_basis(ch_d).reshape(b * n, 5)
                 d_motion += (basis.T @ g_m).reshape(d_motion.shape)
             else:  # only the candidates hit gain
-                hit, cidx = np.unique(model.grid.round_indices(ch_d).ravel(), return_inverse=True)
-                table = d_motion.reshape(len(d_motion), -1)
-                table[hit] += _scatter_rows((len(hit), cols.size), cidx[:, None], g_m, cols)
+                _add_rows(d_table, cand.ravel(), g_m)
 
         if lam_rec > 0:
             decoded = workspace.array("decoded", (b * n_rec, q))
@@ -341,17 +409,18 @@ def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace 
     """Gradient of the batch-mean weighted loss.
 
     ``batch`` holds (image_t, image_t1, deltas) triplets whose ``deltas``
-    align with ``eval_positions`` for that image size.  The patch stacks go
-    into ``workspace``'s buffers (a fresh workspace's by default).  Returns
-    the bundle and the loss value.
+    align with ``eval_positions`` for that image size.  The patch stacks and
+    the motion gradient go into ``workspace``'s buffers (a fresh workspace's
+    by default), so the bundle's ``d_motion`` holds until the next call with
+    that workspace.  Returns the bundle and the loss value.
     """
     if not batch:
         raise ShapeError("empty batch")
-    d_weights = np.zeros_like(encoder.weights)
-    d_motion = np.zeros_like(_motion_params(model))
-    loss = 0.0
     if workspace is None:
         workspace = Workspace()
+    d_weights = np.zeros_like(encoder.weights)
+    d_motion = _motion_gradient(model, workspace)
+    loss = 0.0
     for members in _size_groups([img_t for img_t, _, _ in batch]):
         imgs_t = np.stack([np.asarray(batch[i][0], dtype=np.float64) for i in members])
         imgs_t1 = np.stack([np.asarray(batch[i][1], dtype=np.float64) for i in members])
@@ -446,7 +515,8 @@ def train_supervised(dataset, config: TrainConfig):
     prepared = prepare_dataset(dataset, encoder0, model0, snap)
     if not prepared:
         raise ShapeError("empty dataset")
-    params = {"weights": encoder0.weights.copy(), "motion": _motion_params(model0).copy()}
+    # np.copy keeps the layout: a mixed table stays a view of block rows, as do its moments
+    params = {"weights": encoder0.weights.copy(), "motion": np.copy(_motion_params(model0))}
     state = AdamState.init(params)
     history: list[float] = []
     _run_steps(params, state, prepared, encoder0, model0, config, rng, config.num_steps, history, Workspace())
@@ -648,12 +718,49 @@ def _header_entry(meta, key: str, path):
     return meta[key]
 
 
+def _is_int(value, lo=-(2**31)) -> bool:
+    """Whether a JSON value is an integer in [lo, 2**31) (a JSON true is not)."""
+    return type(value) is int and lo <= value < 2**31
+
+
+def _header_int(meta, key: str, path, lo: int = 1) -> int:
+    """``meta[key]``, an integer of at least ``lo``."""
+    value = _header_entry(meta, key, path)
+    if not _is_int(value, lo):
+        raise DataFormatError(f"{path}: checkpoint header {key!r} must be an integer >= {lo}, got {value!r}")
+    return value
+
+
+def _header_grid(mmeta, path) -> DisplacementGrid:
+    """The displacement grid of a table model's motion entry."""
+    gmeta = _header_entry(mmeta, "grid", path)
+    bounds = [_header_entry(gmeta, key, path) for key in ("lo", "hi", "step")]
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in bounds):
+        raise DataFormatError(f"{path}: checkpoint grid bounds must be finite numbers, got {bounds}")
+    try:
+        return DisplacementGrid(*bounds)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a span too wide to count its steps
+        raise DataFormatError(f"{path}: bad checkpoint grid {bounds}: {exc}") from None
+
+
+def _header_offsets(mmeta, path) -> np.ndarray:
+    """The mixing support of a mixed model's motion entry, which holds the zero offset."""
+    offsets = _header_entry(mmeta, "offsets", path)
+    pairs = isinstance(offsets, list) and offsets and all(isinstance(o, list) and len(o) == 2 for o in offsets)
+    if not pairs or not all(_is_int(v) for o in offsets for v in o):
+        raise DataFormatError(f"{path}: checkpoint offsets must be a non-empty list of integer pairs")
+    if [0, 0] not in offsets:
+        raise DataFormatError(f"{path}: checkpoint offsets lack the zero offset")
+    return np.asarray(offsets, dtype=np.int64)
+
+
 def load_checkpoint(path):
     """Returns (encoder, model, header).
 
-    The header is checked for every entry the model needs before the
-    parameter blocks are read; a header that is not a checkpoint's raises
-    DataFormatError."""
+    Every header entry the model needs is checked before the parameter
+    blocks are read, and the blocks' shapes against the encoder and motion
+    entries; a header that is not a checkpoint's, a body of another length
+    or non-finite parameters raise DataFormatError."""
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:
@@ -676,28 +783,42 @@ def load_checkpoint(path):
     variant = _header_entry(mmeta, "variant", path)
     if variant not in ("nonparametric", "mixed", "parametric"):
         raise DataFormatError(f"{path}: unknown motion variant {variant!r}")
-    if variant != "parametric":
-        gmeta = _header_entry(mmeta, "grid", path)
-        grid = DisplacementGrid(*(_header_entry(gmeta, key, path) for key in ("lo", "hi", "step")))
+    k, d = _header_int(emeta, "num_blocks", path), _header_int(emeta, "block_dim", path)
+    p, stride = _header_int(emeta, "patch_size", path), _header_int(emeta, "stride", path)
+    if stride > p:
+        raise DataFormatError(f"{path}: checkpoint stride {stride} exceeds patch_size {p}")
+    if variant == "parametric":
+        motion_shape = [5, k, d, d]
+    else:
+        grid = _header_grid(mmeta, path)
+        motion_shape = [grid.num_candidates, k, d, d]
     if variant == "mixed":
-        offsets = np.asarray(_header_entry(mmeta, "offsets", path), dtype=np.int64)
+        offsets = _header_offsets(mmeta, path)
+        motion_shape.insert(1, len(offsets))
     if not isinstance(blocks, list) or len(blocks) != 2:
         raise DataFormatError(f"{path}: checkpoint header needs two parameter blocks")
     body = raw[nl + 1 :]
     arrays = []
     offset = 0
-    for block in blocks:
-        shape = _header_entry(block, "shape", path)
-        count = int(np.prod(shape, dtype=np.int64))
-        end = offset + 8 * count
+    for block, shape in zip(blocks, ([k, d, p * p], motion_shape)):
+        stated = _header_entry(block, "shape", path)
+        if not (isinstance(stated, list) and all(type(n) is int for n in stated) and stated == shape):
+            raise DataFormatError(
+                f"{path}: parameter block {block.get('name')!r} has shape {stated!r}; the header's "
+                f"encoder and motion entries give {shape}"
+            )
+        end = offset + 8 * math.prod(shape)
         if end > len(body):
             raise DataFormatError(f"{path}: truncated parameter block {block.get('name')}")
-        arrays.append(np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy())
+        array = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(array)):
+            raise DataFormatError(f"{path}: parameter block {block.get('name')} has non-finite entries")
+        arrays.append(array)
         offset = end
     if offset != len(body):
         raise DataFormatError(f"{path}: trailing bytes after parameter blocks")
     weights, motion = arrays
-    encoder = Encoder(weights, _header_entry(emeta, "patch_size", path), _header_entry(emeta, "stride", path))
+    encoder = Encoder(weights, p, stride)
     if variant == "nonparametric":
         model = NonParametricMotion(grid, motion)
     elif variant == "mixed":

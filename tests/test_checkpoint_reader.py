@@ -1,0 +1,150 @@
+"""The checkpoint reader on damaged files: a seeded sweep of truncations and byte
+flips, and targeted header faults.  Every case loads or raises DataFormatError."""
+
+import json
+
+import numpy as np
+import pytest
+
+from patchflow.cli import EXIT_FORMAT, main
+from patchflow.core import DisplacementGrid, Encoder, MixedMotion, NonParametricMotion, ParametricMotion, support_offsets
+from patchflow.errors import DataFormatError
+from patchflow.training import load_checkpoint, save_checkpoint
+
+VARIANTS = ("nonparametric", "mixed", "parametric")
+
+
+def small_model(variant):
+    grid = DisplacementGrid(-1, 1, 1.0)
+    rng = np.random.default_rng(7)
+    if variant == "nonparametric":
+        return NonParametricMotion(grid, rng.standard_normal((9, 2, 2, 2)))
+    if variant == "mixed":
+        return MixedMotion(grid, support_offsets(2, 2), rng.standard_normal((9, 9, 2, 2, 2)))
+    return ParametricMotion(rng.standard_normal((5, 2, 2, 2)))
+
+
+def checkpoint_bytes(tmp_path, variant, patch_size=4):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Encoder.random(2, 2, patch_size, 2, rng=8), small_model(variant), extra={"seed": 1})
+    return path, path.read_bytes()
+
+
+def loads(path) -> bool:
+    """True when ``path`` loads and False on DataFormatError; any other error propagates."""
+    try:
+        load_checkpoint(path)
+    except DataFormatError:
+        return False
+    return True
+
+
+def flips(raw, lo, hi, count, seed):
+    """``count`` copies of ``raw``, each with one byte in [lo, hi) XORed by a nonzero value."""
+    rng = np.random.default_rng(seed)
+    for pos, mask in zip(rng.integers(lo, hi, count), rng.integers(1, 256, count)):
+        damaged = bytearray(raw)
+        damaged[pos] ^= int(mask)
+        yield bytes(damaged)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+class TestCorruptionSweep:
+    def test_every_truncation_is_a_format_error(self, tmp_path, variant):
+        path, raw = checkpoint_bytes(tmp_path, variant)
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            assert not loads(path), n
+
+    def test_header_byte_flips(self, tmp_path, variant):
+        path, raw = checkpoint_bytes(tmp_path, variant)
+        outcomes = []
+        for damaged in flips(raw, 0, raw.find(b"\n"), 600, seed=VARIANTS.index(variant)):
+            path.write_bytes(damaged)
+            outcomes.append(loads(path))
+        assert not all(outcomes)
+
+    def test_body_byte_flips(self, tmp_path, variant):
+        path, raw = checkpoint_bytes(tmp_path, variant)
+        for damaged in flips(raw, raw.find(b"\n") + 1, len(raw), 300, seed=10 + VARIANTS.index(variant)):
+            path.write_bytes(damaged)
+            loads(path)
+
+
+def edit_header(raw, edit):
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    edit(header)
+    return json.dumps(header).encode() + raw[nl:]
+
+
+def set_shape(shape):
+    def edit(header):
+        header["blocks"][0]["shape"] = shape
+
+    return edit
+
+
+def set_entry(section, key, value):
+    def edit(header):
+        meta = header["motion"] if section == "motion" else header[section]
+        meta = meta["grid"] if key in ("lo", "hi", "step") else meta
+        meta[key] = value
+
+    return edit
+
+
+# header faults that once ended in a traceback: a block shape the reader could not
+# take, a grid it could not build, and entries that disagree with the blocks
+TARGETED = {
+    "shape_negative": set_shape([-1, 2, 256]),
+    "shape_string": set_shape(["a"]),
+    "shape_null": set_shape(None),
+    "shape_float": set_shape(256.5),
+    "shape_float_entries": set_shape([2.0, 2.0, 256.0]),
+    "grid_step_zero": set_entry("motion", "step", 0),
+    "grid_step_string": set_entry("motion", "step", "1"),
+    "grid_too_fine": set_entry("motion", "hi", 1e308),
+    "grid_too_wide": lambda h: h["motion"]["grid"].update(lo=-1e308, hi=1e308),
+    "offsets_count": lambda h: h["motion"]["offsets"].pop(),
+    "offsets_not_pairs": set_entry("motion", "offsets", [[0, 0, 0]]),
+    "offsets_without_zero": lambda h: h["motion"].update(offsets=[[o[0] + 9, o[1]] for o in h["motion"]["offsets"]]),
+    "patch_size": set_entry("encoder", "patch_size", 15),
+    "num_blocks": set_entry("encoder", "num_blocks", 3),
+    "stride_zero": set_entry("encoder", "stride", 0),
+    "stride_over_patch": set_entry("encoder", "stride", 17),
+    "block_not_object": lambda h: h["blocks"].__setitem__(1, [5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TARGETED))
+def test_targeted_header_faults_exit_with_one_format_error_line(tmp_path, capsys, case):
+    path, raw = checkpoint_bytes(tmp_path, "mixed", patch_size=16)
+    path.write_bytes(edit_header(raw, TARGETED[case]))
+    with pytest.raises(DataFormatError):
+        load_checkpoint(path)
+    ds = tmp_path / "ds"
+    main(["gen-data", "--out", str(ds), "--pairs", "1", "--size", "32", "--seed", "1"])
+    capsys.readouterr()
+    code = main(["infer", "--checkpoint", str(path), "--data", str(ds), "--out", str(tmp_path / "out")])
+    assert code == EXIT_FORMAT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("format error:")
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_non_finite_parameters_are_format_errors(tmp_path, block):
+    path, raw = checkpoint_bytes(tmp_path, "mixed")
+    start = raw.find(b"\n") + 1 + (0 if block == 0 else 8 * 2 * 2 * 16)
+    path.write_bytes(raw[:start] + np.array([np.nan]).astype("<f8").tobytes() + raw[start + 8 :])
+    with pytest.raises(DataFormatError, match="non-finite"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sound_headers_load(tmp_path, variant):
+    path, raw = checkpoint_bytes(tmp_path, variant)
+    assert loads(path)
+    # grid bounds may be integers or floats, as JSON writes them
+    path.write_bytes(edit_header(raw, lambda h: h["motion"].update(grid={"lo": -1.0, "hi": 1, "step": 1})))
+    assert loads(path)

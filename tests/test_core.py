@@ -490,3 +490,40 @@ class TestChecksAndAdjoint:
         adj = predict_adjoint(blocks, grads)  # (K, m, d, n)
         rhs = np.sum(adj * np.moveaxis(vectors, [0, 1, 2, 3], [3, 1, 0, 2]))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def axis0_support_centers(encoder, shape, positions, offsets, clamp=False):
+    """`support_centers` through `np.unique(axis=0)` on the (row, col) pairs."""
+    centers = np.asarray(positions, dtype=np.int64)[:, None, :] + np.asarray(offsets, dtype=np.int64)
+    if clamp:
+        for axis, length in enumerate(shape):
+            centers[..., axis] = np.clip(centers[..., axis], *encoder.grid.center_range(length))
+    uniq, inverse = np.unique(centers.reshape(-1, 2), axis=0, return_inverse=True)
+    return uniq, inverse.reshape(centers.shape[:2])
+
+
+class TestSupportCenters:
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_matches_axis0_unique(self, clamp):
+        from patchflow.core import support_centers
+
+        enc = Encoder.random(2, 2, 8, 4, rng=12)
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            shape = tuple(rng.integers(8, 60, 2))
+            positions = rng.integers(-10, 70, (rng.integers(1, 30), 2))
+            offsets = rng.integers(-6, 7, (rng.integers(1, 10), 2))
+            want = axis0_support_centers(enc, shape, positions, offsets, clamp)
+            got = support_centers(enc, shape, positions, offsets, clamp)
+            assert got[0].dtype == want[0].dtype and got[1].shape == want[1].shape
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_desk_lattice_and_support(self):
+        from patchflow.core import eval_positions, support_centers
+
+        enc = Encoder.random(2, 2, 16, 8, rng=14)
+        model = MixedMotion.identity(DisplacementGrid(), support_offsets(4, 2), 2, 2)
+        for clamp, pos in ((False, eval_positions(enc, model, (64, 64))), (True, enc.grid.positions(64, 64))):
+            want = axis0_support_centers(enc, (64, 64), pos, model.offsets, clamp)
+            got = support_centers(enc, (64, 64), pos, model.offsets, clamp)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
