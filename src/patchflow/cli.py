@@ -29,6 +29,7 @@ from .errors import (
     GridLookupError,
     NumericError,
     PatchflowError,
+    ShapeError,
 )
 
 EXIT_OK = 0
@@ -39,6 +40,10 @@ EXIT_FORMAT = 4
 EXIT_NUMERIC = 5
 
 SCHEMA_VERSION = 1
+
+# the Newton blocks of one descent stack, ny (2 nx)^2 float64 per pair; their
+# inverses take as much again
+NEWTON_STACK_BYTES = 4 * 2**20
 
 
 def _defaults(cls, *leave_out) -> dict:
@@ -273,10 +278,40 @@ def cmd_train_unsup(args, config, settings) -> dict:
     }
 
 
-def _infer_one(encoder, model, pair, icfg, stops):
-    if isinstance(model, training.ParametricMotion):
-        return inference.infer_parametric(encoder, model, pair.image_t, pair.image_t1, icfg, stops=stops)
-    return inference.infer_grid(encoder, model, pair.image_t, pair.image_t1, icfg)
+def _descent_stacks(members: list[int], grid_shape, threads: int) -> list[list[int]]:
+    """One frame size's pairs ``members`` cut into contiguous stacks: at least
+    ``threads`` of them, and each small enough that its Newton blocks fit in
+    NEWTON_STACK_BYTES (a pair larger than that descends alone)."""
+    ny, nx = grid_shape
+    per_stack = max(1, NEWTON_STACK_BYTES // (8 * ny * (2 * nx) ** 2))
+    count = max(min(threads, len(members)), -(-len(members) // per_stack))
+    return [part.tolist() for part in np.array_split(members, count)]
+
+
+def _infer_stacks(encoder, model, pairs, icfg, threads: int):
+    """Damped-Newton fields of ``pairs`` under a parametric model, each frame
+    size's pairs descended as stacks.  Returns (fields, (iterations, stop
+    reason) of each pair)."""
+    stacks = []
+    for members in training.size_groups([pair.image_t for pair in pairs]):
+        pos = inference.infer_positions(encoder, model, pairs[members[0]].image_t.shape, icfg.margin)
+        stacks += _descent_stacks(members, tuple(map(len, lattice_axes(pos))), threads)
+
+    def descend(members):
+        return inference.infer_parametric_stack(
+            encoder,
+            model,
+            np.stack([pairs[i].image_t for i in members]),
+            np.stack([pairs[i].image_t1 for i in members]),
+            icfg,
+            newton=True,
+        )
+
+    fields, stops = [None] * len(pairs), [None] * len(pairs)
+    for members, (pos, found, iters, reasons) in zip(stacks, parallel_map(descend, stacks, threads)):
+        for j, i in enumerate(members):
+            fields[i], stops[i] = DisplacementField(pos, found[j]), (int(iters[j]), reasons[j])
+    return fields, stops
 
 
 def cmd_infer(args, config, settings) -> dict:
@@ -295,12 +330,17 @@ def cmd_infer(args, config, settings) -> dict:
         pairs = datagen.dataset_read(args.data)
         if args.limit is not None:
             pairs = pairs[: args.limit]
+    if any(pair.image_t.shape != pair.image_t1.shape for pair in pairs):
+        raise ShapeError("frame pair dimensions differ")
     for shape in {pair.image_t.shape for pair in pairs}:  # every size fits before any pair
         eval_positions(encoder, model, shape)
     stops: list = []  # (iterations, stop reason) of each descent
-    fields = parallel_map(
-        lambda p: _infer_one(encoder, model, p, icfg, stops), pairs, config["threads"]
-    )
+    if isinstance(model, training.ParametricMotion):
+        fields, stops = _infer_stacks(encoder, model, pairs, icfg, config["threads"])
+    else:
+        fields = parallel_map(
+            lambda p: inference.infer_grid(encoder, model, p.image_t, p.image_t1, icfg), pairs, config["threads"]
+        )
     for i, fld in enumerate(fields):
         inference.write_field(out / f"field_{i:05d}.v1fd", fld)
         if args.text:

@@ -1,6 +1,5 @@
 """Displacement-field inference and the sequence tasks built on top of it:
-multi-step animation with re-encoding, frame interpolation, and recurrent
-multi-frame alignment."""
+multi-step animation with re-encoding and frame interpolation."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import numpy as np
 
 from .core import (
     DisplacementField,
-    NonParametricMotion,
     ParametricMotion,
     VectorField,
     border_filter,
@@ -20,7 +18,6 @@ from .core import (
     encode,
     eval_positions,
     lattice_axes,
-    motion_matrices,
     offset_encodings,
     predict,
     predicted_vectors,
@@ -182,67 +179,100 @@ class _PolynomialObjective:
 
 
 class _NewtonSystem:
-    """The Newton matrix blockdiag(hess) + 2 lam L (x) I_2 of one iteration,
-    L the graph Laplacian of the 4-neighbour lattice (the Hessian of the
-    smoothness term), solved with damping mu I added.
+    """The Newton matrices blockdiag(hess) + 2 lam L (x) I_2 of one iteration,
+    one per pair of a stack, L the graph Laplacian of the 4-neighbour lattice
+    (the Hessian of the smoothness term), solved with each pair's damping mu I
+    added.
 
     Without smoothness the positions decouple into N 2x2 systems, solved in
-    closed form.  With it the matrix is block tridiagonal over the lattice
+    closed form.  With it each matrix is block tridiagonal over the lattice
     rows, with -2 lam I between neighbouring rows: block elimination over the
-    rows takes O(N nx^2) time and O(N nx) memory for nx positions per row,
-    and a Cholesky test of each pivot block tells whether the matrix is
+    rows takes O(N nx^2) time and O(N nx) memory per pair for nx positions per
+    row, with one batched Cholesky test and one batched inverse of the pivot
+    blocks per row; the Cholesky tests tell whether a pair's matrix is
     positive definite."""
 
     def __init__(self, hess, lam, grid_shape):
+        """``hess`` holds the per-position residual Hessians (P, N, 2, 2) of a stack of pairs."""
         self.w = 2.0 * lam  # the coupling between neighbours is -w I
         if lam == 0:
             self.hess = hess
-            self.diag_mean = float(np.mean(np.abs(hess[:, [0, 1], [0, 1]])))
-            return
-        ny, nx = grid_shape
-        rows, cols = np.indices(grid_shape)
-        degree = (rows > 0).astype(float) + (rows < ny - 1) + (cols > 0) + (cols < nx - 1)
-        m = 2 * nx  # unknowns per lattice row, position-major
-        blocks = np.zeros((ny, m, m))
-        j = np.arange(nx)
-        blocks.reshape(ny, nx, 2, nx, 2)[:, j, :, j, :] = np.swapaxes(hess.reshape(ny, nx, 2, 2), 0, 1)
-        k = np.arange(m)
-        blocks[:, k, k] += self.w * np.repeat(degree, 2, axis=1)
-        blocks[:, k[:-2], k[2:]] = blocks[:, k[2:], k[:-2]] = -self.w  # row neighbours
-        self.blocks = blocks
-        self.diag_mean = float(np.mean(np.abs(blocks[:, k, k])))
+            diag = np.abs(hess[..., [0, 1], [0, 1]])
+        else:
+            ny, nx = grid_shape
+            rows, cols = np.indices(grid_shape)
+            degree = (rows > 0).astype(float) + (rows < ny - 1) + (cols > 0) + (cols < nx - 1)
+            m = 2 * nx  # unknowns per lattice row, position-major
+            blocks = np.zeros((len(hess), ny, m, m))
+            j = np.arange(nx)
+            blocks.reshape(-1, ny, nx, 2, nx, 2)[:, :, j, :, j, :] = np.moveaxis(hess.reshape(-1, ny, nx, 2, 2), 2, 0)
+            k = np.arange(m)
+            blocks[..., k, k] += self.w * np.repeat(degree, 2, axis=1)
+            blocks[..., k[:-2], k[2:]] = blocks[..., k[2:], k[:-2]] = -self.w  # row neighbours
+            self.blocks = blocks
+            diag = np.abs(blocks[..., k, k])
+        # each pair's mean on its own: one mean over the stack's axes rounds differently
+        self.diag_mean = np.array([np.mean(d) for d in diag])
 
-    def solve(self, mu, grad):
-        """The step s with (matrix + mu I) s = -grad, (N, 2); None when that
-        matrix is not positive definite."""
+    def solve(self, mu, grad, pairs):
+        """The steps s with (matrix + mu I) s = -grad of the stack's pairs
+        ``pairs``, given their dampings mu (S,) and gradients (S, N, 2).
+
+        Returns (solved (S,) bool, steps (solved pairs, N, 2)): a pair is solved
+        when its matrix + mu I is positive definite."""
         if self.w == 0:
-            a = self.hess[:, 0, 0] + mu
-            b = self.hess[:, 0, 1]
-            c = self.hess[:, 1, 1] + mu
+            h = self.hess[pairs]
+            a = h[..., 0, 0] + mu[:, None]
+            b = h[..., 0, 1]
+            c = h[..., 1, 1] + mu[:, None]
             det = a * c - b * b
-            if not (np.all(a > 0) and np.all(det > 0)):
-                return None
-            g1, g2 = grad[:, 0], grad[:, 1]
-            return np.stack([b * g2 - c * g1, b * g1 - a * g2], axis=1) / det[:, None]
-        ny, m = self.blocks.shape[:2]
+            solved = np.all(a > 0, axis=1) & np.all(det > 0, axis=1)
+            a, b, c, det, g1, g2 = (x[solved] for x in (a, b, c, det, grad[..., 0], grad[..., 1]))
+            return solved, np.stack([b * g2 - c * g1, b * g1 - a * g2], axis=-1) / det[..., None]
+        ny, m = self.blocks.shape[1:3]
         eye = np.eye(m)
-        y = -grad.reshape(ny, m)
-        inv = np.empty_like(self.blocks)  # inverses of the pivot blocks
+        live = np.arange(len(pairs))  # the pairs positive definite so far, whose rows y and inv hold
+        y = -grad.reshape(len(pairs), ny, m)
+        inv = []  # inverses of the pivot blocks, one (live, m, m) array per lattice row
         for i in range(ny):
-            pivot = self.blocks[i] + mu * eye
+            pivot = self.blocks[pairs[live], i]
+            pivot += mu[live, None, None] * eye
             if i:
                 pivot -= self.w * self.w * inv[i - 1]
-                y[i] += self.w * (inv[i - 1] @ y[i - 1])
-            try:
-                np.linalg.cholesky(pivot)
-            except np.linalg.LinAlgError:
-                return None
-            inv[i] = np.linalg.inv(pivot)
+                y[:, i] += self.w * _matvec(inv[i - 1], y[:, i - 1])
+            definite = _positive_definite(pivot)
+            if not definite.all():
+                live, pivot, y = live[definite], pivot[definite], y[definite]
+                inv = [a[definite] for a in inv]
+            inv.append(np.linalg.inv(pivot))
         s = np.empty_like(y)
-        s[-1] = inv[-1] @ y[-1]
+        s[:, -1] = _matvec(inv[-1], y[:, -1])
         for i in range(ny - 2, -1, -1):
-            s[i] = inv[i] @ (y[i] + self.w * s[i + 1])
-        return s.reshape(-1, 2)
+            s[:, i] = _matvec(inv[i], y[:, i] + self.w * s[:, i + 1])
+        solved = np.zeros(len(pairs), dtype=bool)
+        solved[live] = True
+        return solved, s.reshape((len(live),) + grad.shape[1:])
+
+
+def _matvec(a, x):
+    """a @ x of a stack of matrices (S, m, m) and of vectors (S, m), each product
+    the matrix-vector product that one pair alone takes."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _positive_definite(matrices) -> np.ndarray:
+    """Which of a stack of symmetric matrices (S, m, m) are positive definite: one
+    Cholesky test of the stack, and one per matrix only when that fails."""
+    definite = np.ones(len(matrices), dtype=bool)
+    try:
+        np.linalg.cholesky(matrices)
+    except np.linalg.LinAlgError:
+        for j, matrix in enumerate(matrices):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                definite[j] = False
+    return definite
 
 
 def _gradient_steps(objective, deltas, value, grad, step_size):
@@ -270,58 +300,73 @@ def _gradient_steps(objective, deltas, value, grad, step_size):
     return descended, s, new_value, new_r
 
 
-def _newton_step(objective, deltas, value, r, grad, hess, mu, tol):
-    """Damped Newton for one pair, alone or as a stack of one: solve
-    (blockdiag(hess) + 2 lam L (x) I_2 + mu I) s = -grad.
+def _newton_steps(objective, deltas, value, r, grad, hess, mu, tol):
+    """Damped Newton for a stack of pairs: solve each pair's
+    (blockdiag(hess) + 2 lam L (x) I_2 + mu I) s = -grad with its own mu.
 
-    mu rises until the matrix is positive definite and the step lowers the
-    objective, and falls after an accepted step.  A step shorter than ``tol``
-    that does not lower the objective means descent has converged to
-    rounding (raising mu only shortens the step): the null step is returned,
-    which stops on tol.  Returns ((step, value, residual) or None, the next
-    mu)."""
-    system = _NewtonSystem(hess.reshape(-1, 2, 2), objective.lam, objective.grid_shape)
+    A pair's mu rises until its matrix is positive definite and its step
+    lowers its objective, and falls after an accepted step; the pairs still
+    searching shrink as they find their steps, as in `_gradient_steps`.  A step
+    shorter than ``tol`` that does not lower the objective means descent has
+    converged to rounding (raising mu only shortens the step): the pair takes
+    the null step, which stops on tol.  ``mu`` (P,) is updated in place.
+
+    Returns (stepped (P,) bool, step, value, residual), the last three at each
+    stepped pair's accepted point.  A pair at a stationary point, or with no
+    descending step in `_DAMPINGS` solves, is not stepped; its rows are
+    meaningless."""
+    system = _NewtonSystem(hess, objective.lam, objective.grid_shape)
     mu_floor = 1e-3 * system.diag_mean
+    stepped = np.zeros(len(deltas), dtype=bool)
+    s, new_value, new_r = np.zeros_like(deltas), value.copy(), np.empty_like(r)
+    search = np.flatnonzero(grad.any(axis=(1, 2)))  # no step leaves a stationary point
     for _ in range(_DAMPINGS):
-        s = system.solve(mu, grad.reshape(-1, 2))
-        if s is not None:
-            s = s.reshape(grad.shape)
-            trial_value, trial_r = objective.value(deltas + s)
-            if trial_value < value:
-                return (s, trial_value, trial_r), mu / 3.0
-            if np.mean(np.linalg.norm(s, axis=-1)) < tol:
-                return (np.zeros_like(s), value, r), mu
-        mu = max(4.0 * mu, mu_floor)
-    return None, mu
+        if not search.size:
+            break
+        solved, steps = system.solve(mu[search], grad[search], search)
+        tried = search[solved]
+        if tried.size:
+            whole = tried.size == len(deltas)
+            trial_value, trial_r = objective.value(deltas[tried] + steps, None if whole else tried)
+            hit = trial_value < value[tried]
+            short = ~hit & (np.mean(np.linalg.norm(steps, axis=-1), axis=-1) < tol)
+            found, null = tried[hit], tried[short]
+            s[found], new_value[found], new_r[found] = steps[hit], trial_value[hit], trial_r[hit]
+            new_r[null] = r[null]
+            mu[found] /= 3.0
+            stepped[found] = stepped[null] = True
+            search = search[~stepped[search]]
+        mu[search] = np.maximum(4.0 * mu[search], mu_floor[search])
+    return stepped, s, new_value, new_r
 
 
 def _descend(objective, deltas, config: InferConfig, newton: bool):
     """Monotone descent of a stack of pairs from ``deltas`` (P, N, 2): damped
-    Newton steps when ``newton`` (a stack of one), else (and whenever no
-    Newton step descends) backtracking gradient steps.  Each pair keeps its
-    own step sizes and stops on its own, after the iterations it takes alone.
-    Returns (deltas, iterations (P,), stop reasons (P,))."""
-    if newton and len(deltas) != 1:
-        raise ShapeError("Newton steps descend one pair at a time")
+    Newton steps when ``newton``, else backtracking gradient steps, which are
+    also the step of each pair whose Newton step fails.  Each pair keeps its
+    own damping and step sizes and stops on its own, after the iterations it
+    takes alone.  Returns (deltas, iterations (P,), stop reasons (P,))."""
     out = np.empty_like(deltas)
     iters = np.full(len(deltas), config.max_iters)
     stops = np.full(len(deltas), "cap", dtype=object)
     live = np.arange(len(deltas))  # the pairs still descending, whose rows the arrays hold
+    mu = np.zeros(len(deltas))  # each pair's Newton damping
 
     def finish(rows, fields, it, reason):
         out[rows], iters[rows], stops[rows] = fields, it, reason
 
     value, r = objective.value(deltas)
     grad, hess = objective.derivatives(deltas, r, newton)
-    mu = 0.0
     for it in range(config.max_iters):
-        accepted = None
-        if newton and grad.any():
-            accepted, mu = _newton_step(objective, deltas, value, r, grad, hess, mu, config.tol)
-            descended = np.ones(1, dtype=bool)
-        if accepted is None:
-            descended, *accepted = _gradient_steps(objective, deltas, value, grad, config.step_size)
-        s, value, r = accepted
+        step = _newton_steps(objective, deltas, value, r, grad, hess, mu, config.tol) if newton else None
+        fall = np.arange(len(deltas)) if step is None else np.flatnonzero(~step[0])
+        if fall.size == len(deltas):
+            step = _gradient_steps(objective, deltas, value, grad, config.step_size)
+        elif fall.size:
+            fallback = _gradient_steps(objective.take(fall), deltas[fall], value[fall], grad[fall], config.step_size)
+            for whole, part in zip(step, fallback):
+                whole[fall] = part
+        descended, s, value, r = step
         stopped = ~descended | (np.mean(np.linalg.norm(s, axis=-1), axis=-1) < config.tol)
         moved = deltas + s
         if stopped.any():
@@ -331,7 +376,7 @@ def _descend(objective, deltas, config: InferConfig, newton: bool):
             if stopped.all():
                 break
             keep = ~stopped
-            live, moved, value, r = (a[keep] for a in (live, moved, value, r))
+            live, moved, value, r, mu = (a[keep] for a in (live, moved, value, r, mu))
             objective = objective.take(keep)
         deltas = moved
         grad, hess = objective.derivatives(deltas, r, newton)
@@ -343,8 +388,8 @@ def _descend(objective, deltas, config: InferConfig, newton: bool):
 def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1, config=None, newton=False):
     """Descent for a stack of pairs of one frame size, (P, H, W) each, with
     the iterates, iteration counts and stop reasons that `infer_parametric`
-    gives each pair alone.  A ``config.init_field`` holds (P, N, 2) starts;
-    Newton steps need a stack of one.
+    gives each pair alone.  A ``config.init_field`` holds (P, N, 2) starts; a
+    random start is the one draw that each pair takes alone.
 
     Returns (positions (N, 2), fields (P, N, 2), iterations (P,), stop reasons (P,)).
     """
@@ -366,7 +411,8 @@ def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1
     elif config.init == "zeros":
         deltas = np.zeros(shape)
     else:
-        deltas = np.random.default_rng(config.rng_seed).uniform(-0.5, 0.5, shape)
+        start = np.random.default_rng(config.rng_seed).uniform(-0.5, 0.5, shape[1:])
+        deltas = np.broadcast_to(start, shape).copy()
     objective = _PolynomialObjective(model.coeffs, v0, v1, config.smoothness_weight, grid_shape)
     return (pos,) + _descend(objective, deltas, config, newton)
 
@@ -384,11 +430,12 @@ def infer_parametric(
 
     Damped Newton steps solve the coupled system over all 2N unknowns by
     elimination over the lattice rows, in O(N nx^2) time and O(N nx) memory
-    for nx positions per row; with ``newton=False`` every step is a backtracking
-    gradient step of at most ``config.step_size``.  Accepted iterations are
-    monotone either way.  Stops at the iteration cap, once the mean update
-    drops below ``config.tol`` pixels, or when no step descends; ``stops``,
-    when given, receives (iterations, stop reason) of the call.
+    for nx positions per row; with ``newton=False`` (and whenever no damped
+    step descends) a step is a backtracking gradient step of at most
+    ``config.step_size``.  Accepted iterations are monotone either way.  Stops
+    at the iteration cap, once the mean update drops below ``config.tol``
+    pixels, or when no step descends; ``stops``, when given, receives
+    (iterations, stop reason) of the call.
     """
     pos, fields, iters, reasons = infer_parametric_stack(
         encoder, model, np.asarray(image_t)[None], np.asarray(image_t1)[None], config, newton=newton
@@ -410,7 +457,7 @@ def descent_summary(stops) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# animation, interpolation, alignment
+# animation, interpolation
 
 
 def _field_on_positions(field, positions) -> np.ndarray:
@@ -491,16 +538,6 @@ def interpolate_frames(
     return frames, False
 
 
-def align_recurrent(encoder, model, frames, position, delta):
-    """Accumulate u_i = v_i + M(delta) u_{i-1} over the clip; returns (u, |u|^2)."""
-    mats = motion_matrices(model, np.asarray([delta]))[0]
-    u = np.zeros((encoder.num_blocks, encoder.block_dim))
-    for frame in frames:
-        v = encode(encoder, np.asarray(frame, dtype=np.float64), np.asarray([position])).vectors[0]
-        u = v + np.einsum("kde,ke->kd", mats, u)
-    return u, float(np.sum(u * u))
-
-
 # ---------------------------------------------------------------------------
 # field files: V1FD header, then the two float32 planes of the container
 
@@ -535,12 +572,16 @@ def read_field(path) -> DisplacementField:
         raise DataFormatError(f"{path}: bad field magic {raw[:4]!r}")
     if len(raw) < 32:
         raise DataFormatError(f"{path}: {len(raw)}-byte field file is shorter than its 32-byte header")
-    version, nx, ny, row0, col0, row_step, col_step = np.frombuffer(raw[4:32], dtype="<u4")
+    # Python ints: the body size of a large header must not wrap
+    version, nx, ny, row0, col0, row_step, col_step = map(int, np.frombuffer(raw[4:32], dtype="<u4"))
     if version != FIELD_VERSION:
         raise DataFormatError(f"{path}: unsupported field version {version}")
-    expected = 32 + 4 * 2 * nx * ny
-    if len(raw) != expected:
-        raise DataFormatError(f"{path}: truncated field file")
+    if nx == 0 or ny == 0:
+        raise DataFormatError(f"{path}: empty {ny}x{nx} field lattice")
+    if (ny > 1 and row_step == 0) or (nx > 1 and col_step == 0):
+        raise DataFormatError(f"{path}: zero step on a {ny}x{nx} field lattice")
+    if len(raw) != 32 + 4 * 2 * nx * ny:
+        raise DataFormatError(f"{path}: {len(raw)}-byte file does not hold a {ny}x{nx} field")
     planes = np.frombuffer(raw[32:], dtype="<f4").reshape(2, ny, nx).astype(np.float64)
     rr = row0 + row_step * np.arange(ny, dtype=np.int64)
     cc = col0 + col_step * np.arange(nx, dtype=np.int64)
@@ -555,19 +596,3 @@ def write_field_text(path, field: DisplacementField) -> None:
     with open(path, "w") as fh:
         for (r, c), (d1, d2) in zip(field.positions, field.vectors):
             fh.write(f"{r} {c} {d1:.9g} {d2:.9g}\n")
-
-
-def estimate_velocity(encoder, model, frames, position):
-    """Candidate with the highest alignment score; ties break as in infer_grid."""
-    if not isinstance(model, NonParametricMotion):
-        raise ShapeError("velocity estimation scans a non-parametric candidate grid")
-    candidates = model.grid.candidates()
-    mats = motion_matrices(model, candidates)  # (C, K, d, d)
-    u = np.zeros((len(candidates), encoder.num_blocks, encoder.block_dim))
-    for frame in frames:
-        v = encode(encoder, np.asarray(frame, dtype=np.float64), np.asarray([position])).vectors[0]
-        u = v[None] + np.einsum("ckde,cke->ckd", mats, u)
-    scores = np.einsum("ckd,ckd->c", u, u)
-    order = _candidate_order(model.grid)
-    best = order[np.argmax(scores[order])]
-    return candidates[best]

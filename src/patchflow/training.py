@@ -397,7 +397,7 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
     return loss
 
 
-def _size_groups(images) -> list[list[int]]:
+def size_groups(images) -> list[list[int]]:
     """Indices of ``images`` grouped by image size, in order of first appearance."""
     groups: dict[tuple[int, int], list[int]] = {}
     for i, img in enumerate(images):
@@ -421,7 +421,7 @@ def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace 
     d_weights = np.zeros_like(encoder.weights)
     d_motion = _motion_gradient(model, workspace)
     loss = 0.0
-    for members in _size_groups([img_t for img_t, _, _ in batch]):
+    for members in size_groups([img_t for img_t, _, _ in batch]):
         imgs_t = np.stack([np.asarray(batch[i][0], dtype=np.float64) for i in members])
         imgs_t1 = np.stack([np.asarray(batch[i][1], dtype=np.float64) for i in members])
         deltas = np.stack([np.asarray(batch[i][2], dtype=np.float64) for i in members])
@@ -569,7 +569,7 @@ def _descend_pairs(encoder, model, pairs, icfg, starts=None):
     from .inference import infer_parametric_stack
 
     fields, positions, stops = [None] * len(pairs), [None] * len(pairs), [None] * len(pairs)
-    for members in _size_groups([img_t for img_t, _ in pairs]):
+    for members in size_groups([img_t for img_t, _ in pairs]):
         cfg = icfg if starts is None else replace(icfg, init_field=np.stack([starts[i] for i in members]))
         pos, found, iters, reasons = infer_parametric_stack(
             encoder,

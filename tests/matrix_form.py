@@ -1,8 +1,10 @@
-"""The descent objective's matrix form, which tests compare the polynomial residual against."""
+"""The descent objective's matrix form, which tests compare the polynomial
+residual against, and the recurrent multi-frame alignment of the paper, kept
+as a reference on the matrix lookup."""
 
 import numpy as np
 
-from patchflow.core import ParametricMotion, polynomial_matrices
+from patchflow.core import ParametricMotion, encode, motion_matrices, polynomial_matrices
 
 
 def taylor_terms(model: ParametricMotion, deltas: np.ndarray):
@@ -14,3 +16,27 @@ def taylor_terms(model: ParametricMotion, deltas: np.ndarray):
     dm1 = b1[None] + 2.0 * d1 * b11[None] + d2 * b12[None]
     dm2 = b2[None] + 2.0 * d2 * b22[None] + d1 * b12[None]
     return m, dm1, dm2
+
+
+def align_recurrent(encoder, model, frames, position, delta):
+    """Accumulate u_i = v_i + M(delta) u_{i-1} over the clip; returns (u, |u|^2)."""
+    mats = motion_matrices(model, np.asarray([delta]))[0]
+    u = np.zeros((encoder.num_blocks, encoder.block_dim))
+    for frame in frames:
+        v = encode(encoder, np.asarray(frame, dtype=np.float64), np.asarray([position])).vectors[0]
+        u = v + np.einsum("kde,ke->kd", mats, u)
+    return u, float(np.sum(u * u))
+
+
+def estimate_velocity(encoder, model, frames, position):
+    """The non-parametric candidate with the highest alignment score; ties break
+    toward the smallest |delta|, then by (d_row, d_col)."""
+    candidates = model.grid.candidates()
+    mats = motion_matrices(model, candidates)  # (C, K, d, d)
+    u = np.zeros((len(candidates), encoder.num_blocks, encoder.block_dim))
+    for frame in frames:
+        v = encode(encoder, np.asarray(frame, dtype=np.float64), np.asarray([position])).vectors[0]
+        u = v[None] + np.einsum("ckde,cke->ckd", mats, u)
+    scores = np.einsum("ckd,ckd->c", u, u)
+    order = np.lexsort((candidates[:, 1], candidates[:, 0], np.sum(candidates * candidates, axis=1)))
+    return candidates[order[np.argmax(scores[order])]]

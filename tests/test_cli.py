@@ -148,6 +148,49 @@ class TestPipelines:
         assert 0 <= descent["iters_median"] <= descent["iters_max"]
 
 
+    def test_parametric_infer_is_each_pairs_own_descent_at_any_thread_count(self, tmp_path, monkeypatch):
+        from patchflow import cli
+        from patchflow.datagen import dataset_read
+        from patchflow.inference import InferConfig, descent_summary, infer_parametric
+        from patchflow.training import load_checkpoint
+
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 5, "--size", 48, "--range", 2, "--seed", 6)
+        ckpt = tmp_path / "m.ckpt"
+        rng = np.random.default_rng(6)
+        save_checkpoint(ckpt, Encoder.random(3, 2, 8, 4, rng=rng), ParametricMotion(0.05 * rng.standard_normal((5, 3, 2, 2))))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"infer": {"init": "zeros", "smoothness_weight": 0.05}}))
+        runs = {}
+        for name, threads, budget in (("one", 1, cli.NEWTON_STACK_BYTES), ("three", 3, cli.NEWTON_STACK_BYTES), ("alone", 1, 1)):
+            monkeypatch.setattr(cli, "NEWTON_STACK_BYTES", budget)  # 1 byte: every pair its own stack
+            out = tmp_path / name
+            assert run_cli("infer", "--checkpoint", ckpt, "--data", ds, "--out", out, "--text", "--threads", threads, "--config", cfg) == EXIT_OK
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "run_summary.json"}
+            runs[name] = files, json.loads((out / "run_summary.json").read_text())["metrics"]["descent"]
+        assert runs["one"] == runs["three"] == runs["alone"]
+        encoder, model, _ = load_checkpoint(ckpt)
+        stops = []
+        for i, pair in enumerate(dataset_read(ds)):
+            want = infer_parametric(encoder, model, pair.image_t, pair.image_t1, InferConfig(init="zeros", smoothness_weight=0.05), stops=stops)
+            got = read_field(tmp_path / "three" / f"field_{i:05d}.v1fd")
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.vectors, want.vectors.astype(np.float32))
+        assert runs["three"][1] == descent_summary(stops)
+        assert len(runs["one"][0]) == 10 and len({it for it, _ in stops}) > 1
+
+    def test_descent_stacks_split_by_threads_and_memory(self, monkeypatch):
+        from patchflow import cli
+
+        members = list(range(10, 20))
+        assert cli._descent_stacks(members, (7, 7), 1) == [members]
+        assert cli._descent_stacks(members, (7, 7), 3) == [members[:4], members[4:7], members[7:]]
+        assert cli._descent_stacks(members[:2], (7, 7), 3) == [members[:1], members[1:2]]
+        monkeypatch.setattr(cli, "NEWTON_STACK_BYTES", 3 * 7 * 14**2 * 8)  # the blocks of three pairs
+        assert [len(s) for s in cli._descent_stacks(members, (7, 7), 1)] == [3, 3, 2, 2]
+        monkeypatch.setattr(cli, "NEWTON_STACK_BYTES", 100)  # less than one pair's blocks
+        assert cli._descent_stacks(members, (7, 7), 2) == [[i] for i in members]
+
     def test_train_unsup_summary_reports_descent_stops(self, tmp_path):
         frames = tmp_path / "frames"
         for i, shift in enumerate((0.0, 0.7, -0.5)):

@@ -21,13 +21,11 @@ from patchflow.datagen import synthetic_textures, warp
 from patchflow.inference import (
     STOP_REASONS,
     InferConfig,
-    _newton_step,
+    _newton_steps,
     _NewtonSystem,
     _PolynomialObjective,
     _smoothness_value_grad,
-    align_recurrent,
     animate,
-    estimate_velocity,
     infer_grid,
     infer_parametric,
     infer_parametric_stack,
@@ -37,7 +35,7 @@ from patchflow.inference import (
 )
 from patchflow.errors import ShapeError
 
-from matrix_form import taylor_terms
+from matrix_form import align_recurrent, estimate_velocity, taylor_terms
 
 
 def orthonormal_encoder(p, stride, rng):
@@ -317,31 +315,47 @@ class TestNewtonSystem:
         a = rng.standard_normal((n, 2, 2))
         hess = a @ np.swapaxes(a, 1, 2) - 0.2 * np.eye(2)  # some blocks indefinite
         hess[-1] = -0.5 * np.eye(2)  # negative definite, with a positive determinant
+        first_row_fails = hess.copy()
+        first_row_fails[0] = -5.0 * np.eye(2)
         grad = rng.standard_normal((n, 2))
-        system = _NewtonSystem(hess, lam, grid_shape)
-        for mu in (0.0, 0.1, 1.0, 10.0):
-            full = self.dense(hess, lam, grid_shape, mu)
-            step = system.solve(mu, grad)
-            if np.linalg.eigvalsh(full).min() <= 0:
-                assert step is None
-                continue
-            want = np.linalg.solve(full, -grad.ravel()).reshape(n, 2)
+        # one stack: the pair at four dampings, and a pair that fails in the first lattice row
+        stack = np.stack([hess] * 4 + [first_row_fails])
+        mus = np.array([0.0, 0.1, 1.0, 10.0, 1.0])
+        grads = np.stack([grad] * 4 + [-grad])
+        system = _NewtonSystem(stack, lam, grid_shape)
+        solved, steps = system.solve(mus, grads, np.arange(len(stack)))
+        assert len(steps) == solved.sum()
+        for p, step in zip(np.flatnonzero(solved), steps):
+            full = self.dense(stack[p], lam, grid_shape, mus[p])
+            want = np.linalg.solve(full, -grads[p].ravel()).reshape(n, 2)
             np.testing.assert_allclose(step, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+        for p in range(len(stack)):
+            definite = np.linalg.eigvalsh(self.dense(stack[p], lam, grid_shape, mus[p])).min() > 0
+            assert solved[p] == definite
+            # the pair alone, and as part of a sub-stack of the system, gets the same bits
+            alone = _NewtonSystem(stack[p : p + 1], lam, grid_shape).solve(mus[p : p + 1], grads[p : p + 1], np.arange(1))
+            part = system.solve(mus[[p, 0]], grads[[p, 0]], np.array([p, 0]))
+            assert alone[0][0] == part[0][0] == definite
+            if definite:
+                want = steps[solved[:p].sum()]
+                assert np.array_equal(alone[1][0], want) and np.array_equal(part[1][0], want)
+        assert not solved.all() and solved.any()
 
     def test_null_step_when_converged_to_rounding(self):
         rng = np.random.default_rng(42)
         obj = _PolynomialObjective(
-            0.3 * rng.standard_normal((5, 3, 2, 2)), rng.standard_normal((6, 3, 2)),
-            rng.standard_normal((6, 3, 2)), 0.3, (2, 3),
+            0.3 * rng.standard_normal((5, 3, 2, 2)), rng.standard_normal((2, 6, 3, 2)),
+            rng.standard_normal((2, 6, 3, 2)), 0.3, (2, 3),
         )
-        deltas = rng.uniform(-1, 1, (6, 2))
+        deltas = rng.uniform(-1, 1, (2, 6, 2))
         _, r = obj.value(deltas)
         grad, hess = obj.derivatives(deltas, r)
-        # a value nothing can undercut: no damped step descends
-        accepted, _ = _newton_step(obj, deltas, -np.inf, r, grad, hess, 0.0, tol=1e3)
-        step, kept, kept_r = accepted
-        assert not step.any() and kept == -np.inf and kept_r is r
-        assert _newton_step(obj, deltas, -np.inf, r, grad, hess, 0.0, tol=0.0)[0] is None
+        unbeatable = np.full(2, -np.inf)  # a value nothing can undercut: no damped step descends
+        stepped, step, kept, kept_r = _newton_steps(obj, deltas, unbeatable, r, grad, hess, np.zeros(2), tol=1e3)
+        assert stepped.all() and not step.any() and np.all(kept == -np.inf) and np.array_equal(kept_r, r)
+        mu = np.zeros(2)
+        assert not _newton_steps(obj, deltas, unbeatable, r, grad, hess, mu, tol=0.0)[0].any()
+        assert np.all(mu > 0)  # raised on every failed damping
 
 
 class TestNewtonDescent:
@@ -398,29 +412,114 @@ class TestNewtonDescent:
         assert {reason for _, reason in stops} < set(STOP_REASONS)
 
 
-def reference_descent(objective, deltas, config):
-    """One pair's backtracking gradient-step descent, as it ran before pairs were stacked."""
+def reference_gradient_step(objective, deltas, value, grad, step_size):
+    """One pair's backtracking gradient step, (step, value, residual), or None."""
+    if not grad.any():
+        return None
+    step = step_size
+    for _ in range(40):
+        s = -step * grad
+        trial_value, trial_r = objective.value(deltas + s)
+        if trial_value < value:
+            return s, trial_value, trial_r
+        step *= 0.5
+    return None
+
+
+def reference_descent(objective, deltas, config, newton=False):
+    """One pair's descent, as it ran before pairs were stacked: backtracking
+    gradient steps, or damped Newton steps with gradient steps as the fallback."""
     value, r = objective.value(deltas)
-    grad, _ = objective.derivatives(deltas, r, hessian=False)
+    mu = 0.0
     for it in range(config.max_iters):
-        if not grad.any():
+        grad, hess = objective.derivatives(deltas, r, hessian=newton)
+        accepted = None
+        if newton and grad.any():
+            accepted, mu = reference_newton_step(objective, deltas, value, r, grad, hess, mu, config.tol)
+        if accepted is None:
+            accepted = reference_gradient_step(objective, deltas, value, grad, config.step_size)
+        if accepted is None:
             return deltas, it, "no_descent"
-        step = config.step_size
-        for _ in range(40):
-            s = -step * grad
-            trial_value, trial_r = objective.value(deltas + s)
-            if trial_value < value:
-                break
-            step *= 0.5
-        else:
-            return deltas, it, "no_descent"
-        value, r = trial_value, trial_r
+        s, value, r = accepted
         mean_update = float(np.mean(np.linalg.norm(s, axis=1)))
         deltas = deltas + s
         if mean_update < config.tol:
             return deltas, it + 1, "tol"
-        grad, _ = objective.derivatives(deltas, r, hessian=False)
     return deltas, config.max_iters, "cap"
+
+
+def reference_newton_step(objective, deltas, value, r, grad, hess, mu, tol):
+    """One pair's damped Newton step: ((step, value, residual) or None, next mu)."""
+    lam, grid_shape = objective.lam, objective.grid_shape
+    if lam == 0:
+        diag = hess[:, [0, 1], [0, 1]]
+    else:
+        blocks = reference_newton_blocks(hess, lam, grid_shape)
+        k = np.arange(blocks.shape[1])
+        diag = blocks[:, k, k]
+    mu_floor = 1e-3 * float(np.mean(np.abs(diag)))
+    for _ in range(12):
+        s = reference_newton_solve(hess, lam, grid_shape, mu, grad)
+        if s is not None:
+            trial_value, trial_r = objective.value(deltas + s)
+            if trial_value < value:
+                return (s, trial_value, trial_r), mu / 3.0
+            if np.mean(np.linalg.norm(s, axis=-1)) < tol:
+                return (np.zeros_like(s), value, r), mu
+        mu = max(4.0 * mu, mu_floor)
+    return None, mu
+
+
+def reference_newton_blocks(hess, lam, grid_shape):
+    """The diagonal blocks (ny, 2 nx, 2 nx) of one pair's Newton matrix over the lattice rows."""
+    ny, nx = grid_shape
+    w = 2.0 * lam
+    blocks = np.zeros((ny, 2 * nx, 2 * nx))
+    for i in range(ny):
+        for j in range(nx):
+            blocks[i, 2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = hess[i * nx + j]
+            degree = (i > 0) + (i < ny - 1) + (j > 0) + (j < nx - 1)
+            blocks[i, 2 * j, 2 * j] += w * degree
+            blocks[i, 2 * j + 1, 2 * j + 1] += w * degree
+            if j:
+                for a in (0, 1):
+                    blocks[i, 2 * j + a, 2 * j - 2 + a] = blocks[i, 2 * j - 2 + a, 2 * j + a] = -w
+    return blocks
+
+
+def reference_newton_solve(hess, lam, grid_shape, mu, grad):
+    """One pair's damped Newton solve: closed-form 2x2 systems without smoothness,
+    else block elimination over the lattice rows with one Cholesky test and one
+    inverse per row; None when the damped matrix is not positive definite."""
+    if lam == 0:
+        a = hess[:, 0, 0] + mu
+        b = hess[:, 0, 1]
+        c = hess[:, 1, 1] + mu
+        det = a * c - b * b
+        if not (np.all(a > 0) and np.all(det > 0)):
+            return None
+        g1, g2 = grad[:, 0], grad[:, 1]
+        return np.stack([b * g2 - c * g1, b * g1 - a * g2], axis=1) / det[:, None]
+    w = 2.0 * lam
+    blocks = reference_newton_blocks(hess, lam, grid_shape)
+    ny, m = blocks.shape[:2]
+    y = -grad.reshape(ny, m)
+    inv = np.empty_like(blocks)
+    for i in range(ny):
+        pivot = blocks[i] + mu * np.eye(m)
+        if i:
+            pivot -= w * w * inv[i - 1]
+            y[i] += w * (inv[i - 1] @ y[i - 1])
+        try:
+            np.linalg.cholesky(pivot)
+        except np.linalg.LinAlgError:
+            return None
+        inv[i] = np.linalg.inv(pivot)
+    s = np.empty_like(y)
+    s[-1] = inv[-1] @ y[-1]
+    for i in range(ny - 2, -1, -1):
+        s[i] = inv[i] @ (y[i] + w * s[i + 1])
+    return s.reshape(-1, 2)
 
 
 class TestStackedDescent:
@@ -484,10 +583,58 @@ class TestStackedDescent:
             seen |= {(reason, it > 0) for it, reason in zip(iters, reasons)}
         assert {("tol", True), ("cap", True), ("no_descent", False), ("no_descent", True)} <= seen
 
-    def test_newton_needs_a_stack_of_one(self, problem):
+    # (smoothness, tol, iteration cap, start) of each Newton stack; at tol 0 pairs
+    # descend to rounding, where no damped step descends and gradient steps take over
+    NEWTON_CASES = {
+        "smooth_tol": (0.3, 1e-3, 40, "zeros"),
+        "rough_rounding": (0.0, 0.0, 40, "zeros"),
+        "smooth_rounding": (0.3, 0.0, 40, "warm"),
+        "rough_tol_and_cap": (0.0, 3e-4, 4, "warm"),
+    }
+
+    def test_newton_stack_matches_each_pair_alone(self, problem, monkeypatch):
+        import patchflow.inference as inference
+
         enc, model, frames_t, frames_t1 = problem
-        with pytest.raises(ShapeError):
-            infer_parametric_stack(enc, model, frames_t, frames_t1, InferConfig(margin=0), newton=True)
+        calls = []  # (step kind, pairs) of each call, in order
+
+        def logged(kind, fn):
+            def wrapper(objective, deltas, *args):
+                calls.append((kind, len(deltas)))
+                return fn(objective, deltas, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(inference, "_newton_steps", logged("newton", inference._newton_steps))
+        monkeypatch.setattr(inference, "_gradient_steps", logged("gradient", inference._gradient_steps))
+        seen, mixed = set(), False
+        for case, (lam, tol, cap, start) in self.NEWTON_CASES.items():
+            cfg = InferConfig(margin=0, smoothness_weight=lam, max_iters=cap, tol=tol, init="zeros")
+            if start == "warm":
+                cfg = replace(cfg, init_field=infer_parametric_stack(
+                    enc, model, frames_t, frames_t1, replace(cfg, smoothness_weight=0.0, max_iters=3))[1])
+                cfg.init_field[0] += 0.3
+            calls.clear()
+            pos, fields, iters, reasons = infer_parametric_stack(enc, model, frames_t, frames_t1, cfg, newton=True)
+            # a gradient fallback for some pairs of a Newton iteration, the rest stepping by Newton
+            mixed |= any(a[0] == "newton" and b == ("gradient", b[1]) and b[1] < a[1] for a, b in zip(calls, calls[1:]))
+            grid_shape = tuple(len(np.unique(pos[:, i])) for i in (0, 1))
+            starts = np.zeros_like(fields) if cfg.init_field is None else cfg.init_field
+            for i, (a, b) in enumerate(zip(frames_t, frames_t1)):
+                alone = _PolynomialObjective(
+                    model.coeffs, encode(enc, a, pos).vectors, encode(enc, b, pos).vectors, lam, grid_shape,
+                )
+                want, want_iters, want_reason = reference_descent(alone, starts[i], cfg, newton=True)
+                assert np.array_equal(fields[i], want), (case, i)
+                assert (iters[i], reasons[i]) == (want_iters, want_reason), (case, i)
+                stops = []
+                one = infer_parametric(enc, model, a, b, replace(cfg, init_field=starts[i]), stops=stops)
+                assert np.array_equal(one.vectors, want) and stops == [(want_iters, want_reason)]
+            seen |= {(lam > 0, reason) for reason in reasons}
+            assert len(set(iters.tolist())) > 1, case  # pairs leave the stack at different iterations
+            assert start == "warm" or (iters[0], reasons[0]) == (0, "no_descent")  # the identical frames
+        assert mixed
+        assert {(True, "tol"), (False, "tol"), (False, "cap"), (False, "no_descent"), (True, "no_descent")} <= seen
 
 
 class TestAnimate:
