@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, evalviz, gabor, inference, training
-from .core import DisplacementField, eval_positions, lattice_axes
+from .core import DisplacementField, eval_positions, lattice_axes, support_centers
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -278,40 +278,54 @@ def cmd_train_unsup(args, config, settings) -> dict:
     }
 
 
-def _descent_stacks(members: list[int], grid_shape, threads: int) -> list[list[int]]:
+def _stacks(members: list[int], pair_bytes: int, budget: int, threads: int) -> list[list[int]]:
     """One frame size's pairs ``members`` cut into contiguous stacks: at least
-    ``threads`` of them, and each small enough that its Newton blocks fit in
-    NEWTON_STACK_BYTES (a pair larger than that descends alone)."""
-    ny, nx = grid_shape
-    per_stack = max(1, NEWTON_STACK_BYTES // (8 * ny * (2 * nx) ** 2))
+    ``threads`` of them, and each holding at most as many pairs of
+    ``pair_bytes`` as fit in ``budget`` (a pair larger than that is a stack
+    alone)."""
+    per_stack = max(1, budget // pair_bytes)
     count = max(min(threads, len(members)), -(-len(members) // per_stack))
     return [part.tolist() for part in np.array_split(members, count)]
 
 
+def _descent_stacks(members: list[int], grid_shape, threads: int) -> list[list[int]]:
+    """`_stacks` of descents, whose Newton blocks, ny (2 nx)^2 float64 per
+    pair, fit in NEWTON_STACK_BYTES."""
+    ny, nx = grid_shape
+    return _stacks(members, 8 * ny * (2 * nx) ** 2, NEWTON_STACK_BYTES, threads)
+
+
 def _infer_stacks(encoder, model, pairs, icfg, threads: int):
-    """Damped-Newton fields of ``pairs`` under a parametric model, each frame
-    size's pairs descended as stacks.  Returns (fields, (iterations, stop
-    reason) of each pair)."""
+    """The fields of ``pairs``, each frame size's pairs inferred as stacks:
+    damped-Newton descent under a parametric model, grid scoring under a
+    table model, whose stacks' support patches, p^2 float64 per support
+    center and pair, fit in `training.CHUNK_BYTES`.  Returns (fields,
+    (iterations, stop reason) of each descent)."""
+    parametric = isinstance(model, training.ParametricMotion)
     stacks = []
     for members in training.size_groups([pair.image_t for pair in pairs]):
-        pos = inference.infer_positions(encoder, model, pairs[members[0]].image_t.shape, icfg.margin)
-        stacks += _descent_stacks(members, tuple(map(len, lattice_axes(pos))), threads)
+        shape = pairs[members[0]].image_t.shape
+        pos = inference.infer_positions(encoder, model, shape, icfg.margin)
+        if parametric:
+            stacks += _descent_stacks(members, tuple(map(len, lattice_axes(pos))), threads)
+        else:
+            centers, _ = support_centers(encoder, shape, pos, model.offsets)
+            stacks += _stacks(members, 8 * encoder.patch_size**2 * len(centers), training.CHUNK_BYTES, threads)
 
-    def descend(members):
-        return inference.infer_parametric_stack(
-            encoder,
-            model,
-            np.stack([pairs[i].image_t for i in members]),
-            np.stack([pairs[i].image_t1 for i in members]),
-            icfg,
-            newton=True,
-        )
+    def infer(members):
+        images_t = np.stack([pairs[i].image_t for i in members])
+        images_t1 = np.stack([pairs[i].image_t1 for i in members])
+        if parametric:
+            return inference.infer_parametric_stack(encoder, model, images_t, images_t1, icfg, newton=True)
+        return inference.infer_grid_stack(encoder, model, images_t, images_t1, icfg)
 
     fields, stops = [None] * len(pairs), [None] * len(pairs)
-    for members, (pos, found, iters, reasons) in zip(stacks, parallel_map(descend, stacks, threads)):
+    for members, (pos, found, *descent) in zip(stacks, parallel_map(infer, stacks, threads)):
         for j, i in enumerate(members):
-            fields[i], stops[i] = DisplacementField(pos, found[j]), (int(iters[j]), reasons[j])
-    return fields, stops
+            fields[i] = DisplacementField(pos, found[j])
+            if parametric:
+                stops[i] = (int(descent[0][j]), descent[1][j])
+    return fields, stops if parametric else []
 
 
 def cmd_infer(args, config, settings) -> dict:
@@ -334,13 +348,7 @@ def cmd_infer(args, config, settings) -> dict:
         raise ShapeError("frame pair dimensions differ")
     for shape in {pair.image_t.shape for pair in pairs}:  # every size fits before any pair
         eval_positions(encoder, model, shape)
-    stops: list = []  # (iterations, stop reason) of each descent
-    if isinstance(model, training.ParametricMotion):
-        fields, stops = _infer_stacks(encoder, model, pairs, icfg, config["threads"])
-    else:
-        fields = parallel_map(
-            lambda p: inference.infer_grid(encoder, model, p.image_t, p.image_t1, icfg), pairs, config["threads"]
-        )
+    fields, stops = _infer_stacks(encoder, model, pairs, icfg, config["threads"])
     for i, fld in enumerate(fields):
         inference.write_field(out / f"field_{i:05d}.v1fd", fld)
         if args.text:

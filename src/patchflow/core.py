@@ -611,10 +611,11 @@ def predict(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     ``blocks`` holds the matrix sets in the layout of `block_layout`,
     (..., K, R*d, m*d), and ``vectors`` is (..., n, m, K, d) over the same m
     offsets; leading axes broadcast and the result is (..., K, R, d, n).
-    Per-position callers pass R = n = 1; grid scoring passes the whole
-    candidate table as R, laid out once per model (``table_blocks``), and
-    every position as n.  Either way it runs as one (R*d, m*d) x (m*d, n)
-    matrix product per block.
+    It runs as one (R*d, m*d) x (m*d, n) matrix product per block.
+    Per-position callers pass R = n = 1.  Grid scoring (`inference._score_pairs`)
+    runs the same products block by block, with the whole candidate table as
+    R, laid out once per model (``table_blocks``), and a pair's positions as
+    n, and reduces each product while it is in cache.
     """
     n, m, k, d = vectors.shape[-4:]
     right = np.moveaxis(vectors, [-2, -3, -1, -4], [-4, -3, -2, -1])  # (..., K, m, d, n)

@@ -356,15 +356,22 @@ def _sample_bytes(pair: SamplePair, with_images: bool = True) -> bytes:
 def _parse_sample(raw: bytes, with_images: bool = True) -> tuple[int, int, list[np.ndarray]]:
     if raw[:4] != DATASET_MAGIC:
         raise DataFormatError(f"bad magic {raw[:4]!r}, expected {DATASET_MAGIC!r}")
-    version, w, h = np.frombuffer(raw[4:16], dtype="<u4")
+    if len(raw) < 16:
+        raise DataFormatError(f"{len(raw)}-byte sample is shorter than its 16-byte header")
+    # Python ints: the body size of a large header must not wrap
+    version, w, h = map(int, np.frombuffer(raw[4:16], dtype="<u4"))
     if version != DATASET_VERSION:
         raise DataFormatError(f"unsupported sample version {version}")
+    if w == 0 or h == 0:
+        raise DataFormatError(f"empty {h}x{w} sample")
     n_planes = 4 if with_images else 2
     expected = 16 + 4 * h * w * n_planes
     if len(raw) != expected:
         raise DataFormatError(f"truncated sample: {len(raw)} bytes, expected {expected}")
     planes = np.frombuffer(raw[16:], dtype="<f4").reshape(n_planes, h, w).astype(np.float64)
-    return int(h), int(w), list(planes)
+    if not np.isfinite(planes.sum()):  # float32 values cannot overflow a float64 sum
+        raise DataFormatError("sample holds non-finite values")
+    return h, w, list(planes)
 
 
 def dataset_write(pairs: list[SamplePair], path, mode: str = "binary", spec_echo: dict | None = None) -> None:
@@ -407,23 +414,33 @@ def dataset_read(path) -> list[SamplePair]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"malformed manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("version") != DATASET_VERSION:
         raise DataFormatError(f"unsupported dataset version {manifest.get('version')}")
-    mode = manifest.get("mode", "binary")
+    mode, count = manifest.get("mode", "binary"), manifest.get("count")
+    if mode not in ("binary", "pgm"):
+        raise DataFormatError(f"{manifest_path}: unknown dataset mode {json.dumps(mode)}")
+    if type(count) is not int or count < 0:
+        raise DataFormatError(f"{manifest_path}: manifest count must be a non-negative integer, got {json.dumps(count)}")
     pairs = []
-    for i in range(int(manifest["count"])):
+    for i in range(count):
         stem = f"sample_{i:05d}"
         raw = (path / f"{stem}.v1ds").read_bytes()
+        try:
+            h, w, planes = _parse_sample(raw, with_images=mode == "binary")
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path / stem}.v1ds: {exc}") from None
         if mode == "binary":
-            h, w, planes = _parse_sample(raw, with_images=True)
             img_t, img_t1, d1, d2 = planes
         else:
             from .evalviz import read_pgm
 
-            h, w, planes = _parse_sample(raw, with_images=False)
             d1, d2 = planes
             img_t = read_pgm(path / f"{stem}_t0.pgm") / 255.0
             img_t1 = read_pgm(path / f"{stem}_t1.pgm") / 255.0
+            if img_t.shape != (h, w) or img_t1.shape != (h, w):
+                raise DataFormatError(f"{path / stem}: frames {img_t.shape} and {img_t1.shape} do not match the {h}x{w} field")
         pairs.append(SamplePair(img_t, img_t1, np.stack([d1, d2], axis=-1), meta={"index": i}))
     return pairs
 

@@ -30,18 +30,24 @@ def epe(pred: DisplacementField, truth, shape=None, margin: int = 8) -> EpeRepor
     ``truth`` is either a dense (H, W, 2) field, sampled at the prediction
     positions, or a DisplacementField on the identical grid.
     """
-    truth_arr = np.asarray(truth.vectors if isinstance(truth, DisplacementField) else truth)
-    if isinstance(truth, DisplacementField):
+    grids = isinstance(truth, DisplacementField)
+    truth_arr = np.asarray(truth.vectors if grids else truth)
+    if grids:
         if not np.array_equal(truth.positions, pred.positions):
             raise PatchflowError("prediction and ground-truth grids differ")
-        gt_vec = truth_arr
         if shape is None:
             raise PatchflowError("shape required when both fields live on grids")
+    elif truth_arr.ndim != 3 or truth_arr.shape[2] != 2:
+        raise PatchflowError(f"dense truth must be (H, W, 2), got {truth_arr.shape}")
     else:
-        if truth_arr.ndim != 3 or truth_arr.shape[2] != 2:
-            raise PatchflowError(f"dense truth must be (H, W, 2), got {truth_arr.shape}")
         shape = truth_arr.shape[:2]
-        gt_vec = truth_arr[pred.positions[:, 0], pred.positions[:, 1]]
+    lo, hi = pred.positions.min(axis=0), pred.positions.max(axis=0)
+    if lo.min() < 0 or hi[0] >= shape[0] or hi[1] >= shape[1]:
+        raise DataFormatError(
+            f"field positions span rows {lo[0]}..{hi[0]} and columns {lo[1]}..{hi[1]}, "
+            f"outside the {shape[0]}x{shape[1]} frames"
+        )
+    gt_vec = truth_arr if grids else truth_arr[pred.positions[:, 0], pred.positions[:, 1]]
     keep = border_filter(pred.positions, shape, margin)
     if not np.any(keep):
         raise PatchflowError(f"margin {margin} leaves no interior positions")

@@ -4,6 +4,7 @@ multi-step animation with re-encoding and frame interpolation."""
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,15 +13,16 @@ from .core import (
     DisplacementField,
     ParametricMotion,
     VectorField,
+    apply_encoder,
     border_filter,
     decode,
     delta_basis,
     encode,
     eval_positions,
+    extract_patches,
     lattice_axes,
-    offset_encodings,
-    predict,
     predicted_vectors,
+    support_centers,
 )
 from .errors import PatchflowError, ShapeError
 
@@ -48,27 +50,88 @@ def infer_positions(encoder, model, shape, margin: int = 8) -> np.ndarray:
     return pos[keep]
 
 
+@functools.cache
 def _candidate_order(grid) -> np.ndarray:
-    """Candidate indices sorted by (|delta|^2, d_row, d_col) for tie-breaking."""
+    """Candidate indices sorted by (|delta|^2, d_row, d_col) for tie-breaking,
+    computed once per grid."""
     cand = grid.candidates()
     mag = np.sum(cand * cand, axis=1)
-    return np.lexsort((cand[:, 1], cand[:, 0], mag))
+    order = np.lexsort((cand[:, 1], cand[:, 0], mag))
+    order.flags.writeable = False
+    return order
+
+
+def _encode_frames(encoder, images, positions) -> np.ndarray:
+    """Encodings (P, N, K, d) of a stack of frames (P, H, W) at ``positions``:
+    one patch gather for the stack and one product per frame, the product
+    that `encode` takes of each frame alone (one product of the stack rounds
+    some rows differently)."""
+    patches = extract_patches(images, positions, encoder.patch_size)
+    return np.stack([apply_encoder(encoder.weights, frame) for frame in patches])
+
+
+def _support_columns(encoder, model, images, positions, clamp=False) -> np.ndarray:
+    """The support vectors of each frame of a stack (P, H, W) at ``positions``,
+    in the layout `predict` multiplies, (P, K, m*d, N): the support gather of
+    `offset_encodings`, with one `support_centers` call for the stack, and
+    one encode per frame."""
+    if isinstance(model, ParametricMotion):
+        raise ShapeError("grid scoring needs a non-parametric or mixed model")
+    uniq, inverse = support_centers(encoder, images.shape[-2:], positions, model.offsets, clamp)
+    vectors = _encode_frames(encoder, images, uniq)[:, inverse]  # (P, N, m, K, d)
+    p, n, m, k, d = vectors.shape
+    return vectors.transpose(0, 3, 2, 4, 1).reshape(p, k, m * d, n)
+
+
+def _score_pairs(blocks, right, targets, pred=None):
+    """The grid scores of each pair of a stack: yields, pair by pair, the
+    squared residuals (C, N) of every candidate against the targets
+    ``targets`` (P, K, d, N), from a table's ``blocks`` (K, C*d, m*d) and the
+    support vectors ``right`` (P, K, m*d, N); each pair's scores overwrite
+    the last pair's.
+
+    For each sub-vector k in turn, one (C*d, m*d) @ (m*d, N) product lands in
+    a buffer that stays in cache (in ``pred`` (P, K, C*d, N), when given,
+    where it is kept); the target is subtracted there, the difference
+    squared, its d rows summed and the sum added to the scores.  These are
+    the products of `predict` on the pair's own columns, and the sums of its
+    whole prediction reduced over d and then over K, in that order."""
+    k, cd, _ = blocks.shape
+    d, n = targets.shape[-2:]
+    scores, part, diff = np.empty((cd // d, n)), np.empty((cd // d, n)), np.empty((cd, n))
+    sq = diff.reshape(-1, d, n)
+    for p in range(len(right)):
+        for j in range(k):
+            prod = diff if pred is None else pred[p, j]
+            np.matmul(blocks[j], right[p, j], out=prod)
+            np.subtract(prod.reshape(sq.shape), targets[p, j], out=sq)
+            sq *= sq
+            # the d rows summed in order, as numpy's sum over d does, without its slow middle-axis loop
+            rows = part if j else scores
+            if d == 1:
+                np.copyto(rows, sq[:, 0])
+            else:
+                np.add(sq[:, 0], sq[:, 1], out=rows)
+            for e in range(2, d):
+                rows += sq[:, e]
+            if j:
+                scores += part
+        yield scores
 
 
 def _candidate_scores(encoder, model, image_t, target_vectors, positions, clamp=False):
-    """Squared residual against ``target_vectors`` for every grid candidate.
+    """Squared residual against ``target_vectors`` (N, K, d) for every grid
+    candidate, from one frame.
 
-    Returns (scores (N, C), predictions (K, C, d, N)): the shared prediction
-    with the whole candidate table against every position, left in the
-    layout `predict` gives it; the residual is reduced in that layout, over
-    d and then over K."""
-    if isinstance(model, ParametricMotion):
-        raise ShapeError("grid scoring needs a non-parametric or mixed model")
-    _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
-    pred = predict(model.table_blocks, vectors[inverse])
-    diff = pred - np.moveaxis(target_vectors, 0, -1)[:, None]
-    diff *= diff
-    return diff.sum(axis=2).sum(axis=0).T, pred
+    Returns (scores (N, C), predictions (K, C, d, N)): the prediction of the
+    whole candidate table against every position, in the layout `predict`
+    gives it, whose products `_score_pairs` reduces."""
+    right = _support_columns(encoder, model, np.asarray(image_t, dtype=np.float64)[None], positions, clamp)
+    blocks = model.table_blocks
+    targets = np.asarray(target_vectors, dtype=np.float64).transpose(1, 2, 0)[None]
+    pred = np.empty((1,) + blocks.shape[:2] + (len(positions),))
+    scores = next(_score_pairs(blocks, right, targets, pred))
+    return scores.T, pred[0].reshape(blocks.shape[0], -1, model.block_dim, len(positions))
 
 
 def _argmin_tiebreak(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -76,21 +139,36 @@ def _argmin_tiebreak(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
     return order[np.argmin(scores[:, order], axis=1)]
 
 
+def infer_grid_stack(encoder, model, images_t, images_t1, config: InferConfig | None = None):
+    """Grid inference for a stack of pairs of one frame size, (P, H, W) each,
+    with the field that `infer_grid` gives each pair alone: one
+    `support_centers` call, one support gather and one frame-t+1 gather for
+    the stack, one encode per frame, and each pair scored on its own columns
+    by `_score_pairs`.
+
+    Returns (positions (N, 2), fields (P, N, 2)).
+    """
+    config = config or InferConfig()
+    images_t = np.asarray(images_t, dtype=np.float64)
+    images_t1 = np.asarray(images_t1, dtype=np.float64)
+    if images_t.shape != images_t1.shape:
+        raise ShapeError("frame pair dimensions differ")
+    pos = infer_positions(encoder, model, images_t.shape[-2:], config.margin)
+    right = _support_columns(encoder, model, images_t, pos)
+    targets = _encode_frames(encoder, images_t1, pos).transpose(0, 2, 3, 1)  # (P, K, d, N)
+    order = _candidate_order(model.grid)
+    chosen = [_argmin_tiebreak(scores.T, order) for scores in _score_pairs(model.table_blocks, right, targets)]
+    return pos, model.grid.candidates()[np.stack(chosen)]
+
+
 def infer_grid(encoder, model, image_t, image_t1, config: InferConfig | None = None) -> DisplacementField:
     """Exhaustive per-position argmin of the rotation residual over candidates.
 
     Ties break toward the smallest displacement norm, then lexicographically.
+    The stack of one of `infer_grid_stack`.
     """
-    config = config or InferConfig()
-    image_t = np.asarray(image_t, dtype=np.float64)
-    image_t1 = np.asarray(image_t1, dtype=np.float64)
-    if image_t.shape != image_t1.shape:
-        raise ShapeError("frame pair dimensions differ")
-    pos = infer_positions(encoder, model, image_t.shape, config.margin)
-    v1 = encode(encoder, image_t1, pos).vectors
-    scores, _ = _candidate_scores(encoder, model, image_t, v1, pos)
-    ci = _argmin_tiebreak(scores, _candidate_order(model.grid))
-    return DisplacementField(pos, model.grid.candidates()[ci])
+    pos, fields = infer_grid_stack(encoder, model, np.asarray(image_t)[None], np.asarray(image_t1)[None], config)
+    return DisplacementField(pos, fields[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +338,24 @@ def _matvec(a, x):
     return (a @ x[..., None])[..., 0]
 
 
-def _positive_definite(matrices) -> np.ndarray:
-    """Which of a stack of symmetric matrices (S, m, m) are positive definite: one
-    Cholesky test of the stack, and one per matrix only when that fails."""
-    definite = np.ones(len(matrices), dtype=bool)
-    try:
-        np.linalg.cholesky(matrices)
-    except np.linalg.LinAlgError:
-        for j, matrix in enumerate(matrices):
-            try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                definite[j] = False
-    return definite
+def _positive_definite(matrices, failing=False) -> np.ndarray:
+    """Which of a stack of symmetric matrices (S, m, m) are positive definite:
+    one Cholesky test of the stack and, when it fails, of its halves in turn,
+    down to the single matrices that fail; a stack known to be ``failing``
+    is not tested, nor the second half of a failing stack whose first half
+    passed.  Each matrix gets the verdict of its own test: a stacked test
+    factors each matrix on its own."""
+    if not failing:
+        try:
+            np.linalg.cholesky(matrices)
+            return np.ones(len(matrices), dtype=bool)
+        except np.linalg.LinAlgError:
+            pass
+    if len(matrices) == 1:
+        return np.zeros(1, dtype=bool)
+    half = len(matrices) // 2
+    first = _positive_definite(matrices[:half])
+    return np.concatenate([first, _positive_definite(matrices[half:], failing=first.all())])
 
 
 def _gradient_steps(objective, deltas, value, grad, step_size):
@@ -402,9 +485,8 @@ def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1
         raise ShapeError("frame pair dimensions differ")
     pos = infer_positions(encoder, model, images_t.shape[-2:], config.margin)
     grid_shape = tuple(map(len, lattice_axes(pos)))
-    # one encode per frame: a stacked product rounds some rows differently
-    v0 = np.stack([encode(encoder, img, pos).vectors for img in images_t])
-    v1 = np.stack([encode(encoder, img, pos).vectors for img in images_t1])
+    v0 = _encode_frames(encoder, images_t, pos)
+    v1 = _encode_frames(encoder, images_t1, pos)
     shape = (len(images_t), len(pos), 2)
     if config.init_field is not None:
         deltas = np.array(config.init_field, dtype=np.float64).reshape(shape)

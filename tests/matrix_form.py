@@ -1,10 +1,19 @@
 """The descent objective's matrix form, which tests compare the polynomial
-residual against, and the recurrent multi-frame alignment of the paper, kept
-as a reference on the matrix lookup."""
+residual against; grid scoring as one whole prediction reduced in its
+layout, which the block-wise scores must equal bit for bit; and the
+recurrent multi-frame alignment of the paper, kept as a reference on the
+matrix lookup."""
 
 import numpy as np
 
-from patchflow.core import ParametricMotion, encode, motion_matrices, polynomial_matrices
+from patchflow.core import (
+    ParametricMotion,
+    encode,
+    motion_matrices,
+    offset_encodings,
+    polynomial_matrices,
+    predict,
+)
 
 
 def taylor_terms(model: ParametricMotion, deltas: np.ndarray):
@@ -16,6 +25,18 @@ def taylor_terms(model: ParametricMotion, deltas: np.ndarray):
     dm1 = b1[None] + 2.0 * d1 * b11[None] + d2 * b12[None]
     dm2 = b2[None] + 2.0 * d2 * b22[None] + d1 * b12[None]
     return m, dm1, dm2
+
+
+def grid_scores(encoder, model, image_t, target_vectors, positions, clamp=False):
+    """Squared residual against ``target_vectors`` (N, K, d) for every grid
+    candidate: (scores (N, C), prediction (K, C, d, N)), the prediction of the
+    whole candidate table against every position, reduced in that layout over
+    d and then over K."""
+    _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
+    pred = predict(model.table_blocks, vectors[inverse])
+    diff = pred - np.moveaxis(target_vectors, 0, -1)[:, None]
+    diff *= diff
+    return diff.sum(axis=2).sum(axis=0).T, pred
 
 
 def align_recurrent(encoder, model, frames, position, delta):

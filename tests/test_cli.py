@@ -179,6 +179,60 @@ class TestPipelines:
         assert runs["three"][1] == descent_summary(stops)
         assert len(runs["one"][0]) == 10 and len({it for it, _ in stops}) > 1
 
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_grid_infer_is_each_pairs_own_argmin_at_any_thread_count(self, tmp_path, monkeypatch, variant):
+        from patchflow import inference, training
+        from patchflow.datagen import dataset_read
+        from patchflow.training import load_checkpoint
+
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 5, "--size", 48, "--range", 2, "--seed", 6)
+        ckpt = tmp_path / "m.ckpt"
+        rng = np.random.default_rng(7)
+        grid = DisplacementGrid(-2, 2, 0.5)
+        if variant == "mixed":
+            off = support_offsets(2, 2)
+            model = MixedMotion(grid, off, 0.3 * rng.standard_normal((grid.num_candidates, len(off), 3, 2, 2)))
+        else:
+            model = NonParametricMotion(grid, np.eye(2) + 0.3 * rng.standard_normal((grid.num_candidates, 3, 2, 2)))
+        save_checkpoint(ckpt, Encoder.random(3, 2, 8, 4, rng=rng), model)
+        stacks = []  # the pairs of each stack
+        infer_grid_stack = inference.infer_grid_stack
+
+        def logged(encoder, model, images_t, images_t1, config):
+            stacks.append(len(images_t))
+            return infer_grid_stack(encoder, model, images_t, images_t1, config)
+
+        monkeypatch.setattr(inference, "infer_grid_stack", logged)
+        runs = {}
+        for name, threads, budget in (("one", 1, training.CHUNK_BYTES), ("three", 3, training.CHUNK_BYTES), ("alone", 1, 1)):
+            monkeypatch.setattr(training, "CHUNK_BYTES", budget)  # 1 byte: every pair its own stack
+            out = tmp_path / name
+            stacks.clear()
+            assert run_cli("infer", "--checkpoint", ckpt, "--data", ds, "--out", out, "--text", "--color", "--threads", threads) == EXIT_OK
+            runs[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "run_summary.json"}
+            assert sorted(stacks) == {"one": [5], "three": [1, 2, 2], "alone": [1] * 5}[name]
+            assert "descent" not in json.loads((out / "run_summary.json").read_text())["metrics"]
+        assert runs["one"] == runs["three"] == runs["alone"] and len(runs["one"]) == 15
+        encoder, model, _ = load_checkpoint(ckpt)
+        fields = set()
+        for i, pair in enumerate(dataset_read(ds)):
+            want = inference.infer_grid(encoder, model, pair.image_t, pair.image_t1)
+            got = read_field(tmp_path / "three" / f"field_{i:05d}.v1fd")
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.vectors, want.vectors.astype(np.float32))
+            fields.add(want.vectors.tobytes())
+        assert len(fields) == 5
+
+    def test_infer_stacks_split_by_threads_and_memory(self):
+        from patchflow import cli
+
+        members = list(range(10, 20))
+        assert cli._stacks(members, 100, 300, 1) == [members[:3], members[3:6], members[6:8], members[8:]]
+        assert cli._stacks(members, 100, 1000, 1) == [members]
+        assert cli._stacks(members, 100, 1000, 4) == [members[:3], members[3:6], members[6:8], members[8:]]
+        assert cli._stacks(members, 100, 50, 1) == [[i] for i in members]
+
     def test_descent_stacks_split_by_threads_and_memory(self, monkeypatch):
         from patchflow import cli
 
@@ -470,6 +524,20 @@ class TestChecksBeforeWork:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "(0.25, 0.0)" in err[0] and "np.float64" not in err[0]
         assert not any(out.iterdir())
+
+    def test_eval_of_a_field_outside_the_frames_is_format_error(self, tmp_path, capsys):
+        from patchflow.core import DisplacementField
+        from patchflow.inference import write_field
+
+        ds, pred = tmp_path / "ds", tmp_path / "pred"
+        run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--seed", 1)
+        pred.mkdir()
+        rr, cc = np.meshgrid([8, 16, 24], [48, 56, 64], indexing="ij")  # columns past the 32-pixel frames
+        write_field(pred / "field_00000.v1fd", DisplacementField(np.stack([rr.ravel(), cc.ravel()], axis=1), np.zeros((9, 2))))
+        capsys.readouterr()
+        assert run_cli("eval", "--data", ds, "--pred", pred, "--out", tmp_path / "ev") == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:") and "32x32" in err[0]
 
     @pytest.mark.parametrize("command", ["train", "infer"])
     def test_image_smaller_than_patch_and_support_is_format_error(self, tmp_path, capsys, command):

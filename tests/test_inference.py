@@ -15,18 +15,26 @@ from patchflow.core import (
     VectorField,
     decode,
     encode,
+    eval_positions,
     support_offsets,
 )
 from patchflow.datagen import synthetic_textures, warp
 from patchflow.inference import (
     STOP_REASONS,
     InferConfig,
+    _candidate_order,
+    _candidate_scores,
+    _encode_frames,
     _newton_steps,
     _NewtonSystem,
     _PolynomialObjective,
+    _positive_definite,
+    _score_pairs,
     _smoothness_value_grad,
+    _support_columns,
     animate,
     infer_grid,
+    infer_grid_stack,
     infer_parametric,
     infer_parametric_stack,
     infer_positions,
@@ -35,7 +43,7 @@ from patchflow.inference import (
 )
 from patchflow.errors import ShapeError
 
-from matrix_form import align_recurrent, estimate_velocity, taylor_terms
+from matrix_form import align_recurrent, estimate_velocity, grid_scores, taylor_terms
 
 
 def orthonormal_encoder(p, stride, rng):
@@ -136,6 +144,67 @@ class TestInferGrid:
             for c in range(grid.num_candidates):
                 r2 = v1 - np.einsum("kde,ke->kd", model.matrices[c], v0)
                 assert chosen <= float(np.sum(r2 * r2)) + 1e-12
+
+
+def random_table(variant, grid, k, d, rng):
+    """A nonparametric or mixed table of random matrices near the identity."""
+    if variant == "nonparametric":
+        return NonParametricMotion(grid, np.eye(d) + 0.3 * rng.standard_normal((grid.num_candidates, k, d, d)))
+    off = support_offsets(2, 2)
+    return MixedMotion(grid, off, 0.3 * rng.standard_normal((grid.num_candidates, len(off), k, d, d)))
+
+
+class TestBlockwiseScores:
+    """Grid scores, reduced one sub-vector block at a time, against the whole
+    prediction reduced in its layout (`matrix_form.grid_scores`), bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_scores_equal_the_whole_prediction_reduced(self, variant, clamp, d):
+        rng = np.random.default_rng(50 + d)
+        enc = Encoder.random(3, d, 8, 4, rng=rng)
+        model = random_table(variant, DisplacementGrid(-1, 1, 0.5), 3, d, rng)
+        img_t, img_t1 = rng.random((2, 28, 28))
+        # clamped, as interpolation scores it: the full lattice, supports clipped at the border
+        pos = enc.grid.positions(28, 28) if clamp else eval_positions(enc, model, (28, 28))
+        v1 = encode(enc, img_t1, pos).vectors
+        scores, pred = _candidate_scores(enc, model, img_t, v1, pos, clamp)
+        want_scores, want_pred = grid_scores(enc, model, img_t, v1, pos, clamp)
+        assert scores.shape == (len(pos), model.grid.num_candidates)
+        assert np.array_equal(scores, want_scores) and np.array_equal(pred, want_pred)
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_stacks_of_two_frame_sizes_score_each_pair_alone(self, variant):
+        rng = np.random.default_rng(53)
+        enc = Encoder.random(3, 2, 8, 4, rng=rng)
+        model = random_table(variant, DisplacementGrid(-1, 1, 0.5), 3, 2, rng)
+        order = _candidate_order(model.grid)
+        for shape in ((24, 24), (36, 28)):
+            imgs_t = rng.random((3,) + shape)
+            imgs_t1 = np.stack([warp(imgs_t[0], np.full(shape + (2,), 0.5)), imgs_t[1], rng.random(shape)])
+            pos, fields = infer_grid_stack(enc, model, imgs_t, imgs_t1, InferConfig(margin=4))
+            right = _support_columns(enc, model, imgs_t, pos)
+            targets = _encode_frames(enc, imgs_t1, pos).transpose(0, 2, 3, 1)
+            for i, scores in enumerate(_score_pairs(model.table_blocks, right, targets)):
+                want, _ = grid_scores(enc, model, imgs_t[i], encode(enc, imgs_t1[i], pos).vectors, pos)
+                assert np.array_equal(scores.T, want), (shape, i)
+                choice = order[np.argmin(want[:, order], axis=1)]
+                assert np.array_equal(fields[i], model.grid.candidates()[choice])
+                alone = infer_grid(enc, model, imgs_t[i], imgs_t1[i], InferConfig(margin=4))
+                assert np.array_equal(alone.positions, pos) and np.array_equal(alone.vectors, fields[i])
+
+    def test_parametric_model_is_refused(self):
+        rng = np.random.default_rng(54)
+        enc = Encoder.random(2, 2, 8, 4, rng=rng)
+        imgs = rng.random((2, 1, 24, 24))
+        with pytest.raises(ShapeError):
+            infer_grid_stack(enc, ParametricMotion.zeros(2, 2), *imgs)
+
+    def test_tie_break_order_is_computed_once_per_grid(self):
+        grid = DisplacementGrid(-1, 1, 0.5)
+        order = _candidate_order(grid)
+        assert _candidate_order(DisplacementGrid(-1, 1, 0.5)) is order and not order.flags.writeable
 
 
 class TestInferParametric:
@@ -340,6 +409,33 @@ class TestNewtonSystem:
                 want = steps[solved[:p].sum()]
                 assert np.array_equal(alone[1][0], want) and np.array_equal(part[1][0], want)
         assert not solved.all() and solved.any()
+
+    def test_positive_definite_bisects_a_failing_stack(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((64, 6, 6))
+        matrices = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(6)
+        matrices[17] -= 50.0 * np.eye(6)  # negative definite
+        matrices[40, 0, 0] = -1.0  # indefinite
+        want = []
+        for m in matrices:
+            try:
+                np.linalg.cholesky(m)
+                want.append(True)
+            except np.linalg.LinAlgError:
+                want.append(False)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(m):
+            calls.append(len(m))
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        definite = _positive_definite(matrices)
+        assert definite.tolist() == want and want.count(False) == 2
+        assert len(calls) <= 25  # testing each matrix alone after the stack takes 65
+        calls.clear()
+        assert _positive_definite(matrices[:17]).all() and calls == [17]
 
     def test_null_step_when_converged_to_rounding(self):
         rng = np.random.default_rng(42)
