@@ -183,6 +183,8 @@ def _read_netpbm(path, magic: bytes):
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise DataFormatError(f"{path}: malformed header") from exc
+    if w < 1 or h < 1:
+        raise DataFormatError(f"{path}: image size {w}x{h}, expected at least 1x1")
     if maxval != 255:
         raise DataFormatError(f"{path}: only 8-bit images supported (maxval {maxval})")
     channels = 3 if magic == b"P6" else 1

@@ -278,8 +278,18 @@ def _rows(stack: np.ndarray, rows) -> np.ndarray:
     return part.reshape((-1,) + stack.shape[2:])
 
 
-def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion, workspace):
+def _weighted(x: np.ndarray, counts) -> np.ndarray:
+    """``x`` (B, ...) with each frame's entries times its count; ``x`` itself without counts."""
+    return x if counts is None else x * counts.reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_weights, d_motion, workspace):
     """Accumulate loss and gradients for a batch group sharing one image size.
+
+    ``counts`` (one per frame, or None for ones) weights each frame's rotation
+    residual, norm-stability term and reconstruction error before they enter
+    the loss and the products, so that a frame counts as that many copies of
+    itself; a count of 1 multiplies by 1.0, which changes no bit.
 
     It runs in chunks of frames whose support patch stack fits in CHUNK_BYTES.
     Each chunk gathers and encodes each frame once, into ``workspace``'s
@@ -338,6 +348,7 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
 
     for c in range(0, len(imgs_t), frames):
         ch_t, ch_t1, ch_d = imgs_t[c : c + frames], imgs_t1[c : c + frames], deltas[c : c + frames]
+        ch_c = None if counts is None else counts[c : c + frames]
         b = len(ch_t)
         a_t = extract_patches(ch_t, centers_t, p, out=workspace.array("frame_t", (b, n_t, q)))
         a_t1 = extract_patches(ch_t1, centers_t1, p, out=workspace.array("frame_t1", (b, n_t1, q)))
@@ -356,17 +367,19 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
             pred = predict(blocks, np.moveaxis(right, 3, 2)[:, :, None])[..., 0, :, 0]
 
             r = v1 - pred
-            loss += lam_rot * float(np.sum(r * r))
-            d_pred = -2.0 * lam_rot * r
+            r_w = _weighted(r, ch_c)
+            loss += lam_rot * float(np.sum(r_w * r))
+            d_pred = -2.0 * lam_rot * r_w
             if lam_ns > 0:
                 a_x = _rows(a_t, rows_x)
                 v_x = _rows(v_t, rows_x).reshape(b, n, k, d)
                 ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
-                loss += lam_ns * float(np.sum(ns * ns))
-                d_pred = d_pred + 4.0 * lam_ns * ns[..., None] * pred
-                gv = (-4.0 * lam_ns * ns[..., None] * v_x).reshape(b * n, kd)
+                ns_w = _weighted(ns, ch_c)
+                loss += lam_ns * float(np.sum(ns_w * ns))
+                d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
+                gv = (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b * n, kd)
                 dw2 += gv.T @ a_x
-            dw2 += (2.0 * lam_rot * r).reshape(b * n, kd).T @ a1
+            dw2 += (2.0 * lam_rot * r_w).reshape(b * n, kd).T @ a1
 
             # back through the prediction: M^T d_pred per offset, scattered onto the
             # unique support centers, and the outer product d_pred v^T per offset
@@ -389,8 +402,9 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, 
                 a_rec, v_rec = _rows(a_s, rows), _rows(v_s, rows)
                 np.matmul(v_rec, w2, out=decoded)
                 e = imgs - overlap_add(decoded.reshape(b, n_rec, q), pos_rec, shape, p)
-                loss += lam_rec * float(np.sum(e * e))
-                extract_patches(e, pos_rec, p, out=e_p)
+                e_w = _weighted(e, ch_c)
+                loss += lam_rec * float(np.sum(e_w * e))
+                extract_patches(e_w, pos_rec, p, out=e_p)
                 e_flat = e_p.reshape(b * n_rec, q)
                 v_e = e_flat @ w2.T
                 dw2 += -2.0 * lam_rec * (v_rec.T @ e_flat + v_e.T @ a_rec)
@@ -405,19 +419,26 @@ def size_groups(images) -> list[list[int]]:
     return list(groups.values())
 
 
-def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace | None = None):
+def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace | None = None, counts=None):
     """Gradient of the batch-mean weighted loss.
 
     ``batch`` holds (image_t, image_t1, deltas) triplets whose ``deltas``
-    align with ``eval_positions`` for that image size.  The patch stacks and
-    the motion gradient go into ``workspace``'s buffers (a fresh workspace's
-    by default), so the bundle's ``d_motion`` holds until the next call with
-    that workspace.  Returns the bundle and the loss value.
+    align with ``eval_positions`` for that image size.  With ``counts``, one
+    positive integer per triplet, each triplet stands for that many copies of
+    itself: the result is that of the expanded batch, to rounding, and with
+    counts of 1 it is bit for bit the result without counts.  The patch stacks
+    and the motion gradient go into ``workspace``'s buffers (a fresh
+    workspace's by default), so the bundle's ``d_motion`` holds until the next
+    call with that workspace.  Returns the bundle and the loss value.
     """
     if not batch:
         raise ShapeError("empty batch")
     if workspace is None:
         workspace = Workspace()
+    if counts is not None:
+        counts = np.asarray(counts, dtype=np.float64)
+        if counts.shape != (len(batch),):
+            raise ShapeError(f"{counts.shape} counts for a batch of {len(batch)}")
     d_weights = np.zeros_like(encoder.weights)
     d_motion = _motion_gradient(model, workspace)
     loss = 0.0
@@ -425,10 +446,11 @@ def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace 
         imgs_t = np.stack([np.asarray(batch[i][0], dtype=np.float64) for i in members])
         imgs_t1 = np.stack([np.asarray(batch[i][1], dtype=np.float64) for i in members])
         deltas = np.stack([np.asarray(batch[i][2], dtype=np.float64) for i in members])
+        group_counts = None if counts is None else counts[members]
         loss += _group_gradient(
-            encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion, workspace
+            encoder, model, imgs_t, imgs_t1, deltas, group_counts, config, d_weights, d_motion, workspace
         )
-    scale = 1.0 / len(batch)
+    scale = 1.0 / (len(batch) if counts is None else float(counts.sum()))
     loss *= scale
     d_weights *= scale
     d_motion *= scale
@@ -493,10 +515,13 @@ def prepare_dataset(dataset, encoder, model, snap_to_grid: bool) -> list:
 def _run_steps(params, state, prepared, encoder0, model0, config, rng, num_steps, history, workspace):
     for _ in range(num_steps):
         take = rng.integers(0, len(prepared), size=config.batch_size)
+        # a triplet drawn more than once is evaluated once, weighted by its count
+        distinct, first, counts = np.unique(take, return_index=True, return_counts=True)
+        order = np.argsort(first)
         enc, model = _rebuild(encoder0, model0, params["weights"], params["motion"])
-        batch = [prepared[i] for i in take]
+        batch = [prepared[i] for i in distinct[order]]
         try:
-            bundle, loss = grad_total(enc, model, batch, config, workspace)
+            bundle, loss = grad_total(enc, model, batch, config, workspace, counts[order])
         except NumericError as exc:
             raise TrainingDiverged(str(exc), history) from exc
         history.append(loss)

@@ -630,10 +630,11 @@ def reference_scatter_rows(n_rows, rows, values):
     return out.reshape((n_rows,) + values.shape[1:])
 
 
-def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_weights, d_motion, workspace=None):
+def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_weights, d_motion, workspace=None):
     """`_group_gradient` before chunking: the whole group at once, the matrices laid
     out a second time for the adjoint, the motion gradient as a 6-D outer product,
-    every patch stack gathered afresh (``workspace`` unused)."""
+    every patch stack gathered afresh (``workspace`` unused).  Each frame's residuals
+    are weighted by its count in ``counts`` (None: no weighting)."""
     w = encoder.weights
     k, d, q = w.shape
     kd = k * d
@@ -659,17 +660,19 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_
         pred = core.predict(block_layout(mats[:, :, None]), voff[:, :, None])[..., 0, :, 0]
 
         r = v1 - pred
-        loss += lam_rot * float(np.sum(r * r))
-        d_pred = -2.0 * lam_rot * r
+        r_w = r if counts is None else r * counts[:, None, None, None]
+        loss += lam_rot * float(np.sum(r_w * r))
+        d_pred = -2.0 * lam_rot * r_w
         if lam_ns > 0:
             a_x = core.extract_patches(imgs_t, pos, p).reshape(b * n, q)
             v_x = (a_x @ w2.T).reshape(b, n, k, d)
             ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
-            loss += lam_ns * float(np.sum(ns * ns))
-            d_pred = d_pred + 4.0 * lam_ns * ns[..., None] * pred
-            gv = (-4.0 * lam_ns * ns[..., None] * v_x).reshape(b * n, kd)
+            ns_w = ns if counts is None else ns * counts[:, None, None]
+            loss += lam_ns * float(np.sum(ns_w * ns))
+            d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
+            gv = (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b * n, kd)
             dw2 += gv.T @ a_x
-        dw2 += (2.0 * lam_rot * r).reshape(b * n, kd).T @ a1
+        dw2 += (2.0 * lam_rot * r_w).reshape(b * n, kd).T @ a1
 
         mt_g = core.predict(block_layout(np.swapaxes(mats, -1, -2)[:, :, :, None]), d_pred[:, :, None, None])
         mt_g = np.swapaxes(mt_g[..., 0], 2, 3)  # (B, N, m, K, d)
@@ -691,17 +694,18 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, config, d_
             a_rec = core.extract_patches(imgs, pos_rec, p).reshape(b * n_rec, q)
             v_rec = a_rec @ w2.T
             e = imgs - core.overlap_add((v_rec @ w2).reshape(b, n_rec, q), pos_rec, shape, p)
-            loss += lam_rec * float(np.sum(e * e))
-            e_p = core.extract_patches(e, pos_rec, p).reshape(b * n_rec, q)
+            e_w = e if counts is None else e * counts[:, None, None]
+            loss += lam_rec * float(np.sum(e_w * e))
+            e_p = core.extract_patches(e_w, pos_rec, p).reshape(b * n_rec, q)
             v_e = e_p @ w2.T
             dw2 += -2.0 * lam_rec * (v_rec.T @ e_p + v_e.T @ a_rec)
     return loss
 
 
-def reference_grad_total(monkeypatch, enc, model, batch, config):
+def reference_grad_total(monkeypatch, enc, model, batch, config, counts=None):
     with monkeypatch.context() as patch:
         patch.setattr(training, "_group_gradient", reference_group_gradient)
-        return grad_total(enc, model, batch, config)
+        return grad_total(enc, model, batch, config, counts=counts)
 
 
 def support_stack_bytes(enc, model, shape):
@@ -819,3 +823,84 @@ class TestChunkedGradient:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+# ---------------------------------------------------------------------------
+# a step's repeated draws: each distinct triplet once, weighted by its count
+
+
+REPEAT_COUNTS = [3, 1, 2, 1, 4]
+
+
+def expanded(batch, counts, seed=7):
+    """``batch`` with each triplet repeated by its count, in a shuffled draw order."""
+    draws = np.repeat(np.arange(len(batch)), counts)
+    return [batch[i] for i in np.random.default_rng(seed).permutation(draws)]
+
+
+class TestRepeatedDraws:
+    @pytest.mark.parametrize("case", ["one_chunk", "two_chunks", "two_sizes"])
+    @pytest.mark.parametrize("norm_stability", [0.0, 0.05])
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_counts_match_expanded_batch(self, monkeypatch, variant, norm_stability, case):
+        shapes, per_chunk = CHUNK_CASES[case]
+        enc, model, batch, config = chunk_problem(variant, shapes, norm_stability)
+        counts = REPEAT_COUNTS[: len(batch)]
+        if per_chunk is not None:
+            budget = per_chunk * support_stack_bytes(enc, model, shapes[0])
+            monkeypatch.setattr(training, "CHUNK_BYTES", budget)
+        want, want_loss = grad_total(enc, model, expanded(batch, counts), config)
+        got, loss = grad_total(enc, model, batch, config, counts=counts)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for a, b in ((got.d_weights, want.d_weights), (got.d_motion, want.d_motion)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("norm_stability", [0.0, 0.05])
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_counts_of_one_are_bit_identical(self, monkeypatch, variant, norm_stability):
+        shapes, per_chunk = CHUNK_CASES["two_sizes"]
+        enc, model, batch, config = chunk_problem(variant, shapes, norm_stability)
+        monkeypatch.setattr(training, "CHUNK_BYTES", per_chunk * support_stack_bytes(enc, model, shapes[0]))
+        want, want_loss = grad_total(enc, model, batch, config)
+        got, loss = grad_total(enc, model, batch, config, counts=np.ones(len(batch), dtype=np.int64))
+        assert loss == want_loss
+        assert np.array_equal(got.d_weights, want.d_weights)
+        assert np.array_equal(got.d_motion, want.d_motion)
+
+    @pytest.mark.parametrize("norm_stability", [0.0, 0.05])
+    @pytest.mark.parametrize("variant", ["nonparametric", "parametric"])
+    def test_reference_weights_counts_bit_for_bit(self, monkeypatch, variant, norm_stability):
+        # one chunk: the reference, which weights each frame's residuals with the same
+        # products, gives the same bits
+        enc, model, batch, config = chunk_problem(variant, [(24, 24), (32, 32), (24, 24)], norm_stability)
+        want, want_loss = reference_grad_total(monkeypatch, enc, model, batch, config, counts=[2, 5, 1])
+        got, loss = grad_total(enc, model, batch, config, counts=[2, 5, 1])
+        assert loss == want_loss
+        assert np.array_equal(got.d_weights, want.d_weights)
+        assert np.array_equal(got.d_motion, want.d_motion)
+
+    def test_run_steps_passes_each_distinct_draw_once_with_its_count(self, monkeypatch):
+        config = TrainConfig(motion_variant="parametric", num_blocks=3, block_dim=2, patch_size=8, stride=4, batch_size=8)
+        enc, model = training.init_model(config, np.random.default_rng(0))
+        prepared = training.prepare_dataset(desk_dataset(6, shape=(24, 24), seed=3), enc, model, False)
+        calls = []
+        real = training.grad_total
+
+        def spy(encoder, model, batch, config, workspace=None, counts=None):
+            calls.append(([next(i for i, t in enumerate(prepared) if t is item) for item in batch], list(counts)))
+            return real(encoder, model, batch, config, workspace, counts)
+
+        monkeypatch.setattr(training, "grad_total", spy)
+        params = {"weights": enc.weights.copy(), "motion": model.coeffs.copy()}
+        rng = np.random.default_rng(11)
+        training._run_steps(params, AdamState.init(params), prepared, enc, model, config, rng, 5, [], training.Workspace())
+
+        replica = np.random.default_rng(11)
+        want = []
+        for _ in range(5):
+            take = replica.integers(0, len(prepared), size=config.batch_size).tolist()
+            distinct = list(dict.fromkeys(take))  # first-draw order
+            want.append((distinct, [take.count(i) for i in distinct]))
+        assert calls == want
+        assert any(max(counts) > 1 for _, counts in calls)
+        assert rng.bit_generator.state == replica.bit_generator.state
