@@ -278,15 +278,15 @@ def _rows(stack: np.ndarray, rows) -> np.ndarray:
     return part.reshape((-1,) + stack.shape[2:])
 
 
-def _weighted(x: np.ndarray, counts) -> np.ndarray:
-    """``x`` (B, ...) with each frame's entries times its count; ``x`` itself without counts."""
-    return x if counts is None else x * counts.reshape((-1,) + (1,) * (x.ndim - 1))
+def _weighted(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``x`` (B, ...) with each frame's entries times its count."""
+    return x * counts.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_weights, d_motion, workspace):
     """Accumulate loss and gradients for a batch group sharing one image size.
 
-    ``counts`` (one per frame, or None for ones) weights each frame's rotation
+    ``counts`` (one float per frame) weights each frame's rotation
     residual, norm-stability term and reconstruction error before they enter
     the loss and the products, so that a frame counts as that many copies of
     itself; a count of 1 multiplies by 1.0, which changes no bit.
@@ -348,7 +348,6 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
 
     for c in range(0, len(imgs_t), frames):
         ch_t, ch_t1, ch_d = imgs_t[c : c + frames], imgs_t1[c : c + frames], deltas[c : c + frames]
-        ch_c = None if counts is None else counts[c : c + frames]
         b = len(ch_t)
         a_t = extract_patches(ch_t, centers_t, p, out=workspace.array("frame_t", (b, n_t, q)))
         a_t1 = extract_patches(ch_t1, centers_t1, p, out=workspace.array("frame_t1", (b, n_t1, q)))
@@ -367,14 +366,14 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
             pred = predict(blocks, np.moveaxis(right, 3, 2)[:, :, None])[..., 0, :, 0]
 
             r = v1 - pred
-            r_w = _weighted(r, ch_c)
+            r_w = _weighted(r, counts[c : c + b])
             loss += lam_rot * float(np.sum(r_w * r))
             d_pred = -2.0 * lam_rot * r_w
             if lam_ns > 0:
                 a_x = _rows(a_t, rows_x)
                 v_x = _rows(v_t, rows_x).reshape(b, n, k, d)
                 ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
-                ns_w = _weighted(ns, ch_c)
+                ns_w = _weighted(ns, counts[c : c + b])
                 loss += lam_ns * float(np.sum(ns_w * ns))
                 d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
                 gv = (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b * n, kd)
@@ -402,7 +401,7 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
                 a_rec, v_rec = _rows(a_s, rows), _rows(v_s, rows)
                 np.matmul(v_rec, w2, out=decoded)
                 e = imgs - overlap_add(decoded.reshape(b, n_rec, q), pos_rec, shape, p)
-                e_w = _weighted(e, ch_c)
+                e_w = _weighted(e, counts[c : c + b])
                 loss += lam_rec * float(np.sum(e_w * e))
                 extract_patches(e_w, pos_rec, p, out=e_p)
                 e_flat = e_p.reshape(b * n_rec, q)
@@ -423,22 +422,21 @@ def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace 
     """Gradient of the batch-mean weighted loss.
 
     ``batch`` holds (image_t, image_t1, deltas) triplets whose ``deltas``
-    align with ``eval_positions`` for that image size.  With ``counts``, one
-    positive integer per triplet, each triplet stands for that many copies of
-    itself: the result is that of the expanded batch, to rounding, and with
-    counts of 1 it is bit for bit the result without counts.  The patch stacks
-    and the motion gradient go into ``workspace``'s buffers (a fresh
-    workspace's by default), so the bundle's ``d_motion`` holds until the next
-    call with that workspace.  Returns the bundle and the loss value.
+    align with ``eval_positions`` for that image size.  ``counts``, one
+    positive integer per triplet (ones by default), makes each triplet stand
+    for that many copies of itself: the result is that of the expanded batch,
+    to rounding, and a count of 1 multiplies by 1.0, which changes no bit.
+    The patch stacks and the motion gradient go into ``workspace``'s buffers
+    (a fresh workspace's by default), so the bundle's ``d_motion`` holds until
+    the next call with that workspace.  Returns the bundle and the loss value.
     """
     if not batch:
         raise ShapeError("empty batch")
     if workspace is None:
         workspace = Workspace()
-    if counts is not None:
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.shape != (len(batch),):
-            raise ShapeError(f"{counts.shape} counts for a batch of {len(batch)}")
+    counts = np.ones(len(batch)) if counts is None else np.asarray(counts, dtype=np.float64)
+    if counts.shape != (len(batch),):
+        raise ShapeError(f"{counts.shape} counts for a batch of {len(batch)}")
     d_weights = np.zeros_like(encoder.weights)
     d_motion = _motion_gradient(model, workspace)
     loss = 0.0
@@ -446,11 +444,10 @@ def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace 
         imgs_t = np.stack([np.asarray(batch[i][0], dtype=np.float64) for i in members])
         imgs_t1 = np.stack([np.asarray(batch[i][1], dtype=np.float64) for i in members])
         deltas = np.stack([np.asarray(batch[i][2], dtype=np.float64) for i in members])
-        group_counts = None if counts is None else counts[members]
         loss += _group_gradient(
-            encoder, model, imgs_t, imgs_t1, deltas, group_counts, config, d_weights, d_motion, workspace
+            encoder, model, imgs_t, imgs_t1, deltas, counts[members], config, d_weights, d_motion, workspace
         )
-    scale = 1.0 / (len(batch) if counts is None else float(counts.sum()))
+    scale = 1.0 / float(counts.sum())
     loss *= scale
     d_weights *= scale
     d_motion *= scale

@@ -164,7 +164,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
     """`_group_gradient` as it was before the block rows: the matrices gathered per position
     and laid out per chunk, the motion gradient summed by `np.bincount` through a permuted
     flat index into table order.  ``d_motion`` is written through its (C, m, K, d, d) view.
-    Each frame's residuals are weighted by its count in ``counts`` (None: no weighting)."""
+    Each frame's residuals are weighted by its count in ``counts``."""
     w = encoder.weights
     k, d, q = w.shape
     kd = k * d
@@ -193,7 +193,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
 
     for c in range(0, len(imgs_t), frames):
         ch_t, ch_t1, ch_d = imgs_t[c : c + frames], imgs_t1[c : c + frames], deltas[c : c + frames]
-        ch_c = None if counts is None else counts[c : c + frames]
+        ch_c = counts[c : c + frames]
         b = len(ch_t)
         a_t = core.extract_patches(ch_t, centers_t, p)
         a_t1 = core.extract_patches(ch_t1, centers_t1, p)
@@ -206,14 +206,14 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
             blocks = block_layout(support_matrices(model, ch_d)[:, :, None])
             pred = core.predict(blocks, np.moveaxis(right, 3, 2)[:, :, None])[..., 0, :, 0]
             r = v1 - pred
-            r_w = r if ch_c is None else r * ch_c[:, None, None, None]
+            r_w = r * ch_c[:, None, None, None]
             loss += lam_rot * float(np.sum(r_w * r))
             d_pred = -2.0 * lam_rot * r_w
             if lam_ns > 0:
                 a_x = training._rows(a_t, rows_x)
                 v_x = training._rows(v_t, rows_x).reshape(b, n, k, d)
                 ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)
-                ns_w = ns if ch_c is None else ns * ch_c[:, None, None]
+                ns_w = ns * ch_c[:, None, None]
                 loss += lam_ns * float(np.sum(ns_w * ns))
                 d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
                 dw2 += (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b * n, kd).T @ a_x
@@ -230,7 +230,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
                 a_rec, v_rec = training._rows(a_s, rows), training._rows(v_s, rows)
                 decoded = v_rec @ w2
                 e = imgs - core.overlap_add(decoded.reshape(b, n_rec, q), pos_rec, shape, p)
-                e_w = e if ch_c is None else e * ch_c[:, None, None]
+                e_w = e * ch_c[:, None, None]
                 loss += lam_rec * float(np.sum(e_w * e))
                 e_flat = core.extract_patches(e_w, pos_rec, p).reshape(b * n_rec, q)
                 v_e = e_flat @ w2.T

@@ -634,7 +634,7 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
     """`_group_gradient` before chunking: the whole group at once, the matrices laid
     out a second time for the adjoint, the motion gradient as a 6-D outer product,
     every patch stack gathered afresh (``workspace`` unused).  Each frame's residuals
-    are weighted by its count in ``counts`` (None: no weighting)."""
+    are weighted by its count in ``counts``."""
     w = encoder.weights
     k, d, q = w.shape
     kd = k * d
@@ -660,14 +660,14 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
         pred = core.predict(block_layout(mats[:, :, None]), voff[:, :, None])[..., 0, :, 0]
 
         r = v1 - pred
-        r_w = r if counts is None else r * counts[:, None, None, None]
+        r_w = r * counts[:, None, None, None]
         loss += lam_rot * float(np.sum(r_w * r))
         d_pred = -2.0 * lam_rot * r_w
         if lam_ns > 0:
             a_x = core.extract_patches(imgs_t, pos, p).reshape(b * n, q)
             v_x = (a_x @ w2.T).reshape(b, n, k, d)
             ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
-            ns_w = ns if counts is None else ns * counts[:, None, None]
+            ns_w = ns * counts[:, None, None]
             loss += lam_ns * float(np.sum(ns_w * ns))
             d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
             gv = (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b * n, kd)
@@ -694,7 +694,7 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
             a_rec = core.extract_patches(imgs, pos_rec, p).reshape(b * n_rec, q)
             v_rec = a_rec @ w2.T
             e = imgs - core.overlap_add((v_rec @ w2).reshape(b, n_rec, q), pos_rec, shape, p)
-            e_w = e if counts is None else e * counts[:, None, None]
+            e_w = e * counts[:, None, None]
             loss += lam_rec * float(np.sum(e_w * e))
             e_p = core.extract_patches(e_w, pos_rec, p).reshape(b * n_rec, q)
             v_e = e_p @ w2.T
@@ -858,11 +858,14 @@ class TestRepeatedDraws:
     @pytest.mark.parametrize("norm_stability", [0.0, 0.05])
     @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
     def test_counts_of_one_are_bit_identical(self, monkeypatch, variant, norm_stability):
+        # weighting by a count of 1 changes no bit against the unweighted terms
         shapes, per_chunk = CHUNK_CASES["two_sizes"]
         enc, model, batch, config = chunk_problem(variant, shapes, norm_stability)
         monkeypatch.setattr(training, "CHUNK_BYTES", per_chunk * support_stack_bytes(enc, model, shapes[0]))
-        want, want_loss = grad_total(enc, model, batch, config)
         got, loss = grad_total(enc, model, batch, config, counts=np.ones(len(batch), dtype=np.int64))
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_weighted", lambda x, counts: x)
+            want, want_loss = grad_total(enc, model, batch, config)
         assert loss == want_loss
         assert np.array_equal(got.d_weights, want.d_weights)
         assert np.array_equal(got.d_motion, want.d_motion)
