@@ -9,15 +9,8 @@ from .core import (
     NonParametricMotion,
     ParametricMotion,
     VectorField,
-    apply_motion,
-    apply_motion_mixed,
-    complex_cell_response,
     decode,
     encode,
-    extract_patch,
-    motion_matrix,
-    reconstruction_loss,
-    rotation_loss,
     support_offsets,
 )
 

@@ -639,7 +639,10 @@ def run(args) -> int:
                 raise FileNotFoundError(f"field file {f} not found")
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--out {out} is not a directory: it or a parent is an existing file") from None
     started = time.time()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     metrics = COMMANDS[args.command](args, config, settings)

@@ -1,4 +1,4 @@
-"""Patch encoders, motion matrices, vector fields, and the forward losses.
+"""Patch encoders, motion matrices, vector fields, and the forward model.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,13 +108,6 @@ def _patch_indices(shape: tuple[int, int], positions: np.ndarray, p: int) -> np.
     span = np.arange(p)
     # each patch's top-left pixel plus the row-major offsets of a patch
     return (corner[:, :1] * w + corner[:, 1:]) + (span[:, None] * w + span).ravel()
-
-
-def extract_patch(image: np.ndarray, position, patch_size: int) -> np.ndarray:
-    """Row-major flattening of the patch centered at ``position``."""
-    image = np.asarray(image, dtype=np.float64)
-    idx = _patch_indices(image.shape, np.asarray([position]), patch_size)
-    return image.ravel()[idx[0]]
 
 
 def extract_patches(images: np.ndarray, positions: np.ndarray, patch_size: int, out=None) -> np.ndarray:
@@ -416,12 +409,6 @@ class MixedMotion:
         """The table in the block layout of `predict`, built on first use."""
         return block_layout(self.table)
 
-    def offset_index(self, dx) -> int:
-        hit = np.nonzero((self.offsets == np.asarray(dx)).all(axis=1))[0]
-        if len(hit) == 0:
-            raise GridLookupError(f"offset {tuple(dx)} not in mixing support")
-        return int(hit[0])
-
     @classmethod
     def identity(cls, grid, offsets, num_blocks, block_dim):
         """Identity at dx = 0, zero elsewhere: the no-motion model, its matrices a view
@@ -489,38 +476,6 @@ def polynomial_matrices(coeffs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     m = (basis.reshape(-1, 5) @ coeffs.reshape(5, -1)).reshape(basis.shape[:-1] + (k, d, d))
     m += np.eye(d)
     return m
-
-
-def motion_matrices(model, deltas: np.ndarray) -> np.ndarray:
-    """Per-position block matrices M^(k)(delta), shape (N, K, d, d).
-
-    A table needs every delta to be one of its candidates.
-    """
-    deltas = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
-    if isinstance(model, NonParametricMotion):
-        idx = np.array([model.grid.index_of(d) for d in deltas])
-        return model.matrices[idx]
-    if isinstance(model, ParametricMotion):
-        return polynomial_matrices(model.coeffs, deltas)
-    raise ShapeError("mixed models have no per-delta matrix; index by offset too")
-
-
-def motion_matrix(model, k: int, delta, dx=None) -> np.ndarray:
-    """Single block matrix; mixed models require the offset ``dx``."""
-    if isinstance(model, MixedMotion):
-        if dx is None:
-            raise ShapeError("mixed motion matrix lookup needs an offset dx")
-        return model.matrices[model.grid.index_of(delta), model.offset_index(dx), k]
-    return motion_matrices(model, np.asarray([delta]))[0, k]
-
-
-def apply_motion(model, v: np.ndarray, delta) -> np.ndarray:
-    """Block-diagonal action: each sub-vector multiplied by its M^(k)(delta)."""
-    v = np.asarray(v, dtype=np.float64)
-    m = motion_matrices(model, np.asarray([delta]))[0]
-    if v.shape != (m.shape[0], m.shape[1]):
-        raise ShapeError(f"vector shape {v.shape} does not match model blocks {m.shape[:2]}")
-    return np.einsum("kde,ke->kd", m, v)
 
 
 # ---------------------------------------------------------------------------
@@ -635,37 +590,3 @@ def predicted_vectors(encoder, model, image_t, positions, deltas, clamp=False):
     _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
     mats = support_matrices(model, deltas)
     return predict(block_layout(mats[:, None]), vectors[inverse][:, None])[:, :, 0, :, 0]
-
-
-def apply_motion_mixed(model: MixedMotion, encoder, image, position, delta) -> np.ndarray:
-    """Single-position mixing prediction; raises if the support exits the image."""
-    model.grid.index_of(delta)  # exact-candidate contract
-    deltas = np.asarray([delta], dtype=np.float64)
-    return predicted_vectors(encoder, model, image, np.asarray([position]), deltas)[0]
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-
-def rotation_loss(encoder, model, image_t, image_t1, field: DisplacementField) -> float:
-    """Squared residual between next-frame encodings and motion-transformed ones."""
-    v1 = encode(encoder, image_t1, field.positions).vectors
-    pred = predicted_vectors(encoder, model, image_t, field.positions, field.vectors)
-    return float(np.sum((v1 - pred) ** 2))
-
-
-def reconstruction_loss(encoder, image_t, image_t1) -> float:
-    """Tight-frame residual of both frames under encode-then-decode."""
-    total = 0.0
-    for img in (image_t, image_t1):
-        img = np.asarray(img, dtype=np.float64)
-        rec = decode(encoder, encode(encoder, img), img.shape)
-        total += float(np.sum((img - rec) ** 2))
-    return total
-
-
-def complex_cell_response(v) -> float:
-    """Squared norm of a sub-vector."""
-    v = np.asarray(v, dtype=np.float64)
-    return float(np.dot(v.ravel(), v.ravel()))

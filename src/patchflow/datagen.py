@@ -10,7 +10,7 @@ reproduces its pair bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +133,6 @@ class SamplePair:
     image_t: np.ndarray
     image_t1: np.ndarray
     field: np.ndarray  # (H, W, 2)
-    meta: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         self.image_t = np.asarray(self.image_t, dtype=np.float64)
@@ -156,7 +155,7 @@ def deform_sample(sources, spec: DeformSpec, index: int) -> SamplePair:
     src = sources[int(rng.integers(len(sources)))]
     control = rng.uniform(spec.lo, spec.hi, (spec.grid_m, spec.grid_m, 2))
     field = interpolate_field(control, src.shape, spec.lo, spec.hi)
-    return SamplePair(src, warp(src, field), field, meta={"seed": spec.seed, "index": index})
+    return SamplePair(src, warp(src, field), field)
 
 
 def gen_v1deform(sources, n_pairs: int, spec: DeformSpec) -> list[SamplePair]:
@@ -205,19 +204,6 @@ def _affine_flow(lin, offset, shape) -> np.ndarray:
     return x - src
 
 
-def affine_flow(shape, translation=(0.0, 0.0), rotation=0.0, scale=1.0, center=None) -> np.ndarray:
-    """Dense displacement field of an affine map about ``center``.
-
-    The map sends a frame-t position y to center + scale*R(rotation)*(y -
-    center) + translation in frame t+1; the returned field satisfies the
-    backward-warp convention.
-    """
-    if center is None:
-        center = ((shape[0] - 1) / 2.0, (shape[1] - 1) / 2.0)
-    lin, off = _affine(translation, rotation, scale, center)
-    return _affine_flow(lin, off, shape)
-
-
 def _resize_bilinear(image: np.ndarray, out_shape) -> np.ndarray:
     h, w = image.shape
     oh, ow = out_shape
@@ -230,28 +216,6 @@ def _resize_bilinear(image: np.ndarray, out_shape) -> np.ndarray:
 def _compose_affine(lin_a, off_a, lin_b, off_b):
     # A then B: x -> B(A(x))
     return lin_b @ lin_a, lin_b @ off_a + off_b
-
-
-def gen_flying_objects(backgrounds, foregrounds, masks, n_pairs: int, spec: AffineSceneSpec) -> list[SamplePair]:
-    """Affine background motion with a foreground layer moving relative to it.
-
-    The stored field is the background flow overwritten by the composed
-    foreground flow wherever the warped mask covers the target pixel, and the
-    second frame is produced by backward-warping the composite first frame
-    with that field.
-    """
-    backgrounds = [as_image(b) for b in backgrounds]
-    foregrounds = [as_image(f) for f in foregrounds] if foregrounds else []
-    masks = [np.asarray(m, dtype=np.float64) for m in masks] if masks else []
-    if not backgrounds:
-        raise PatchflowError("need at least one background image")
-    if len(foregrounds) != len(masks):
-        raise PatchflowError("one mask per foreground required")
-    for f, m in zip(foregrounds, masks):
-        if f.shape != m.shape:
-            raise PatchflowError("mask dimensions must match the foreground")
-
-    return [scene_sample(backgrounds, foregrounds, masks, spec, i) for i in range(n_pairs)]
 
 
 def scene_sample(backgrounds, foregrounds, masks, spec: AffineSceneSpec, index: int) -> SamplePair:
@@ -307,7 +271,7 @@ def scene_sample(backgrounds, foregrounds, masks, spec: AffineSceneSpec, index: 
             f"could not sample affine parameters within [{spec.lo}, {spec.hi}] "
             f"after {spec.max_retries} tries"
         )
-    return SamplePair(image_t, warp(image_t, field), field, meta={"seed": spec.seed, "index": index})
+    return SamplePair(image_t, warp(image_t, field), field)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +405,7 @@ def dataset_read(path) -> list[SamplePair]:
             img_t1 = read_pgm(path / f"{stem}_t1.pgm") / 255.0
             if img_t.shape != (h, w) or img_t1.shape != (h, w):
                 raise DataFormatError(f"{path / stem}: frames {img_t.shape} and {img_t1.shape} do not match the {h}x{w} field")
-        pairs.append(SamplePair(img_t, img_t1, np.stack([d1, d2], axis=-1), meta={"index": i}))
+        pairs.append(SamplePair(img_t, img_t1, np.stack([d1, d2], axis=-1)))
     return pairs
 
 

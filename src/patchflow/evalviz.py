@@ -19,47 +19,28 @@ from .errors import DataFormatError, PatchflowError
 class EpeReport:
     mean_epe: float
     errors: np.ndarray  # per evaluated position
-    positions: np.ndarray  # (N, 2) evaluated positions
     count: int
-    margin: int
 
 
-def epe(pred: DisplacementField, truth, shape=None, margin: int = 8) -> EpeReport:
-    """Mean endpoint error over positions at least ``margin`` pixels from the border.
-
-    ``truth`` is either a dense (H, W, 2) field, sampled at the prediction
-    positions, or a DisplacementField on the identical grid.
-    """
-    grids = isinstance(truth, DisplacementField)
-    truth_arr = np.asarray(truth.vectors if grids else truth)
-    if grids:
-        if not np.array_equal(truth.positions, pred.positions):
-            raise PatchflowError("prediction and ground-truth grids differ")
-        if shape is None:
-            raise PatchflowError("shape required when both fields live on grids")
-    elif truth_arr.ndim != 3 or truth_arr.shape[2] != 2:
-        raise PatchflowError(f"dense truth must be (H, W, 2), got {truth_arr.shape}")
-    else:
-        shape = truth_arr.shape[:2]
+def epe(pred: DisplacementField, truth: np.ndarray, margin: int = 8) -> EpeReport:
+    """Mean endpoint error over positions at least ``margin`` pixels from the border,
+    against a dense (H, W, 2) ``truth`` sampled at the prediction positions."""
+    truth = np.asarray(truth)
+    if truth.ndim != 3 or truth.shape[2] != 2:
+        raise PatchflowError(f"dense truth must be (H, W, 2), got {truth.shape}")
+    shape = truth.shape[:2]
     lo, hi = pred.positions.min(axis=0), pred.positions.max(axis=0)
     if lo.min() < 0 or hi[0] >= shape[0] or hi[1] >= shape[1]:
         raise DataFormatError(
             f"field positions span rows {lo[0]}..{hi[0]} and columns {lo[1]}..{hi[1]}, "
             f"outside the {shape[0]}x{shape[1]} frames"
         )
-    gt_vec = truth_arr if grids else truth_arr[pred.positions[:, 0], pred.positions[:, 1]]
     keep = border_filter(pred.positions, shape, margin)
     if not np.any(keep):
         raise PatchflowError(f"margin {margin} leaves no interior positions")
-    diff = pred.vectors[keep] - gt_vec[keep]
+    diff = pred.vectors[keep] - truth[pred.positions[keep, 0], pred.positions[keep, 1]]
     errors = np.sqrt(np.sum(diff * diff, axis=1))
-    return EpeReport(
-        mean_epe=float(errors.mean()),
-        errors=errors,
-        positions=pred.positions[keep],
-        count=int(keep.sum()),
-        margin=margin,
-    )
+    return EpeReport(mean_epe=float(errors.mean()), errors=errors, count=int(keep.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +75,14 @@ def color_wheel() -> np.ndarray:
     return wheel
 
 
-def flow_to_color(field, max_mag: float | None = None) -> np.ndarray:
-    """Color-code a displacement field; returns a uint8 (H, W, 3) image.
+def flow_to_color(field: np.ndarray, max_mag: float | None = None) -> np.ndarray:
+    """Color-code a dense (H, W, 2) displacement field; returns a uint8 (H, W, 3) image.
 
     Hue encodes direction, saturation encodes magnitude relative to
     ``max_mag`` (by default the field's own maximum, so the largest vector is
     fully saturated).  Zero displacement maps to white.
     """
-    arr = np.asarray(field.vectors if isinstance(field, DisplacementField) else field, dtype=np.float64)
+    arr = np.asarray(field, dtype=np.float64)
     vec = arr.reshape(-1, 2)
     if not np.all(np.isfinite(vec)):
         raise PatchflowError("flow field contains non-finite values")
@@ -123,9 +104,7 @@ def flow_to_color(field, max_mag: float | None = None) -> np.ndarray:
     col[inside] = 1.0 - rad[inside, None] * (1.0 - col[inside])
     col[~inside] *= 0.75  # out-of-range marker
     rgb = np.floor(255.0 * col + 0.5).astype(np.uint8)
-    if arr.ndim == 3:
-        return rgb.reshape(arr.shape[0], arr.shape[1], 3)
-    return rgb
+    return rgb.reshape(arr.shape[:-1] + (3,))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from .errors import GridLookupError, PatchflowError
 
 PARAM_NAMES = ("amplitude", "x0", "y0", "theta", "sigma_x", "sigma_y", "frequency", "phase")
 HALF_MAG = math.sqrt(2.0 * math.log(2.0))
+LM_MAX_ITERS = 200  # Levenberg-Marquardt iterations per phase start
+QUADRATURE_R2 = 0.5  # fit quality below which a unit's within-block pairs are skipped
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,14 @@ def _jacobian(params, x, y):
     return h, jac
 
 
-def _levenberg_marquardt(target, params, x, y, max_iters=200, tol=1e-8):
+def _levenberg_marquardt(target, params, x, y, tol=1e-8):
     """Plain LM with multiplicative damping (x3 / /3) on the 8 parameters."""
     params = params.copy()
     h, jac = _jacobian(params, x, y)
     resid = target - h
     sse = float(resid @ resid)
     lam = 1e-3
-    for _ in range(max_iters):
+    for _ in range(LM_MAX_ITERS):
         jtj = jac.T @ jac
         g = jac.T @ resid
         step = None
@@ -142,7 +144,7 @@ def _fft_init(unit: np.ndarray):
     return f0, math.atan2(fy, fx)
 
 
-def fit_gabor(unit: np.ndarray, max_iters: int = 200) -> GaborFit:
+def fit_gabor(unit: np.ndarray) -> GaborFit:
     """Nonlinear least-squares fit over all 8 parameters.
 
     Multi-start: frequency and orientation are seeded from the Fourier peak,
@@ -183,7 +185,7 @@ def fit_gabor(unit: np.ndarray, max_iters: int = 200) -> GaborFit:
         if abs(a0) < 1e-6:
             a0 = float(np.max(np.abs(target)))
         start = np.array([a0, cx, cy, theta0, sx0, sy0, f0, phi0])
-        params, sse = _levenberg_marquardt(target, start, x, y, max_iters=max_iters)
+        params, sse = _levenberg_marquardt(target, start, x, y)
         if best is None or sse < best[1]:
             best = (params, sse)
     params, sse = best
@@ -251,27 +253,23 @@ class PopulationStats:
     r2_std: float
     bandwidths: np.ndarray  # per unit, inf sentinel for broad units
     bandwidth_hist: tuple[np.ndarray, np.ndarray]
-    folded_phases: np.ndarray
     folded_phase_hist: tuple[np.ndarray, np.ndarray]
     nx: np.ndarray
     ny: np.ndarray
-    pair_df: np.ndarray
-    pair_dtheta: np.ndarray
-    pair_dphi: np.ndarray
     pair_dphi_hist: tuple[np.ndarray, np.ndarray]
     pairs_skipped: int
 
 
-def fit_all_units(encoder: Encoder, max_iters: int = 200) -> list[GaborFit]:
+def fit_all_units(encoder: Encoder) -> list[GaborFit]:
     """Fit every filter row, block-major (unit i = block i // d, slot i % d)."""
     p = encoder.patch_size
-    return [fit_gabor(row.reshape(p, p), max_iters=max_iters) for row in encoder.matrix()]
+    return [fit_gabor(row.reshape(p, p)) for row in encoder.matrix()]
 
 
-def quadrature_stats(encoder: Encoder, fits: list[GaborFit], r2_threshold: float = 0.5):
+def quadrature_stats(encoder: Encoder, fits: list[GaborFit]):
     """Within-block pair differences (|df|, orientation distance, folded dphi).
 
-    Pairs involving a fit below ``r2_threshold`` are skipped and counted.
+    Pairs involving a fit below QUADRATURE_R2 are skipped and counted.
     """
     d = encoder.block_dim
     pair_df, pair_dtheta, pair_dphi = [], [], []
@@ -281,7 +279,7 @@ def quadrature_stats(encoder: Encoder, fits: list[GaborFit], r2_threshold: float
         for i in range(d):
             for j in range(i + 1, d):
                 fa, fb = block[i], block[j]
-                if fa.r2 < r2_threshold or fb.r2 < r2_threshold:
+                if fa.r2 < QUADRATURE_R2 or fb.r2 < QUADRATURE_R2:
                     skipped += 1
                     continue
                 pair_df.append(abs(fa.frequency - fb.frequency))
@@ -294,13 +292,13 @@ def quadrature_stats(encoder: Encoder, fits: list[GaborFit], r2_threshold: float
     return np.array(pair_df), np.array(pair_dtheta), np.array(pair_dphi), skipped
 
 
-def population_stats(encoder: Encoder, fits: list[GaborFit], r2_threshold: float = 0.5) -> PopulationStats:
+def population_stats(encoder: Encoder, fits: list[GaborFit]) -> PopulationStats:
     r2 = np.array([f.r2 for f in fits])
     bw = np.array([bandwidth_octaves(f) for f in fits])
     finite_bw = bw[np.isfinite(bw)]
     folded = np.array([fold_phase(f.phase) for f in fits])
     nx, ny = np.array([envelope_shape(f) for f in fits]).T if fits else (np.array([]), np.array([]))
-    pair_df, pair_dtheta, pair_dphi, skipped = quadrature_stats(encoder, fits, r2_threshold)
+    *_, pair_dphi, skipped = quadrature_stats(encoder, fits)
     bw_hist = np.histogram(finite_bw, bins=np.arange(0.0, 5.5, 0.5))
     ph_hist = np.histogram(folded, bins=np.linspace(0.0, math.pi / 2, 5))
     dphi_hist = np.histogram(pair_dphi, bins=np.linspace(0.0, math.pi / 2, 4))
@@ -309,13 +307,9 @@ def population_stats(encoder: Encoder, fits: list[GaborFit], r2_threshold: float
         r2_std=float(r2.std()),
         bandwidths=bw,
         bandwidth_hist=bw_hist,
-        folded_phases=folded,
         folded_phase_hist=ph_hist,
         nx=nx,
         ny=ny,
-        pair_df=pair_df,
-        pair_dtheta=pair_dtheta,
-        pair_dphi=pair_dphi,
         pair_dphi_hist=dphi_hist,
         pairs_skipped=skipped,
     )

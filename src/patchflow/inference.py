@@ -40,6 +40,12 @@ class InferConfig:
     init_field: np.ndarray | None = None  # (N, 2), or (P, N, 2) for a stack of pairs
     rng_seed: int = 0
 
+    def __post_init__(self):
+        if self.init not in ("random", "zeros"):
+            raise ValueError(f"init must be 'random' or 'zeros', got {self.init!r}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+
 
 def infer_positions(encoder, model, shape, margin: int = 8) -> np.ndarray:
     """Evaluation lattice: patch (and mixing support) in bounds, border left out."""
@@ -541,26 +547,26 @@ def descent_summary(stops) -> dict:
 # ---------------------------------------------------------------------------
 # animation, interpolation
 
+# border (px) that interpolation's stop rule leaves out: overlap-add
+# reconstruction under-covers the outer pixels
+INTERP_MARGIN = 8
 
-def _field_on_positions(field, positions) -> np.ndarray:
-    if isinstance(field, DisplacementField):
-        # the nearest field position (a margin-trimmed field has fewer), row and column apart
-        rows, cols = lattice_axes(field.positions)
-        i = np.argmin(np.abs(positions[:, :1] - rows), axis=1)
-        j = np.argmin(np.abs(positions[:, 1:] - cols), axis=1)
-        return field.vectors[i * len(cols) + j]
-    dense = np.asarray(field, dtype=np.float64)
-    if dense.ndim == 3 and dense.shape[2] == 2:
-        return dense[positions[:, 0], positions[:, 1]]
-    raise ShapeError("field must be a DisplacementField on the lattice or dense (H, W, 2)")
+
+def _field_on_positions(field: DisplacementField, positions) -> np.ndarray:
+    """The vector of the nearest field position (a margin-trimmed field has fewer),
+    found row and column apart, at each of ``positions``."""
+    rows, cols = lattice_axes(field.positions)
+    i = np.argmin(np.abs(positions[:, :1] - rows), axis=1)
+    j = np.argmin(np.abs(positions[:, 1:] - cols), axis=1)
+    return field.vectors[i * len(cols) + j]
 
 
 def animate(encoder, model, image0, fields) -> list[np.ndarray]:
     """Roll the model forward: transform encodings, decode, re-encode, repeat.
 
-    Every lattice position is predicted; mixed supports that stick out of
-    the image fall back to clamped patch centers so the reconstruction
-    canvas stays fully covered.
+    ``fields`` are DisplacementFields on a lattice.  Every lattice position is
+    predicted; mixed supports that stick out of the image fall back to
+    clamped patch centers so the reconstruction canvas stays fully covered.
     """
     cur = np.asarray(image0, dtype=np.float64)
     positions = encoder.grid.positions(*cur.shape)
@@ -580,15 +586,13 @@ def interpolate_frames(
     image_target,
     max_steps: int = 10,
     stop_thresh: float = 10.0 / 255.0,
-    margin: int = 8,
 ):
     """Walk from ``image0`` toward ``image_target`` by repeatedly picking, per
     position, the candidate whose transformed vector best matches the target
     encoding.  Returns (frames including the start, success flag).
 
-    The stop rule compares mean absolute intensity inside the usual border
-    margin: overlap-add reconstruction under-covers the outer pixels, so the
-    border is left out of the metric like everywhere else in the artifact.
+    The stop rule compares mean absolute intensity at least INTERP_MARGIN
+    pixels from the border.
     """
     if isinstance(model, ParametricMotion):
         raise ShapeError("interpolation scans a candidate grid; needs a nonparametric or mixed model")
@@ -597,7 +601,7 @@ def interpolate_frames(
     if cur.shape != target.shape:
         raise ShapeError("frame pair dimensions differ")
     h, w = cur.shape
-    m = min(margin, (h - 1) // 2, (w - 1) // 2)
+    m = min(INTERP_MARGIN, (h - 1) // 2, (w - 1) // 2)
     win = (slice(m, h - m), slice(m, w - m))
 
     def close(frame):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,10 @@ class TrainConfig:
             raise ValueError("loss weights must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.num_steps < 0:
+            raise ValueError(f"num_steps must be at least 0, got {self.num_steps}")
+        if min(self.num_blocks, self.block_dim) < 1:
+            raise ValueError(f"num_blocks and block_dim must be at least 1, got {self.num_blocks} and {self.block_dim}")
         if self.motion_variant not in ("nonparametric", "mixed", "parametric"):
             raise ValueError(f"unknown motion variant {self.motion_variant!r}")
         if self.motion_variant == "mixed":  # the support must hold the zero offset
@@ -456,11 +460,6 @@ def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace 
     return GradientBundle(d_weights, d_motion), loss
 
 
-def total_loss(encoder, model, batch, config: TrainConfig) -> float:
-    """Batch-mean weighted loss: the loss of `grad_total` (finite-difference probes)."""
-    return grad_total(encoder, model, batch, config)[1]
-
-
 # ---------------------------------------------------------------------------
 # supervised training
 
@@ -570,6 +569,12 @@ class UnsupervisedConfig:
     def __post_init__(self):
         if self.train.motion_variant != "parametric":
             raise ValueError("unsupervised training uses the parametric motion model")
+        if self.init_pairs < 1:
+            raise ValueError(f"init_pairs must be at least 1, got {self.init_pairs}")
+        # the stage-1 TrainConfig and the InferConfig of stages 2 and 3 are built mid-run
+        for name in ("init_steps", "steps_per_round", "rounds", "infer_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
 
 
 def _unsup_objective(encoder, model, triplets, lam_s, config, grid_shapes, workspace):

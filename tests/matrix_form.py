@@ -1,19 +1,23 @@
-"""The descent objective's matrix form, which tests compare the polynomial
-residual against; grid scoring as one whole prediction reduced in its
-layout, which the block-wise scores must equal bit for bit; and the
-recurrent multi-frame alignment of the paper, kept as a reference on the
-matrix lookup."""
+"""References that tests compare the program's paths against: the descent
+objective's matrix form, which the polynomial residual must equal; grid
+scoring as one whole prediction reduced in its layout, which the block-wise
+scores must equal bit for bit; the per-delta matrix lookup and the recurrent
+multi-frame alignment of the paper built on it; and the rotation loss on one
+frame pair and the batch loss of a training step, which training's gradient
+is probed and checked against."""
 
 import numpy as np
 
 from patchflow.core import (
+    DisplacementField,
     ParametricMotion,
     encode,
-    motion_matrices,
     offset_encodings,
     polynomial_matrices,
     predict,
+    predicted_vectors,
 )
+from patchflow.training import grad_total
 
 
 def taylor_terms(model: ParametricMotion, deltas: np.ndarray):
@@ -39,6 +43,16 @@ def grid_scores(encoder, model, image_t, target_vectors, positions, clamp=False)
     return diff.sum(axis=2).sum(axis=0).T, pred
 
 
+def motion_matrices(model, deltas) -> np.ndarray:
+    """Per-position block matrices M^(k)(delta), shape (N, K, d, d): the polynomial of a
+    parametric model, or the exact lookup of a nonparametric table, every delta one of its
+    candidates."""
+    deltas = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
+    if isinstance(model, ParametricMotion):
+        return polynomial_matrices(model.coeffs, deltas)
+    return model.matrices[[model.grid.index_of(d) for d in deltas]]
+
+
 def align_recurrent(encoder, model, frames, position, delta):
     """Accumulate u_i = v_i + M(delta) u_{i-1} over the clip; returns (u, |u|^2)."""
     mats = motion_matrices(model, np.asarray([delta]))[0]
@@ -61,3 +75,15 @@ def estimate_velocity(encoder, model, frames, position):
     scores = np.einsum("ckd,ckd->c", u, u)
     order = np.lexsort((candidates[:, 1], candidates[:, 0], np.sum(candidates * candidates, axis=1)))
     return candidates[order[np.argmax(scores[order])]]
+
+
+def rotation_loss(encoder, model, image_t, image_t1, field: DisplacementField) -> float:
+    """Squared residual between next-frame encodings and motion-transformed ones."""
+    v1 = encode(encoder, image_t1, field.positions).vectors
+    pred = predicted_vectors(encoder, model, image_t, field.positions, field.vectors)
+    return float(np.sum((v1 - pred) ** 2))
+
+
+def total_loss(encoder, model, batch, config) -> float:
+    """Batch-mean weighted loss: the loss of `grad_total` (finite-difference probes)."""
+    return grad_total(encoder, model, batch, config)[1]

@@ -336,12 +336,33 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_bytes(b"kept")
+        out = blocker / "ds" if under else blocker
+        code = run_cli("gen-data", "--out", out, "--pairs", 2, "--size", 32)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert blocker.read_bytes() == b"kept" and sorted(tmp_path.iterdir()) == [blocker]
+
     @pytest.mark.parametrize(
         "command, override",
         [
             ("eval", {"infer": {"margin": "x"}}),
             ("train", {"train": {"batch_size": 2.5}}),
             ("train", {"train": {"num_steps": True}}),
+            ("train", {"train": {"num_steps": -3}}),
+            ("train", {"train": {"num_blocks": 0}}),
+            ("train", {"train": {"block_dim": 0}}),
+            ("eval", {"infer": {"init": "zero"}}),
+            ("eval", {"infer": {"max_iters": -5}}),
+            ("train", {"unsupervised": {"init_pairs": 0}}),
+            ("train", {"unsupervised": {"rounds": -2}}),
+            ("train", {"unsupervised": {"init_steps": -1}}),
+            ("train", {"unsupervised": {"steps_per_round": -1}}),
+            ("train", {"unsupervised": {"infer_iters": -1}}),
         ],
     )
     def test_wrong_config_type_is_config_error(self, tmp_path, capsys, command, override):

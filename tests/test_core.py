@@ -12,21 +12,18 @@ from patchflow.core import (
     NonParametricMotion,
     ParametricMotion,
     VectorField,
-    apply_motion,
-    apply_motion_mixed,
-    complex_cell_response,
     decode,
     encode,
-    extract_patch,
+    extract_patches,
     lattice_axes,
-    motion_matrix,
-    motion_matrices,
     overlap_add,
-    reconstruction_loss,
-    rotation_loss,
+    predicted_vectors,
+    support_matrices,
     support_offsets,
 )
 from patchflow.errors import BoundsError, GridLookupError, ShapeError
+
+from matrix_form import rotation_loss
 
 
 def naive_patch(image, pos, p):
@@ -48,32 +45,32 @@ def orthonormal_encoder(p, stride, rng):
 class TestExtractPatch:
     def test_zero_image(self):
         img = np.zeros((32, 32))
-        assert extract_patch(img, (16, 16), 16).shape == (256,)
-        assert np.all(extract_patch(img, (16, 16), 16) == 0)
+        assert extract_patches(img, [(16, 16)], 16).shape == (1, 256)
+        assert np.all(extract_patches(img, [(16, 16)], 16) == 0)
 
     def test_single_pixel(self):
         img = np.arange(16.0).reshape(4, 4)
-        assert extract_patch(img, (2, 3), 1) == np.array([img[2, 3]])
+        assert extract_patches(img, [(2, 3)], 1) == np.array([[img[2, 3]]])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         img = rng.random((8, 8))
-        got = extract_patch(img, (4, 4), 4)
+        got = extract_patches(img, [(4, 4)], 4)[0]
         assert np.array_equal(got, naive_patch(img, (4, 4), 4))
 
     def test_out_of_bounds(self):
         img = np.zeros((16, 16))
         with pytest.raises(BoundsError):
-            extract_patch(img, (3, 8), 16)
+            extract_patches(img, [(3, 8)], 16)
         with pytest.raises(BoundsError):
-            extract_patch(img, (8, 9), 16)
+            extract_patches(img, [(8, 9)], 16)
 
     def test_window_convention(self):
         # 16x16 patch at x spans offsets -8..+7
         img = np.zeros((32, 32))
         img[8, 8] = 1.0  # top-left of window for center (16, 16)
         img[23, 23] = 2.0  # bottom-right
-        patch = extract_patch(img, (16, 16), 16)
+        patch = extract_patches(img, [(16, 16)], 16)[0]
         assert patch[0] == 1.0 and patch[-1] == 2.0
 
 
@@ -84,8 +81,7 @@ class TestGridSpec:
         assert pos.shape == (49, 2)
         assert pos[:, 0].min() == 8 and pos[:, 0].max() == 56
         # every position admits a full patch
-        for p in pos:
-            extract_patch(np.zeros((64, 64)), p, 16)
+        extract_patches(np.zeros((64, 64)), pos, 16)
 
     def test_full_cover_at_stride_eq_patch(self):
         g = GridSpec(16, 16)
@@ -127,7 +123,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(0)
         img = rng.random((8, 8))
         vf = encode(enc, img, np.array([[4, 4]]))
-        patch = extract_patch(img, (4, 4), p)
+        patch = extract_patches(img, [(4, 4)], p)[0]
         assert vf.vectors[0, 0, 0] == patch[5]
         assert vf.vectors[0, 0, 1] == patch[6]
         assert vf.vectors[0, 1, 0] == patch[0]
@@ -275,50 +271,54 @@ class TestDisplacementGrid:
         np.testing.assert_array_equal(got, [[0.5, 0.0], [2.0, 1.5]])
 
 
+def predict_one(model, enc, img, pos, delta):
+    """`predicted_vectors` at one position, (K, d)."""
+    return predicted_vectors(enc, model, img, np.asarray([pos]), np.asarray([delta], dtype=np.float64))[0]
+
+
 class TestMotion:
     def test_parametric_zero_delta_identity(self):
         rng = np.random.default_rng(29)
         m = ParametricMotion(rng.standard_normal((5, 4, 2, 2)))
-        np.testing.assert_array_equal(motion_matrix(m, 2, (0.0, 0.0)), np.eye(2))
+        np.testing.assert_array_equal(support_matrices(m, np.zeros((1, 2)))[0, 0, 2], np.eye(2))
 
     def test_parametric_all_zero_coeffs(self):
         m = ParametricMotion.zeros(3, 2)
-        np.testing.assert_array_equal(motion_matrix(m, 1, (1.7, -2.3)), np.eye(2))
+        np.testing.assert_array_equal(support_matrices(m, np.array([[1.7, -2.3]]))[0, 0, 1], np.eye(2))
 
     def test_parametric_direct_substitution(self):
         c = np.zeros((5, 1, 2, 2))
         c[0, 0] = [[0.0, -1.0], [1.0, 0.0]]  # B1 only
         m = ParametricMotion(c)
         np.testing.assert_allclose(
-            motion_matrix(m, 0, (0.5, 0.0)), [[1.0, -0.5], [0.5, 1.0]]
+            support_matrices(m, np.array([[0.5, 0.0]]))[0, 0, 0], [[1.0, -0.5], [0.5, 1.0]]
         )
 
     def test_identity_model_keeps_vector(self):
-        g = DisplacementGrid(-1, 1, 0.5)
-        m = NonParametricMotion.identity(g, 3, 2)
-        v = np.random.default_rng(0).standard_normal((3, 2))
-        np.testing.assert_array_equal(apply_motion(m, v, (0.5, -1.0)), v)
+        rng = np.random.default_rng(0)
+        enc = Encoder.random(3, 2, 8, 4, rng=rng)
+        img = rng.random((24, 24))
+        m = NonParametricMotion.identity(DisplacementGrid(-1, 1, 0.5), 3, 2)
+        v = encode(enc, img, np.array([(12, 8)])).vectors[0]
+        np.testing.assert_array_equal(predict_one(m, enc, img, (12, 8), (0.5, -1.0)), v)
 
     def test_zero_vector(self):
         g = DisplacementGrid(-1, 1, 1.0)
         m = NonParametricMotion(g, np.random.default_rng(1).standard_normal((9, 3, 2, 2)))
-        assert np.all(apply_motion(m, np.zeros((3, 2)), (1.0, 0.0)) == 0)
+        enc = Encoder.random(3, 2, 8, 4, rng=1)
+        assert np.all(predict_one(m, enc, np.zeros((24, 24)), (12, 12), (1.0, 0.0)) == 0)
 
     def test_apply_matches_per_block_oracle(self):
         rng = np.random.default_rng(31)
         g = DisplacementGrid(-1, 1, 1.0)
         m = NonParametricMotion(g, rng.standard_normal((9, 4, 3, 3)))
-        v = rng.standard_normal((4, 3))
-        got = apply_motion(m, v, (-1.0, 1.0))
+        enc = Encoder.random(4, 3, 8, 4, rng=rng)
+        img = rng.random((24, 24))
+        got = predict_one(m, enc, img, (8, 16), (-1.0, 1.0))
+        v = encode(enc, img, np.array([(8, 16)])).vectors[0]
         i = g.index_of((-1.0, 1.0))
         for k in range(4):
             np.testing.assert_allclose(got[k], m.matrices[i, k] @ v[k], rtol=1e-14)
-
-    def test_nonparametric_off_grid_error(self):
-        g = DisplacementGrid(-1, 1, 1.0)
-        m = NonParametricMotion.identity(g, 2, 2)
-        with pytest.raises(GridLookupError):
-            apply_motion(m, np.zeros((2, 2)), (0.5, 0.0))
 
 
 class TestMixedMotion:
@@ -332,20 +332,19 @@ class TestMixedMotion:
         off = np.array([[0, 0]])
         mats = self.rng.standard_normal((self.grid.num_candidates, 1, 3, 2, 2))
         mixed = MixedMotion(self.grid, off, mats)
-        plain = NonParametricMotion(self.grid, mats[:, 0])
         pos = (16, 16)
         delta = (0.5, -1.0)
         v = encode(self.enc, self.img, np.array([pos])).vectors[0]
         np.testing.assert_allclose(
-            apply_motion_mixed(mixed, self.enc, self.img, pos, delta),
-            apply_motion(plain, v, delta),
+            predict_one(mixed, self.enc, self.img, pos, delta),
+            np.einsum("kde,ke->kd", mats[self.grid.index_of(delta), 0], v),
             rtol=1e-12,
         )
 
     def test_zero_matrices_zero_output(self):
         off = support_offsets(2, 2)
         mixed = MixedMotion(self.grid, off, np.zeros((self.grid.num_candidates, len(off), 3, 2, 2)))
-        out = apply_motion_mixed(mixed, self.enc, self.img, (16, 16), (0.0, 0.0))
+        out = predict_one(mixed, self.enc, self.img, (16, 16), (0.0, 0.0))
         assert np.all(out == 0)
 
     def test_matches_triple_loop_oracle(self):
@@ -353,7 +352,7 @@ class TestMixedMotion:
         mats = self.rng.standard_normal((self.grid.num_candidates, len(off), 3, 2, 2))
         mixed = MixedMotion(self.grid, off, mats)
         pos, delta = (16, 12), (1.0, -0.5)
-        got = apply_motion_mixed(mixed, self.enc, self.img, pos, delta)
+        got = predict_one(mixed, self.enc, self.img, pos, delta)
         ci = self.grid.index_of(delta)
         want = np.zeros((3, 2))
         for m, (dr, dc) in enumerate(off):
@@ -366,7 +365,7 @@ class TestMixedMotion:
         off = support_offsets(4, 2)
         mixed = MixedMotion.identity(self.grid, off, 3, 2)
         with pytest.raises(BoundsError):
-            apply_motion_mixed(mixed, self.enc, self.img, (4, 16), (0.0, 0.0))
+            predict_one(mixed, self.enc, self.img, (4, 16), (0.0, 0.0))
 
 
 class TestLosses:
@@ -413,38 +412,19 @@ class TestLosses:
             fld = DisplacementField(pos, rng.uniform(-1, 1, (len(pos), 2)))
             assert rotation_loss(enc, model, img_t, img_t1, fld) >= 0.0
 
-    def test_reconstruction_loss_zero_images(self):
-        enc = Encoder.random(4, 2, 8, 4, rng=0)
-        assert reconstruction_loss(enc, np.zeros((16, 16)), np.zeros((16, 16))) == 0.0
-
-    def test_reconstruction_loss_orthonormal_tiling(self):
-        rng = np.random.default_rng(53)
-        enc = orthonormal_encoder(8, 8, rng)
-        img = rng.random((32, 32))
-        assert reconstruction_loss(enc, img, img) < 1e-10
-
-    def test_reconstruction_loss_matches_naive(self):
+    def test_reconstruction_matches_naive(self):
         rng = np.random.default_rng(59)
         enc = Encoder.random(3, 2, 8, 4, rng=rng)
-        img_t = rng.random((16, 16))
-        img_t1 = rng.random((16, 16))
-        got = reconstruction_loss(enc, img_t, img_t1)
-        want = 0.0
-        for img in (img_t, img_t1):
-            rec = np.zeros_like(img)
+        for img in (rng.random((16, 16)), rng.random((16, 16))):
+            got = decode(enc, encode(enc, img), img.shape)
+            want = np.zeros_like(img)
             for x in enc.grid.positions(16, 16):
                 patch = naive_patch(img, x, 8)
                 out = np.zeros(64)
                 for k in range(3):
                     out += enc.weights[k].T @ (enc.weights[k] @ patch)
-                rec[x[0] - 4 : x[0] + 4, x[1] - 4 : x[1] + 4] += out.reshape(8, 8)
-            want += float(np.sum((img - rec) ** 2))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_complex_cell_response(self):
-        assert complex_cell_response(np.zeros(2)) == 0.0
-        assert complex_cell_response(np.array([1.0, 0.0])) == 1.0
-        assert complex_cell_response(np.array([3.0, 4.0])) == 25.0
+                want[x[0] - 4 : x[0] + 4, x[1] - 4 : x[1] + 4] += out.reshape(8, 8)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_mixed_rotation_loss_dispatch(self):
         rng = np.random.default_rng(61)

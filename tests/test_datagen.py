@@ -8,13 +8,14 @@ from patchflow.datagen import (
     AffineSceneSpec,
     DeformSpec,
     SamplePair,
-    affine_flow,
+    _affine,
+    _affine_flow,
     bandpass,
     dataset_read,
     dataset_write,
-    gen_flying_objects,
     gen_v1deform,
     interpolate_field,
+    scene_sample,
     synthetic_textures,
     warp,
 )
@@ -165,21 +166,21 @@ class TestAffineScenes:
             bg_translation=0, bg_rotation=0, bg_scale=0,
             fg_translation=0, fg_rotation=0, fg_scale=0, seed=12,
         )
-        pairs = gen_flying_objects(bgs, fgs, mask, 2, spec)
+        pairs = [scene_sample(bgs, fgs, mask, spec, i) for i in range(2)]
         for p in pairs:
             assert np.all(p.field == 0)
             assert np.array_equal(p.image_t, p.image_t1)
 
     def test_translation_flow_constant(self):
-        fld = affine_flow((32, 32), translation=(3.0, 0.0))
+        fld = _affine_flow(*_affine((3.0, 0.0), 0.0, 1.0, (15.5, 15.5)), (32, 32))
         np.testing.assert_allclose(fld[..., 0], 3.0, atol=1e-12)
         np.testing.assert_allclose(fld[..., 1], 0.0, atol=1e-12)
 
     def test_rotation_flow_matches_pixel_oracle(self):
         theta = 0.1
         h = w = 20
-        fld = affine_flow((h, w), rotation=theta)
         cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        fld = _affine_flow(*_affine((0.0, 0.0), theta, 1.0, (cy, cx)), (h, w))
         ct, st = np.cos(theta), np.sin(theta)
         for r in range(0, h, 3):
             for c in range(0, w, 3):
@@ -194,8 +195,8 @@ class TestAffineScenes:
         fgs = synthetic_textures(2, (24, 24), seed=14)
         masks = [np.ones((24, 24)), np.ones((24, 24))]
         spec = AffineSceneSpec(seed=15)
-        a = gen_flying_objects(bgs, fgs, masks, 4, spec)
-        b = gen_flying_objects(bgs, fgs, masks, 4, spec)
+        a = [scene_sample(bgs, fgs, masks, spec, i) for i in range(4)]
+        b = [scene_sample(bgs, fgs, masks, spec, i) for i in range(4)]
         for pa, pb in zip(a, b):
             assert pa.field.max() <= 6.0 and pa.field.min() >= -6.0
             assert np.array_equal(pa.field, pb.field)
@@ -204,7 +205,7 @@ class TestAffineScenes:
     def test_background_only(self):
         bgs = synthetic_textures(1, (32, 32), seed=16)
         spec = AffineSceneSpec(bg_rotation=0, bg_scale=0, seed=17)
-        (pair,) = gen_flying_objects(bgs, None, None, 1, spec)
+        pair = scene_sample(bgs, [], [], spec, 0)
         # translation-only background: constant field
         assert np.ptp(pair.field[..., 0]) < 1e-9
         assert np.ptp(pair.field[..., 1]) < 1e-9

@@ -37,17 +37,23 @@ def grid_field(vectors, start=8, step=8):
     return DisplacementField(pos, vectors)
 
 
+def dense_field(field, shape):
+    """A zero (H, W, 2) field holding ``field``'s vectors at its positions."""
+    dense = np.zeros(tuple(shape) + (2,))
+    dense[field.positions[:, 0], field.positions[:, 1]] = field.vectors
+    return dense
+
+
 class TestEpe:
     def test_identical_fields(self):
         pred = grid_field([[1.0, -2.0], [0.5, 0.25]])
-        rep = epe(pred, pred, shape=(32, 32), margin=0)
+        rep = epe(pred, dense_field(pred, (32, 32)), margin=0)
         assert rep.mean_epe == 0.0
         assert rep.count == 2
 
     def test_three_four_five(self):
         pred = DisplacementField(np.array([[10, 10]]), np.array([[3.0, 4.0]]))
-        gt = DisplacementField(np.array([[10, 10]]), np.array([[0.0, 0.0]]))
-        rep = epe(pred, gt, shape=(32, 32), margin=8)
+        rep = epe(pred, np.zeros((32, 32, 2)), margin=8)
         assert rep.mean_epe == 5.0
 
     def test_matches_double_loop_oracle(self):
@@ -79,11 +85,12 @@ class TestEpe:
         a = grid_field(rng.uniform(-2, 2, (4, 2)), start=10)
         b = grid_field(rng.uniform(-2, 2, (4, 2)), start=10)
         c = grid_field(rng.uniform(-2, 2, (4, 2)), start=10)
-        ab = epe(a, b, shape=(64, 64), margin=0)
-        ba = epe(b, a, shape=(64, 64), margin=0)
+        dense = {name: dense_field(f, (64, 64)) for name, f in (("a", a), ("b", b), ("c", c))}
+        ab = epe(a, dense["b"], margin=0)
+        ba = epe(b, dense["a"], margin=0)
         assert ab.mean_epe == ba.mean_epe
-        ac = epe(a, c, shape=(64, 64), margin=0)
-        cb = epe(c, b, shape=(64, 64), margin=0)
+        ac = epe(a, dense["c"], margin=0)
+        cb = epe(c, dense["b"], margin=0)
         assert np.all(ab.errors <= ac.errors + cb.errors + 1e-12)
 
     def test_empty_interior_raises(self):
@@ -126,9 +133,11 @@ class TestFlowColor:
         np.testing.assert_allclose(a.min(axis=2), b.min(axis=2), atol=1.0)
 
     def test_grid_field_input(self):
+        # a lattice field laid out as its (rows, cols) grid, as infer --color passes it
         fld = grid_field([[1.0, 0.0], [0.0, 1.0]])
-        rgb = flow_to_color(fld)
-        assert rgb.shape == (2, 3)
+        rgb = flow_to_color(fld.vectors.reshape(1, 2, 2))
+        assert rgb.shape == (1, 2, 3)
+        assert tuple(rgb[0, 0]) != tuple(rgb[0, 1])
 
 
 class TestNetpbm:

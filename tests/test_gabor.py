@@ -24,6 +24,8 @@ from patchflow.gabor import (
     write_unit_csv,
 )
 
+from matrix_form import motion_matrices
+
 
 def random_gabor_params(rng, p=16):
     return np.array(
@@ -249,9 +251,7 @@ class TestAnimateFilters:
         model = ParametricMotion(0.2 * rng.standard_normal((5, 2, 2, 2)))
         delta = (0.7, -0.3)
         frames = animate_filters(enc, model, 1, [delta])
-        from patchflow.core import motion_matrix
-
-        want = motion_matrix(model, 1, delta) @ enc.weights[1]
+        want = motion_matrices(model, [delta])[0, 1] @ enc.weights[1]
         np.testing.assert_allclose(frames[0].reshape(2, 64), want, rtol=1e-12)
 
     def test_montage_shape(self):

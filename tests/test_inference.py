@@ -756,15 +756,6 @@ class TestAnimate:
             np.testing.assert_allclose(frame, ref, atol=1e-12)
         np.testing.assert_allclose(frames[-1], img, atol=1e-9)
 
-    def test_accepts_dense_fields(self):
-        rng = np.random.default_rng(17)
-        enc = Encoder.random(3, 2, 8, 4, rng=rng)
-        grid = DisplacementGrid(-1, 1, 0.5)
-        model = NonParametricMotion.identity(grid, 3, 2)
-        img = rng.random((24, 24))
-        frames = animate(enc, model, img, [np.zeros((24, 24, 2))])
-        assert len(frames) == 1
-
     def test_mixed_animation_runs_full_lattice(self):
         rng = np.random.default_rng(18)
         enc = Encoder.random(3, 2, 8, 4, rng=rng)
@@ -772,7 +763,8 @@ class TestAnimate:
         off = support_offsets(2, 2)
         model = MixedMotion.identity(grid, off, 3, 2)
         img = rng.random((24, 24))
-        frames = animate(enc, model, img, [np.zeros((24, 24, 2))] * 2)
+        pos = enc.grid.positions(24, 24)
+        frames = animate(enc, model, img, [DisplacementField(pos, np.zeros((len(pos), 2)))] * 2)
         assert all(f.shape == img.shape for f in frames)
         assert all(np.all(np.isfinite(f)) for f in frames)
 

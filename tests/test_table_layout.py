@@ -9,6 +9,8 @@ from patchflow.core import MixedMotion, block_layout, rows_table, support_matric
 from patchflow.datagen import DeformSpec, gen_v1deform, synthetic_textures
 from patchflow.training import AdamState, TrainConfig, adam_step, grad_total, train_supervised
 
+from matrix_form import total_loss
+
 
 def mixed_config(**kw):
     base = dict(
@@ -134,9 +136,9 @@ class TestGradientLayouts:
         idx = (hit, 0, 1, 0, 1)
         assert bundle.d_motion[idx] != 0
         model.matrices[idx] += 1e-3
-        after = training.total_loss(enc, model, batch, config)
+        after = total_loss(enc, model, batch, config)
         fresh = MixedMotion(model.grid, model.offsets, np.array(model.matrices))
-        assert after != before and after == training.total_loss(enc, fresh, batch, config)
+        assert after != before and after == total_loss(enc, fresh, batch, config)
 
     def test_motion_gradient_buffer_is_reused_and_zeroed(self):
         enc, model, batch, config = storage_problem(seed=2)

@@ -16,7 +16,6 @@ from patchflow.core import (
     block_layout,
     encode,
     predicted_vectors,
-    rotation_loss,
     support_offsets,
 )
 from patchflow.datagen import DeformSpec, gen_v1deform, synthetic_textures
@@ -31,10 +30,11 @@ from patchflow.training import (
     grad_total,
     load_checkpoint,
     save_checkpoint,
-    total_loss,
     train_supervised,
     train_unsupervised,
 )
+
+from matrix_form import rotation_loss, total_loss
 
 FD_STEP = 1e-5
 
@@ -417,10 +417,8 @@ class TestTrainSupervised:
         deltas = np.zeros((len(pos), 2))
         loss = total_loss(enc, model, [(img_t, img_t1, deltas)], config)
         want = 0.0
-        from patchflow.core import extract_patch
-
-        for x in pos:
-            diff = extract_patch(img_t1, x, 8) - extract_patch(img_t, x, 8)
+        for r0, c0 in pos - 4:  # the 8x8 window of each position
+            diff = (img_t1[r0 : r0 + 8, c0 : c0 + 8] - img_t[r0 : r0 + 8, c0 : c0 + 8]).ravel()
             for k in range(4):
                 r = enc.weights[k] @ diff
                 want += float(r @ r)
