@@ -6,7 +6,6 @@ from .core import (
     Encoder,
     GridSpec,
     MixedMotion,
-    NonParametricMotion,
     ParametricMotion,
     VectorField,
     decode,

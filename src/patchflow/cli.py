@@ -155,8 +155,9 @@ def _build_settings(config: dict) -> dict:
     _check_types(default_config(), config)
     seed = config["seed"]
     try:
-        if config["datagen"]["pairs"] < 1:
-            raise ValueError("datagen.pairs must be at least 1")
+        for key in ("pairs", "synthetic_sources", "image_size"):
+            if config["datagen"][key] < 1:
+                raise ValueError(f"datagen.{key} must be at least 1, got {config['datagen'][key]}")
         train = training.TrainConfig(**{**config["train"], "rng_seed": seed})
         unsup_train = dataclasses.replace(train, motion_variant="parametric")
         scene = {**config["scene"], "fg_size": tuple(config["scene"]["fg_size"])}

@@ -12,6 +12,11 @@ Conventions used throughout the package:
   ``frame2[x] = frame1[x - delta(x)]`` (backward warping).
 * Patches are flattened row-major; the rows of an encoder block are
   filters of length ``p*p``.
+
+There are two motion models: `MixedMotion`, a table of matrices over the
+displacement candidates and a support of offsets (the nonparametric model
+is the table on the zero offset alone), and `ParametricMotion`, whose
+matrices are a polynomial in the displacement.
 """
 
 from __future__ import annotations
@@ -50,9 +55,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.patch_size < 1:
-            raise ValueError("patch_size must be positive")
+            raise ValueError(f"patch_size must be positive, got {self.patch_size}")
         if not 0 < self.stride <= self.patch_size:
-            raise ValueError("stride must be in (0, patch_size]")
+            raise ValueError(f"stride must be in (0, patch_size {self.patch_size}], got {self.stride}")
 
     def center_range(self, length: int) -> tuple[int, int]:
         """Inclusive range of valid patch centers along one axis."""
@@ -326,53 +331,15 @@ _ZERO_SUPPORT.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class NonParametricMotion:
-    """One learned d x d matrix per block per displacement candidate.
-
-    Its support is the zero offset alone, so it reads as a mixed model whose
-    table has a single offset.
-    """
-
-    grid: DisplacementGrid
-    matrices: np.ndarray  # (n_candidates, K, d, d)
-
-    offsets = _ZERO_SUPPORT
-    max_offset = 0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=np.float64)
-        if m.ndim != 4 or m.shape[0] != self.grid.num_candidates or m.shape[2] != m.shape[3]:
-            raise ShapeError(f"matrices must be (n_cand, K, d, d), got {m.shape}")
-        object.__setattr__(self, "matrices", m)
-
-    @property
-    def num_blocks(self):
-        return self.matrices.shape[1]
-
-    @property
-    def block_dim(self):
-        return self.matrices.shape[2]
-
-    @property
-    def table(self) -> np.ndarray:
-        """The matrices as a single-offset mixed table, (n_candidates, 1, K, d, d)."""
-        return self.matrices[:, None]
-
-    @cached_property
-    def table_blocks(self) -> np.ndarray:
-        """The table in the block layout of `predict`, built on first use."""
-        return block_layout(self.table)
-
-    @classmethod
-    def identity(cls, grid, num_blocks, block_dim):
-        m = np.zeros((grid.num_candidates, num_blocks, block_dim, block_dim))
-        m[...] = np.eye(block_dim)
-        return cls(grid, m)
-
-
-@dataclass(frozen=True)
 class MixedMotion:
-    """Candidate matrices additionally indexed by mixing offset dx."""
+    """The table motion model: one learned d x d matrix per block, displacement
+    candidate delta and support offset dx, so the prediction at x is
+    sum_dx M(delta, dx) v(x + dx).
+
+    The paper's nonparametric model is the table whose support is the zero
+    offset alone (``support_offsets(0, 1)``); its mixed model has a wider
+    support.  Checkpoints save the first under the ``nonparametric`` header.
+    """
 
     grid: DisplacementGrid
     offsets: np.ndarray  # (m, 2) int
@@ -400,14 +367,10 @@ class MixedMotion:
     def max_offset(self) -> int:
         return int(np.max(np.abs(self.offsets))) if len(self.offsets) else 0
 
-    @property
-    def table(self) -> np.ndarray:
-        return self.matrices
-
     @cached_property
     def table_blocks(self) -> np.ndarray:
         """The table in the block layout of `predict`, built on first use."""
-        return block_layout(self.table)
+        return block_layout(self.matrices)
 
     @classmethod
     def identity(cls, grid, offsets, num_blocks, block_dim):
@@ -457,9 +420,6 @@ class ParametricMotion:
     @classmethod
     def zeros(cls, num_blocks, block_dim):
         return cls(np.zeros((5, num_blocks, block_dim, block_dim)))
-
-
-MotionModel = NonParametricMotion | MixedMotion | ParametricMotion
 
 
 def delta_basis(deltas: np.ndarray) -> np.ndarray:
@@ -536,7 +496,7 @@ def support_matrices(model, deltas: np.ndarray) -> np.ndarray:
     """
     if isinstance(model, ParametricMotion):
         return polynomial_matrices(model.coeffs, deltas)[..., None, :, :, :]
-    return model.table[model.grid.round_indices(deltas)]
+    return model.matrices[model.grid.round_indices(deltas)]
 
 
 def block_layout(mats: np.ndarray) -> np.ndarray:

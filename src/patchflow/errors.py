@@ -14,7 +14,7 @@ class ShapeError(PatchflowError):
 
 
 class GridLookupError(PatchflowError):
-    """A displacement is not a candidate of a non-parametric grid."""
+    """A displacement is not a candidate of a table model's grid."""
 
 
 class ConfigError(PatchflowError):

@@ -145,7 +145,7 @@ def _fft_init(unit: np.ndarray):
 
 
 def fit_gabor(unit: np.ndarray) -> GaborFit:
-    """Nonlinear least-squares fit over all 8 parameters.
+    """Nonlinear least-squares fit over all 8 parameters of a square (p, p) unit.
 
     Multi-start: frequency and orientation are seeded from the Fourier peak,
     the center from the energy centroid, and four phase starts are tried;
@@ -153,9 +153,6 @@ def fit_gabor(unit: np.ndarray) -> GaborFit:
     ``low_quality`` set.
     """
     unit = np.asarray(unit, dtype=np.float64)
-    if unit.ndim == 1:
-        p = int(round(math.sqrt(unit.size)))
-        unit = unit.reshape(p, p)
     p = unit.shape[0]
     if unit.shape != (p, p):
         raise PatchflowError(f"unit must be square, got {unit.shape}")
@@ -267,12 +264,11 @@ def fit_all_units(encoder: Encoder) -> list[GaborFit]:
 
 
 def quadrature_stats(encoder: Encoder, fits: list[GaborFit]):
-    """Within-block pair differences (|df|, orientation distance, folded dphi).
-
-    Pairs involving a fit below QUADRATURE_R2 are skipped and counted.
+    """Folded phase differences of the within-block pairs, and the count of pairs
+    skipped because a fit is below QUADRATURE_R2.
     """
     d = encoder.block_dim
-    pair_df, pair_dtheta, pair_dphi = [], [], []
+    pair_dphi = []
     skipped = 0
     for k in range(encoder.num_blocks):
         block = fits[k * d : (k + 1) * d]
@@ -282,14 +278,11 @@ def quadrature_stats(encoder: Encoder, fits: list[GaborFit]):
                 if fa.r2 < QUADRATURE_R2 or fb.r2 < QUADRATURE_R2:
                     skipped += 1
                     continue
-                pair_df.append(abs(fa.frequency - fb.frequency))
-                dth = abs(fa.theta - fb.theta) % math.pi
-                pair_dtheta.append(min(dth, math.pi - dth))
                 phi_b = fb.phase
                 if abs(fa.theta - fb.theta) > math.pi / 2:
                     phi_b = -phi_b  # align the two carrier frames
                 pair_dphi.append(fold_phase(fa.phase - phi_b))
-    return np.array(pair_df), np.array(pair_dtheta), np.array(pair_dphi), skipped
+    return np.array(pair_dphi), skipped
 
 
 def population_stats(encoder: Encoder, fits: list[GaborFit]) -> PopulationStats:
@@ -298,7 +291,7 @@ def population_stats(encoder: Encoder, fits: list[GaborFit]) -> PopulationStats:
     finite_bw = bw[np.isfinite(bw)]
     folded = np.array([fold_phase(f.phase) for f in fits])
     nx, ny = np.array([envelope_shape(f) for f in fits]).T if fits else (np.array([]), np.array([]))
-    *_, pair_dphi, skipped = quadrature_stats(encoder, fits)
+    pair_dphi, skipped = quadrature_stats(encoder, fits)
     bw_hist = np.histogram(finite_bw, bins=np.arange(0.0, 5.5, 0.5))
     ph_hist = np.histogram(folded, bins=np.linspace(0.0, math.pi / 2, 5))
     dphi_hist = np.histogram(pair_dphi, bins=np.linspace(0.0, math.pi / 2, 4))

@@ -82,7 +82,7 @@ def _support_columns(encoder, model, images, positions, clamp=False) -> np.ndarr
     `offset_encodings`, with one `support_centers` call for the stack, and
     one encode per frame."""
     if isinstance(model, ParametricMotion):
-        raise ShapeError("grid scoring needs a non-parametric or mixed model")
+        raise ShapeError("grid scoring needs a table model")
     uniq, inverse = support_centers(encoder, images.shape[-2:], positions, model.offsets, clamp)
     vectors = _encode_frames(encoder, images, uniq)[:, inverse]  # (P, N, m, K, d)
     p, n, m, k, d = vectors.shape
@@ -595,7 +595,7 @@ def interpolate_frames(
     pixels from the border.
     """
     if isinstance(model, ParametricMotion):
-        raise ShapeError("interpolation scans a candidate grid; needs a nonparametric or mixed model")
+        raise ShapeError("interpolation scans a candidate grid; needs a table model")
     cur = np.asarray(image0, dtype=np.float64)
     target = np.asarray(image_target, dtype=np.float64)
     if cur.shape != target.shape:

@@ -17,8 +17,8 @@ import numpy as np
 from .core import (
     DisplacementGrid,
     Encoder,
+    GridSpec,
     MixedMotion,
-    NonParametricMotion,
     ParametricMotion,
     delta_basis,
     eval_positions,
@@ -33,7 +33,7 @@ from .core import (
     support_offsets,
     table_rows,
 )
-from .datagen import DeformSpec, SamplePair, gen_v1deform
+from .datagen import DeformSpec, gen_v1deform
 from .errors import DataFormatError, GridLookupError, NumericError, ShapeError, TrainingDiverged
 
 CHECKPOINT_VERSION = 1
@@ -73,6 +73,7 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.num_steps < 0:
             raise ValueError(f"num_steps must be at least 0, got {self.num_steps}")
+        GridSpec(self.patch_size, self.stride)  # checks the patch size and stride
         if min(self.num_blocks, self.block_dim) < 1:
             raise ValueError(f"num_blocks and block_dim must be at least 1, got {self.num_blocks} and {self.block_dim}")
         if self.motion_variant not in ("nonparametric", "mixed", "parametric"):
@@ -183,15 +184,14 @@ def init_model(config: TrainConfig, rng) -> tuple[Encoder, object]:
     encoder = Encoder.random(
         config.num_blocks, config.block_dim, config.patch_size, config.stride, rng=rng
     )
-    grid = config.displacement_grid
-    if config.motion_variant == "nonparametric":
-        model = NonParametricMotion.identity(grid, config.num_blocks, config.block_dim)
-    elif config.motion_variant == "mixed":
+    if config.motion_variant == "parametric":
+        return encoder, ParametricMotion.zeros(config.num_blocks, config.block_dim)
+    # the nonparametric table is the mixed one on the zero offset alone
+    if config.motion_variant == "mixed":
         offsets = support_offsets(config.support_radius, config.support_step)
-        model = MixedMotion.identity(grid, offsets, config.num_blocks, config.block_dim)
     else:
-        model = ParametricMotion.zeros(config.num_blocks, config.block_dim)
-    return encoder, model
+        offsets = support_offsets(0, 1)
+    return encoder, MixedMotion.identity(config.displacement_grid, offsets, config.num_blocks, config.block_dim)
 
 
 def _motion_field(model) -> str:
@@ -345,9 +345,9 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
         if isinstance(model, ParametricMotion):
             table = None
         else:
-            table = table_rows(model.table)
+            table = table_rows(model.matrices)
             # a view: `_motion_gradient` lays the gradient out as these rows
-            d_table = table_rows(d_motion.reshape(model.table.shape)).reshape(len(table), -1)
+            d_table = table_rows(d_motion).reshape(len(table), -1)
     n_t, n_t1 = len(centers_t), len(centers_t1)
 
     for c in range(0, len(imgs_t), frames):
@@ -464,15 +464,9 @@ def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace 
 # supervised training
 
 
-def _as_triplet(sample):
-    if isinstance(sample, SamplePair):
-        return sample.image_t, sample.image_t1, sample.field
-    img_t, img_t1, field = sample
-    return np.asarray(img_t), np.asarray(img_t1), np.asarray(field)
-
-
 def prepare_dataset(dataset, encoder, model, snap_to_grid: bool) -> list:
-    """Sample dense fields on the evaluation lattice, snapping for table models.
+    """(image_t, image_t1, deltas) triplets of `SamplePair`s: each dense field
+    sampled on the evaluation lattice, snapped to the candidates for table models.
 
     Snapping needs every sampled component to round onto the candidate grid;
     data that reaches past it raises DataFormatError naming both ranges.
@@ -480,18 +474,13 @@ def prepare_dataset(dataset, encoder, model, snap_to_grid: bool) -> list:
     prepared = []
     cache: dict[tuple[int, int], np.ndarray] = {}
     for sample in dataset:
-        img_t, img_t1, field = _as_triplet(sample)
+        img_t = np.asarray(sample.image_t, dtype=np.float64)
         pos = cache.get(img_t.shape)
         if pos is None:
             pos = eval_positions(encoder, model, img_t.shape)
             cache[img_t.shape] = pos
-        if field.ndim == 3:
-            vec = field[pos[:, 0], pos[:, 1]]
-        else:
-            vec = np.asarray(field, dtype=np.float64)
-            if vec.shape != (len(pos), 2):
-                raise ShapeError("pre-sampled field does not match the evaluation grid")
-        prepared.append((np.asarray(img_t, dtype=np.float64), np.asarray(img_t1, dtype=np.float64), vec))
+        vec = sample.field[pos[:, 0], pos[:, 1]]
+        prepared.append((img_t, np.asarray(sample.image_t1, dtype=np.float64), vec))
     if snap_to_grid and prepared:
         grid = model.grid
         lo = min(float(vec.min()) for *_, vec in prepared)
@@ -525,15 +514,14 @@ def _run_steps(params, state, prepared, encoder0, model0, config, rng, num_steps
 
 
 def train_supervised(dataset, config: TrainConfig):
-    """Train encoder and motion model on (frame, field, frame) triplets.
+    """Train encoder and motion model on `SamplePair`s.
 
     Returns (encoder, model, per-step loss history).  Identical config and
     seed give an identical history and identical parameters.
     """
     rng = np.random.default_rng(config.rng_seed)
     encoder0, model0 = init_model(config, rng)
-    snap = config.motion_variant in ("nonparametric", "mixed")
-    prepared = prepare_dataset(dataset, encoder0, model0, snap)
+    prepared = prepare_dataset(dataset, encoder0, model0, config.motion_variant != "parametric")
     if not prepared:
         raise ShapeError("empty dataset")
     # np.copy keeps the layout: a mixed table stays a view of block rows, as do its moments
@@ -700,22 +688,18 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
 
 
 def save_checkpoint(path, encoder: Encoder, model, extra: dict | None = None) -> None:
-    if isinstance(model, NonParametricMotion):
-        motion_meta = {
-            "variant": "nonparametric",
-            "grid": {"lo": model.grid.lo, "hi": model.grid.hi, "step": model.grid.step},
-        }
-    elif isinstance(model, MixedMotion):
-        motion_meta = {
-            "variant": "mixed",
-            "grid": {"lo": model.grid.lo, "hi": model.grid.hi, "step": model.grid.step},
-            "offsets": model.offsets.tolist(),
-        }
-    elif isinstance(model, ParametricMotion):
+    """A table whose support is the zero offset alone saves as ``nonparametric``,
+    its motion block (C, K, d, d); any other as ``mixed``, with its offsets."""
+    motion = _motion_params(model)
+    if isinstance(model, ParametricMotion):
         motion_meta = {"variant": "parametric"}
     else:
-        raise ShapeError(f"unknown motion model {type(model).__name__}")
-    motion = _motion_params(model)
+        grid = {"lo": model.grid.lo, "hi": model.grid.hi, "step": model.grid.step}
+        if model.offsets.tolist() == [[0, 0]]:
+            motion_meta = {"variant": "nonparametric", "grid": grid}
+            motion = motion[:, 0]
+        else:
+            motion_meta = {"variant": "mixed", "grid": grid, "offsets": model.offsets.tolist()}
     header = {
         "format": "patchflow-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -818,10 +802,11 @@ def load_checkpoint(path):
         motion_shape = [5, k, d, d]
     else:
         grid = _header_grid(mmeta, path)
+        # a nonparametric table is the mixed one on the zero offset alone
+        offsets = _header_offsets(mmeta, path) if variant == "mixed" else support_offsets(0, 1)
         motion_shape = [grid.num_candidates, k, d, d]
-    if variant == "mixed":
-        offsets = _header_offsets(mmeta, path)
-        motion_shape.insert(1, len(offsets))
+        if variant == "mixed":
+            motion_shape.insert(1, len(offsets))
     if not isinstance(blocks, list) or len(blocks) != 2:
         raise DataFormatError(f"{path}: checkpoint header needs two parameter blocks")
     body = raw[nl + 1 :]
@@ -846,10 +831,6 @@ def load_checkpoint(path):
         raise DataFormatError(f"{path}: trailing bytes after parameter blocks")
     weights, motion = arrays
     encoder = Encoder(weights, p, stride)
-    if variant == "nonparametric":
-        model = NonParametricMotion(grid, motion)
-    elif variant == "mixed":
-        model = MixedMotion(grid, offsets, motion)
-    else:
-        model = ParametricMotion(motion)
-    return encoder, model, header
+    if variant == "parametric":
+        return encoder, ParametricMotion(motion), header
+    return encoder, MixedMotion(grid, offsets, motion.reshape(len(motion), len(offsets), k, d, d)), header

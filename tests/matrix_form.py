@@ -4,20 +4,35 @@ scoring as one whole prediction reduced in its layout, which the block-wise
 scores must equal bit for bit; the per-delta matrix lookup and the recurrent
 multi-frame alignment of the paper built on it; and the rotation loss on one
 frame pair and the batch loss of a training step, which training's gradient
-is probed and checked against."""
+is probed and checked against.  `ZeroSupportTable` builds the nonparametric
+model, the table motion model on the zero offset alone."""
 
 import numpy as np
 
 from patchflow.core import (
     DisplacementField,
+    MixedMotion,
     ParametricMotion,
     encode,
     offset_encodings,
     polynomial_matrices,
     predict,
     predicted_vectors,
+    support_offsets,
 )
 from patchflow.training import grad_total
+
+
+class ZeroSupportTable:
+    """The nonparametric model: a `MixedMotion` whose support is the zero offset
+    alone, built from one (C, K, d, d) matrix per candidate, or as the identity."""
+
+    def __new__(cls, grid, matrices):
+        return MixedMotion(grid, support_offsets(0, 1), np.asarray(matrices, dtype=np.float64)[:, None])
+
+    @staticmethod
+    def identity(grid, num_blocks, block_dim):
+        return MixedMotion.identity(grid, support_offsets(0, 1), num_blocks, block_dim)
 
 
 def taylor_terms(model: ParametricMotion, deltas: np.ndarray):
@@ -50,7 +65,7 @@ def motion_matrices(model, deltas) -> np.ndarray:
     deltas = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
     if isinstance(model, ParametricMotion):
         return polynomial_matrices(model.coeffs, deltas)
-    return model.matrices[[model.grid.index_of(d) for d in deltas]]
+    return model.matrices[[model.grid.index_of(d) for d in deltas], 0]
 
 
 def align_recurrent(encoder, model, frames, position, delta):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from patchflow.cli import EXIT_FORMAT, main
-from patchflow.core import DisplacementGrid, Encoder, MixedMotion, NonParametricMotion, ParametricMotion, support_offsets
+from patchflow.core import DisplacementGrid, Encoder, MixedMotion, ParametricMotion, support_offsets
 from patchflow.errors import DataFormatError
 from patchflow.training import load_checkpoint, save_checkpoint
+
+from matrix_form import ZeroSupportTable
 
 VARIANTS = ("nonparametric", "mixed", "parametric")
 
@@ -18,7 +20,7 @@ def small_model(variant):
     grid = DisplacementGrid(-1, 1, 1.0)
     rng = np.random.default_rng(7)
     if variant == "nonparametric":
-        return NonParametricMotion(grid, rng.standard_normal((9, 2, 2, 2)))
+        return ZeroSupportTable(grid, rng.standard_normal((9, 2, 2, 2)))
     if variant == "mixed":
         return MixedMotion(grid, support_offsets(2, 2), rng.standard_normal((9, 9, 2, 2, 2)))
     return ParametricMotion(rng.standard_normal((5, 2, 2, 2)))
@@ -148,3 +150,33 @@ def test_sound_headers_load(tmp_path, variant):
     # grid bounds may be integers or floats, as JSON writes them
     path.write_bytes(edit_header(raw, lambda h: h["motion"].update(grid={"lo": -1.0, "hi": 1, "step": 1})))
     assert loads(path)
+
+
+def test_zero_offset_table_saves_as_nonparametric_and_loads_back(tmp_path):
+    path, raw = checkpoint_bytes(tmp_path, "nonparametric")
+    model = small_model("nonparametric")
+    header = json.loads(raw[: raw.find(b"\n")])
+    assert header["motion"]["variant"] == "nonparametric" and "offsets" not in header["motion"]
+    assert header["blocks"][1]["shape"] == [9, 2, 2, 2]
+    assert raw.endswith(model.matrices.astype("<f8").tobytes())
+    _, loaded, _ = load_checkpoint(path)
+    assert loaded.grid == model.grid and loaded.offsets.tolist() == [[0, 0]]
+    assert np.array_equal(loaded.matrices, model.matrices)
+
+
+def test_mixed_checkpoint_on_the_zero_offset_loads(tmp_path):
+    """A zero-offset table under the ``mixed`` header, as writers before the two table
+    classes merged saved it, loads as that table and saves back as ``nonparametric``."""
+    path, raw = checkpoint_bytes(tmp_path, "nonparametric")
+
+    def as_mixed(header):
+        header["motion"]["variant"] = "mixed"
+        header["motion"]["offsets"] = [[0, 0]]
+        header["blocks"][1]["shape"] = [9, 1, 2, 2, 2]
+
+    path.write_bytes(edit_header(raw, as_mixed))
+    encoder, loaded, _ = load_checkpoint(path)
+    assert loaded.offsets.tolist() == [[0, 0]]
+    assert np.array_equal(loaded.matrices, small_model("nonparametric").matrices)
+    save_checkpoint(tmp_path / "again.ckpt", encoder, loaded, extra={"seed": 1})
+    assert (tmp_path / "again.ckpt").read_bytes() == raw

@@ -18,7 +18,6 @@ from patchflow.core import (
     Encoder,
     GridSpec,
     MixedMotion,
-    NonParametricMotion,
     ParametricMotion,
     support_offsets,
 )
@@ -26,6 +25,8 @@ from patchflow.datagen import synthetic_textures, warp
 from patchflow.evalviz import write_pgm
 from patchflow.inference import read_field
 from patchflow.training import save_checkpoint
+
+from matrix_form import ZeroSupportTable
 
 
 def run_cli(*argv):
@@ -194,7 +195,7 @@ class TestPipelines:
             off = support_offsets(2, 2)
             model = MixedMotion(grid, off, 0.3 * rng.standard_normal((grid.num_candidates, len(off), 3, 2, 2)))
         else:
-            model = NonParametricMotion(grid, np.eye(2) + 0.3 * rng.standard_normal((grid.num_candidates, 3, 2, 2)))
+            model = ZeroSupportTable(grid, np.eye(2) + 0.3 * rng.standard_normal((grid.num_candidates, 3, 2, 2)))
         save_checkpoint(ckpt, Encoder.random(3, 2, 8, 4, rng=rng), model)
         stacks = []  # the pairs of each stack
         infer_grid_stack = inference.infer_grid_stack
@@ -363,6 +364,11 @@ class TestExitCodes:
             ("train", {"unsupervised": {"init_steps": -1}}),
             ("train", {"unsupervised": {"steps_per_round": -1}}),
             ("train", {"unsupervised": {"infer_iters": -1}}),
+            ("train", {"train": {"patch_size": 0}}),
+            ("train", {"train": {"stride": 0}}),
+            ("train", {"train": {"stride": 20}}),  # larger than the 16-pixel patch
+            ("train", {"datagen": {"synthetic_sources": 0}}),
+            ("train", {"datagen": {"image_size": 0}}),
         ],
     )
     def test_wrong_config_type_is_config_error(self, tmp_path, capsys, command, override):
@@ -498,7 +504,7 @@ class TestExitCodes:
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, command, flags):
         ckpt = tmp_path / "m.ckpt"
-        model = NonParametricMotion.identity(DisplacementGrid(-1, 1, 1.0), 2, 2)
+        model = ZeroSupportTable.identity(DisplacementGrid(-1, 1, 1.0), 2, 2)
         save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=4), model)
         ds = tmp_path / "ds"
         run_cli("gen-data", "--out", ds, "--pairs", 3, "--size", 32, "--range", 1, "--seed", 1)
@@ -536,7 +542,7 @@ class TestChecksBeforeWork:
 
     def test_off_grid_delta_path_is_config_error(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
-        model = NonParametricMotion.identity(DisplacementGrid(-1, 1, 0.5), 2, 2)
+        model = ZeroSupportTable.identity(DisplacementGrid(-1, 1, 0.5), 2, 2)
         save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=9), model)
         out = tmp_path / "out"
         code = run_cli("filters", "--checkpoint", ckpt, "--delta-path", "0,0;0.25,0", "--out", out)

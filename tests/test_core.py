@@ -9,7 +9,6 @@ from patchflow.core import (
     Encoder,
     GridSpec,
     MixedMotion,
-    NonParametricMotion,
     ParametricMotion,
     VectorField,
     decode,
@@ -23,7 +22,7 @@ from patchflow.core import (
 )
 from patchflow.errors import BoundsError, GridLookupError, ShapeError
 
-from matrix_form import rotation_loss
+from matrix_form import ZeroSupportTable, rotation_loss
 
 
 def naive_patch(image, pos, p):
@@ -298,27 +297,27 @@ class TestMotion:
         rng = np.random.default_rng(0)
         enc = Encoder.random(3, 2, 8, 4, rng=rng)
         img = rng.random((24, 24))
-        m = NonParametricMotion.identity(DisplacementGrid(-1, 1, 0.5), 3, 2)
+        m = ZeroSupportTable.identity(DisplacementGrid(-1, 1, 0.5), 3, 2)
         v = encode(enc, img, np.array([(12, 8)])).vectors[0]
         np.testing.assert_array_equal(predict_one(m, enc, img, (12, 8), (0.5, -1.0)), v)
 
     def test_zero_vector(self):
         g = DisplacementGrid(-1, 1, 1.0)
-        m = NonParametricMotion(g, np.random.default_rng(1).standard_normal((9, 3, 2, 2)))
+        m = ZeroSupportTable(g, np.random.default_rng(1).standard_normal((9, 3, 2, 2)))
         enc = Encoder.random(3, 2, 8, 4, rng=1)
         assert np.all(predict_one(m, enc, np.zeros((24, 24)), (12, 12), (1.0, 0.0)) == 0)
 
     def test_apply_matches_per_block_oracle(self):
         rng = np.random.default_rng(31)
         g = DisplacementGrid(-1, 1, 1.0)
-        m = NonParametricMotion(g, rng.standard_normal((9, 4, 3, 3)))
+        m = ZeroSupportTable(g, rng.standard_normal((9, 4, 3, 3)))
         enc = Encoder.random(4, 3, 8, 4, rng=rng)
         img = rng.random((24, 24))
         got = predict_one(m, enc, img, (8, 16), (-1.0, 1.0))
         v = encode(enc, img, np.array([(8, 16)])).vectors[0]
         i = g.index_of((-1.0, 1.0))
         for k in range(4):
-            np.testing.assert_allclose(got[k], m.matrices[i, k] @ v[k], rtol=1e-14)
+            np.testing.assert_allclose(got[k], m.matrices[i, 0, k] @ v[k], rtol=1e-14)
 
 
 class TestMixedMotion:
@@ -375,7 +374,7 @@ class TestLosses:
         enc = Encoder.random(4, 2, 8, 4, rng=rng)
         img = rng.random((24, 24))
         g = DisplacementGrid(-1, 1, 0.5)
-        model = NonParametricMotion.identity(g, 4, 2)
+        model = ZeroSupportTable.identity(g, 4, 2)
         pos = enc.grid.positions(24, 24)
         fld = DisplacementField(pos, np.zeros((len(pos), 2)))
         assert rotation_loss(enc, model, img, img, fld) == 0.0
@@ -386,7 +385,7 @@ class TestLosses:
         img_t = rng.random((16, 16))
         img_t1 = rng.random((16, 16))
         g = DisplacementGrid(-1, 1, 1.0)
-        model = NonParametricMotion(g, rng.standard_normal((9, 3, 2, 2)))
+        model = ZeroSupportTable(g, rng.standard_normal((9, 3, 2, 2)))
         pos = enc.grid.positions(16, 16)
         deltas = g.candidates()[rng.integers(0, 9, len(pos))]
         fld = DisplacementField(pos, deltas)
@@ -397,7 +396,7 @@ class TestLosses:
             b = naive_patch(img_t1, x, 8)
             i = g.index_of(deltas[n])
             for k in range(3):
-                r = enc.weights[k] @ b - model.matrices[i, k] @ (enc.weights[k] @ a)
+                r = enc.weights[k] @ b - model.matrices[i, 0, k] @ (enc.weights[k] @ a)
                 want += float(r @ r)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from patchflow.core import DisplacementGrid, Encoder, NonParametricMotion, ParametricMotion
+from patchflow.core import DisplacementGrid, Encoder, ParametricMotion
 from patchflow.errors import PatchflowError
 from patchflow.gabor import (
     HALF_MAG,
@@ -24,7 +24,7 @@ from patchflow.gabor import (
     write_unit_csv,
 )
 
-from matrix_form import motion_matrices
+from matrix_form import ZeroSupportTable, motion_matrices
 
 
 def random_gabor_params(rng, p=16):
@@ -105,10 +105,10 @@ class TestFitGabor:
         b = fit_gabor(unit)
         assert np.array_equal(a.params(), b.params())
 
-    def test_accepts_flat_rows(self):
+    def test_fits_square_unit(self):
         rng = np.random.default_rng(3)
         unit = gabor_eval(random_gabor_params(rng), 16)
-        fit = fit_gabor(unit.ravel())
+        fit = fit_gabor(unit)
         assert fit.r2 > 0.999
 
 
@@ -196,21 +196,21 @@ class TestQuadratureStats:
     def test_identical_units_zero_deltas(self):
         enc = self.paired_encoder(0.0)
         fits = fit_all_units(enc)
-        df, dth, dphi, skipped = quadrature_stats(enc, fits)
+        dphi, skipped = quadrature_stats(enc, fits)
         assert skipped == 0
-        assert np.all(df < 1e-6) and np.all(dth < 1e-6) and np.all(dphi < 1e-4)
+        assert np.all(dphi < 1e-4)
 
     def test_quadrature_pair_detected(self):
         enc = self.paired_encoder(math.pi / 2)
         fits = fit_all_units(enc)
-        _, _, dphi, _ = quadrature_stats(enc, fits)
+        dphi, _ = quadrature_stats(enc, fits)
         assert dphi[0] == pytest.approx(math.pi / 2, abs=1e-3)
 
     def test_low_quality_pairs_skipped(self):
         enc = self.paired_encoder(0.3)
         fits = fit_all_units(enc)
         fits[0] = GaborFit(*fits[0].params(), r2=0.1)
-        _, _, dphi, skipped = quadrature_stats(enc, fits)
+        dphi, skipped = quadrature_stats(enc, fits)
         assert skipped == 1 and len(dphi) == 0
 
 
@@ -235,7 +235,7 @@ class TestAnimateFilters:
     def test_identity_motion_keeps_filters(self):
         enc = Encoder.random(3, 2, 8, 8, rng=8)
         grid = DisplacementGrid(-1, 1, 1.0)
-        model = NonParametricMotion.identity(grid, 3, 2)
+        model = ZeroSupportTable.identity(grid, 3, 2)
         frames = animate_filters(enc, model, 1, [(0.0, 0.0)])
         np.testing.assert_array_equal(frames[0].reshape(2, 64), enc.weights[1])
 
@@ -282,7 +282,7 @@ class TestMixedFilters:
         rng = np.random.default_rng(13)
         enc = Encoder.random(2, 2, 8, 8, rng=rng)
         grid = DisplacementGrid(-1, 1, 0.5)
-        model = NonParametricMotion(grid, rng.standard_normal((grid.num_candidates, 2, 2, 2)))
+        model = ZeroSupportTable(grid, rng.standard_normal((grid.num_candidates, 2, 2, 2)))
         frames = animate_filters(enc, model, 0, [(1.0, -0.5)])
-        want = model.matrices[grid.index_of((1.0, -0.5)), 0] @ enc.weights[0]
+        want = model.matrices[grid.index_of((1.0, -0.5)), 0, 0] @ enc.weights[0]
         assert np.array_equal(frames[0].reshape(2, 64), want)

@@ -10,7 +10,6 @@ from patchflow.core import (
     DisplacementGrid,
     Encoder,
     MixedMotion,
-    NonParametricMotion,
     ParametricMotion,
     VectorField,
     decode,
@@ -43,7 +42,7 @@ from patchflow.inference import (
 )
 from patchflow.errors import ShapeError
 
-from matrix_form import align_recurrent, estimate_velocity, grid_scores, taylor_terms
+from matrix_form import ZeroSupportTable, align_recurrent, estimate_velocity, grid_scores, taylor_terms
 
 
 def orthonormal_encoder(p, stride, rng):
@@ -53,11 +52,11 @@ def orthonormal_encoder(p, stride, rng):
 
 def identity_model(grid, k, d, off_scale=2.0):
     """Identity at delta=0, scaled identity elsewhere (strictly worse there)."""
-    m = NonParametricMotion.identity(grid, k, d).matrices.copy()
+    m = ZeroSupportTable.identity(grid, k, d).matrices[:, 0].copy()
     zero = grid.index_of((0.0, 0.0))
     m *= off_scale
     m[zero] = np.eye(d)
-    return NonParametricMotion(grid, m)
+    return ZeroSupportTable(grid, m)
 
 
 class TestInferGrid:
@@ -76,7 +75,7 @@ class TestInferGrid:
         img_t = rng.random((28, 28))
         img_t1 = rng.random((28, 28))
         grid = DisplacementGrid(-1, 1, 0.5)
-        model = NonParametricMotion(
+        model = ZeroSupportTable(
             grid, np.eye(2) + 0.3 * rng.standard_normal((grid.num_candidates, 3, 2, 2))
         )
         fld = infer_grid(enc, model, img_t, img_t1, InferConfig(margin=4))
@@ -87,7 +86,7 @@ class TestInferGrid:
             v1 = encode(enc, img_t1, pos[None]).vectors[0]
             best, best_key = None, None
             for c in range(grid.num_candidates):
-                r = v1 - np.einsum("kde,ke->kd", model.matrices[c], v0)
+                r = v1 - np.einsum("kde,ke->kd", model.matrices[c, 0], v0)
                 key = (float(np.sum(r * r)), mags[c], cands[c, 0], cands[c, 1])
                 if best_key is None or key < best_key:
                     best, best_key = c, key
@@ -99,7 +98,7 @@ class TestInferGrid:
         enc = Encoder.random(2, 2, 8, 8, rng=rng)
         img = rng.random((32, 32))
         grid = DisplacementGrid(-1, 1, 1.0)
-        model = NonParametricMotion.identity(grid, 2, 2)
+        model = ZeroSupportTable.identity(grid, 2, 2)
         fld = infer_grid(enc, model, img, img)
         assert np.all(fld.vectors == 0)
 
@@ -112,26 +111,13 @@ class TestInferGrid:
         pos = infer_positions(enc, model, (40, 40), margin=0)
         assert pos[:, 0].min() >= 8  # patch half-width 4 plus support 4
 
-    def test_mixed_matches_plain_for_singleton_support(self):
-        rng = np.random.default_rng(5)
-        enc = Encoder.random(3, 2, 8, 4, rng=rng)
-        img_t = rng.random((32, 32))
-        img_t1 = rng.random((32, 32))
-        grid = DisplacementGrid(-1, 1, 0.5)
-        mats = np.eye(2) + 0.2 * rng.standard_normal((grid.num_candidates, 3, 2, 2))
-        plain = NonParametricMotion(grid, mats)
-        mixed = MixedMotion(grid, np.array([[0, 0]]), mats[:, None])
-        fa = infer_grid(enc, plain, img_t, img_t1, InferConfig(margin=4))
-        fb = infer_grid(enc, mixed, img_t, img_t1, InferConfig(margin=4))
-        np.testing.assert_array_equal(fa.vectors, fb.vectors)
-
     def test_residual_at_choice_is_minimal(self):
         rng = np.random.default_rng(6)
         enc = Encoder.random(3, 2, 8, 4, rng=rng)
         img_t = rng.random((24, 24))
         img_t1 = warp(img_t, np.full((24, 24, 2), 0.7))
         grid = DisplacementGrid(-1, 1, 0.5)
-        model = NonParametricMotion(
+        model = ZeroSupportTable(
             grid, np.eye(2) + 0.1 * rng.standard_normal((grid.num_candidates, 3, 2, 2))
         )
         fld = infer_grid(enc, model, img_t, img_t1, InferConfig(margin=4))
@@ -139,17 +125,17 @@ class TestInferGrid:
             v0 = encode(enc, img_t, pos[None]).vectors[0]
             v1 = encode(enc, img_t1, pos[None]).vectors[0]
             ci = grid.index_of(fld.vectors[n])
-            r = v1 - np.einsum("kde,ke->kd", model.matrices[ci], v0)
+            r = v1 - np.einsum("kde,ke->kd", model.matrices[ci, 0], v0)
             chosen = float(np.sum(r * r))
             for c in range(grid.num_candidates):
-                r2 = v1 - np.einsum("kde,ke->kd", model.matrices[c], v0)
+                r2 = v1 - np.einsum("kde,ke->kd", model.matrices[c, 0], v0)
                 assert chosen <= float(np.sum(r2 * r2)) + 1e-12
 
 
 def random_table(variant, grid, k, d, rng):
     """A nonparametric or mixed table of random matrices near the identity."""
     if variant == "nonparametric":
-        return NonParametricMotion(grid, np.eye(d) + 0.3 * rng.standard_normal((grid.num_candidates, k, d, d)))
+        return ZeroSupportTable(grid, np.eye(d) + 0.3 * rng.standard_normal((grid.num_candidates, k, d, d)))
     off = support_offsets(2, 2)
     return MixedMotion(grid, off, 0.3 * rng.standard_normal((grid.num_candidates, len(off), k, d, d)))
 
@@ -737,7 +723,7 @@ class TestAnimate:
     def test_empty_fields(self):
         enc = Encoder.random(2, 2, 8, 8, rng=14)
         grid = DisplacementGrid(-1, 1, 1.0)
-        model = NonParametricMotion.identity(grid, 2, 2)
+        model = ZeroSupportTable.identity(grid, 2, 2)
         img = np.random.default_rng(15).random((24, 24))
         assert animate(enc, model, img, []) == []
 
@@ -808,7 +794,7 @@ class TestInterpolateFrames:
         rng = np.random.default_rng(19)
         enc = Encoder.random(2, 2, 8, 8, rng=rng)
         grid = DisplacementGrid(-1, 1, 1.0)
-        model = NonParametricMotion.identity(grid, 2, 2)
+        model = ZeroSupportTable.identity(grid, 2, 2)
         img = rng.random((24, 24))
         frames, ok = interpolate_frames(enc, model, img, img)
         assert ok and len(frames) == 1
@@ -818,7 +804,7 @@ class TestInterpolateFrames:
         rng = np.random.default_rng(20)
         enc = Encoder.random(3, 2, 8, 4, rng=rng)
         grid = DisplacementGrid(-1, 1, 1.0)
-        model = NonParametricMotion(
+        model = ZeroSupportTable(
             grid, np.eye(2) + 0.25 * rng.standard_normal((grid.num_candidates, 3, 2, 2))
         )
         img0 = rng.random((24, 24))
@@ -833,7 +819,7 @@ class TestInterpolateFrames:
         for n in range(len(pos)):
             best_key, best_pred = None, None
             for c in range(grid.num_candidates):
-                pred = np.einsum("kde,ke->kd", model.matrices[c], v_0[n])
+                pred = np.einsum("kde,ke->kd", model.matrices[c, 0], v_0[n])
                 r = v_t[n] - pred
                 key = (float(np.sum(r * r)), mags[c], cands[c, 0], cands[c, 1])
                 if best_key is None or key < best_key:
@@ -846,7 +832,7 @@ class TestInterpolateFrames:
         rng = np.random.default_rng(21)
         enc = Encoder.random(2, 2, 8, 8, rng=rng)
         grid = DisplacementGrid(-1, 1, 1.0)
-        model = NonParametricMotion.identity(grid, 2, 2)
+        model = ZeroSupportTable.identity(grid, 2, 2)
         img0 = np.zeros((24, 24))
         img1 = np.ones((24, 24))
         frames, ok = interpolate_frames(enc, model, img0, img1, max_steps=2)
@@ -859,7 +845,7 @@ class TestAlignment:
         self.rng = rng
         self.enc = Encoder.random(3, 2, 8, 4, rng=rng)
         self.grid = DisplacementGrid(-1, 1, 1.0)
-        self.model = NonParametricMotion(
+        self.model = ZeroSupportTable(
             self.grid, np.eye(2) + 0.2 * rng.standard_normal((9, 3, 2, 2))
         )
         self.frames = [rng.random((24, 24)) for _ in range(4)]
@@ -872,7 +858,7 @@ class TestAlignment:
         assert score == pytest.approx(float(np.sum(v * v)))
 
     def test_identity_model_sums_encodings(self):
-        model = NonParametricMotion.identity(self.grid, 3, 2)
+        model = ZeroSupportTable.identity(self.grid, 3, 2)
         u, _ = align_recurrent(self.enc, model, self.frames, self.pos, (0.0, 1.0))
         want = sum(
             encode(self.enc, f, np.asarray([self.pos])).vectors[0] for f in self.frames
@@ -888,7 +874,7 @@ class TestAlignment:
         for i, frame in enumerate(self.frames):
             v = encode(self.enc, frame, np.asarray([self.pos])).vectors[0]
             for k in range(3):
-                mk = np.linalg.matrix_power(self.model.matrices[ci, k], m - i)
+                mk = np.linalg.matrix_power(self.model.matrices[ci, 0, k], m - i)
                 want[k] += mk @ v[k]
         np.testing.assert_allclose(u, want, atol=1e-10)
         assert score == pytest.approx(float(np.sum(want * want)), abs=1e-10)

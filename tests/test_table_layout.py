@@ -54,7 +54,7 @@ def textbook_adam(params, grads_seq, config):
 class TestStorage:
     def test_identity_matrices_view_block_rows(self):
         _, model = training.init_model(mixed_config(), np.random.default_rng(0))
-        rows = table_rows(model.table)
+        rows = table_rows(model.matrices)
         assert rows.flags.c_contiguous and np.shares_memory(rows, model.matrices)
         assert rows.shape == (model.grid.num_candidates, 3, 2, len(model.offsets) * 2)
         assert np.array_equal(rows_table(rows, len(model.offsets)), model.matrices)
@@ -64,7 +64,7 @@ class TestStorage:
         deltas = np.stack([d for *_, d in batch])
         old = block_layout(support_matrices(model, deltas)[:, :, None])
         for m in (model, MixedMotion(model.grid, model.offsets, np.ascontiguousarray(model.matrices))):
-            got = np.take(table_rows(m.table), m.grid.round_indices(deltas), axis=0)
+            got = np.take(table_rows(m.matrices), m.grid.round_indices(deltas), axis=0)
             assert np.array_equal(got, old)
 
 
@@ -117,7 +117,7 @@ class TestGradientLayouts:
     def test_checkpoint_layout_gradient_equals_storage_gradient(self):
         enc, model, batch, config = storage_problem()
         flat = MixedMotion(model.grid, model.offsets, np.ascontiguousarray(model.matrices))
-        assert not np.shares_memory(table_rows(flat.table), flat.matrices)
+        assert not np.shares_memory(table_rows(flat.matrices), flat.matrices)
         got, loss = grad_total(enc, model, batch, config)
         want, want_loss = grad_total(enc, flat, batch, config)
         assert loss == want_loss

@@ -11,14 +11,13 @@ from patchflow.core import (
     DisplacementGrid,
     Encoder,
     MixedMotion,
-    NonParametricMotion,
     ParametricMotion,
     block_layout,
     encode,
     predicted_vectors,
     support_offsets,
 )
-from patchflow.datagen import DeformSpec, gen_v1deform, synthetic_textures
+from patchflow.datagen import DeformSpec, SamplePair, gen_v1deform, synthetic_textures
 from patchflow.errors import DataFormatError, ShapeError
 from patchflow.inference import InferConfig, _candidate_scores, infer_grid, interpolate_frames
 from patchflow.training import (
@@ -34,7 +33,7 @@ from patchflow.training import (
     train_unsupervised,
 )
 
-from matrix_form import rotation_loss, total_loss
+from matrix_form import ZeroSupportTable, rotation_loss, total_loss
 
 FD_STEP = 1e-5
 
@@ -75,7 +74,7 @@ def small_problem(variant, seed=0, norm_stability=0.0):
     enc = Encoder.random(3, 2, 8, 4, rng=rng, scale=0.25)
     grid = config.displacement_grid
     if variant == "nonparametric":
-        model = NonParametricMotion(grid, np.eye(2) + 0.1 * rng.standard_normal((grid.num_candidates, 3, 2, 2)))
+        model = ZeroSupportTable(grid, np.eye(2) + 0.1 * rng.standard_normal((grid.num_candidates, 3, 2, 2)))
     elif variant == "mixed":
         off = support_offsets(2, 2)
         model = MixedMotion(grid, off, 0.2 * rng.standard_normal((grid.num_candidates, len(off), 3, 2, 2)))
@@ -220,10 +219,7 @@ class TestConsumersAgree:
         v1 = encode(enc, img_t1, pos).vectors
         before, _ = _candidate_scores(enc, model, img_t, v1, pos)
         other = np.random.default_rng(9).standard_normal(model.matrices.shape)
-        if variant == "mixed":
-            fresh = MixedMotion(model.grid, model.offsets, other)
-        else:
-            fresh = NonParametricMotion(model.grid, other)
+        fresh = MixedMotion(model.grid, model.offsets, other)
         got, _ = _candidate_scores(enc, replace(model, matrices=other), img_t, v1, pos)
         want, _ = _candidate_scores(enc, fresh, img_t, v1, pos)
         assert np.array_equal(got, want)
@@ -241,7 +237,7 @@ class TestConsumersAgree:
         for img_t, img_t1, _ in batch:
             infer_grid(enc, model, img_t, img_t1, InferConfig(margin=0))
         interpolate_frames(enc, model, *batch[0][:2], max_steps=2, stop_thresh=0.0)
-        assert calls == [model.table.shape]
+        assert calls == [model.matrices.shape]
 
 
 class TestAdam:
@@ -311,7 +307,7 @@ def desk_dataset(n_pairs, shape=(64, 64), lo=-3.0, hi=3.0, seed=0, grid_m=4):
 class TestTrainSupervised:
     def test_static_pair_keeps_parametric_motion_zero(self):
         img = synthetic_textures(1, (32, 32), seed=4)[0]
-        field = np.zeros((32, 32, 2))
+        pair = SamplePair(img, img, np.zeros((32, 32, 2)))
         config = TrainConfig(
             motion_variant="parametric",
             num_blocks=3,
@@ -324,7 +320,7 @@ class TestTrainSupervised:
             batch_size=1,
             rng_seed=5,
         )
-        enc, model, history = train_supervised([(img, img, field)], config)
+        enc, model, history = train_supervised([pair], config)
         assert np.all(model.coeffs == 0)
 
     def test_loss_decreases_on_small_batch(self):
@@ -377,7 +373,7 @@ class TestTrainSupervised:
         for i, shift in enumerate([(1.0, 0.0), (0.0, -1.0)]):
             fld = np.zeros((32, 32, 2))
             fld[..., 0], fld[..., 1] = shift
-            pairs.append((src[i], warp(src[i], fld), fld))
+            pairs.append(SamplePair(src[i], warp(src[i], fld), fld))
         config = TrainConfig(
             motion_variant="nonparametric",
             num_blocks=3,
@@ -396,7 +392,7 @@ class TestTrainSupervised:
         touched = {grid.index_of((1.0, 0.0)), grid.index_of((0.0, -1.0))}
         eye = np.eye(2)
         for c in range(grid.num_candidates):
-            is_identity = np.array_equal(model.matrices[c], np.broadcast_to(eye, (3, 2, 2)))
+            is_identity = np.array_equal(model.matrices[c, 0], np.broadcast_to(eye, (3, 2, 2)))
             assert is_identity == (c not in touched)
 
     def test_identity_init_rotation_loss_equals_difference_energy(self):
@@ -412,7 +408,7 @@ class TestTrainSupervised:
             weight_reconstruction=0.0,
         )
         enc = Encoder.random(4, 2, 8, 8, rng=13)
-        model = NonParametricMotion.identity(config.displacement_grid, 4, 2)
+        model = ZeroSupportTable.identity(config.displacement_grid, 4, 2)
         pos = eval_positions(enc, model, (32, 32))
         deltas = np.zeros((len(pos), 2))
         loss = total_loss(enc, model, [(img_t, img_t1, deltas)], config)
@@ -559,7 +555,7 @@ class TestCheckpoint:
     def test_roundtrip_nonparametric(self, tmp_path):
         enc = Encoder.random(3, 2, 8, 4, rng=18)
         grid = DisplacementGrid(-2, 2, 1.0)
-        model = NonParametricMotion(grid, np.random.default_rng(19).standard_normal((25, 3, 2, 2)))
+        model = ZeroSupportTable(grid, np.random.default_rng(19).standard_normal((25, 3, 2, 2)))
         model2 = self.roundtrip(tmp_path, model, enc)
         assert np.array_equal(model2.matrices, model.matrices)
         assert model2.grid == grid
