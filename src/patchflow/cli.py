@@ -330,8 +330,6 @@ def _infer_stacks(encoder, model, pairs, icfg, threads: int):
 
 
 def cmd_infer(args, config, settings) -> dict:
-    if args.limit is not None and args.limit < 1:
-        raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     icfg = settings["infer"]
     out = Path(args.out)
@@ -376,8 +374,6 @@ def cmd_animate(args, config, settings) -> dict:
 
 
 def cmd_interpolate(args, config, settings) -> dict:
-    if args.max_steps < 0:
-        raise ConfigError(f"--max-steps must be at least 0, got {args.max_steps}")
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     img_a = evalviz.load_image(args.start)
     img_b = evalviz.load_image(args.end)
@@ -607,6 +603,17 @@ def _collect_overrides(args) -> dict:
     return over
 
 
+def _check_flags(args, config) -> None:
+    """Refuse flag values that a command cannot run with, before any work."""
+    if args.command == "gen-objects" and config["datagen"]["image_size"] < 2:
+        # a scene's foreground is at least 2 pixels on a side, and must fit in the frame
+        raise ConfigError(f"gen-objects needs datagen.image_size of at least 2, got {config['datagen']['image_size']}")
+    if getattr(args, "limit", None) is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be at least 1, got {args.limit}")
+    if getattr(args, "max_steps", 0) < 0:
+        raise ConfigError(f"--max-steps must be at least 0, got {args.max_steps}")
+
+
 def run(args) -> int:
     config = default_config()
     if args.desk_scale:
@@ -624,6 +631,7 @@ def run(args) -> int:
         _merge_config(config, user)
     _merge_config(config, _collect_overrides(args))
     settings = _build_settings(config)
+    _check_flags(args, config)
 
     # validate inputs before any work
     for attr in ("data", "checkpoint", "start", "end", "frames"):

@@ -115,15 +115,34 @@ def _patch_indices(shape: tuple[int, int], positions: np.ndarray, p: int) -> np.
     return (corner[:, :1] * w + corner[:, 1:]) + (span[:, None] * w + span).ravel()
 
 
+def gather_at(images: np.ndarray, idx: np.ndarray, out=None) -> np.ndarray:
+    """Flattened patches (..., N, p*p) of an image (H, W) or a stack (..., H, W) at the
+    checked patch-pixel indices ``idx`` (N, p*p) of `_patch_indices`, written into
+    ``out`` when given."""
+    images = np.asarray(images, dtype=np.float64)
+    # take() keeps the result C-ordered; images[..., idx] would lay the stack axis last.
+    # The indices are checked: mode "clip" spares take() the temporary copy that mode
+    # "raise" makes of ``out``.
+    return np.take(images.reshape(images.shape[:-2] + (-1,)), idx, axis=-1, out=out, mode="clip")
+
+
+def overlap_add_at(patches: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
+    """Sum flattened patches (..., N, p*p) into zeroed canvases (..., H, W) at the checked
+    patch-pixel indices ``idx`` (N, p*p) of `_patch_indices`; each canvas adds its
+    patches in order."""
+    idx = idx.ravel()
+    npix = shape[0] * shape[1]
+    stack = patches.reshape(int(np.prod(patches.shape[:-2])), -1)
+    canvas = np.empty((len(stack), npix))
+    for c, weights in enumerate(stack):  # one canvas at a time: no stack-sized index array
+        canvas[c] = np.bincount(idx, weights=weights, minlength=npix)
+    return canvas.reshape(patches.shape[:-2] + tuple(shape))
+
+
 def extract_patches(images: np.ndarray, positions: np.ndarray, patch_size: int, out=None) -> np.ndarray:
     """Flattened patches of an image (H, W) or a stack (..., H, W), shape (..., N, p*p),
     written into ``out`` when given."""
-    images = np.asarray(images, dtype=np.float64)
-    idx = _patch_indices(images.shape[-2:], positions, patch_size)
-    # take() keeps the result C-ordered; images[..., idx] would lay the stack axis last.
-    # The indices are checked above: mode "clip" spares take() the temporary copy
-    # that mode "raise" makes of ``out``.
-    return np.take(images.reshape(images.shape[:-2] + (-1,)), idx, axis=-1, out=out, mode="clip")
+    return gather_at(images, _patch_indices(np.shape(images)[-2:], positions, patch_size), out)
 
 
 @dataclass(frozen=True)
@@ -226,13 +245,7 @@ def decode(encoder: Encoder, field: VectorField, shape: tuple[int, int]) -> np.n
 def overlap_add(patches: np.ndarray, positions: np.ndarray, shape, patch_size: int) -> np.ndarray:
     """Sum flattened patches (..., N, p*p) into zeroed canvases (..., H, W) at
     their positions; each canvas adds its patches in order."""
-    idx = _patch_indices(shape, positions, patch_size).ravel()
-    npix = shape[0] * shape[1]
-    stack = patches.reshape(int(np.prod(patches.shape[:-2])), -1)
-    canvas = np.empty((len(stack), npix))
-    for c, weights in enumerate(stack):  # one canvas at a time: no stack-sized index array
-        canvas[c] = np.bincount(idx, weights=weights, minlength=npix)
-    return canvas.reshape(patches.shape[:-2] + tuple(shape))
+    return overlap_add_at(patches, _patch_indices(shape, positions, patch_size), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,32 @@ def _smoothness_value_grad(deltas: np.ndarray, grid_shape: tuple[int, int], valu
 
 _ROW_DOT = "...nm,...nm->...n"  # per-position dot products of (..., N, M) arrays
 
+# block sizes up to which `_apply_coeffs` sums in the order of the einsum it replaces
+_LANE_SUM_MAX_D = 7
+
+
+def _apply_coeffs(coeffs, v0) -> np.ndarray:
+    """u_j = B_j v0 for (5, K, d, e) coefficients and vectors (R, K, e), shape (5, R, K, d),
+    C-ordered: the bits of ``einsum("jkde,rke->jrkd")``.
+
+    On C-ordered inputs, as the descent's are, that einsum runs each sum over e
+    in numpy's SIMD loop, on two float64 lanes that start from zero: the even e
+    add in one, the odd e in the other, then the two add (up to e = 7; wider sums
+    go through an unrolled loop, and are left to the einsum).  Here each term is
+    one broadcast multiply-add over rows of a (K, e, R) layout, and the two lanes
+    add into the C-ordered result.  The layout of u matters as well as its bits:
+    `value`'s einsum sums in another order over a strided u."""
+    _, k, d, e = coeffs.shape
+    if e > _LANE_SUM_MAX_D:
+        return np.einsum("jkde,rke->jrkd", coeffs, v0)
+    rows = v0.transpose(1, 2, 0).copy()  # (K, e, R)
+    lanes = np.zeros((2, 5, k, d, len(v0)))
+    for i in range(e):
+        lanes[i % 2] += coeffs[..., i, None] * rows[:, i, None]
+    u = np.empty((5, len(v0), k, d))
+    np.add(lanes[0], lanes[1], out=np.moveaxis(u, 1, -1))
+    return u
+
 
 class _PolynomialObjective:
     """Rotation residual plus smoothness, on the residual's polynomial form.
@@ -220,8 +246,8 @@ class _PolynomialObjective:
     """
 
     def __init__(self, coeffs, v0, v1, smoothness_weight, grid_shape):
-        lead, n = v0.shape[:-3], v0.shape[-3]
-        self.u = np.einsum("jkde,...nke->j...nkd", coeffs, v0).reshape((5,) + lead + (n, -1))
+        lead, (n, k, d) = v0.shape[:-3], v0.shape[-3:]
+        self.u = _apply_coeffs(coeffs, v0.reshape(-1, k, d)).reshape((5,) + lead + (n, k * d))
         self.c = (v1 - v0).reshape(lead + (n, -1))
         self.lam = smoothness_weight
         self.grid_shape = grid_shape

@@ -20,11 +20,12 @@ from .core import (
     GridSpec,
     MixedMotion,
     ParametricMotion,
+    _patch_indices,
     delta_basis,
     eval_positions,
-    extract_patches,
+    gather_at,
     lattice_axes,
-    overlap_add,
+    overlap_add_at,
     polynomial_matrices,
     predict,
     predict_adjoint,
@@ -218,7 +219,8 @@ CHUNK_BYTES = 4_000_000
 
 class Workspace:
     """Buffers that the gradient calls of one training run share: the patch
-    stacks, the per-position block matrices and the motion gradient.
+    stacks, the per-position block matrices and the motion gradient, and the
+    index plan of each frame size (`_IndexPlan`).
 
     An array of a few MB allocated afresh on every step goes back to the OS
     when it is freed and is faulted in again on the next step; a buffer kept
@@ -229,6 +231,7 @@ class Workspace:
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
+        self.plans: dict[tuple, _IndexPlan] = {}
 
     def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = int(np.prod(shape))
@@ -287,8 +290,63 @@ def _weighted(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return x * counts.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
+@dataclass(frozen=True)
+class _IndexPlan:
+    """The index arrays of `_group_gradient` for one frame size.  Frame t is gathered
+    at the support centers, the evaluation positions and the lattice, frame t+1 at the
+    lattice, which holds the evaluation positions; each term reads its rows of those
+    stacks (None: the whole stack).  Without the rotation terms both frames are
+    gathered on the lattice alone, and the rotation entries are unset."""
+
+    idx_rec: np.ndarray  # patch-pixel indices of the lattice: the error gathers and `overlap_add_at`
+    idx_t: np.ndarray  # patch-pixel indices of frame t's gather
+    idx_t1: np.ndarray  # and of frame t+1's
+    rows_rec_t: np.ndarray | None  # the lattice's rows in frame t's stack
+    rows_rec_t1: np.ndarray | None  # and in frame t+1's
+    n: int = 0  # evaluation positions
+    frames: int | None = None  # frames per chunk; None: the whole group in one
+    place: np.ndarray | None = None  # flat places of block-layout support vectors among encodings
+    scatter: np.ndarray | None = None  # ``place`` per frame of a chunk, among its frame-t encodings
+    rows_x: np.ndarray | None = None  # the evaluation positions' rows in frame t's stack
+    rows_1: np.ndarray | None = None  # and in frame t+1's
+
+
+def _index_plan(encoder, model, shape, rotation: bool) -> _IndexPlan:
+    """The `_IndexPlan` of frames of ``shape``: a function of the frame shape, the
+    patch size and stride, the block sizes, the model's support, whether the rotation
+    terms run and CHUNK_BYTES, and of no parameter or pixel."""
+    k, d, q = encoder.weights.shape
+    p = encoder.patch_size
+    lattice = encoder.grid.positions(*shape)
+    idx_rec = _patch_indices(shape, lattice, p)
+    if not rotation:
+        return _IndexPlan(idx_rec, idx_rec, idx_rec, None, None)
+    pos = eval_positions(encoder, model, shape)
+    uniq, inverse = support_centers(encoder, shape, pos, model.offsets)
+    frames = max(1, CHUNK_BYTES // (8 * q * len(uniq)))
+    place = (inverse[:, None, :, None] * k + np.arange(k)[:, None, None]) * d + np.arange(d)
+    # the support centers lead frame t's stack, where ``place`` finds them
+    centers_t, (_, rows_x, rows_rec_t) = _union_rows(shape[1], uniq, pos, lattice)
+    centers_t1, (rows_rec_t1, rows_1) = _union_rows(shape[1], lattice, pos)
+    scatter = np.arange(frames)[:, None] * (len(centers_t) * k * d) + place.ravel()
+    return _IndexPlan(
+        idx_rec,
+        _patch_indices(shape, centers_t, p),
+        _patch_indices(shape, centers_t1, p),
+        rows_rec_t,
+        rows_rec_t1,
+        len(pos),
+        frames,
+        place,
+        scatter,
+        rows_x,
+        rows_1,
+    )
+
+
 def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_weights, d_motion, workspace):
-    """Accumulate loss and gradients for a batch group sharing one image size.
+    """Accumulate loss and gradients for a batch group sharing one image size;
+    with ``d_weights`` and ``d_motion`` None, the loss alone.
 
     ``counts`` (one float per frame) weights each frame's rotation
     residual, norm-stability term and reconstruction error before they enter
@@ -297,70 +355,59 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
 
     It runs in chunks of frames whose support patch stack fits in CHUNK_BYTES.
     Each chunk gathers and encodes each frame once, into ``workspace``'s
-    buffers: frame t at the support centers and the reconstruction lattice,
-    frame t+1 on the lattice, which holds the evaluation positions.  Each term
-    reads its rows of those stacks; for table and parametric models, whose
-    support centers are the lattice, those are the whole stacks.  Every model
-    runs the same forward pass over its support (the zero offset alone for
-    table and parametric models), on one set of per-position block matrices
-    per chunk for `predict`, its adjoint and the motion gradient.  A table's
-    are a gather of its candidate-major block rows (`table_rows`: a view of
-    a table in training's storage, a copy per call of any other), and its
-    gradient, ``d_motion`` as `_motion_gradient` lays it out, gains rows in
-    that same layout; a parametric model's are its polynomial M(delta).
+    buffers, at the indices of ``workspace``'s `_IndexPlan` of the frame size,
+    built on the first call that meets it.  Each term reads its rows of those
+    stacks; for table and parametric models, whose support centers are the
+    lattice, those are the whole stacks.  Every model runs the same forward
+    pass over its support (the zero offset alone for table and parametric
+    models), on one set of per-position block matrices per chunk for
+    `predict`, its adjoint and the motion gradient.  A table's are a gather of
+    its candidate-major block rows (`table_rows`: a view of a table in
+    training's storage, a copy per call of any other), and its gradient,
+    ``d_motion`` as `_motion_gradient` lays it out, gains rows in that same
+    layout; a parametric model's are its polynomial M(delta).  The loss alone
+    takes the same forward pass and sums, without the weight, adjoint and
+    motion products or the gather of the reconstruction errors' patches.
     """
     w = encoder.weights
     k, d, q = w.shape
     kd = k * d
     w2 = w.reshape(kd, q)
-    p = encoder.patch_size
     shape = imgs_t.shape[1:]
     lam_rot = config.weight_rotation
     lam_rec = config.weight_reconstruction
     lam_ns = config.weight_norm_stability
     rotation = lam_rot > 0 or lam_ns > 0
-    loss, frames = 0.0, len(imgs_t)
-    dw2 = d_weights.reshape(kd, q)
-
-    pos_rec = encoder.grid.positions(*shape)
-    n_rec = len(pos_rec)
-    centers_t = centers_t1 = pos_rec
-    rows_rec_t = rows_rec_t1 = None
+    gradient = d_weights is not None
+    key = (shape, encoder.patch_size, encoder.stride, k, d, model.offsets.tobytes(), rotation, CHUNK_BYTES)
+    plan = workspace.plans.get(key)
+    if plan is None:
+        plan = workspace.plans[key] = _index_plan(encoder, model, shape, rotation)
+    loss, frames = 0.0, plan.frames or len(imgs_t)
+    n, n_rec, n_t, n_t1 = plan.n, len(plan.idx_rec), len(plan.idx_t), len(plan.idx_t1)
+    if gradient:
+        dw2 = d_weights.reshape(kd, q)
     if rotation:
-        pos = eval_positions(encoder, model, shape)
-        if deltas.shape[1] != len(pos):
-            raise ShapeError(
-                f"fields have {deltas.shape[1]} positions, evaluation grid has {len(pos)}"
-            )
-        uniq, inverse = support_centers(encoder, shape, pos, model.offsets)
-        n, n_u = len(pos), len(uniq)
-        frames = max(1, CHUNK_BYTES // (8 * q * n_u))
-        # flat places of block-layout support vectors among encodings
-        place = (inverse[:, None, :, None] * k + np.arange(k)[:, None, None]) * d + np.arange(d)
-        # the support centers lead frame t's stack, where ``place`` finds them
-        centers_t, (_, rows_x, rows_rec_t) = _union_rows(shape[1], uniq, pos, pos_rec)
-        centers_t1, (rows_rec_t1, rows_1) = _union_rows(shape[1], pos_rec, pos)
-        # flat places of the support vectors' adjoint among a chunk's frame-t encodings
-        scatter = np.arange(frames)[:, None] * (len(centers_t) * kd) + place.ravel()
+        if deltas.shape[1] != n:
+            raise ShapeError(f"fields have {deltas.shape[1]} positions, evaluation grid has {n}")
         if isinstance(model, ParametricMotion):
             table = None
         else:
             table = table_rows(model.matrices)
-            # a view: `_motion_gradient` lays the gradient out as these rows
-            d_table = table_rows(d_motion).reshape(len(table), -1)
-    n_t, n_t1 = len(centers_t), len(centers_t1)
+            if gradient:  # a view: `_motion_gradient` lays the gradient out as these rows
+                d_table = table_rows(d_motion).reshape(len(table), -1)
 
     for c in range(0, len(imgs_t), frames):
         ch_t, ch_t1, ch_d = imgs_t[c : c + frames], imgs_t1[c : c + frames], deltas[c : c + frames]
+        ch_c = counts[c : c + frames]
         b = len(ch_t)
-        a_t = extract_patches(ch_t, centers_t, p, out=workspace.array("frame_t", (b, n_t, q)))
-        a_t1 = extract_patches(ch_t1, centers_t1, p, out=workspace.array("frame_t1", (b, n_t1, q)))
+        a_t = gather_at(ch_t, plan.idx_t, out=workspace.array("frame_t", (b, n_t, q)))
+        a_t1 = gather_at(ch_t1, plan.idx_t1, out=workspace.array("frame_t1", (b, n_t1, q)))
         v_t = (a_t.reshape(b * n_t, q) @ w2.T).reshape(b, n_t, kd)
         v_t1 = (a_t1.reshape(b * n_t1, q) @ w2.T).reshape(b, n_t1, kd)
         if rotation:
-            a1 = _rows(a_t1, rows_1)
-            v1 = _rows(v_t1, rows_1).reshape(b, n, k, d)
-            right = np.take(v_t.reshape(b, -1), place, axis=1)  # (B, N, K, m, d)
+            v1 = _rows(v_t1, plan.rows_1).reshape(b, n, k, d)
+            right = np.take(v_t.reshape(b, -1), plan.place, axis=1)  # (B, N, K, m, d)
             if table is None:  # a single offset: M(delta) is its own block layout
                 blocks = polynomial_matrices(model.coeffs, ch_d)
             else:
@@ -370,47 +417,48 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
             pred = predict(blocks, np.moveaxis(right, 3, 2)[:, :, None])[..., 0, :, 0]
 
             r = v1 - pred
-            r_w = _weighted(r, counts[c : c + b])
+            r_w = _weighted(r, ch_c)
             loss += lam_rot * float(np.sum(r_w * r))
-            d_pred = -2.0 * lam_rot * r_w
             if lam_ns > 0:
-                a_x = _rows(a_t, rows_x)
-                v_x = _rows(v_t, rows_x).reshape(b, n, k, d)
+                v_x = _rows(v_t, plan.rows_x).reshape(b, n, k, d)
                 ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
-                ns_w = _weighted(ns, counts[c : c + b])
+                ns_w = _weighted(ns, ch_c)
                 loss += lam_ns * float(np.sum(ns_w * ns))
-                d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
-                gv = (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b * n, kd)
-                dw2 += gv.T @ a_x
-            dw2 += (2.0 * lam_rot * r_w).reshape(b * n, kd).T @ a1
+            if gradient:
+                d_pred = -2.0 * lam_rot * r_w
+                if lam_ns > 0:
+                    d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
+                    gv = (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b * n, kd)
+                    dw2 += gv.T @ _rows(a_t, plan.rows_x)
+                dw2 += (2.0 * lam_rot * r_w).reshape(b * n, kd).T @ _rows(a_t1, plan.rows_1)
 
-            # back through the prediction: M^T d_pred per offset, scattered onto the
-            # unique support centers, and the outer product d_pred v^T per offset
-            mt_g = predict_adjoint(blocks, d_pred[..., None, :, None])[..., 0]  # (B, N, K, m, d)
-            s = np.bincount(scatter[:b].ravel(), weights=mt_g.ravel(), minlength=b * n_t * kd)
-            dw2 += s.reshape(b * n_t, kd).T @ a_t.reshape(b * n_t, q)
-            # per position, a table row's gradient in its block layout, over the spent blocks
-            g_m = np.multiply(d_pred[..., None], right.reshape(b, n, k, 1, -1), out=blocks).reshape(b * n, -1)
-            if table is None:
-                basis = delta_basis(ch_d).reshape(b * n, 5)
-                d_motion += (basis.T @ g_m).reshape(d_motion.shape)
-            else:  # only the candidates hit gain
-                _add_rows(d_table, cand.ravel(), g_m)
+                # back through the prediction: M^T d_pred per offset, scattered onto the
+                # unique support centers, and the outer product d_pred v^T per offset
+                mt_g = predict_adjoint(blocks, d_pred[..., None, :, None])[..., 0]  # (B, N, K, m, d)
+                s = np.bincount(plan.scatter[:b].ravel(), weights=mt_g.ravel(), minlength=b * n_t * kd)
+                dw2 += s.reshape(b * n_t, kd).T @ a_t.reshape(b * n_t, q)
+                # per position, a table row's gradient in its block layout, over the spent blocks
+                g_m = np.multiply(d_pred[..., None], right.reshape(b, n, k, 1, -1), out=blocks).reshape(b * n, -1)
+                if table is None:
+                    basis = delta_basis(ch_d).reshape(b * n, 5)
+                    d_motion += (basis.T @ g_m).reshape(d_motion.shape)
+                else:  # only the candidates hit gain
+                    _add_rows(d_table, cand.ravel(), g_m)
 
         if lam_rec > 0:
             decoded = workspace.array("decoded", (b * n_rec, q))
-            e_p = workspace.array("errors", (b, n_rec, q))
             # one overlap-add per frame
-            for imgs, a_s, v_s, rows in ((ch_t, a_t, v_t, rows_rec_t), (ch_t1, a_t1, v_t1, rows_rec_t1)):
-                a_rec, v_rec = _rows(a_s, rows), _rows(v_s, rows)
+            for imgs, a_s, v_s, rows in ((ch_t, a_t, v_t, plan.rows_rec_t), (ch_t1, a_t1, v_t1, plan.rows_rec_t1)):
+                v_rec = _rows(v_s, rows)
                 np.matmul(v_rec, w2, out=decoded)
-                e = imgs - overlap_add(decoded.reshape(b, n_rec, q), pos_rec, shape, p)
-                e_w = _weighted(e, counts[c : c + b])
+                e = imgs - overlap_add_at(decoded.reshape(b, n_rec, q), plan.idx_rec, shape)
+                e_w = _weighted(e, ch_c)
                 loss += lam_rec * float(np.sum(e_w * e))
-                extract_patches(e_w, pos_rec, p, out=e_p)
-                e_flat = e_p.reshape(b * n_rec, q)
-                v_e = e_flat @ w2.T
-                dw2 += -2.0 * lam_rec * (v_rec.T @ e_flat + v_e.T @ a_rec)
+                if gradient:
+                    e_flat = gather_at(e_w, plan.idx_rec, out=workspace.array("errors", (b, n_rec, q)))
+                    e_flat = e_flat.reshape(b * n_rec, q)
+                    v_e = e_flat @ w2.T
+                    dw2 += -2.0 * lam_rec * (v_rec.T @ e_flat + v_e.T @ _rows(a_s, rows))
     return loss
 
 
@@ -420,6 +468,35 @@ def size_groups(images) -> list[list[int]]:
     for i, img in enumerate(images):
         groups.setdefault(np.shape(img), []).append(i)
     return list(groups.values())
+
+
+def _batch_sums(encoder, model, batch, config, workspace, counts, gradient: bool):
+    """(loss, d_weights, d_motion) of `grad_total`, or (loss, None, None) when not ``gradient``."""
+    if not batch:
+        raise ShapeError("empty batch")
+    if workspace is None:
+        workspace = Workspace()
+    counts = np.ones(len(batch)) if counts is None else np.asarray(counts, dtype=np.float64)
+    if counts.shape != (len(batch),):
+        raise ShapeError(f"{counts.shape} counts for a batch of {len(batch)}")
+    d_weights = np.zeros_like(encoder.weights) if gradient else None
+    d_motion = _motion_gradient(model, workspace) if gradient else None
+    loss = 0.0
+    for members in size_groups([img_t for img_t, _, _ in batch]):
+        imgs_t = np.stack([np.asarray(batch[i][0], dtype=np.float64) for i in members])
+        imgs_t1 = np.stack([np.asarray(batch[i][1], dtype=np.float64) for i in members])
+        deltas = np.stack([np.asarray(batch[i][2], dtype=np.float64) for i in members])
+        loss += _group_gradient(
+            encoder, model, imgs_t, imgs_t1, deltas, counts[members], config, d_weights, d_motion, workspace
+        )
+    scale = 1.0 / float(counts.sum())
+    loss *= scale
+    if gradient:
+        d_weights *= scale
+        d_motion *= scale
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite loss {loss!r} (check inputs and learning rate)")
+    return loss, d_weights, d_motion
 
 
 def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace | None = None, counts=None):
@@ -434,30 +511,14 @@ def grad_total(encoder, model, batch, config: TrainConfig, workspace: Workspace 
     (a fresh workspace's by default), so the bundle's ``d_motion`` holds until
     the next call with that workspace.  Returns the bundle and the loss value.
     """
-    if not batch:
-        raise ShapeError("empty batch")
-    if workspace is None:
-        workspace = Workspace()
-    counts = np.ones(len(batch)) if counts is None else np.asarray(counts, dtype=np.float64)
-    if counts.shape != (len(batch),):
-        raise ShapeError(f"{counts.shape} counts for a batch of {len(batch)}")
-    d_weights = np.zeros_like(encoder.weights)
-    d_motion = _motion_gradient(model, workspace)
-    loss = 0.0
-    for members in size_groups([img_t for img_t, _, _ in batch]):
-        imgs_t = np.stack([np.asarray(batch[i][0], dtype=np.float64) for i in members])
-        imgs_t1 = np.stack([np.asarray(batch[i][1], dtype=np.float64) for i in members])
-        deltas = np.stack([np.asarray(batch[i][2], dtype=np.float64) for i in members])
-        loss += _group_gradient(
-            encoder, model, imgs_t, imgs_t1, deltas, counts[members], config, d_weights, d_motion, workspace
-        )
-    scale = 1.0 / float(counts.sum())
-    loss *= scale
-    d_weights *= scale
-    d_motion *= scale
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite loss {loss!r} (check inputs and learning rate)")
+    loss, d_weights, d_motion = _batch_sums(encoder, model, batch, config, workspace, counts, gradient=True)
     return GradientBundle(d_weights, d_motion), loss
+
+
+def batch_loss(encoder, model, batch, config: TrainConfig, workspace: Workspace | None = None, counts=None) -> float:
+    """The loss that `grad_total` returns for the same arguments, bit for bit,
+    without computing the gradient."""
+    return _batch_sums(encoder, model, batch, config, workspace, counts, gradient=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +627,11 @@ class UnsupervisedConfig:
 
 
 def _unsup_objective(encoder, model, triplets, lam_s, config, grid_shapes, workspace):
-    """Mean over the pairs of the weighted loss and the fields' smoothness: one batched loss call."""
+    """Mean over the pairs of the weighted loss and the fields' smoothness: one batched loss call,
+    without the gradient."""
     from .inference import _smoothness_value_grad
 
-    obj = grad_total(encoder, model, triplets, config, workspace)[1]
+    obj = batch_loss(encoder, model, triplets, config, workspace)
     if lam_s > 0:
         smooth = [_smoothness_value_grad(fld, shape, gradient=False)[0] for (*_, fld), shape in zip(triplets, grid_shapes)]
         obj += lam_s * float(np.sum(smooth)) / len(triplets)

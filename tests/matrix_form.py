@@ -1,5 +1,7 @@
 """References that tests compare the program's paths against: the descent
-objective's matrix form, which the polynomial residual must equal; grid
+objective's matrix form, which the polynomial residual must equal, and the
+einsum that built its products u_j = B_j v0, which the set-up must equal bit
+for bit; grid
 scoring as one whole prediction reduced in its layout, which the block-wise
 scores must equal bit for bit; the per-delta matrix lookup and the recurrent
 multi-frame alignment of the paper built on it; and the rotation loss on one
@@ -44,6 +46,14 @@ def taylor_terms(model: ParametricMotion, deltas: np.ndarray):
     dm1 = b1[None] + 2.0 * d1 * b11[None] + d2 * b12[None]
     dm2 = b2[None] + 2.0 * d2 * b22[None] + d1 * b12[None]
     return m, dm1, dm2
+
+
+def coeff_products(coeffs, v0) -> np.ndarray:
+    """u_j = B_j v0 of (5, K, d, d) coefficients and vectors (..., N, K, d), shape
+    (5, ..., N, K*d): the one einsum that the descent set-up took before it was
+    built from broadcast products."""
+    lead, n = v0.shape[:-3], v0.shape[-3]
+    return np.einsum("jkde,...nke->j...nkd", coeffs, v0).reshape((5,) + lead + (n, -1))
 
 
 def grid_scores(encoder, model, image_t, target_vectors, positions, clamp=False):

@@ -585,6 +585,35 @@ class TestChecksBeforeWork:
         assert "20x20" in err[0] and "28x28" in err[0]  # patch 16 + support 4 + the stride-8 row at 16
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("gen-objects", ["--size", 1]), ("infer", ["--limit", 0]), ("interpolate", ["--max-steps", -1])],
+    )
+    def test_bad_flag_exits_before_out_is_made(self, tmp_path, capsys, command, flags):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=11), ZeroSupportTable.identity(DisplacementGrid(-1, 1, 1.0), 2, 2))
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--range", 1, "--seed", 1)
+        start = tmp_path / "a.pgm"
+        write_pgm(start, np.random.default_rng(12).random((32, 32)))
+        inputs = {
+            "gen-objects": ["--pairs", 2],
+            "infer": ["--checkpoint", ckpt, "--data", ds],
+            "interpolate": ["--checkpoint", ckpt, "--start", start, "--end", start],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "out" / "nested"
+        code = run_cli(command, *inputs, *flags, "--out", out)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_two_pixel_scenes_are_made(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("gen-objects", "--out", out, "--pairs", 2, "--size", 2, "--desk-scale") == EXIT_OK
+        assert len(list(out.glob("*.v1ds"))) == 2
+
     @pytest.mark.parametrize("command", ["gen-data", "eval"])
     def test_summary_reports_peak_rss_and_minor_faults(self, tmp_path, command):
         ds = tmp_path / "ds"

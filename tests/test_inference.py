@@ -42,7 +42,14 @@ from patchflow.inference import (
 )
 from patchflow.errors import ShapeError
 
-from matrix_form import ZeroSupportTable, align_recurrent, estimate_velocity, grid_scores, taylor_terms
+from matrix_form import (
+    ZeroSupportTable,
+    align_recurrent,
+    coeff_products,
+    estimate_velocity,
+    grid_scores,
+    taylor_terms,
+)
 
 
 def orthonormal_encoder(p, stride, rng):
@@ -350,6 +357,28 @@ class TestPolynomialObjective:
         grad_only, none = self.obj.derivatives(self.deltas, r, hessian=False)
         assert none is None
         assert np.array_equal(grad_only, grad)
+
+
+class TestCoefficientProducts:
+    """The set-up's products u_j = B_j v0 against the einsum they replace."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("pairs", [1, 12, 32])
+    def test_equal_einsum_bit_for_bit(self, pairs, d):
+        # d = 8 is past the block sizes the products sum for, and takes the einsum itself
+        rng = np.random.default_rng(60 + d)
+        k, n = 4, 20
+        coeffs = 0.3 * rng.standard_normal((5, k, d, d))
+        coeffs[0, 0] = 0.0  # zero coefficients against negative entries: products of -0
+        v0 = rng.standard_normal((pairs, n, k, d))
+        v0[:, 0, 0] = -1.0
+        v1 = rng.standard_normal((pairs, n, k, d))
+        for a0, a1 in ((v0, v1), (v0[0], v1[0])):  # a stack, and one pair without the stack axis
+            u = _PolynomialObjective(coeffs, a0, a1, 0.05, (4, 5)).u
+            want = coeff_products(coeffs, a0)
+            assert u.flags.c_contiguous
+            assert u.shape == want.shape
+            assert np.array_equal(u.view(np.int64), want.view(np.int64))  # the signs of zeros too
 
 
 class TestNewtonSystem:

@@ -25,6 +25,7 @@ from patchflow.training import (
     TrainConfig,
     UnsupervisedConfig,
     adam_step,
+    batch_loss,
     eval_positions,
     grad_total,
     load_checkpoint,
@@ -755,10 +756,8 @@ class TestChunkedGradient:
         enc, model, batch, config = chunk_problem("mixed", [(24, 24)] * 5, 0.0)
         monkeypatch.setattr(training, "CHUNK_BYTES", 2 * support_stack_bytes(enc, model, (24, 24)))
         sizes = []
-        real = training.extract_patches
-        monkeypatch.setattr(
-            training, "extract_patches", lambda imgs, pos, p, **kw: sizes.append(len(imgs)) or real(imgs, pos, p, **kw)
-        )
+        real = training.gather_at
+        monkeypatch.setattr(training, "gather_at", lambda imgs, idx, **kw: sizes.append(len(imgs)) or real(imgs, idx, **kw))
         grad_total(enc, model, batch, config)
         # chunks of 2, 2 and 1 frames, four gathers each: frames t and t+1, and their errors
         assert sizes == [2] * 8 + [1] * 4
@@ -901,3 +900,140 @@ class TestRepeatedDraws:
         assert calls == want
         assert any(max(counts) > 1 for _, counts in calls)
         assert rng.bit_generator.state == replica.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the loss alone, and the index plans a workspace keeps
+
+
+def assert_same_gradient(got, want):
+    (got_bundle, got_loss), (want_bundle, want_loss) = got, want
+    assert got_loss == want_loss
+    assert np.array_equal(got_bundle.d_weights, want_bundle.d_weights)
+    assert np.array_equal(got_bundle.d_motion, want_bundle.d_motion)
+
+
+class TestBatchLoss:
+    """`batch_loss` is the loss of `grad_total`, bit for bit, without its gradient work."""
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    @pytest.mark.parametrize("norm_stability", [0.0, 0.05])
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_equals_grad_total_loss(self, monkeypatch, variant, norm_stability, case, repeats):
+        shapes, per_chunk = CHUNK_CASES[case]
+        enc, model, batch, config = chunk_problem(variant, shapes, norm_stability)
+        if per_chunk is not None:
+            monkeypatch.setattr(training, "CHUNK_BYTES", per_chunk * support_stack_bytes(enc, model, shapes[0]))
+        counts = REPEAT_COUNTS[: len(batch)] if repeats else None
+        want = grad_total(enc, model, batch, config, counts=counts)[1]
+        assert batch_loss(enc, model, batch, config, counts=counts) == want
+        assert batch_loss(enc, model, batch, config, training.Workspace(), counts) == want
+
+    @pytest.mark.parametrize("weights", [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.05)])
+    @pytest.mark.parametrize("variant", ["mixed", "parametric"])
+    def test_equals_grad_total_loss_for_each_term(self, variant, weights):
+        enc, model, batch, config = chunk_problem(variant, [(24, 24), (32, 32)], 0.0)
+        rot, rec, ns = weights
+        config = replace(config, weight_rotation=rot, weight_reconstruction=rec, weight_norm_stability=ns)
+        assert batch_loss(enc, model, batch, config) == grad_total(enc, model, batch, config)[1]
+
+    @pytest.mark.parametrize("variant", ["mixed", "parametric"])
+    def test_runs_no_gradient_product(self, monkeypatch, variant):
+        enc, model, batch, config = chunk_problem(variant, [(24, 24)] * 5, 0.05)
+        monkeypatch.setattr(training, "CHUNK_BYTES", 2 * support_stack_bytes(enc, model, (24, 24)))
+        want = grad_total(enc, model, batch, config)[1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a gradient product ran")
+
+        for name in ("_motion_gradient", "predict_adjoint", "_add_rows", "delta_basis"):
+            monkeypatch.setattr(training, name, refuse)
+        sizes = []
+        real = training.gather_at
+        monkeypatch.setattr(training, "gather_at", lambda imgs, idx, **kw: sizes.append(len(imgs)) or real(imgs, idx, **kw))
+        assert batch_loss(enc, model, batch, config) == want
+        # chunks of 2, 2 and 1 frames, two gathers each: frames t and t+1, and no error gathers
+        assert sizes == [2] * 4 + [1] * 2
+
+    def test_empty_batch_and_wrong_counts_raise(self):
+        enc, model, batch, config = chunk_problem("parametric", [(24, 24)] * 2, 0.0)
+        with pytest.raises(ShapeError):
+            batch_loss(enc, model, [], config)
+        with pytest.raises(ShapeError):
+            batch_loss(enc, model, batch, config, counts=[1, 2, 3])
+
+    def test_train_unsupervised_reads_losses_without_gradients(self, monkeypatch):
+        frames = synthetic_textures(3, (40, 40), seed=40)
+        seqs = [[f, np.roll(f, 1, axis=1)] for f in frames]
+        tcfg = TrainConfig(
+            motion_variant="parametric", num_blocks=3, block_dim=2, patch_size=8, stride=8,
+            delta_lo=-3, delta_hi=3, batch_size=4, rng_seed=41, learning_rate=0.002,
+        )
+        cfg = UnsupervisedConfig(
+            train=tcfg, init_pairs=6, init_steps=4, steps_per_round=3, rounds=2, infer_iters=5, field_tol=0.0,
+        )
+        calls = {"grad_total": 0, "batch_loss": 0}
+
+        def counting(name):
+            real = getattr(training, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        with monkeypatch.context() as patch:
+            for name in calls:
+                patch.setattr(training, name, counting(name))
+            enc, model, diag = train_unsupervised(seqs, cfg)
+        rounds_run = len(diag["field_changes"])
+        assert rounds_run == 2
+        assert calls["grad_total"] == len(diag["history"]) == 4 + rounds_run * 3  # one per step
+        assert calls["batch_loss"] == rounds_run + 1  # the objective before the rounds and after each
+        # the objectives are the ones the gradient's loss gives
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "batch_loss", lambda *args: grad_total(*args)[1])
+            want_enc, want_model, want = train_unsupervised(seqs, cfg)
+        assert diag["objectives"] == want["objectives"]
+        assert np.array_equal(enc.weights, want_enc.weights)
+        assert np.array_equal(model.coeffs, want_model.coeffs)
+
+
+class TestIndexPlan:
+    """A workspace computes the index arrays of a frame size once and reuses them."""
+
+    def test_one_workspace_across_sizes_and_models(self, monkeypatch):
+        # each call on a workspace that has met other frame sizes, models and loss terms
+        # must give the bits of a call on a fresh one
+        problems = {
+            (variant, shape): chunk_problem(variant, [shape] * 3, 0.05)
+            for variant in ("nonparametric", "mixed", "parametric")
+            for shape in ((24, 24), (32, 32))
+        }
+        enc, model = problems["mixed", (24, 24)][:2]
+        monkeypatch.setattr(training, "CHUNK_BYTES", 2 * support_stack_bytes(enc, model, (24, 24)))
+        workspace = training.Workspace()
+        order = [
+            ("mixed", (24, 24)), ("parametric", (24, 24)), ("mixed", (32, 32)), ("parametric", (32, 32)),
+            ("nonparametric", (24, 24)), ("mixed", (24, 24)), ("parametric", (24, 24)),
+        ]
+        for variant, shape in order:
+            enc, model, batch, config = problems[variant, shape]
+            for cfg in (config, replace(config, weight_rotation=0.0, weight_norm_stability=0.0)):
+                assert_same_gradient(grad_total(enc, model, batch, cfg, workspace), grad_total(enc, model, batch, cfg))
+                assert batch_loss(enc, model, batch, cfg, workspace) == grad_total(enc, model, batch, cfg)[1]
+
+    def test_plan_built_once_per_frame_size(self, monkeypatch):
+        enc, model, batch, config = chunk_problem("mixed", [(24, 24), (32, 32), (24, 24)], 0.0)
+        built = []
+        real = training._index_plan
+        monkeypatch.setattr(
+            training, "_index_plan", lambda enc, model, shape, rot: built.append(shape) or real(enc, model, shape, rot)
+        )
+        workspace = training.Workspace()
+        for _ in range(3):
+            grad_total(enc, model, batch, config, workspace)
+            batch_loss(enc, model, batch, config, workspace)
+        assert built == [(24, 24), (32, 32)]
