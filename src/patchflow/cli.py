@@ -172,7 +172,9 @@ def _build_settings(config: dict) -> dict:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_sources(args, config) -> list[np.ndarray]:
+def _load_sources(args, config, min_side: int = 1) -> list[np.ndarray]:
+    """The ``--sources`` images, or the config's synthetic textures; a source image
+    smaller than ``min_side`` pixels on a side raises DataFormatError."""
     if args.sources is not None:
         src_dir = Path(args.sources)
         if not src_dir.is_dir():
@@ -180,7 +182,12 @@ def _load_sources(args, config) -> list[np.ndarray]:
         files = sorted(src_dir.glob("*.pgm")) + sorted(src_dir.glob("*.ppm"))
         if not files:
             raise FileNotFoundError(f"no PGM/PPM images under {src_dir}")
-        return [evalviz.load_image(f) for f in files]
+        images = [evalviz.load_image(f) for f in files]
+        for f, img in zip(files, images):
+            if min(img.shape) < min_side:
+                h, w = img.shape
+                raise DataFormatError(f"{f}: {w}x{h} source image, smaller than {min_side} pixels on a side")
+        return images
     n = config["datagen"]["synthetic_sources"]
     size = config["datagen"]["image_size"]
     return datagen.synthetic_textures(n, (size, size), seed=config["seed"])
@@ -209,7 +216,8 @@ def _disk_mask(size: int) -> np.ndarray:
 
 
 def cmd_gen_objects(args, config, settings) -> dict:
-    backgrounds = _load_sources(args, config)
+    # a scene's foreground is at least 2 pixels on a side, and must fit in the background
+    backgrounds = _load_sources(args, config, min_side=2)
     size = config["datagen"]["image_size"]
     fg_size = max(8, size // 2)
     n_fg = max(2, config["datagen"]["synthetic_sources"] // 2)
@@ -227,8 +235,8 @@ def cmd_gen_objects(args, config, settings) -> dict:
 
 
 def cmd_train(args, config, settings) -> dict:
-    dataset = datagen.dataset_read(args.data)
-    encoder, model, history = training.train_supervised(dataset, settings["train"])
+    # the dataset's only reference goes to training, which frees the samples once their fields are sampled
+    encoder, model, history = training.train_supervised(datagen.dataset_read(args.data), settings["train"])
     out = Path(args.out)
     training.save_checkpoint(out / "model.ckpt", encoder, model, extra={"train": config["train"], "seed": config["seed"]})
     with open(out / "loss_history.csv", "w") as fh:
@@ -456,13 +464,19 @@ def cmd_eval(args, config, settings) -> dict:
     }
 
 
-def cmd_filters(args, config, settings) -> dict:
+def _delta_path(text: str) -> np.ndarray:
+    """The (n, 2) displacements of a ``--delta-path`` value."""
     try:
-        deltas = np.array([t.split(",") for t in args.delta_path.split(";")], dtype=np.float64)
+        deltas = np.array([t.split(",") for t in text.split(";")], dtype=np.float64)
     except ValueError:  # a value that is not a number, or a ragged path
         deltas = np.empty((0, 0))
     if deltas.shape[1:] != (2,) or not np.all(np.isfinite(deltas)):
-        raise ConfigError(f"--delta-path {args.delta_path!r} is not finite 'd_row,d_col' pairs joined by ';'")
+        raise ConfigError(f"--delta-path {text!r} is not finite 'd_row,d_col' pairs joined by ';'")
+    return deltas
+
+
+def cmd_filters(args, config, settings) -> dict:
+    deltas = _delta_path(args.delta_path)
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     if not 0 <= args.block < encoder.num_blocks:
         raise ConfigError(f"--block must be in [0, {encoder.num_blocks}), got {args.block}")
@@ -612,6 +626,8 @@ def _check_flags(args, config) -> None:
         raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     if getattr(args, "max_steps", 0) < 0:
         raise ConfigError(f"--max-steps must be at least 0, got {args.max_steps}")
+    if args.command == "filters":
+        _delta_path(args.delta_path)
 
 
 def run(args) -> int:

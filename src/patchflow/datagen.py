@@ -9,6 +9,7 @@ reproduces its pair bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,13 +65,27 @@ def _catmull_rom_weights(t: np.ndarray, n_ctrl: int):
     return idx, w
 
 
+@functools.lru_cache(maxsize=64)
 def _axis_matrix(length: int, n_ctrl: int) -> np.ndarray:
-    """Dense (length, n_ctrl) Catmull-Rom sampling matrix, corner aligned."""
+    """Dense (length, n_ctrl) Catmull-Rom sampling matrix, corner aligned; built
+    once per (length, n_ctrl) and read-only."""
     t = np.arange(length) * (n_ctrl - 1) / (length - 1) if length > 1 else np.zeros(1)
     idx, w = _catmull_rom_weights(t, n_ctrl)
     mat = np.zeros((length, n_ctrl))
     np.add.at(mat, (np.repeat(np.arange(length), 4), idx.ravel()), w.ravel())
+    mat.flags.writeable = False
     return mat
+
+
+_FIELD_SUBSCRIPTS = "ri,cj,ijd->rcd"
+
+
+@functools.lru_cache(maxsize=64)
+def _field_path(h: int, w: int, m: int) -> tuple:
+    """The contraction order that ``np.einsum(..., optimize=True)`` finds for
+    `interpolate_field`'s operands, searched once per (h, w, m)."""
+    path, _ = np.einsum_path(_FIELD_SUBSCRIPTS, _axis_matrix(h, m), _axis_matrix(w, m), np.empty((m, m, 2)), optimize=True)
+    return tuple(path)
 
 
 def interpolate_field(control: np.ndarray, shape: tuple[int, int], lo=-6.0, hi=6.0) -> np.ndarray:
@@ -86,7 +101,7 @@ def interpolate_field(control: np.ndarray, shape: tuple[int, int], lo=-6.0, hi=6
     h, w = shape
     rows = _axis_matrix(h, m)
     cols = _axis_matrix(w, m)
-    dense = np.einsum("ri,cj,ijd->rcd", rows, cols, control, optimize=True)
+    dense = np.einsum(_FIELD_SUBSCRIPTS, rows, cols, control, optimize=_field_path(h, w, m))
     return np.clip(dense, lo, hi)
 
 
@@ -317,7 +332,9 @@ def _sample_bytes(pair: SamplePair, with_images: bool = True) -> bytes:
     return head + b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in planes)
 
 
-def _parse_sample(raw: bytes, with_images: bool = True) -> tuple[int, int, list[np.ndarray]]:
+def _parse_sample(raw: bytes, with_images: bool = True) -> tuple[int, int, list[np.ndarray], np.ndarray]:
+    """(h, w, frames, field) of a sample: each frame a float64 (H, W) array of its own,
+    none for a fields-only sample, and the field one float64 (H, W, 2) array."""
     if raw[:4] != DATASET_MAGIC:
         raise DataFormatError(f"bad magic {raw[:4]!r}, expected {DATASET_MAGIC!r}")
     if len(raw) < 16:
@@ -332,10 +349,11 @@ def _parse_sample(raw: bytes, with_images: bool = True) -> tuple[int, int, list[
     expected = 16 + 4 * h * w * n_planes
     if len(raw) != expected:
         raise DataFormatError(f"truncated sample: {len(raw)} bytes, expected {expected}")
-    planes = np.frombuffer(raw[16:], dtype="<f4").reshape(n_planes, h, w).astype(np.float64)
-    if not np.isfinite(planes.sum()):  # float32 values cannot overflow a float64 sum
+    planes = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n_planes, h, w)  # a view of ``raw``
+    if not np.isfinite(planes.sum(dtype=np.float64)):  # float32 values cannot overflow a float64 sum
         raise DataFormatError("sample holds non-finite values")
-    return h, w, list(planes)
+    frames = [plane.astype(np.float64) for plane in planes[:-2]]
+    return h, w, frames, planes[-2:].transpose(1, 2, 0).astype(np.float64, order="C")
 
 
 def dataset_write(pairs: list[SamplePair], path, mode: str = "binary", spec_echo: dict | None = None) -> None:
@@ -370,6 +388,7 @@ def dataset_write(pairs: list[SamplePair], path, mode: str = "binary", spec_echo
 
 
 def dataset_read(path) -> list[SamplePair]:
+    """The samples of a dataset directory, each frame and field an array of its own."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
@@ -392,20 +411,19 @@ def dataset_read(path) -> list[SamplePair]:
         stem = f"sample_{i:05d}"
         raw = (path / f"{stem}.v1ds").read_bytes()
         try:
-            h, w, planes = _parse_sample(raw, with_images=mode == "binary")
+            h, w, frames, field = _parse_sample(raw, with_images=mode == "binary")
         except DataFormatError as exc:
             raise DataFormatError(f"{path / stem}.v1ds: {exc}") from None
         if mode == "binary":
-            img_t, img_t1, d1, d2 = planes
+            img_t, img_t1 = frames
         else:
             from .evalviz import read_pgm
 
-            d1, d2 = planes
             img_t = read_pgm(path / f"{stem}_t0.pgm") / 255.0
             img_t1 = read_pgm(path / f"{stem}_t1.pgm") / 255.0
             if img_t.shape != (h, w) or img_t1.shape != (h, w):
                 raise DataFormatError(f"{path / stem}: frames {img_t.shape} and {img_t1.shape} do not match the {h}x{w} field")
-        pairs.append(SamplePair(img_t, img_t1, np.stack([d1, d2], axis=-1)))
+        pairs.append(SamplePair(img_t, img_t1, field))
     return pairs
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -346,7 +346,8 @@ def _index_plan(encoder, model, shape, rotation: bool) -> _IndexPlan:
 
 def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_weights, d_motion, workspace):
     """Accumulate loss and gradients for a batch group sharing one image size;
-    with ``d_weights`` and ``d_motion`` None, the loss alone.
+    with ``d_weights`` and ``d_motion`` None, the loss alone.  ``imgs_t``,
+    ``imgs_t1`` and ``deltas`` are sequences of the group's frames and fields.
 
     ``counts`` (one float per frame) weights each frame's rotation
     residual, norm-stability term and reconstruction error before they enter
@@ -354,9 +355,10 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
     itself; a count of 1 multiplies by 1.0, which changes no bit.
 
     It runs in chunks of frames whose support patch stack fits in CHUNK_BYTES.
-    Each chunk gathers and encodes each frame once, into ``workspace``'s
-    buffers, at the indices of ``workspace``'s `_IndexPlan` of the frame size,
-    built on the first call that meets it.  Each term reads its rows of those
+    Each chunk stacks its frames and fields, then gathers and encodes each
+    frame once, into ``workspace``'s buffers, at the indices of
+    ``workspace``'s `_IndexPlan` of the frame size, built on the first call
+    that meets it.  Each term reads its rows of those
     stacks; for table and parametric models, whose support centers are the
     lattice, those are the whole stacks.  Every model runs the same forward
     pass over its support (the zero offset alone for table and parametric
@@ -373,7 +375,7 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
     k, d, q = w.shape
     kd = k * d
     w2 = w.reshape(kd, q)
-    shape = imgs_t.shape[1:]
+    shape = np.shape(imgs_t[0])
     lam_rot = config.weight_rotation
     lam_rec = config.weight_reconstruction
     lam_ns = config.weight_norm_stability
@@ -388,8 +390,9 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
     if gradient:
         dw2 = d_weights.reshape(kd, q)
     if rotation:
-        if deltas.shape[1] != n:
-            raise ShapeError(f"fields have {deltas.shape[1]} positions, evaluation grid has {n}")
+        for vec in deltas:
+            if np.shape(vec) != (n, 2):
+                raise ShapeError(f"a field has shape {np.shape(vec)}, evaluation grid has {n} positions")
         if isinstance(model, ParametricMotion):
             table = None
         else:
@@ -398,9 +401,12 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
                 d_table = table_rows(d_motion).reshape(len(table), -1)
 
     for c in range(0, len(imgs_t), frames):
-        ch_t, ch_t1, ch_d = imgs_t[c : c + frames], imgs_t1[c : c + frames], deltas[c : c + frames]
+        b = min(frames, len(imgs_t) - c)
+        ch_t = np.stack(imgs_t[c : c + frames], out=workspace.array("imgs_t", (b,) + shape))
+        ch_t1 = np.stack(imgs_t1[c : c + frames], out=workspace.array("imgs_t1", (b,) + shape))
+        if rotation:
+            ch_d = np.stack(deltas[c : c + frames], out=workspace.array("deltas", (b, n, 2)))
         ch_c = counts[c : c + frames]
-        b = len(ch_t)
         a_t = gather_at(ch_t, plan.idx_t, out=workspace.array("frame_t", (b, n_t, q)))
         a_t1 = gather_at(ch_t1, plan.idx_t1, out=workspace.array("frame_t1", (b, n_t1, q)))
         v_t = (a_t.reshape(b * n_t, q) @ w2.T).reshape(b, n_t, kd)
@@ -483,9 +489,7 @@ def _batch_sums(encoder, model, batch, config, workspace, counts, gradient: bool
     d_motion = _motion_gradient(model, workspace) if gradient else None
     loss = 0.0
     for members in size_groups([img_t for img_t, _, _ in batch]):
-        imgs_t = np.stack([np.asarray(batch[i][0], dtype=np.float64) for i in members])
-        imgs_t1 = np.stack([np.asarray(batch[i][1], dtype=np.float64) for i in members])
-        deltas = np.stack([np.asarray(batch[i][2], dtype=np.float64) for i in members])
+        imgs_t, imgs_t1, deltas = ([batch[i][j] for i in members] for j in range(3))
         loss += _group_gradient(
             encoder, model, imgs_t, imgs_t1, deltas, counts[members], config, d_weights, d_motion, workspace
         )
@@ -583,14 +587,16 @@ def train_supervised(dataset, config: TrainConfig):
     rng = np.random.default_rng(config.rng_seed)
     encoder0, model0 = init_model(config, rng)
     prepared = prepare_dataset(dataset, encoder0, model0, config.motion_variant != "parametric")
+    del dataset  # the triplets hold the frames; a caller that passed its only reference frees the fields
     if not prepared:
         raise ShapeError("empty dataset")
-    # np.copy keeps the layout: a mixed table stays a view of block rows, as do its moments
-    params = {"weights": encoder0.weights.copy(), "motion": np.copy(_motion_params(model0))}
+    # Adam updates the initial model's arrays in place: a mixed table stays a view of
+    # block rows, as do its moments (`AdamState.init` keeps the layout)
+    params = {"weights": encoder0.weights, "motion": _motion_params(model0)}
     state = AdamState.init(params)
     history: list[float] = []
     _run_steps(params, state, prepared, encoder0, model0, config, rng, config.num_steps, history, Workspace())
-    enc, model = _rebuild(encoder0, model0, params["weights"].copy(), params["motion"].copy())
+    enc, model = _rebuild(encoder0, model0, params["weights"], params["motion"])
     return enc, model, history
 
 
@@ -681,9 +687,9 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
         hi=config.deform_hi,
         seed=tcfg.rng_seed,
     )
-    init_pairs = gen_v1deform(frames, config.init_pairs, deform)
     stage1_cfg = replace(tcfg, num_steps=config.init_steps)
-    encoder, model, history = train_supervised(init_pairs, stage1_cfg)
+    # passed as the only reference, so the pairs go once their fields are sampled
+    encoder, model, history = train_supervised(gen_v1deform(frames, config.init_pairs, deform), stage1_cfg)
 
     pairs = [
         (np.asarray(seq[i], dtype=np.float64), np.asarray(seq[i + 1], dtype=np.float64))
@@ -707,8 +713,9 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
     descents = [stops]
     grid_shapes = [tuple(map(len, lattice_axes(pos))) for pos in positions]
 
-    # stage 3: alternate parameter updates and re-inference (warm-started)
-    params = {"weights": encoder.weights.copy(), "motion": model.coeffs.copy()}
+    # stage 3: alternate parameter updates and re-inference (warm-started); Adam
+    # updates stage 1's arrays in place, after the first objective has read them
+    params = {"weights": encoder.weights, "motion": model.coeffs}
     state = AdamState.init(params)
     workspace = Workspace()
     rng = np.random.default_rng([tcfg.rng_seed, 3])
@@ -733,7 +740,7 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
         objectives.append(_unsup_objective(encoder, model, triplets, lam_s, tcfg, grid_shapes, workspace))
         if change < config.field_tol:
             break
-    encoder, model = _rebuild(encoder, model, params["weights"].copy(), params["motion"].copy())
+    encoder, model = _rebuild(encoder, model, params["weights"], params["motion"])
     diagnostics = {
         "objectives": objectives,
         "field_changes": field_changes,
@@ -780,8 +787,8 @@ def save_checkpoint(path, encoder: Encoder, model, extra: dict | None = None) ->
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(encoder.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(motion, dtype="<f8").tobytes())
+        for array in (encoder.weights, motion):  # a block-row table's one contiguous copy, no bytes copy
+            fh.write(np.ascontiguousarray(array, dtype="<f8").data)
 
 
 def _header_entry(meta, key: str, path):
@@ -833,13 +840,20 @@ def load_checkpoint(path):
     Every header entry the model needs is checked before the parameter
     blocks are read, and the blocks' shapes against the encoder and motion
     entries; a header that is not a checkpoint's, a body of another length
-    or non-finite parameters raise DataFormatError."""
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
+    or non-finite parameters raise DataFormatError.  Each block is read from
+    the file straight into its array, so loading holds the body once."""
+    with open(path, "rb") as fh:
+        return _read_checkpoint(fh, path)
+
+
+def _read_checkpoint(fh, path):
+    """`load_checkpoint` of the checkpoint open as ``fh``."""
+    line = fh.readline()
+    body_size = os.fstat(fh.fileno()).st_size - len(line)
+    if not line.endswith(b"\n"):
         raise DataFormatError(f"{path}: missing checkpoint header")
     try:
-        header = json.loads(raw[:nl].decode())
+        header = json.loads(line[:-1].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint header") from exc
     if not isinstance(header, dict):
@@ -871,7 +885,6 @@ def load_checkpoint(path):
             motion_shape.insert(1, len(offsets))
     if not isinstance(blocks, list) or len(blocks) != 2:
         raise DataFormatError(f"{path}: checkpoint header needs two parameter blocks")
-    body = raw[nl + 1 :]
     arrays = []
     offset = 0
     for block, shape in zip(blocks, ([k, d, p * p], motion_shape)):
@@ -882,14 +895,14 @@ def load_checkpoint(path):
                 f"encoder and motion entries give {shape}"
             )
         end = offset + 8 * math.prod(shape)
-        if end > len(body):
+        array = np.empty(shape, dtype="<f8") if end <= body_size else None  # only what the file can fill
+        if array is None or fh.readinto(memoryview(array).cast("B")) != array.nbytes:
             raise DataFormatError(f"{path}: truncated parameter block {block.get('name')}")
-        array = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
         if not np.all(np.isfinite(array)):
             raise DataFormatError(f"{path}: parameter block {block.get('name')} has non-finite entries")
         arrays.append(array)
         offset = end
-    if offset != len(body):
+    if offset != body_size:
         raise DataFormatError(f"{path}: trailing bytes after parameter blocks")
     weights, motion = arrays
     encoder = Encoder(weights, p, stride)

@@ -522,7 +522,11 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
-        assert not out.exists() or not any(out.iterdir())
+        if "--block" in flags:
+            # the range of --block is the checkpoint's K, read after --out is made
+            assert not any(out.iterdir())
+        else:  # refused with the other flags, before --out is made
+            assert not out.exists()
 
 
 class TestChecksBeforeWork:
@@ -613,6 +617,19 @@ class TestChecksBeforeWork:
         out = tmp_path / "o"
         assert run_cli("gen-objects", "--out", out, "--pairs", 2, "--size", 2, "--desk-scale") == EXIT_OK
         assert len(list(out.glob("*.v1ds"))) == 2
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1)])
+    def test_source_under_two_pixels_is_format_error(self, tmp_path, capsys, shape):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_pgm(src / "a.pgm", np.full((2, 2), 0.5))  # the smallest background a scene fits
+        write_pgm(src / "b.pgm", np.full(shape, 0.5))
+        capsys.readouterr()
+        code = run_cli("gen-objects", "--sources", src, "--out", tmp_path / "o", "--pairs", 1, "--desk-scale")
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:")
+        assert "b.pgm" in err[0] and f"{shape[1]}x{shape[0]}" in err[0]
 
     @pytest.mark.parametrize("command", ["gen-data", "eval"])
     def test_summary_reports_peak_rss_and_minor_faults(self, tmp_path, command):

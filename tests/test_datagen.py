@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from patchflow import datagen
 from patchflow.core import DisplacementGrid, GridSpec
 from patchflow.datagen import (
     AffineSceneSpec,
@@ -81,6 +82,18 @@ class TestInterpolateField:
         ctrl = np.full((4, 4, 2), 100.0)
         fld = interpolate_field(ctrl, (16, 16), lo=-6, hi=6)
         assert fld.max() <= 6.0
+
+    @pytest.mark.parametrize("shape, m", [((64, 64), 4), ((20, 33), 3), ((1, 17), 2), ((48, 40), 5)])
+    def test_cached_plan_keeps_the_bits(self, shape, m):
+        # the axis matrices and contraction order, cached per size, give the field of
+        # freshly built matrices and the contraction order einsum searches for
+        ctrl = np.random.default_rng(m).uniform(-6, 6, (m, m, 2))
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            got = interpolate_field(ctrl, shape)
+            rows, cols = (datagen._axis_matrix.__wrapped__(n, m) for n in shape)
+            want = np.clip(np.einsum("ri,cj,ijd->rcd", rows, cols, ctrl, optimize=True), -6.0, 6.0)
+            assert got.tobytes() == want.tobytes()
+        assert not datagen._axis_matrix(shape[0], m).flags.writeable
 
 
 class TestWarp:

@@ -1,0 +1,89 @@
+"""Memory contracts: the arrays that loading, reading and training hold, measured
+with tracemalloc, to which numpy reports its data allocations."""
+
+import sys
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from patchflow import training
+from patchflow.datagen import DeformSpec, dataset_read, dataset_write, gen_v1deform, synthetic_textures
+from patchflow.training import TrainConfig, grad_total, load_checkpoint, save_checkpoint, train_supervised
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the bytes it held at once, as tracemalloc counts them)."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+def small_pairs(n_pairs, shape=(24, 24)):
+    return gen_v1deform(synthetic_textures(2, shape, seed=3), n_pairs, DeformSpec(grid_m=3, lo=-2, hi=2, seed=4))
+
+
+def test_load_checkpoint_holds_the_body_once(tmp_path):
+    # a desk mixed table, 5 MB: each block is read into its array, so loading holds
+    # the body once and its finiteness mask (an eighth of it), not a bytes copy too
+    config = TrainConfig(motion_variant="mixed", num_blocks=10, block_dim=2)
+    encoder, model = training.init_model(config, np.random.default_rng(0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, encoder, model)
+    body = path.stat().st_size - len(path.read_bytes().split(b"\n", 1)[0]) - 1
+    assert body > 5_000_000
+    (enc, loaded, _), peak = traced_peak(load_checkpoint, path)
+    assert peak < 1.5 * body
+    assert np.array_equal(loaded.matrices, model.matrices) and np.array_equal(enc.weights, encoder.weights)
+
+
+def test_mixed_training_holds_four_tables():
+    # a 6 MB table against a batch of two 24x24 pairs: the parameters (the initial
+    # table, updated in place), Adam's two moments and the gradient in the workspace
+    config = TrainConfig(
+        motion_variant="mixed", num_blocks=2, block_dim=2, patch_size=8, stride=4, delta_step=0.2,
+        batch_size=2, num_steps=2,
+    )
+    pairs = small_pairs(2)
+    encoder, model = training.init_model(config, np.random.default_rng(config.rng_seed))
+    table = model.matrices.nbytes
+    # one gradient call on fresh buffers: the gradient table, the other buffers and the temporaries
+    prepared = training.prepare_dataset(pairs, encoder, model, True)
+    _, grad_peak = traced_peak(grad_total, encoder, model, prepared, config)
+    workspace = grad_peak - table + 2 * 8 * training.ADAM_BLOCK  # and Adam's two scratch blocks
+    assert workspace < 0.5 * table
+    del encoder, model, prepared
+    (_, trained, history), peak = traced_peak(train_supervised, pairs, config)
+    assert len(history) == 2 and trained.matrices.nbytes == table
+    assert peak < 4.5 * table + workspace
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a caller's stack holds a call's arguments until it returns")
+def test_train_supervised_frees_pairs_passed_as_the_only_reference(monkeypatch):
+    refs = []
+
+    def pairs():
+        made = small_pairs(3)
+        refs.extend(weakref.ref(pair) for pair in made)
+        return made
+
+    alive = []
+    run_steps = training._run_steps
+    monkeypatch.setattr(training, "_run_steps", lambda *args: alive.append(sum(r() is not None for r in refs)) or run_steps(*args))
+    train_supervised(pairs(), TrainConfig(motion_variant="mixed", num_blocks=2, patch_size=8, stride=4, num_steps=1))
+    assert alive == [0]
+
+
+@pytest.mark.parametrize("mode", ["binary", "pgm"])
+def test_dataset_read_samples_own_their_arrays(tmp_path, mode):
+    # one float64 array per frame and one (H, W, 2) field per sample, none a view of a wider array
+    dataset_write(small_pairs(3, shape=(20, 28)), tmp_path / "ds", mode=mode)
+    for pair in dataset_read(tmp_path / "ds"):
+        for array, shape in ((pair.image_t, (20, 28)), (pair.image_t1, (20, 28)), (pair.field, (20, 28, 2))):
+            assert array.base is None and array.shape == shape and array.flags.c_contiguous

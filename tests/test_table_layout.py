@@ -167,6 +167,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
     and laid out per chunk, the motion gradient summed by `np.bincount` through a permuted
     flat index into table order.  ``d_motion`` is written through its (C, m, K, d, d) view.
     Each frame's residuals are weighted by its count in ``counts``."""
+    imgs_t, imgs_t1, deltas = map(np.stack, (imgs_t, imgs_t1, deltas))  # the group's frames and fields
     w = encoder.weights
     k, d, q = w.shape
     kd = k * d

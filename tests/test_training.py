@@ -630,6 +630,7 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
     out a second time for the adjoint, the motion gradient as a 6-D outer product,
     every patch stack gathered afresh (``workspace`` unused).  Each frame's residuals
     are weighted by its count in ``counts``."""
+    imgs_t, imgs_t1, deltas = map(np.stack, (imgs_t, imgs_t1, deltas))  # the group's frames and fields
     w = encoder.weights
     k, d, q = w.shape
     kd = k * d
