@@ -16,20 +16,18 @@ import json
 import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import datagen, evalviz, gabor, inference, training
-from .core import DisplacementField, eval_positions, lattice_axes, support_centers
+from .core import DisplacementField, lattice_axes
 from .errors import (
     ConfigError,
     DataFormatError,
     GridLookupError,
     NumericError,
     PatchflowError,
-    ShapeError,
 )
 
 EXIT_OK = 0
@@ -40,10 +38,6 @@ EXIT_FORMAT = 4
 EXIT_NUMERIC = 5
 
 SCHEMA_VERSION = 1
-
-# the Newton blocks of one descent stack, ny (2 nx)^2 float64 per pair; their
-# inverses take as much again
-NEWTON_STACK_BYTES = 4 * 2**20
 
 
 def _defaults(cls, *leave_out) -> dict:
@@ -62,7 +56,7 @@ def default_config() -> dict:
         "train": dataclasses.asdict(training.TrainConfig()),
         "deform": _defaults(datagen.DeformSpec, "seed"),
         "scene": _defaults(datagen.AffineSceneSpec, "seed"),
-        "infer": _defaults(inference.InferConfig, "rng_seed", "init_field"),
+        "infer": _defaults(inference.InferConfig, "rng_seed"),
         "unsupervised": _defaults(training.UnsupervisedConfig, "train"),
         "datagen": {"pairs": 200, "image_size": 64, "synthetic_sources": 8, "mode": "binary"},
     }
@@ -136,15 +130,6 @@ def write_summary(out_dir: Path, command: str, config: dict, metrics: dict, timi
         fh.write("\n")
 
 
-def parallel_map(fn, items, threads: int):
-    """Order-preserving map; results are independent of the thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _build_settings(config: dict) -> dict:
     """The settings objects of a merged config, one per section.
 
@@ -201,7 +186,7 @@ def cmd_gen_data(args, config, settings) -> dict:
     sources = _load_sources(args, config)
     spec = settings["deform"]
     n = config["datagen"]["pairs"]
-    pairs = parallel_map(
+    pairs = inference.parallel_map(
         lambda i: datagen.deform_sample(sources, spec, i), range(n), config["threads"]
     )
     datagen.dataset_write(pairs, args.out, mode=config["datagen"]["mode"], spec_echo=dataclasses.asdict(spec))
@@ -225,7 +210,7 @@ def cmd_gen_objects(args, config, settings) -> dict:
     masks = [_disk_mask(fg_size)] * n_fg
     spec = settings["scene"]
     n = config["datagen"]["pairs"]
-    pairs = parallel_map(
+    pairs = inference.parallel_map(
         lambda i: datagen.scene_sample(backgrounds, foregrounds, masks, spec, i),
         range(n),
         config["threads"],
@@ -287,82 +272,36 @@ def cmd_train_unsup(args, config, settings) -> dict:
     }
 
 
-def _stacks(members: list[int], pair_bytes: int, budget: int, threads: int) -> list[list[int]]:
-    """One frame size's pairs ``members`` cut into contiguous stacks: at least
-    ``threads`` of them, and each holding at most as many pairs of
-    ``pair_bytes`` as fit in ``budget`` (a pair larger than that is a stack
-    alone)."""
-    per_stack = max(1, budget // pair_bytes)
-    count = max(min(threads, len(members)), -(-len(members) // per_stack))
-    return [part.tolist() for part in np.array_split(members, count)]
-
-
-def _descent_stacks(members: list[int], grid_shape, threads: int) -> list[list[int]]:
-    """`_stacks` of descents, whose Newton blocks, ny (2 nx)^2 float64 per
-    pair, fit in NEWTON_STACK_BYTES."""
-    ny, nx = grid_shape
-    return _stacks(members, 8 * ny * (2 * nx) ** 2, NEWTON_STACK_BYTES, threads)
-
-
-def _infer_stacks(encoder, model, pairs, icfg, threads: int):
-    """The fields of ``pairs``, each frame size's pairs inferred as stacks:
-    damped-Newton descent under a parametric model, grid scoring under a
-    table model, whose stacks' support patches, p^2 float64 per support
-    center and pair, fit in `training.CHUNK_BYTES`.  Returns (fields,
-    (iterations, stop reason) of each descent)."""
-    parametric = isinstance(model, training.ParametricMotion)
-    stacks = []
-    for members in training.size_groups([pair.image_t for pair in pairs]):
-        shape = pairs[members[0]].image_t.shape
-        pos = inference.infer_positions(encoder, model, shape, icfg.margin)
-        if parametric:
-            stacks += _descent_stacks(members, tuple(map(len, lattice_axes(pos))), threads)
-        else:
-            centers, _ = support_centers(encoder, shape, pos, model.offsets)
-            stacks += _stacks(members, 8 * encoder.patch_size**2 * len(centers), training.CHUNK_BYTES, threads)
-
-    def infer(members):
-        images_t = np.stack([pairs[i].image_t for i in members])
-        images_t1 = np.stack([pairs[i].image_t1 for i in members])
-        if parametric:
-            return inference.infer_parametric_stack(encoder, model, images_t, images_t1, icfg, newton=True)
-        return inference.infer_grid_stack(encoder, model, images_t, images_t1, icfg)
-
-    fields, stops = [None] * len(pairs), [None] * len(pairs)
-    for members, (pos, found, *descent) in zip(stacks, parallel_map(infer, stacks, threads)):
-        for j, i in enumerate(members):
-            fields[i] = DisplacementField(pos, found[j])
-            if parametric:
-                stops[i] = (int(descent[0][j]), descent[1][j])
-    return fields, stops if parametric else []
+def _load_pair(path_a, path_b) -> tuple[np.ndarray, np.ndarray]:
+    """The frames at ``path_a`` and ``path_b``; frames of different sizes raise DataFormatError."""
+    img_a, img_b = evalviz.load_image(path_a), evalviz.load_image(path_b)
+    if img_a.shape != img_b.shape:
+        (ha, wa), (hb, wb) = img_a.shape, img_b.shape
+        raise DataFormatError(f"frame pair dimensions differ: {path_a} is {wa}x{ha}, {path_b} is {wb}x{hb}")
+    return img_a, img_b
 
 
 def cmd_infer(args, config, settings) -> dict:
-    encoder, model, _ = training.load_checkpoint(args.checkpoint)
     icfg = settings["infer"]
     out = Path(args.out)
-    if args.pair:
-        img_a = evalviz.load_image(args.pair[0])
-        img_b = evalviz.load_image(args.pair[1])
-        pairs = [datagen.SamplePair(img_a, img_b, np.zeros(img_a.shape + (2,)))]
-    else:
-        if args.data is None:
-            raise ConfigError("infer needs --data or --pair")
-        pairs = datagen.dataset_read(args.data)
-        if args.limit is not None:
-            pairs = pairs[: args.limit]
-    if any(pair.image_t.shape != pair.image_t1.shape for pair in pairs):
-        raise ShapeError("frame pair dimensions differ")
-    for shape in {pair.image_t.shape for pair in pairs}:  # every size fits before any pair
-        eval_positions(encoder, model, shape)
-    fields, stops = _infer_stacks(encoder, model, pairs, icfg, config["threads"])
-    for i, fld in enumerate(fields):
+    if args.pair is None and args.data is None:
+        raise ConfigError("infer needs --data or --pair")
+    pairs = [_load_pair(*args.pair)] if args.pair else None  # before the checkpoint is read
+    encoder, model, _ = training.load_checkpoint(args.checkpoint)
+    if pairs is None:
+        # the samples, ground-truth fields included, stay held to the end: freed here, they
+        # left later allocations to fault pages in again (about 2,000 more minor faults a call)
+        samples = datagen.dataset_read(args.data)[: args.limit]
+        pairs = [(sample.image_t, sample.image_t1) for sample in samples]
+    positions, fields, stops = inference.infer_pairs(encoder, model, pairs, icfg, threads=config["threads"])
+    for i, (pos, vec) in enumerate(zip(positions, fields)):
+        fld = DisplacementField(pos, vec)
         inference.write_field(out / f"field_{i:05d}.v1fd", fld)
         if args.text:
             inference.write_field_text(out / f"field_{i:05d}.txt", fld)
         if args.color:
-            ny, nx = map(len, lattice_axes(fld.positions))
-            rgb = evalviz.flow_to_color(fld.vectors.reshape(ny, nx, 2))
+            ny, nx = map(len, lattice_axes(pos))
+            rgb = evalviz.flow_to_color(vec.reshape(ny, nx, 2))
             evalviz.write_ppm(out / f"field_{i:05d}.ppm", rgb)
     metrics = {"pairs": len(pairs)}
     if stops:
@@ -382,9 +321,8 @@ def cmd_animate(args, config, settings) -> dict:
 
 
 def cmd_interpolate(args, config, settings) -> dict:
+    img_a, img_b = _load_pair(args.start, args.end)
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
-    img_a = evalviz.load_image(args.start)
-    img_b = evalviz.load_image(args.end)
     frames, ok = inference.interpolate_frames(
         encoder, model, img_a, img_b, max_steps=args.max_steps, stop_thresh=args.stop_thresh
     )
@@ -626,6 +564,9 @@ def _check_flags(args, config) -> None:
         raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     if getattr(args, "max_steps", 0) < 0:
         raise ConfigError(f"--max-steps must be at least 0, got {args.max_steps}")
+    stop_thresh = getattr(args, "stop_thresh", 0.0)
+    if not (np.isfinite(stop_thresh) and stop_thresh >= 0):
+        raise ConfigError(f"--stop-thresh must be finite and at least 0, got {args.stop_thresh}")
     if args.command == "filters":
         _delta_path(args.delta_path)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DisplacementField, as_image, border_filter
-from .errors import DataFormatError, PatchflowError
+from .errors import ConfigError, DataFormatError, PatchflowError
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def epe(pred: DisplacementField, truth: np.ndarray, margin: int = 8) -> EpeRepor
         )
     keep = border_filter(pred.positions, shape, margin)
     if not np.any(keep):
-        raise PatchflowError(f"margin {margin} leaves no interior positions")
+        raise ConfigError(f"margin {margin} leaves no evaluation position in a {shape[0]}x{shape[1]} frame")
     diff = pred.vectors[keep] - truth[pred.positions[keep, 0], pred.positions[keep, 1]]
     errors = np.sqrt(np.sum(diff * diff, axis=1))
     return EpeReport(mean_epe=float(errors.mean()), errors=errors, count=int(keep.sum()))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .core import (
     predicted_vectors,
     support_centers,
 )
-from .errors import PatchflowError, ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass
@@ -36,11 +37,12 @@ class InferConfig:
     step_size: float = 0.25
     max_iters: int = 200
     tol: float = 1e-4  # mean update (px) that counts as converged
-    init: str = "random"  # "random" | "zeros"; or pass init_field
-    init_field: np.ndarray | None = None  # (N, 2), or (P, N, 2) for a stack of pairs
+    init: str = "random"  # "random" | "zeros"; descent takes other starts as an argument
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.margin < 0:
+            raise ValueError(f"margin must be at least 0, got {self.margin}")
         if self.init not in ("random", "zeros"):
             raise ValueError(f"init must be 'random' or 'zeros', got {self.init!r}")
         if self.max_iters < 0:
@@ -52,7 +54,7 @@ def infer_positions(encoder, model, shape, margin: int = 8) -> np.ndarray:
     pos = eval_positions(encoder, model, shape)
     keep = border_filter(pos, shape, margin)
     if not np.any(keep):
-        raise PatchflowError("no evaluation positions left after margins")
+        raise ConfigError(f"margin {margin} leaves no evaluation position in a {shape[0]}x{shape[1]} frame")
     return pos[keep]
 
 
@@ -146,11 +148,12 @@ def _argmin_tiebreak(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def infer_grid_stack(encoder, model, images_t, images_t1, config: InferConfig | None = None):
-    """Grid inference for a stack of pairs of one frame size, (P, H, W) each,
-    with the field that `infer_grid` gives each pair alone: one
-    `support_centers` call, one support gather and one frame-t+1 gather for
-    the stack, one encode per frame, and each pair scored on its own columns
-    by `_score_pairs`.
+    """Grid inference for a stack of pairs of one frame size, (P, H, W) each:
+    per position, the candidate of least rotation residual, ties broken toward
+    the smallest norm, then lexicographically.  One `support_centers` call, one
+    support gather and one frame-t+1 gather for the stack, one encode per
+    frame, and each pair scored on its own columns by `_score_pairs`, so each
+    pair gets the field of its stack of one.
 
     Returns (positions (N, 2), fields (P, N, 2)).
     """
@@ -165,16 +168,6 @@ def infer_grid_stack(encoder, model, images_t, images_t1, config: InferConfig | 
     order = _candidate_order(model.grid)
     chosen = [_argmin_tiebreak(scores.T, order) for scores in _score_pairs(model.table_blocks, right, targets)]
     return pos, model.grid.candidates()[np.stack(chosen)]
-
-
-def infer_grid(encoder, model, image_t, image_t1, config: InferConfig | None = None) -> DisplacementField:
-    """Exhaustive per-position argmin of the rotation residual over candidates.
-
-    Ties break toward the smallest displacement norm, then lexicographically.
-    The stack of one of `infer_grid_stack`.
-    """
-    pos, fields = infer_grid_stack(encoder, model, np.asarray(image_t)[None], np.asarray(image_t1)[None], config)
-    return DisplacementField(pos, fields[0])
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +493,22 @@ def _descend(objective, deltas, config: InferConfig, newton: bool):
     return out, iters, stops
 
 
-def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1, config=None, newton=False):
-    """Descent for a stack of pairs of one frame size, (P, H, W) each, with
-    the iterates, iteration counts and stop reasons that `infer_parametric`
-    gives each pair alone.  A ``config.init_field`` holds (P, N, 2) starts; a
-    random start is the one draw that each pair takes alone.
+def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1, config=None, newton=False, starts=None):
+    """Descent on the rotation residual plus smoothness for a stack of pairs of
+    one frame size, (P, H, W) each, from the fields ``starts`` (P, N, 2) when
+    given, else from ``config.init`` (a random start is the one draw that each
+    pair takes alone).  Damped Newton steps (``newton``) solve each pair's 2N
+    unknowns by elimination over the lattice rows; otherwise, and whenever no
+    damped step descends, a step is a backtracking gradient step of at most
+    ``config.step_size``.  Each pair stops at the cap, below ``config.tol`` or
+    when no step descends, with the iterates, iteration count and stop reason
+    of its stack of one.
 
     Returns (positions (N, 2), fields (P, N, 2), iterations (P,), stop reasons (P,)).
     """
     config = config or InferConfig()
     if not isinstance(model, ParametricMotion):
-        raise ShapeError("infer_parametric needs a parametric motion model")
+        raise ShapeError("descent needs a parametric motion model")
     images_t = np.asarray(images_t, dtype=np.float64)
     images_t1 = np.asarray(images_t1, dtype=np.float64)
     if images_t.shape != images_t1.shape:
@@ -520,8 +518,8 @@ def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1
     v0 = _encode_frames(encoder, images_t, pos)
     v1 = _encode_frames(encoder, images_t1, pos)
     shape = (len(images_t), len(pos), 2)
-    if config.init_field is not None:
-        deltas = np.array(config.init_field, dtype=np.float64).reshape(shape)
+    if starts is not None:
+        deltas = np.array(starts, dtype=np.float64).reshape(shape)
     elif config.init == "zeros":
         deltas = np.zeros(shape)
     else:
@@ -531,32 +529,80 @@ def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1
     return (pos,) + _descend(objective, deltas, config, newton)
 
 
-def infer_parametric(
-    encoder,
-    model: ParametricMotion,
-    image_t,
-    image_t1,
-    config: InferConfig | None = None,
-    newton: bool = True,
-    stops: list | None = None,
-) -> DisplacementField:
-    """Descent on the rotation residual plus a smoothness penalty.
+# ---------------------------------------------------------------------------
+# the driver: pairs of any frame sizes, as memory-bounded stacks
 
-    Damped Newton steps solve the coupled system over all 2N unknowns by
-    elimination over the lattice rows, in O(N nx^2) time and O(N nx) memory
-    for nx positions per row; with ``newton=False`` (and whenever no damped
-    step descends) a step is a backtracking gradient step of at most
-    ``config.step_size``.  Accepted iterations are monotone either way.  Stops
-    at the iteration cap, once the mean update drops below ``config.tol``
-    pixels, or when no step descends; ``stops``, when given, receives
-    (iterations, stop reason) of the call.
+# the Newton blocks of one descent stack, ny (2 nx)^2 float64 per pair; their
+# inverses take as much again
+NEWTON_STACK_BYTES = 4 * 2**20
+
+
+def parallel_map(fn, items, threads: int):
+    """Order-preserving map; results are independent of the thread count."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _stacks(members: list[int], pair_bytes: int, budget: int, threads: int) -> list[list[int]]:
+    """One frame size's pairs ``members`` cut into contiguous stacks: at least
+    ``threads`` of them, and each holding at most as many pairs of
+    ``pair_bytes`` as fit in ``budget`` (a pair larger than that is a stack
+    alone)."""
+    per_stack = max(1, budget // pair_bytes)
+    count = max(min(threads, len(members)), -(-len(members) // per_stack))
+    return [part.tolist() for part in np.array_split(members, count)]
+
+
+def infer_pairs(encoder, model, pairs, config: InferConfig | None = None, newton=True, starts=None, threads=1):
+    """The fields of frame pairs ``pairs``, (image_t, image_t1) each, of any
+    sizes: the one path from pairs to fields.  Every size's positions are found
+    first, so a frame too small or a margin that leaves no position raises
+    before any work.  Each size's pairs are cut into contiguous stacks, at least
+    ``threads`` of them, run in that many threads, each within a byte bound:
+    a parametric model's Newton blocks, ny (2 nx)^2 float64 per pair, in
+    NEWTON_STACK_BYTES, for `infer_parametric_stack` (with ``newton``, and from
+    each pair's field of ``starts`` when given); a table model's support
+    patches, p^2 float64 per center and pair, in `training.CHUNK_BYTES`, for
+    `infer_grid_stack`.  Each pair gets the result of its stack of one.
+
+    Returns (positions, fields, stops): each pair's positions (N, 2) and field
+    (N, 2), and each descent's (iterations, stop reason), empty for a table model.
     """
-    pos, fields, iters, reasons = infer_parametric_stack(
-        encoder, model, np.asarray(image_t)[None], np.asarray(image_t1)[None], config, newton=newton
-    )
-    if stops is not None:
-        stops.append((int(iters[0]), reasons[0]))
-    return DisplacementField(pos, fields[0])
+    from .training import CHUNK_BYTES, size_groups  # training imports this module
+
+    config = config or InferConfig()
+    if any(np.shape(a) != np.shape(b) for a, b in pairs):
+        raise ShapeError("frame pair dimensions differ")
+    parametric = isinstance(model, ParametricMotion)
+    stacks = []
+    for members in size_groups([a for a, _ in pairs]):
+        shape = np.shape(pairs[members[0]][0])
+        pos = infer_positions(encoder, model, shape, config.margin)
+        if parametric:
+            ny, nx = map(len, lattice_axes(pos))
+            stacks += _stacks(members, 8 * ny * (2 * nx) ** 2, NEWTON_STACK_BYTES, threads)
+        else:
+            centers, _ = support_centers(encoder, shape, pos, model.offsets)
+            stacks += _stacks(members, 8 * encoder.patch_size**2 * len(centers), CHUNK_BYTES, threads)
+
+    def infer(members):
+        images_t = np.stack([pairs[i][0] for i in members])
+        images_t1 = np.stack([pairs[i][1] for i in members])
+        if not parametric:
+            return infer_grid_stack(encoder, model, images_t, images_t1, config)
+        begin = None if starts is None else np.stack([starts[i] for i in members])
+        return infer_parametric_stack(encoder, model, images_t, images_t1, config, newton, begin)
+
+    positions, fields, stops = [None] * len(pairs), [None] * len(pairs), [None] * len(pairs)
+    for members, (pos, found, *descent) in zip(stacks, parallel_map(infer, stacks, threads)):
+        for j, i in enumerate(members):
+            positions[i], fields[i] = pos, found[j]
+            if parametric:
+                stops[i] = (int(descent[0][j]), descent[1][j])
+    return positions, fields, stops if parametric else []
 
 
 def descent_summary(stops) -> dict:

@@ -36,6 +36,7 @@ from .core import (
 )
 from .datagen import DeformSpec, gen_v1deform
 from .errors import DataFormatError, GridLookupError, NumericError, ShapeError, TrainingDiverged
+from .inference import InferConfig, _smoothness_value_grad, infer_pairs
 
 CHECKPOINT_VERSION = 1
 
@@ -635,35 +636,11 @@ class UnsupervisedConfig:
 def _unsup_objective(encoder, model, triplets, lam_s, config, grid_shapes, workspace):
     """Mean over the pairs of the weighted loss and the fields' smoothness: one batched loss call,
     without the gradient."""
-    from .inference import _smoothness_value_grad
-
     obj = batch_loss(encoder, model, triplets, config, workspace)
     if lam_s > 0:
         smooth = [_smoothness_value_grad(fld, shape, gradient=False)[0] for (*_, fld), shape in zip(triplets, grid_shapes)]
         obj += lam_s * float(np.sum(smooth)) / len(triplets)
     return obj
-
-
-def _descend_pairs(encoder, model, pairs, icfg, starts=None):
-    """Fields of every pair by gradient-step descent, all pairs of one frame size as
-    one stack, from ``icfg``'s start or, when given, from the fields ``starts``.
-
-    Returns (fields, positions, (iterations, stop reason) of each pair)."""
-    from .inference import infer_parametric_stack
-
-    fields, positions, stops = [None] * len(pairs), [None] * len(pairs), [None] * len(pairs)
-    for members in size_groups([img_t for img_t, _ in pairs]):
-        cfg = icfg if starts is None else replace(icfg, init_field=np.stack([starts[i] for i in members]))
-        pos, found, iters, reasons = infer_parametric_stack(
-            encoder,
-            model,
-            np.stack([pairs[i][0] for i in members]),
-            np.stack([pairs[i][1] for i in members]),
-            cfg,
-        )
-        for j, i in enumerate(members):
-            fields[i], positions[i], stops[i] = found[j], pos, (int(iters[j]), reasons[j])
-    return fields, positions, stops
 
 
 def train_unsupervised(sequences, config: UnsupervisedConfig):
@@ -673,8 +650,6 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
     mean field changes, and the (iterations, stop reason) of each pair's
     descent in stage 2 and in each round of stage 3, in the diagnostics dict.
     """
-    from .inference import InferConfig
-
     frames = [np.asarray(f, dtype=np.float64) for seq in sequences for f in seq]
     if any(len(seq) < 2 for seq in sequences) or not sequences:
         raise ShapeError("need sequences of at least two frames")
@@ -709,7 +684,7 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
     # at most infer_iters gradient steps on purpose: fields descended to
     # convergence sit at the model's objective minimum, which at desk scale
     # lies far from the true motion, and training on them raised scene EPE.
-    fields, positions, stops = _descend_pairs(encoder, model, pairs, icfg)
+    positions, fields, stops = infer_pairs(encoder, model, pairs, icfg, newton=False)
     descents = [stops]
     grid_shapes = [tuple(map(len, lattice_axes(pos))) for pos in positions]
 
@@ -729,7 +704,7 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
             params, state, triplets, encoder, model, tcfg, rng, config.steps_per_round, history, workspace
         )
         encoder, model = _rebuild(encoder, model, params["weights"], params["motion"])
-        new_fields, _, stops = _descend_pairs(encoder, model, pairs, icfg, starts=fields)
+        _, new_fields, stops = infer_pairs(encoder, model, pairs, icfg, newton=False, starts=fields)
         descents.append(stops)
         change = float(
             np.mean([np.mean(np.linalg.norm(nf - of, axis=1)) for nf, of in zip(new_fields, fields)])

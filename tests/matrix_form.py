@@ -4,9 +4,10 @@ einsum that built its products u_j = B_j v0, which the set-up must equal bit
 for bit; grid
 scoring as one whole prediction reduced in its layout, which the block-wise
 scores must equal bit for bit; the per-delta matrix lookup and the recurrent
-multi-frame alignment of the paper built on it; and the rotation loss on one
+multi-frame alignment of the paper built on it; the rotation loss on one
 frame pair and the batch loss of a training step, which training's gradient
-is probed and checked against.  `ZeroSupportTable` builds the nonparametric
+is probed and checked against; and one pair's inference, the stack of one of
+each stacked path, which every stack of pairs must equal pair by pair.  `ZeroSupportTable` builds the nonparametric
 model, the table motion model on the zero offset alone."""
 
 import numpy as np
@@ -22,6 +23,7 @@ from patchflow.core import (
     predicted_vectors,
     support_offsets,
 )
+from patchflow.inference import infer_grid_stack, infer_parametric_stack
 from patchflow.training import grad_total
 
 
@@ -112,3 +114,19 @@ def rotation_loss(encoder, model, image_t, image_t1, field: DisplacementField) -
 def total_loss(encoder, model, batch, config) -> float:
     """Batch-mean weighted loss: the loss of `grad_total` (finite-difference probes)."""
     return grad_total(encoder, model, batch, config)[1]
+
+
+def grid_alone(encoder, model, image_t, image_t1, config=None) -> DisplacementField:
+    """One pair's grid field: the stack of one of `infer_grid_stack`."""
+    pos, fields = infer_grid_stack(encoder, model, np.asarray(image_t)[None], np.asarray(image_t1)[None], config)
+    return DisplacementField(pos, fields[0])
+
+
+def descent_alone(encoder, model, image_t, image_t1, config=None, newton=True, start=None):
+    """One pair's descent, from the field ``start`` when given: the stack of one
+    of `infer_parametric_stack`.  Returns (field, (iterations, stop reason))."""
+    starts = None if start is None else np.asarray(start)[None]
+    pos, fields, iters, reasons = infer_parametric_stack(
+        encoder, model, np.asarray(image_t)[None], np.asarray(image_t1)[None], config, newton, starts
+    )
+    return DisplacementField(pos, fields[0]), (int(iters[0]), reasons[0])

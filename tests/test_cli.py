@@ -26,7 +26,7 @@ from patchflow.evalviz import write_pgm
 from patchflow.inference import read_field
 from patchflow.training import save_checkpoint
 
-from matrix_form import ZeroSupportTable
+from matrix_form import ZeroSupportTable, descent_alone, grid_alone
 
 
 def run_cli(*argv):
@@ -150,9 +150,9 @@ class TestPipelines:
 
 
     def test_parametric_infer_is_each_pairs_own_descent_at_any_thread_count(self, tmp_path, monkeypatch):
-        from patchflow import cli
+        from patchflow import inference
         from patchflow.datagen import dataset_read
-        from patchflow.inference import InferConfig, descent_summary, infer_parametric
+        from patchflow.inference import InferConfig, descent_summary
         from patchflow.training import load_checkpoint
 
         ds = tmp_path / "ds"
@@ -163,8 +163,9 @@ class TestPipelines:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"infer": {"init": "zeros", "smoothness_weight": 0.05}}))
         runs = {}
-        for name, threads, budget in (("one", 1, cli.NEWTON_STACK_BYTES), ("three", 3, cli.NEWTON_STACK_BYTES), ("alone", 1, 1)):
-            monkeypatch.setattr(cli, "NEWTON_STACK_BYTES", budget)  # 1 byte: every pair its own stack
+        default = inference.NEWTON_STACK_BYTES
+        for name, threads, budget in (("one", 1, default), ("three", 3, default), ("alone", 1, 1)):
+            monkeypatch.setattr(inference, "NEWTON_STACK_BYTES", budget)  # 1 byte: every pair its own stack
             out = tmp_path / name
             assert run_cli("infer", "--checkpoint", ckpt, "--data", ds, "--out", out, "--text", "--threads", threads, "--config", cfg) == EXIT_OK
             files = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "run_summary.json"}
@@ -173,7 +174,8 @@ class TestPipelines:
         encoder, model, _ = load_checkpoint(ckpt)
         stops = []
         for i, pair in enumerate(dataset_read(ds)):
-            want = infer_parametric(encoder, model, pair.image_t, pair.image_t1, InferConfig(init="zeros", smoothness_weight=0.05), stops=stops)
+            want, stop = descent_alone(encoder, model, pair.image_t, pair.image_t1, InferConfig(init="zeros", smoothness_weight=0.05))
+            stops.append(stop)
             got = read_field(tmp_path / "three" / f"field_{i:05d}.v1fd")
             assert np.array_equal(got.positions, want.positions)
             assert np.array_equal(got.vectors, want.vectors.astype(np.float32))
@@ -218,7 +220,7 @@ class TestPipelines:
         encoder, model, _ = load_checkpoint(ckpt)
         fields = set()
         for i, pair in enumerate(dataset_read(ds)):
-            want = inference.infer_grid(encoder, model, pair.image_t, pair.image_t1)
+            want = grid_alone(encoder, model, pair.image_t, pair.image_t1)
             got = read_field(tmp_path / "three" / f"field_{i:05d}.v1fd")
             assert np.array_equal(got.positions, want.positions)
             assert np.array_equal(got.vectors, want.vectors.astype(np.float32))
@@ -226,25 +228,42 @@ class TestPipelines:
         assert len(fields) == 5
 
     def test_infer_stacks_split_by_threads_and_memory(self):
-        from patchflow import cli
+        from patchflow import inference
 
         members = list(range(10, 20))
-        assert cli._stacks(members, 100, 300, 1) == [members[:3], members[3:6], members[6:8], members[8:]]
-        assert cli._stacks(members, 100, 1000, 1) == [members]
-        assert cli._stacks(members, 100, 1000, 4) == [members[:3], members[3:6], members[6:8], members[8:]]
-        assert cli._stacks(members, 100, 50, 1) == [[i] for i in members]
+        assert inference._stacks(members, 100, 300, 1) == [members[:3], members[3:6], members[6:8], members[8:]]
+        assert inference._stacks(members, 100, 1000, 1) == [members]
+        assert inference._stacks(members, 100, 1000, 4) == [members[:3], members[3:6], members[6:8], members[8:]]
+        assert inference._stacks(members, 100, 50, 1) == [[i] for i in members]
 
     def test_descent_stacks_split_by_threads_and_memory(self, monkeypatch):
-        from patchflow import cli
+        from patchflow import inference
 
-        members = list(range(10, 20))
-        assert cli._descent_stacks(members, (7, 7), 1) == [members]
-        assert cli._descent_stacks(members, (7, 7), 3) == [members[:4], members[4:7], members[7:]]
-        assert cli._descent_stacks(members[:2], (7, 7), 3) == [members[:1], members[1:2]]
-        monkeypatch.setattr(cli, "NEWTON_STACK_BYTES", 3 * 7 * 14**2 * 8)  # the blocks of three pairs
-        assert [len(s) for s in cli._descent_stacks(members, (7, 7), 1)] == [3, 3, 2, 2]
-        monkeypatch.setattr(cli, "NEWTON_STACK_BYTES", 100)  # less than one pair's blocks
-        assert cli._descent_stacks(members, (7, 7), 2) == [[i] for i in members]
+        # ten pairs of 64x64 frames on a 7x7 lattice, frame value i for pair i
+        pairs = [(np.full((64, 64), float(i)),) * 2 for i in range(10)]
+        encoder, model = Encoder.random(2, 2, 16, 8, rng=8), ParametricMotion.zeros(2, 2)
+        stacks = []  # the pairs of each descent stack
+        descend = inference.infer_parametric_stack
+
+        def logged(encoder, model, images_t, *args):
+            stacks.append(images_t[:, 0, 0].astype(int).tolist())
+            return descend(encoder, model, images_t, *args)
+
+        monkeypatch.setattr(inference, "infer_parametric_stack", logged)
+
+        def cut(pairs, threads):
+            stacks.clear()
+            inference.infer_pairs(encoder, model, pairs, inference.InferConfig(margin=0), threads=threads)
+            return sorted(stacks)
+
+        members = list(range(10))
+        assert cut(pairs, 1) == [members]
+        assert cut(pairs, 3) == [members[:4], members[4:7], members[7:]]
+        assert cut(pairs[:2], 3) == [members[:1], members[1:2]]
+        monkeypatch.setattr(inference, "NEWTON_STACK_BYTES", 3 * 7 * 14**2 * 8)  # the blocks of three pairs
+        assert [len(s) for s in cut(pairs, 1)] == [3, 3, 2, 2]
+        monkeypatch.setattr(inference, "NEWTON_STACK_BYTES", 100)  # less than one pair's blocks
+        assert cut(pairs, 2) == [[i] for i in members]
 
     def test_train_unsup_summary_reports_descent_stops(self, tmp_path):
         frames = tmp_path / "frames"
@@ -591,7 +610,14 @@ class TestChecksBeforeWork:
 
     @pytest.mark.parametrize(
         "command, flags",
-        [("gen-objects", ["--size", 1]), ("infer", ["--limit", 0]), ("interpolate", ["--max-steps", -1])],
+        [
+            ("gen-objects", ["--size", 1]),
+            ("infer", ["--limit", 0]),
+            ("interpolate", ["--max-steps", -1]),
+            ("interpolate", ["--stop-thresh", "nan"]),
+            ("interpolate", ["--stop-thresh", "inf"]),
+            ("interpolate", ["--stop-thresh", -0.5]),
+        ],
     )
     def test_bad_flag_exits_before_out_is_made(self, tmp_path, capsys, command, flags):
         ckpt = tmp_path / "m.ckpt"
@@ -612,6 +638,45 @@ class TestChecksBeforeWork:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    @pytest.mark.parametrize("margin", [-3, 100])
+    def test_margin_that_leaves_no_position_is_config_error(self, tmp_path, capsys, command, margin):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=13), ParametricMotion.zeros(2, 2))
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 2, "--size", 32, "--range", 1, "--seed", 1)
+        inputs = {"infer": ["--checkpoint", ckpt], "eval": ["--zero-predictor"]}[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = run_cli(command, *inputs, "--data", ds, "--margin", margin, "--out", out)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "margin" in err[0]
+        if margin < 0:  # refused with the other config values, before --out is made
+            assert not out.exists()
+        else:  # the frame size is known once the data is read
+            assert "32x32" in err[0] and not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["infer", "interpolate"])
+    def test_frames_of_different_sizes_are_format_error(self, tmp_path, capsys, monkeypatch, command):
+        from patchflow import training
+
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=14), ZeroSupportTable.identity(DisplacementGrid(-1, 1, 1.0), 2, 2))
+        a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        write_pgm(a, np.random.default_rng(15).random((64, 64)))
+        write_pgm(b, np.random.default_rng(16).random((48, 64)))
+        loads = []
+        monkeypatch.setattr(training, "load_checkpoint", lambda path: loads.append(path))
+        inputs = {"infer": ["--pair", a, b], "interpolate": ["--start", a, "--end", b]}[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(command, "--checkpoint", ckpt, *inputs, "--out", out) == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:")
+        assert "64x64" in err[0] and "64x48" in err[0]
+        assert loads == [] and not any(out.iterdir())
 
     def test_two_pixel_scenes_are_made(self, tmp_path):
         out = tmp_path / "o"

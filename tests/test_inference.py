@@ -32,9 +32,8 @@ from patchflow.inference import (
     _smoothness_value_grad,
     _support_columns,
     animate,
-    infer_grid,
     infer_grid_stack,
-    infer_parametric,
+    infer_pairs,
     infer_parametric_stack,
     infer_positions,
     interpolate_frames,
@@ -46,7 +45,9 @@ from matrix_form import (
     ZeroSupportTable,
     align_recurrent,
     coeff_products,
+    descent_alone,
     estimate_velocity,
+    grid_alone,
     grid_scores,
     taylor_terms,
 )
@@ -73,7 +74,7 @@ class TestInferGrid:
         img = rng.random((40, 40))
         grid = DisplacementGrid(-2, 2, 0.5)
         model = identity_model(grid, 4, 2)
-        fld = infer_grid(enc, model, img, img, InferConfig(margin=8))
+        fld = grid_alone(enc, model, img, img, InferConfig(margin=8))
         assert np.all(fld.vectors == 0)
 
     def test_matches_exhaustive_loop_oracle(self):
@@ -85,7 +86,7 @@ class TestInferGrid:
         model = ZeroSupportTable(
             grid, np.eye(2) + 0.3 * rng.standard_normal((grid.num_candidates, 3, 2, 2))
         )
-        fld = infer_grid(enc, model, img_t, img_t1, InferConfig(margin=4))
+        fld = grid_alone(enc, model, img_t, img_t1, InferConfig(margin=4))
         cands = grid.candidates()
         mags = np.sum(cands * cands, axis=1)
         for n, pos in enumerate(fld.positions):
@@ -106,7 +107,7 @@ class TestInferGrid:
         img = rng.random((32, 32))
         grid = DisplacementGrid(-1, 1, 1.0)
         model = ZeroSupportTable.identity(grid, 2, 2)
-        fld = infer_grid(enc, model, img, img)
+        fld = grid_alone(enc, model, img, img)
         assert np.all(fld.vectors == 0)
 
     def test_mixed_positions_inset(self):
@@ -127,7 +128,7 @@ class TestInferGrid:
         model = ZeroSupportTable(
             grid, np.eye(2) + 0.1 * rng.standard_normal((grid.num_candidates, 3, 2, 2))
         )
-        fld = infer_grid(enc, model, img_t, img_t1, InferConfig(margin=4))
+        fld = grid_alone(enc, model, img_t, img_t1, InferConfig(margin=4))
         for n, pos in enumerate(fld.positions):
             v0 = encode(enc, img_t, pos[None]).vectors[0]
             v1 = encode(enc, img_t1, pos[None]).vectors[0]
@@ -184,7 +185,7 @@ class TestBlockwiseScores:
                 assert np.array_equal(scores.T, want), (shape, i)
                 choice = order[np.argmin(want[:, order], axis=1)]
                 assert np.array_equal(fields[i], model.grid.candidates()[choice])
-                alone = infer_grid(enc, model, imgs_t[i], imgs_t1[i], InferConfig(margin=4))
+                alone = grid_alone(enc, model, imgs_t[i], imgs_t1[i], InferConfig(margin=4))
                 assert np.array_equal(alone.positions, pos) and np.array_equal(alone.vectors, fields[i])
 
     def test_parametric_model_is_refused(self):
@@ -211,7 +212,7 @@ class TestInferParametric:
     def test_identical_frames_zero_init_stays_zero(self):
         enc, model, img = self.make_pair()
         cfg = InferConfig(smoothness_weight=0.0, init="zeros")
-        fld = infer_parametric(enc, model, img, img, cfg)
+        fld, _ = descent_alone(enc, model, img, img, cfg)
         assert np.all(fld.vectors == 0)
 
     def test_objective_prefix_monotone(self):
@@ -220,7 +221,7 @@ class TestInferParametric:
         values = []
         for iters in (1, 3, 6, 12):
             cfg = InferConfig(init="zeros", max_iters=iters, smoothness_weight=0.1)
-            fld = infer_parametric(enc, model, img, img2, cfg)
+            fld, _ = descent_alone(enc, model, img, img2, cfg)
             # evaluate the descent objective at the returned field
             from patchflow.inference import _smoothness_value_grad
 
@@ -243,7 +244,7 @@ class TestInferParametric:
         variances = []
         for lam in (0.0, 5.0, 500.0):
             cfg = InferConfig(init="zeros", smoothness_weight=lam, max_iters=150, rng_seed=11)
-            fld = infer_parametric(enc, model, img, img2, cfg)
+            fld, _ = descent_alone(enc, model, img, img2, cfg)
             variances.append(float(np.var(fld.vectors, axis=0).sum()))
         assert variances[1] <= variances[0] + 1e-9
         assert variances[2] <= variances[1] + 1e-9
@@ -252,8 +253,8 @@ class TestInferParametric:
         enc, model, img = self.make_pair(12)
         img2 = warp(img, np.full(img.shape + (2,), -0.4))
         cfg = InferConfig(init="random", rng_seed=13, max_iters=5)
-        a = infer_parametric(enc, model, img, img2, cfg)
-        b = infer_parametric(enc, model, img, img2, cfg)
+        a, _ = descent_alone(enc, model, img, img2, cfg)
+        b, _ = descent_alone(enc, model, img, img2, cfg)
         assert np.array_equal(a.vectors, b.vectors)
 
 
@@ -488,10 +489,8 @@ class TestNewtonDescent:
     def test_newton_stops_on_tol_no_worse_than_gradient_cap(self, seed):
         enc, model, img, img2 = self.pair(seed)
         cfg = InferConfig(init="zeros", smoothness_weight=self.LAM, max_iters=200)
-        stops = []
-        newton = infer_parametric(enc, model, img, img2, cfg, stops=stops)
-        gradient = infer_parametric(enc, model, img, img2, cfg, newton=False)
-        iters, reason = stops[0]
+        newton, (iters, reason) = descent_alone(enc, model, img, img2, cfg)
+        gradient, _ = descent_alone(enc, model, img, img2, cfg, newton=False)
         assert reason == "tol" and iters <= 20  # a count, not a timing
         got = descent_objective(enc, model, img, img2, newton, self.LAM)
         assert got <= descent_objective(enc, model, img, img2, gradient, self.LAM)
@@ -503,22 +502,22 @@ class TestNewtonDescent:
 
         enc, model, img, img2 = self.pair(1, shape=(128, 128))
         cfg = InferConfig(init="zeros", smoothness_weight=self.LAM)
-        stops = []
         tracemalloc.start()
         try:
-            fld = infer_parametric(enc, model, img, img2, cfg, stops=stops)
+            fld, stop = descent_alone(enc, model, img, img2, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(fld.positions) == 784
-        assert stops[0][1] == "tol"
+        assert stop[1] == "tol"
         assert peak < 8 * 2**20
 
     def test_stop_reasons(self):
         enc, model, img, img2 = self.pair(0)
-        stops = []
-        infer_parametric(enc, model, img, img, InferConfig(init="zeros"), stops=stops)
-        infer_parametric(enc, model, img, img2, InferConfig(init="zeros", max_iters=1), newton=False, stops=stops)
+        stops = [
+            descent_alone(enc, model, img, img, InferConfig(init="zeros"))[1],
+            descent_alone(enc, model, img, img2, InferConfig(init="zeros", max_iters=1), newton=False)[1],
+        ]
         assert stops == [(0, "no_descent"), (1, "cap")]
         assert {reason for _, reason in stops} < set(STOP_REASONS)
 
@@ -662,18 +661,26 @@ class TestStackedDescent:
         enc, model, frames_t, frames_t1 = problem
         lam, tol, cap, step, start = self.CASES[case]
         cfg = InferConfig(margin=0, smoothness_weight=lam, step_size=step, max_iters=cap, tol=tol, init="zeros")
-        if start == "warm":  # a few steps of a rougher descent, the identical pair's start off zero
-            cfg = replace(cfg, init_field=infer_parametric_stack(
-                enc, model, frames_t, frames_t1, replace(cfg, smoothness_weight=0.0, max_iters=3))[1])
-            cfg.init_field[0] += 0.3
-        return cfg, infer_parametric_stack(enc, model, frames_t, frames_t1, cfg)
+        starts = self.starts(problem, cfg, start)
+        return cfg, starts, infer_parametric_stack(enc, model, frames_t, frames_t1, cfg, starts=starts)
+
+    @staticmethod
+    def starts(problem, cfg, start):
+        """The starts of a stack: None for zeros; else a few steps of a rougher
+        descent, the identical pair's start off zero."""
+        if start != "warm":
+            return None
+        enc, model, frames_t, frames_t1 = problem
+        fields = infer_parametric_stack(enc, model, frames_t, frames_t1, replace(cfg, smoothness_weight=0.0, max_iters=3))[1]
+        fields[0] += 0.3
+        return fields
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_stack_matches_each_pair_alone(self, problem, case):
         enc, model, frames_t, frames_t1 = problem
-        cfg, (pos, fields, iters, reasons) = self.run(problem, case)
+        cfg, starts, (pos, fields, iters, reasons) = self.run(problem, case)
         grid_shape = tuple(len(np.unique(pos[:, i])) for i in (0, 1))
-        starts = np.zeros_like(fields) if cfg.init_field is None else cfg.init_field
+        starts = np.zeros_like(fields) if starts is None else starts
         for i, (a, b) in enumerate(zip(frames_t, frames_t1)):
             alone = _PolynomialObjective(
                 model.coeffs, encode(enc, a, pos).vectors, encode(enc, b, pos).vectors,
@@ -682,15 +689,14 @@ class TestStackedDescent:
             want, want_iters, want_reason = reference_descent(alone, starts[i], cfg)
             assert np.array_equal(fields[i], want)
             assert (iters[i], reasons[i]) == (want_iters, want_reason)
-            stops = []
-            one = infer_parametric(enc, model, a, b, replace(cfg, init_field=starts[i]), newton=False, stops=stops)
-            assert np.array_equal(one.vectors, want) and stops == [(want_iters, want_reason)]
+            one, stop = descent_alone(enc, model, a, b, cfg, newton=False, start=starts[i])
+            assert np.array_equal(one.vectors, want) and stop == (want_iters, want_reason)
         assert len(set(iters.tolist())) > 2  # pairs leave the stack at different iterations
 
     def test_cases_stop_on_every_reason(self, problem):
         seen = set()
         for case in self.CASES:
-            _, (_, _, iters, reasons) = self.run(problem, case)
+            _, _, (_, _, iters, reasons) = self.run(problem, case)
             seen |= {(reason, it > 0) for it, reason in zip(iters, reasons)}
         assert {("tol", True), ("cap", True), ("no_descent", False), ("no_descent", True)} <= seen
 
@@ -721,16 +727,13 @@ class TestStackedDescent:
         seen, mixed = set(), False
         for case, (lam, tol, cap, start) in self.NEWTON_CASES.items():
             cfg = InferConfig(margin=0, smoothness_weight=lam, max_iters=cap, tol=tol, init="zeros")
-            if start == "warm":
-                cfg = replace(cfg, init_field=infer_parametric_stack(
-                    enc, model, frames_t, frames_t1, replace(cfg, smoothness_weight=0.0, max_iters=3))[1])
-                cfg.init_field[0] += 0.3
+            starts = self.starts(problem, cfg, start)
             calls.clear()
-            pos, fields, iters, reasons = infer_parametric_stack(enc, model, frames_t, frames_t1, cfg, newton=True)
+            pos, fields, iters, reasons = infer_parametric_stack(enc, model, frames_t, frames_t1, cfg, newton=True, starts=starts)
             # a gradient fallback for some pairs of a Newton iteration, the rest stepping by Newton
             mixed |= any(a[0] == "newton" and b == ("gradient", b[1]) and b[1] < a[1] for a, b in zip(calls, calls[1:]))
             grid_shape = tuple(len(np.unique(pos[:, i])) for i in (0, 1))
-            starts = np.zeros_like(fields) if cfg.init_field is None else cfg.init_field
+            starts = np.zeros_like(fields) if starts is None else starts
             for i, (a, b) in enumerate(zip(frames_t, frames_t1)):
                 alone = _PolynomialObjective(
                     model.coeffs, encode(enc, a, pos).vectors, encode(enc, b, pos).vectors, lam, grid_shape,
@@ -738,14 +741,85 @@ class TestStackedDescent:
                 want, want_iters, want_reason = reference_descent(alone, starts[i], cfg, newton=True)
                 assert np.array_equal(fields[i], want), (case, i)
                 assert (iters[i], reasons[i]) == (want_iters, want_reason), (case, i)
-                stops = []
-                one = infer_parametric(enc, model, a, b, replace(cfg, init_field=starts[i]), stops=stops)
-                assert np.array_equal(one.vectors, want) and stops == [(want_iters, want_reason)]
+                one, stop = descent_alone(enc, model, a, b, cfg, start=starts[i])
+                assert np.array_equal(one.vectors, want) and stop == (want_iters, want_reason)
             seen |= {(lam > 0, reason) for reason in reasons}
             assert len(set(iters.tolist())) > 1, case  # pairs leave the stack at different iterations
             assert start == "warm" or (iters[0], reasons[0]) == (0, "no_descent")  # the identical frames
         assert mixed
         assert {(True, "tol"), (False, "tol"), (False, "cap"), (False, "no_descent"), (True, "no_descent")} <= seen
+
+
+class TestInferPairs:
+    """The driver from pairs of any frame sizes to their fields: each pair's
+    result is its own stack of one, however the pairs are cut into stacks."""
+
+    SHAPES = ((32, 32), (48, 40), (32, 32), (48, 40), (32, 32))
+
+    @staticmethod
+    def pairs(seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for i, shape in enumerate(TestInferPairs.SHAPES):
+            img = synthetic_textures(1, shape, seed=seed + i)[0]
+            out.append((img, warp(img, np.full(shape + (2,), rng.uniform(-1, 1)))))
+        return out
+
+    @pytest.mark.parametrize("newton", [True, False])
+    def test_starts_give_each_pairs_own_descent(self, monkeypatch, newton):
+        import patchflow.inference as inference
+
+        rng = np.random.default_rng(70)
+        enc = Encoder.random(3, 2, 8, 8, rng=rng)
+        model = ParametricMotion(0.3 * rng.standard_normal((5, 3, 2, 2)))
+        pairs = self.pairs(71)
+        cfg = InferConfig(margin=0, smoothness_weight=0.3, max_iters=30, tol=1e-3, init="zeros")
+        starts = [rng.uniform(-1, 1, (len(infer_positions(enc, model, a.shape, 0)), 2)) for a, _ in pairs]
+        alone = [descent_alone(enc, model, a, b, cfg, newton=newton, start=s) for (a, b), s in zip(pairs, starts)]
+        zero_start = infer_pairs(enc, model, pairs, cfg, newton=newton)[1]
+        for threads, budget in ((1, inference.NEWTON_STACK_BYTES), (2, inference.NEWTON_STACK_BYTES), (1, 1)):
+            monkeypatch.setattr(inference, "NEWTON_STACK_BYTES", budget)  # 1 byte: every pair its own stack
+            positions, fields, stops = infer_pairs(enc, model, pairs, cfg, newton=newton, starts=starts, threads=threads)
+            for i, (fld, stop) in enumerate(alone):
+                assert np.array_equal(positions[i], fld.positions), (threads, budget, i)
+                assert np.array_equal(fields[i], fld.vectors), (threads, budget, i)
+                assert stops[i] == stop, (threads, budget, i)
+        assert len({stop for _, stop in alone}) > 1  # the pairs stop at different iterations
+        assert not any(np.array_equal(a.vectors, z) for (a, _), z in zip(alone, zero_start))  # the starts count
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_table_models_score_each_pair_alone(self, monkeypatch, variant):
+        from patchflow import training
+
+        rng = np.random.default_rng(72)
+        enc = Encoder.random(3, 2, 8, 4, rng=rng)
+        model = random_table(variant, DisplacementGrid(-1, 1, 0.5), 3, 2, rng)
+        pairs = self.pairs(73)
+        cfg = InferConfig(margin=4)
+        alone = [grid_alone(enc, model, a, b, cfg) for a, b in pairs]
+        for threads, budget in ((1, training.CHUNK_BYTES), (3, training.CHUNK_BYTES), (1, 1)):
+            monkeypatch.setattr(training, "CHUNK_BYTES", budget)  # 1 byte: every pair its own stack
+            positions, fields, stops = infer_pairs(enc, model, pairs, cfg, threads=threads)
+            assert stops == []
+            for i, fld in enumerate(alone):
+                assert np.array_equal(positions[i], fld.positions) and np.array_equal(fields[i], fld.vectors)
+
+    def test_every_size_is_checked_before_any_stack(self, monkeypatch):
+        import patchflow.inference as inference
+        from patchflow.errors import ConfigError, DataFormatError
+
+        enc = Encoder.random(2, 2, 8, 8, rng=74)
+        model = ParametricMotion.zeros(2, 2)
+        pairs = self.pairs(75)
+        ran = []
+        monkeypatch.setattr(inference, "infer_parametric_stack", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ConfigError, match="margin 13 leaves no evaluation position in a 32x32 frame"):
+            infer_pairs(enc, model, pairs[1:], InferConfig(margin=13))  # the 48x40 frames, first, keep some
+        with pytest.raises(DataFormatError):
+            infer_pairs(enc, model, pairs + [(np.zeros((6, 40)), np.zeros((6, 40)))])
+        with pytest.raises(ShapeError):
+            infer_pairs(enc, model, pairs + [(np.zeros((32, 32)), np.zeros((40, 32)))])
+        assert ran == []
 
 
 class TestAnimate:

@@ -19,7 +19,7 @@ from patchflow.core import (
 )
 from patchflow.datagen import DeformSpec, SamplePair, gen_v1deform, synthetic_textures
 from patchflow.errors import DataFormatError, ShapeError
-from patchflow.inference import InferConfig, _candidate_scores, infer_grid, interpolate_frames
+from patchflow.inference import InferConfig, _candidate_scores, interpolate_frames
 from patchflow.training import (
     AdamState,
     TrainConfig,
@@ -34,7 +34,7 @@ from patchflow.training import (
     train_unsupervised,
 )
 
-from matrix_form import ZeroSupportTable, rotation_loss, total_loss
+from matrix_form import ZeroSupportTable, grid_alone, rotation_loss, total_loss
 
 FD_STEP = 1e-5
 
@@ -236,7 +236,7 @@ class TestConsumersAgree:
 
         monkeypatch.setattr(core, "block_layout", counted)
         for img_t, img_t1, _ in batch:
-            infer_grid(enc, model, img_t, img_t1, InferConfig(margin=0))
+            grid_alone(enc, model, img_t, img_t1, InferConfig(margin=0))
         interpolate_frames(enc, model, *batch[0][:2], max_steps=2, stop_thresh=0.0)
         assert calls == [model.matrices.shape]
 
