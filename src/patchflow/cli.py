@@ -235,6 +235,21 @@ def cmd_train(args, config, settings) -> dict:
     }
 
 
+def _same_size(path_a, img_a, path_b, img_b) -> None:
+    """DataFormatError naming both files unless the frames ``img_a`` and ``img_b`` have one size."""
+    if img_a.shape != img_b.shape:
+        (ha, wa), (hb, wb) = img_a.shape, img_b.shape
+        raise DataFormatError(f"frame pair dimensions differ: {path_a} is {wa}x{ha}, {path_b} is {wb}x{hb}")
+
+
+def _read_sequence(files) -> list[np.ndarray]:
+    """The frames of ``files``, one sequence: frames of different sizes raise DataFormatError."""
+    frames = [evalviz.load_image(f) for f in files]
+    for path, frame in zip(files[1:], frames[1:]):
+        _same_size(files[0], frames[0], path, frame)
+    return frames
+
+
 def _read_sequences(frames_dir: Path) -> list[list[np.ndarray]]:
     seq_dirs = sorted(d for d in frames_dir.iterdir() if d.is_dir())
     if seq_dirs:
@@ -242,14 +257,14 @@ def _read_sequences(frames_dir: Path) -> list[list[np.ndarray]]:
         for d in seq_dirs:
             files = sorted(d.glob("*.pgm")) + sorted(d.glob("*.ppm"))
             if len(files) >= 2:
-                seqs.append([evalviz.load_image(f) for f in files])
+                seqs.append(_read_sequence(files))
         if not seqs:
             raise FileNotFoundError(f"no frame sequences with >= 2 images under {frames_dir}")
         return seqs
     files = sorted(frames_dir.glob("*.pgm")) + sorted(frames_dir.glob("*.ppm"))
     if len(files) < 2:
         raise FileNotFoundError(f"need at least two frames under {frames_dir}")
-    return [[evalviz.load_image(f) for f in files]]
+    return [_read_sequence(files)]
 
 
 def cmd_train_unsup(args, config, settings) -> dict:
@@ -275,17 +290,13 @@ def cmd_train_unsup(args, config, settings) -> dict:
 def _load_pair(path_a, path_b) -> tuple[np.ndarray, np.ndarray]:
     """The frames at ``path_a`` and ``path_b``; frames of different sizes raise DataFormatError."""
     img_a, img_b = evalviz.load_image(path_a), evalviz.load_image(path_b)
-    if img_a.shape != img_b.shape:
-        (ha, wa), (hb, wb) = img_a.shape, img_b.shape
-        raise DataFormatError(f"frame pair dimensions differ: {path_a} is {wa}x{ha}, {path_b} is {wb}x{hb}")
+    _same_size(path_a, img_a, path_b, img_b)
     return img_a, img_b
 
 
 def cmd_infer(args, config, settings) -> dict:
     icfg = settings["infer"]
     out = Path(args.out)
-    if args.pair is None and args.data is None:
-        raise ConfigError("infer needs --data or --pair")
     pairs = [_load_pair(*args.pair)] if args.pair else None  # before the checkpoint is read
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     if pairs is None:
@@ -372,8 +383,6 @@ def cmd_eval(args, config, settings) -> dict:
             pos = grid.positions(*p.image_t.shape)
             fields.append(DisplacementField(pos, np.zeros((len(pos), 2))))
     else:
-        if args.pred is None:
-            raise ConfigError("eval needs --pred or --zero-predictor")
         pred_dir = Path(args.pred)
         files = sorted(pred_dir.glob("field_*.v1fd"))
         if not files:
@@ -569,6 +578,10 @@ def _check_flags(args, config) -> None:
         raise ConfigError(f"--stop-thresh must be finite and at least 0, got {args.stop_thresh}")
     if args.command == "filters":
         _delta_path(args.delta_path)
+    if args.command == "infer" and args.pair is None and args.data is None:
+        raise ConfigError("infer needs --data or --pair")
+    if args.command == "eval" and args.pred is None and not args.zero_predictor:
+        raise ConfigError("eval needs --pred or --zero-predictor")
 
 
 def run(args) -> int:

@@ -299,7 +299,7 @@ class _IndexPlan:
     stacks (None: the whole stack).  Without the rotation terms both frames are
     gathered on the lattice alone, and the rotation entries are unset."""
 
-    idx_rec: np.ndarray  # patch-pixel indices of the lattice: the error gathers and `overlap_add_at`
+    idx_rec: np.ndarray  # patch-pixel indices of the lattice: the canvas form's error gathers and `overlap_add_at`
     idx_t: np.ndarray  # patch-pixel indices of frame t's gather
     idx_t1: np.ndarray  # and of frame t+1's
     rows_rec_t: np.ndarray | None  # the lattice's rows in frame t's stack
@@ -345,6 +345,120 @@ def _index_plan(encoder, model, shape, rotation: bool) -> _IndexPlan:
     )
 
 
+def _overlap_shifts(patch_size: int, stride: int) -> list[tuple[int, int]]:
+    """The lattice shifts (dy, dx) at which two patches overlap, |dy| and |dx| times the
+    stride below the patch size: the zero shift, the half of the others that leads with
+    dy > 0 or dx > 0, then their negatives in the same order."""
+    m = (patch_size - 1) // stride
+    half = [(dy, dx) for dy in range(m + 1) for dx in range(-m, m + 1) if dy > 0 or dx > 0]
+    return [(0, 0)] + half + [(-dy, -dx) for dy, dx in half]
+
+
+def _code_space(num_blocks: int, block_dim: int, patch_size: int, stride: int) -> bool:
+    """Whether the reconstruction term takes fewer multiplies per lattice position in code
+    space, (n + (n+1)/2)·(Kd)² + Kd·p² for the n overlap shifts, than on canvases, 4·Kd·p²
+    (the decode, the error re-encode and two weight products): a function of the model's
+    shape alone.  The desk preset (K=10, d=2, p=16, stride 8) takes 10,720 against 20,480
+    and the default K=40 110,080 against 81,920."""
+    n = len(_overlap_shifts(patch_size, stride))
+    kd, q = num_blocks * block_dim, patch_size * patch_size
+    return (n + (n + 1) // 2) * kd * kd + kd * q < 4 * kd * q
+
+
+def _shift_slices(shift: int, length: int) -> tuple[slice, slice]:
+    """Along an axis of ``length``: the slice of the places i with i + ``shift`` on the
+    axis, and the slice of those i + ``shift`` (both empty when none is)."""
+    lo = max(-shift, 0)
+    hi = max(length - max(shift, 0), lo)
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+class _Reconstruction:
+    """The reconstruction term λ Σ_f c_f ‖x_f − Σ_x Wᵀv_f(x)‖² of one `_group_gradient` call,
+    over stacks of frames x_f of one size weighted by their counts c_f, and its gradient.
+
+    `_code_space` picks one of two forms.  The canvas form decodes the lattice codes,
+    overlap-adds them, and gathers and re-encodes the weighted error's patches.  The code
+    form never forms an image (the frame-operator identity): with T_δ the overlap selection
+    of two patches δ lattice steps apart (δ over `_overlap_shifts`), Z_δ = W T_δᵀ, W shifted
+    by δ·stride within the patch, and S_δ = W T_δ Wᵀ = W Z_δᵀ, a frame's term is
+    ‖x‖² − 2Σ_x‖v(x)‖² + Σ_x v(x)·u(x), u(x) = Σ_δ S_δ v(x+δ) (codes off the lattice are zero).
+    The last sum is Σ_δ ⟨S_δ, Q_δ⟩ with Q_δ = Σ_x c v(x) v(x+δ)ᵀ and Q_−δ = Q_δᵀ, so the loss
+    takes the products of the zero shift and half the others.  The gradient in W is
+    (2λc(U − 2V))ᵀA on a stack's lattice patches A, plus 2λ Σ_δ Q_δ Z_δ over the whole call,
+    which `finish` adds.  Its sums cancel: their rounding is about 1e-16·‖x‖², not relative
+    to the error."""
+
+    def __init__(self, encoder, shape, lam: float, idx: np.ndarray):
+        k, d, q = encoder.weights.shape
+        kd, p, s = k * d, encoder.patch_size, encoder.stride
+        self.w2, self.lam, self.shape, self.idx = encoder.weights.reshape(kd, q), lam, shape, idx
+        if not _code_space(k, d, p, s):
+            self.synthesis = None
+            return
+        self.lattice = tuple(map(len, lattice_axes(encoder.grid.positions(*shape))))
+        self.shifts = _overlap_shifts(p, s)
+        n, self.half = len(self.shifts), (len(self.shifts) + 1) // 2
+        w3 = self.w2.reshape(kd, p, p)
+        z = np.zeros((n, kd, p, p))
+        for j, (dy, dx) in enumerate(self.shifts):  # Z_δ[:, y, x] = W[:, y - dy·s, x - dx·s]
+            (yt, ys), (xt, xs) = _shift_slices(-dy * s, p), _shift_slices(-dx * s, p)
+            z[j, :, yt, xt] = w3[:, ys, xs]
+        self.synthesis = z.reshape(n * kd, q)  # Z_δ stacked in shift order
+        self.gram = (self.synthesis @ self.w2.T).reshape(n, kd, kd)  # S_δᵀ = Z_δ Wᵀ: v @ S_δᵀ = S_δ v
+        # the loss's ⟨S_δ, Q_δ⟩, twice for a δ that stands for -δ too; -2Σ‖v‖² is -2 tr Q_0
+        self.loss_gram = 2.0 * self.gram[: self.half].transpose(0, 2, 1)
+        self.loss_gram[0] = self.gram[0].T - 2.0 * np.eye(kd)
+        self.pairs = np.zeros((self.half, kd, kd))  # Q_δ of the zero shift and the leading half
+
+    def stack(self, imgs, a, v, counts, dw2, workspace) -> float:
+        """The term of frames ``imgs`` (B, H, W) whose lattice codes are ``v`` (B·N, Kd), each
+        frame weighted by its count; unless ``dw2`` (Kd, p·p) is None, adds the gradient of
+        the stack's lattice patches ``a`` (B·N, p·p) into it."""
+        b, q = len(imgs), self.w2.shape[1]
+        lam = self.lam
+        if self.synthesis is None:
+            decoded = np.matmul(v, self.w2, out=workspace.array("decoded", (len(v), q)))
+            e = imgs - overlap_add_at(decoded.reshape(b, -1, q), self.idx, self.shape)
+            e_w = _weighted(e, counts)
+            loss = lam * float(np.sum(e_w * e))
+            if dw2 is not None:
+                e_flat = gather_at(e_w, self.idx, out=workspace.array("errors", (b, len(self.idx), q)))
+                e_flat = e_flat.reshape(len(v), q)
+                v_e = e_flat @ self.w2.T
+                dw2 += -2.0 * lam * (v.T @ e_flat + v_e.T @ a)
+            return loss
+        ny, nx = self.lattice
+        kd = v.shape[1]
+        grid = v.reshape(b, ny, nx, kd)
+        c_grid = _weighted(grid, counts)
+        pairs = np.empty_like(self.pairs)
+        for j, (dy, dx) in enumerate(self.shifts[: self.half]):  # dy >= 0
+            (yi, yj), (xi, xj) = _shift_slices(dy, ny), _shift_slices(dx, nx)
+            np.matmul(c_grid[:, yi, xi].reshape(-1, kd).T, grid[:, yj, xj].reshape(-1, kd), out=pairs[j])
+        energy = np.einsum("bij,bij->b", imgs, imgs)
+        loss = lam * (float(counts @ energy) + float(np.vdot(self.loss_gram, pairs)))
+        if dw2 is None:
+            return loss
+        self.pairs += pairs
+        each = np.matmul(v, self.gram, out=workspace.array("gram", (len(self.shifts),) + v.shape))
+        u = np.multiply(grid, -2.0, out=workspace.array("codes", grid.shape))  # U - 2V
+        for j, (dy, dx) in enumerate(self.shifts):
+            (yi, yj), (xi, xj) = _shift_slices(dy, ny), _shift_slices(dx, nx)
+            u[:, yi, xi] += each[j].reshape(grid.shape)[:, yj, xj]
+        u *= (2.0 * lam * counts)[:, None, None, None]
+        dw2 += u.reshape(-1, kd).T @ a
+        return loss
+
+    def finish(self, dw2) -> None:
+        """Add the synthesis side of the gradient, 2λ Σ_δ Q_δ Z_δ over the stacks, to ``dw2``."""
+        if self.synthesis is None:
+            return
+        kd = len(self.w2)
+        every = np.concatenate([self.pairs, self.pairs[1:].transpose(0, 2, 1)])  # Q_δ in shift order
+        dw2 += 2.0 * self.lam * (every.transpose(1, 0, 2).reshape(kd, -1) @ self.synthesis)
+
+
 def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_weights, d_motion, workspace):
     """Accumulate loss and gradients for a batch group sharing one image size;
     with ``d_weights`` and ``d_motion`` None, the loss alone.  ``imgs_t``,
@@ -368,9 +482,11 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
     its candidate-major block rows (`table_rows`: a view of a table in
     training's storage, a copy per call of any other), and its gradient,
     ``d_motion`` as `_motion_gradient` lays it out, gains rows in that same
-    layout; a parametric model's are its polynomial M(delta).  The loss alone
+    layout; a parametric model's are its polynomial M(delta).  The
+    reconstruction term of frames t and t+1 of each chunk is `_Reconstruction`'s,
+    on the lattice rows of their stacks, built once per call.  The loss alone
     takes the same forward pass and sums, without the weight, adjoint and
-    motion products or the gather of the reconstruction errors' patches.
+    motion products or the reconstruction's gradient work.
     """
     w = encoder.weights
     k, d, q = w.shape
@@ -387,9 +503,10 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
     if plan is None:
         plan = workspace.plans[key] = _index_plan(encoder, model, shape, rotation)
     loss, frames = 0.0, plan.frames or len(imgs_t)
-    n, n_rec, n_t, n_t1 = plan.n, len(plan.idx_rec), len(plan.idx_t), len(plan.idx_t1)
-    if gradient:
-        dw2 = d_weights.reshape(kd, q)
+    n, n_t, n_t1 = plan.n, len(plan.idx_t), len(plan.idx_t1)
+    dw2 = d_weights.reshape(kd, q) if gradient else None
+    if lam_rec > 0:
+        rec = _Reconstruction(encoder, shape, lam_rec, plan.idx_rec)
     if rotation:
         for vec in deltas:
             if np.shape(vec) != (n, 2):
@@ -453,19 +570,11 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
                     _add_rows(d_table, cand.ravel(), g_m)
 
         if lam_rec > 0:
-            decoded = workspace.array("decoded", (b * n_rec, q))
-            # one overlap-add per frame
             for imgs, a_s, v_s, rows in ((ch_t, a_t, v_t, plan.rows_rec_t), (ch_t1, a_t1, v_t1, plan.rows_rec_t1)):
-                v_rec = _rows(v_s, rows)
-                np.matmul(v_rec, w2, out=decoded)
-                e = imgs - overlap_add_at(decoded.reshape(b, n_rec, q), plan.idx_rec, shape)
-                e_w = _weighted(e, ch_c)
-                loss += lam_rec * float(np.sum(e_w * e))
-                if gradient:
-                    e_flat = gather_at(e_w, plan.idx_rec, out=workspace.array("errors", (b, n_rec, q)))
-                    e_flat = e_flat.reshape(b * n_rec, q)
-                    v_e = e_flat @ w2.T
-                    dw2 += -2.0 * lam_rec * (v_rec.T @ e_flat + v_e.T @ _rows(a_s, rows))
+                a_rec = _rows(a_s, rows) if gradient else None
+                loss += rec.stack(imgs, a_rec, _rows(v_s, rows), ch_c, dw2, workspace)
+    if lam_rec > 0 and gradient:
+        rec.finish(dw2)
     return loss
 
 

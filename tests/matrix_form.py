@@ -1,14 +1,15 @@
 """References that tests compare the program's paths against: the descent
 objective's matrix form, which the polynomial residual must equal, and the
 einsum that built its products u_j = B_j v0, which the set-up must equal bit
-for bit; grid
-scoring as one whole prediction reduced in its layout, which the block-wise
-scores must equal bit for bit; the per-delta matrix lookup and the recurrent
-multi-frame alignment of the paper built on it; the rotation loss on one
-frame pair and the batch loss of a training step, which training's gradient
-is probed and checked against; and one pair's inference, the stack of one of
-each stacked path, which every stack of pairs must equal pair by pair.  `ZeroSupportTable` builds the nonparametric
-model, the table motion model on the zero offset alone."""
+for bit; grid scoring as one whole prediction reduced in its layout, which the
+block-wise scores must equal bit for bit; the per-delta matrix lookup and the
+recurrent multi-frame alignment of the paper built on it; the rotation loss on
+one frame pair and the batch loss of a training step, which training's
+gradient is probed and checked against; the reconstruction term straight from
+the canvases, which both of training's forms of it must equal; and one pair's
+inference, the stack of one of each stacked path, which every stack of pairs
+must equal pair by pair.  `ZeroSupportTable` builds the nonparametric model,
+the table motion model on the zero offset alone."""
 
 import numpy as np
 
@@ -17,7 +18,9 @@ from patchflow.core import (
     MixedMotion,
     ParametricMotion,
     encode,
+    extract_patches,
     offset_encodings,
+    overlap_add,
     polynomial_matrices,
     predict,
     predicted_vectors,
@@ -109,6 +112,25 @@ def rotation_loss(encoder, model, image_t, image_t1, field: DisplacementField) -
     v1 = encode(encoder, image_t1, field.positions).vectors
     pred = predicted_vectors(encoder, model, image_t, field.positions, field.vectors)
     return float(np.sum((v1 - pred) ** 2))
+
+
+def reconstruction_terms(encoder, images, counts):
+    """Σ_f c_f ‖x_f − overlap_add(decode(encode(x_f)))‖² of a stack of frames (B, H, W) weighted
+    by ``counts``, and its gradient in the weights, −2Σ_x (v(x) e(x)ᵀ + W e(x) a(x)ᵀ) over the
+    lattice patches a(x), their codes v(x) and the weighted error's patches e(x): (loss, (K, d, p*p)).
+    Its products and sums are those of training's canvas form, in the same order."""
+    images = np.asarray(images, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
+    w = encoder.weights
+    w2 = w.reshape(-1, w.shape[2])
+    p, shape = encoder.patch_size, images.shape[1:]
+    pos = encoder.grid.positions(*shape)
+    a = extract_patches(images, pos, p).reshape(-1, w2.shape[1])
+    v = a @ w2.T
+    e = images - overlap_add((v @ w2).reshape(len(images), len(pos), -1), pos, shape, p)
+    e_w = e * counts[:, None, None]
+    e_p = extract_patches(e_w, pos, p).reshape(len(v), -1)
+    return float(np.sum(e_w * e)), (-2.0 * (v.T @ e_p + (e_p @ w2.T).T @ a)).reshape(w.shape)
 
 
 def total_loss(encoder, model, batch, config) -> float:

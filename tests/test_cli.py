@@ -678,6 +678,41 @@ class TestChecksBeforeWork:
         assert "64x64" in err[0] and "64x48" in err[0]
         assert loads == [] and not any(out.iterdir())
 
+    def test_sequence_of_different_frame_sizes_is_format_error(self, tmp_path, capsys, monkeypatch):
+        from patchflow import training
+
+        frames = tmp_path / "frames"
+        rng = np.random.default_rng(17)
+        for name, shapes in (("seq0", [(64, 64), (64, 64)]), ("seq1", [(64, 64), (64, 64), (48, 64)])):
+            (frames / name).mkdir(parents=True)
+            for i, shape in enumerate(shapes):
+                write_pgm(frames / name / f"f{i}.pgm", rng.random(shape))
+        trained = []
+        monkeypatch.setattr(training, "train_unsupervised", lambda *args: trained.append(args))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("train-unsup", "--frames", frames, "--out", out, "--steps", 1) == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:")
+        assert str(frames / "seq1" / "f0.pgm") in err[0] and str(frames / "seq1" / "f2.pgm") in err[0]
+        assert "64x64" in err[0] and "64x48" in err[0]
+        assert trained == [] and not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_command_without_its_inputs_is_config_error(self, tmp_path, capsys, command):
+        # infer without --data or --pair, eval without --pred or --zero-predictor
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=18), ParametricMotion.zeros(2, 2))
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--seed", 1)
+        inputs = {"infer": ["--checkpoint", ckpt], "eval": ["--data", ds]}[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(command, *inputs, "--out", out) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists()
+
     def test_two_pixel_scenes_are_made(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("gen-objects", "--out", out, "--pairs", 2, "--size", 2, "--desk-scale") == EXIT_OK

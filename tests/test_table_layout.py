@@ -166,6 +166,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
     """`_group_gradient` as it was before the block rows: the matrices gathered per position
     and laid out per chunk, the motion gradient summed by `np.bincount` through a permuted
     flat index into table order.  ``d_motion`` is written through its (C, m, K, d, d) view.
+    The reconstruction term is the shared `_Reconstruction`'s, on the chunks' lattice rows.
     Each frame's residuals are weighted by its count in ``counts``."""
     imgs_t, imgs_t1, deltas = map(np.stack, (imgs_t, imgs_t1, deltas))  # the group's frames and fields
     w = encoder.weights
@@ -180,7 +181,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
     dw2 = d_weights.reshape(kd, q)
 
     pos_rec = encoder.grid.positions(*shape)
-    n_rec = len(pos_rec)
+    rec = training._Reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, pos_rec, p))
     centers_t = centers_t1 = pos_rec
     rows_rec_t = rows_rec_t1 = None
     if rotation:
@@ -230,14 +231,9 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
             d_motion[hit] += sums.reshape((len(hit),) + d_motion.shape[1:])
         if lam_rec > 0:
             for imgs, a_s, v_s, rows in ((ch_t, a_t, v_t, rows_rec_t), (ch_t1, a_t1, v_t1, rows_rec_t1)):
-                a_rec, v_rec = training._rows(a_s, rows), training._rows(v_s, rows)
-                decoded = v_rec @ w2
-                e = imgs - core.overlap_add(decoded.reshape(b, n_rec, q), pos_rec, shape, p)
-                e_w = e * ch_c[:, None, None]
-                loss += lam_rec * float(np.sum(e_w * e))
-                e_flat = core.extract_patches(e_w, pos_rec, p).reshape(b * n_rec, q)
-                v_e = e_flat @ w2.T
-                dw2 += -2.0 * lam_rec * (v_rec.T @ e_flat + v_e.T @ a_rec)
+                loss += rec.stack(imgs, training._rows(a_s, rows), training._rows(v_s, rows), ch_c, dw2, workspace)
+    if lam_rec > 0:
+        rec.finish(dw2)
     return loss
 
 

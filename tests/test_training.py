@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patchflow import core, training
+from patchflow import cli, core, training
 from patchflow.core import (
     DisplacementField,
     DisplacementGrid,
@@ -34,7 +34,7 @@ from patchflow.training import (
     train_unsupervised,
 )
 
-from matrix_form import ZeroSupportTable, grid_alone, rotation_loss, total_loss
+from matrix_form import ZeroSupportTable, grid_alone, reconstruction_terms, rotation_loss, total_loss
 
 FD_STEP = 1e-5
 
@@ -628,8 +628,9 @@ def reference_scatter_rows(n_rows, rows, values):
 def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_weights, d_motion, workspace=None):
     """`_group_gradient` before chunking: the whole group at once, the matrices laid
     out a second time for the adjoint, the motion gradient as a 6-D outer product,
-    every patch stack gathered afresh (``workspace`` unused).  Each frame's residuals
-    are weighted by its count in ``counts``."""
+    every patch stack gathered afresh (``workspace`` unused), and the reconstruction
+    term of the shared `_Reconstruction` on the lattice's stacks.  Each frame's
+    residuals are weighted by its count in ``counts``."""
     imgs_t, imgs_t1, deltas = map(np.stack, (imgs_t, imgs_t1, deltas))  # the group's frames and fields
     w = encoder.weights
     k, d, q = w.shape
@@ -685,16 +686,11 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
 
     if lam_rec > 0:
         pos_rec = encoder.grid.positions(*shape)
-        n_rec = len(pos_rec)
+        rec = training._Reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, pos_rec, p))
         for imgs in (imgs_t, imgs_t1):
-            a_rec = core.extract_patches(imgs, pos_rec, p).reshape(b * n_rec, q)
-            v_rec = a_rec @ w2.T
-            e = imgs - core.overlap_add((v_rec @ w2).reshape(b, n_rec, q), pos_rec, shape, p)
-            e_w = e * counts[:, None, None]
-            loss += lam_rec * float(np.sum(e_w * e))
-            e_p = core.extract_patches(e_w, pos_rec, p).reshape(b * n_rec, q)
-            v_e = e_p @ w2.T
-            dw2 += -2.0 * lam_rec * (v_rec.T @ e_p + v_e.T @ a_rec)
+            a_rec = core.extract_patches(imgs, pos_rec, p).reshape(-1, q)
+            loss += rec.stack(imgs, a_rec, a_rec @ w2.T, counts, dw2, training.Workspace())
+        rec.finish(dw2)
     return loss
 
 
@@ -760,8 +756,10 @@ class TestChunkedGradient:
         real = training.gather_at
         monkeypatch.setattr(training, "gather_at", lambda imgs, idx, **kw: sizes.append(len(imgs)) or real(imgs, idx, **kw))
         grad_total(enc, model, batch, config)
-        # chunks of 2, 2 and 1 frames, four gathers each: frames t and t+1, and their errors
-        assert sizes == [2] * 8 + [1] * 4
+        # chunks of 2, 2 and 1 frames, two gathers each: frames t and t+1 (the code-space
+        # reconstruction term gathers no error patches)
+        assert training._code_space(3, 2, 8, 4)
+        assert sizes == [2] * 4 + [1] * 2
 
     @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
     def test_reused_buffers_hold_no_stale_rows(self, monkeypatch, variant):
@@ -817,6 +815,116 @@ class TestChunkedGradient:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+# ---------------------------------------------------------------------------
+# the reconstruction term: code space against the canvases
+
+
+# (patch size, stride, frame shape): stride = p, p = 2·stride, and p % stride != 0;
+# each shape leaves pixels on its right or bottom border outside every patch, and
+# "one_row" has a lattice one patch high, so shifts along the rows find no partner
+RECONSTRUCTION_GEOMETRIES = {
+    "stride_p": (8, 8, (26, 27)),
+    "half_overlap": (8, 4, (27, 25)),
+    "uneven": (8, 3, (24, 27)),
+    "one_row": (8, 3, (9, 30)),
+}
+
+
+def force_form(monkeypatch, code_space: bool):
+    monkeypatch.setattr(training, "_code_space", lambda *shape: code_space)
+
+
+def reconstruction_problem(variant, geometry, seed=0):
+    """A batch of three frame pairs of one size, weighted 2, 1 and 3, and a config whose
+    loss is the reconstruction term alone (so no field is read, and none is given)."""
+    p, stride, shape = RECONSTRUCTION_GEOMETRIES[geometry]
+    config = TrainConfig(
+        motion_variant=variant, num_blocks=3, block_dim=2, patch_size=p, stride=stride, weight_rotation=0.0
+    )
+    rng = np.random.default_rng(seed)
+    enc, model = training.init_model(config, rng)
+    lattice = enc.grid.positions(*shape)
+    assert np.any(core.overlap_add(np.ones((len(lattice), p * p)), lattice, shape, p) == 0)  # uncovered pixels
+    batch = [(rng.random(shape), rng.random(shape), None) for _ in range(3)]
+    return enc, model, batch, config, np.array([2.0, 1.0, 3.0])
+
+
+def direct_gradient(enc, batch, counts):
+    """`grad_total`'s (d_weights, loss) of a reconstruction-only batch of one size, from the
+    canvas formula, summed and scaled as `grad_total` sums and scales them."""
+    imgs_t, imgs_t1 = (np.stack([triplet[j] for triplet in batch]) for j in (0, 1))
+    loss_t, d_t = reconstruction_terms(enc, imgs_t, counts)
+    loss_t1, d_t1 = reconstruction_terms(enc, imgs_t1, counts)
+    scale = 1.0 / float(counts.sum())
+    d_weights = np.zeros_like(enc.weights)
+    d_weights += d_t
+    d_weights += d_t1
+    d_weights *= scale
+    return d_weights, (0.0 + loss_t + loss_t1) * scale
+
+
+class TestReconstructionForms:
+    """`_Reconstruction` in code space equals the canvas formula to rounding; its canvas
+    form is that formula op for op."""
+
+    @pytest.mark.parametrize("geometry", sorted(RECONSTRUCTION_GEOMETRIES))
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_code_space_matches_direct_formula(self, monkeypatch, variant, geometry):
+        enc, model, batch, config, counts = reconstruction_problem(variant, geometry)
+        force_form(monkeypatch, True)
+        want, want_loss = direct_gradient(enc, batch, counts)
+        got, loss = grad_total(enc, model, batch, config, counts=counts)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        np.testing.assert_allclose(got.d_weights, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        assert batch_loss(enc, model, batch, config, counts=counts) == loss
+
+    @pytest.mark.parametrize("geometry", sorted(RECONSTRUCTION_GEOMETRIES))
+    def test_canvas_form_is_direct_formula_bit_for_bit(self, monkeypatch, geometry):
+        enc, model, batch, config, counts = reconstruction_problem("parametric", geometry)
+        force_form(monkeypatch, False)
+        want, want_loss = direct_gradient(enc, batch, counts)
+        got, loss = grad_total(enc, model, batch, config, counts=counts)
+        assert loss == want_loss
+        assert np.array_equal(got.d_weights, want)
+
+    def test_default_model_takes_canvas_form_bit_for_bit(self):
+        # the K=40 default keeps the canvas form, and with it the bits of the formula
+        config = TrainConfig(motion_variant="parametric", weight_rotation=0.0)
+        rng = np.random.default_rng(3)
+        enc, model = training.init_model(config, rng)
+        batch = [(rng.random((40, 44)), rng.random((40, 44)), None) for _ in range(3)]
+        counts = np.array([2.0, 1.0, 3.0])
+        want, want_loss = direct_gradient(enc, batch, counts)
+        got, loss = grad_total(enc, model, batch, config, counts=counts)
+        assert loss == want_loss
+        assert np.array_equal(got.d_weights, want)
+
+    @pytest.mark.parametrize("norm_stability", [0.0, 0.05])
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_forms_agree_in_a_chunked_step(self, monkeypatch, variant, norm_stability):
+        # every loss term, chunks of two frames, two frame sizes and repeated draws
+        shapes, per_chunk = CHUNK_CASES["two_sizes"]
+        enc, model, batch, config = chunk_problem(variant, shapes, norm_stability)
+        monkeypatch.setattr(training, "CHUNK_BYTES", per_chunk * support_stack_bytes(enc, model, shapes[0]))
+        counts = REPEAT_COUNTS[: len(batch)]
+        force_form(monkeypatch, False)
+        want, want_loss = grad_total(enc, model, batch, config, counts=counts)
+        force_form(monkeypatch, True)
+        got, loss = grad_total(enc, model, batch, config, counts=counts)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        np.testing.assert_allclose(got.d_weights, want.d_weights, rtol=1e-12, atol=1e-12 * np.max(np.abs(want.d_weights)))
+        assert np.array_equal(got.d_motion, want.d_motion)
+
+    def test_form_follows_the_multiply_counts(self):
+        # per lattice position: (9 + 5)·20² + 20·256 = 10,720 against 4·20·256 = 20,480 at
+        # the desk preset, and (9 + 5)·80² + 80·256 = 110,080 against 81,920 at the default
+        desk = TrainConfig(**cli.DESK_SCALE["train"])
+        default = TrainConfig()
+        assert training._code_space(desk.num_blocks, desk.block_dim, desk.patch_size, desk.stride)
+        assert not training._code_space(default.num_blocks, default.block_dim, default.patch_size, default.stride)
+        assert [len(training._overlap_shifts(p, s)) for p, s in ((16, 16), (16, 8), (8, 3))] == [1, 9, 25]
 
 
 # ---------------------------------------------------------------------------
