@@ -355,11 +355,15 @@ def _overlap_shifts(patch_size: int, stride: int) -> list[tuple[int, int]]:
 
 
 def _code_space(num_blocks: int, block_dim: int, patch_size: int, stride: int) -> bool:
-    """Whether the reconstruction term takes fewer multiplies per lattice position in code
-    space, (n + (n+1)/2)·(Kd)² + Kd·p² for the n overlap shifts, than on canvases, 4·Kd·p²
-    (the decode, the error re-encode and two weight products): a function of the model's
-    shape alone.  The desk preset (K=10, d=2, p=16, stride 8) takes 10,720 against 20,480
-    and the default K=40 110,080 against 81,920."""
+    """Whether `_reconstruction` takes the code-space form, from the model's shape alone.
+    Timed at p = 16, stride 8 on two stacks of 32 64×64 frames (one BLAS thread, a 2-core
+    shared VM, fastest of 200 calls, each form in its own process), the term took 3.6 ms in
+    code space against 9.4 ms on canvases at the desk preset, K=10, about the same at K=28,
+    and 22 ms against 15 ms at the K=40 default, whose parametric step code space made about
+    20 % slower.  The rule draws that line by multiplies per lattice position: code space
+    takes (n + (n+1)/2)·(Kd)² + Kd·p² for the n overlap shifts, the canvases 4·Kd·p² (the
+    decode, the error re-encode and two weight products), and at p = 16, stride 8, d = 2
+    code space takes fewer up to K=27."""
     n = len(_overlap_shifts(patch_size, stride))
     kd, q = num_blocks * block_dim, patch_size * patch_size
     return (n + (n + 1) // 2) * kd * kd + kd * q < 4 * kd * q
@@ -373,29 +377,60 @@ def _shift_slices(shift: int, length: int) -> tuple[slice, slice]:
     return slice(lo, hi), slice(lo + shift, hi + shift)
 
 
-class _Reconstruction:
+def _reconstruction(encoder, shape, lam: float, idx: np.ndarray):
     """The reconstruction term λ Σ_f c_f ‖x_f − Σ_x Wᵀv_f(x)‖² of one `_group_gradient` call,
-    over stacks of frames x_f of one size weighted by their counts c_f, and its gradient.
+    over stacks of frames x_f of ``shape`` weighted by their counts c_f, in the form that
+    `_code_space` picks; ``idx`` holds the lattice's patch-pixel indices.  Either form's
+    ``stack`` adds one stack's term and gradient, and ``finish`` what remains of the gradient
+    once the call's stacks are in."""
+    k, d, _ = encoder.weights.shape
+    form = _CodeReconstruction if _code_space(k, d, encoder.patch_size, encoder.stride) else _CanvasReconstruction
+    return form(encoder, shape, lam, idx)
 
-    `_code_space` picks one of two forms.  The canvas form decodes the lattice codes,
-    overlap-adds them, and gathers and re-encodes the weighted error's patches.  The code
-    form never forms an image (the frame-operator identity): with T_δ the overlap selection
-    of two patches δ lattice steps apart (δ over `_overlap_shifts`), Z_δ = W T_δᵀ, W shifted
-    by δ·stride within the patch, and S_δ = W T_δ Wᵀ = W Z_δᵀ, a frame's term is
-    ‖x‖² − 2Σ_x‖v(x)‖² + Σ_x v(x)·u(x), u(x) = Σ_δ S_δ v(x+δ) (codes off the lattice are zero).
-    The last sum is Σ_δ ⟨S_δ, Q_δ⟩ with Q_δ = Σ_x c v(x) v(x+δ)ᵀ and Q_−δ = Q_δᵀ, so the loss
-    takes the products of the zero shift and half the others.  The gradient in W is
-    (2λc(U − 2V))ᵀA on a stack's lattice patches A, plus 2λ Σ_δ Q_δ Z_δ over the whole call,
-    which `finish` adds.  Its sums cancel: their rounding is about 1e-16·‖x‖², not relative
-    to the error."""
+
+class _CanvasReconstruction:
+    """The reconstruction term on canvases: decode the lattice codes, overlap-add them, and
+    gather and re-encode the weighted error's patches."""
+
+    def __init__(self, encoder, shape, lam: float, idx: np.ndarray):
+        k, d, q = encoder.weights.shape
+        self.w2, self.lam, self.shape, self.idx = encoder.weights.reshape(k * d, q), lam, shape, idx
+
+    def stack(self, imgs, a, v, counts, dw2, workspace) -> float:
+        """The term of frames ``imgs`` (B, H, W) whose lattice codes are ``v`` (B·N, Kd), each
+        frame weighted by its count; unless ``dw2`` (Kd, p·p) is None, adds the gradient of
+        the stack's lattice patches ``a`` (B·N, p·p) into it."""
+        b, q = len(imgs), self.w2.shape[1]
+        decoded = np.matmul(v, self.w2, out=workspace.array("decoded", (len(v), q)))
+        e = imgs - overlap_add_at(decoded.reshape(b, -1, q), self.idx, self.shape)
+        e_w = _weighted(e, counts)
+        loss = self.lam * float(np.sum(e_w * e))
+        if dw2 is not None:
+            e_flat = gather_at(e_w, self.idx, out=workspace.array("errors", (b, len(self.idx), q)))
+            e_flat = e_flat.reshape(len(v), q)
+            v_e = e_flat @ self.w2.T
+            dw2 += -2.0 * self.lam * (v.T @ e_flat + v_e.T @ a)
+        return loss
+
+    def finish(self, dw2) -> None:
+        """Nothing: each stack's gradient is whole."""
+
+
+class _CodeReconstruction:
+    """The reconstruction term in code space, never forming an image (the frame-operator
+    identity).  With T_δ the overlap selection of two patches δ lattice steps apart (δ over
+    `_overlap_shifts`), Z_δ = W T_δᵀ, W shifted by δ·stride within the patch, and
+    S_δ = W T_δ Wᵀ = W Z_δᵀ, a frame's term is ‖x‖² − 2Σ_x‖v(x)‖² + Σ_x v(x)·u(x),
+    u(x) = Σ_δ S_δ v(x+δ) (codes off the lattice are zero).  The last sum is Σ_δ ⟨S_δ, Q_δ⟩
+    with Q_δ = Σ_x c v(x) v(x+δ)ᵀ and Q_−δ = Q_δᵀ, so the loss takes the products of the
+    zero shift and half the others.  The gradient in W is (2λc(U − 2V))ᵀA on a stack's
+    lattice patches A, plus 2λ Σ_δ Q_δ Z_δ over the whole call, which `finish` adds.  Its sums
+    cancel: their rounding is about 1e-16·‖x‖², not relative to the error."""
 
     def __init__(self, encoder, shape, lam: float, idx: np.ndarray):
         k, d, q = encoder.weights.shape
         kd, p, s = k * d, encoder.patch_size, encoder.stride
-        self.w2, self.lam, self.shape, self.idx = encoder.weights.reshape(kd, q), lam, shape, idx
-        if not _code_space(k, d, p, s):
-            self.synthesis = None
-            return
+        self.w2, self.lam = encoder.weights.reshape(kd, q), lam
         self.lattice = tuple(map(len, lattice_axes(encoder.grid.positions(*shape))))
         self.shifts = _overlap_shifts(p, s)
         n, self.half = len(self.shifts), (len(self.shifts) + 1) // 2
@@ -412,22 +447,8 @@ class _Reconstruction:
         self.pairs = np.zeros((self.half, kd, kd))  # Q_δ of the zero shift and the leading half
 
     def stack(self, imgs, a, v, counts, dw2, workspace) -> float:
-        """The term of frames ``imgs`` (B, H, W) whose lattice codes are ``v`` (B·N, Kd), each
-        frame weighted by its count; unless ``dw2`` (Kd, p·p) is None, adds the gradient of
-        the stack's lattice patches ``a`` (B·N, p·p) into it."""
-        b, q = len(imgs), self.w2.shape[1]
-        lam = self.lam
-        if self.synthesis is None:
-            decoded = np.matmul(v, self.w2, out=workspace.array("decoded", (len(v), q)))
-            e = imgs - overlap_add_at(decoded.reshape(b, -1, q), self.idx, self.shape)
-            e_w = _weighted(e, counts)
-            loss = lam * float(np.sum(e_w * e))
-            if dw2 is not None:
-                e_flat = gather_at(e_w, self.idx, out=workspace.array("errors", (b, len(self.idx), q)))
-                e_flat = e_flat.reshape(len(v), q)
-                v_e = e_flat @ self.w2.T
-                dw2 += -2.0 * lam * (v.T @ e_flat + v_e.T @ a)
-            return loss
+        """As `_CanvasReconstruction.stack`, leaving the synthesis side to `finish`."""
+        b, lam = len(imgs), self.lam
         ny, nx = self.lattice
         kd = v.shape[1]
         grid = v.reshape(b, ny, nx, kd)
@@ -452,8 +473,6 @@ class _Reconstruction:
 
     def finish(self, dw2) -> None:
         """Add the synthesis side of the gradient, 2λ Σ_δ Q_δ Z_δ over the stacks, to ``dw2``."""
-        if self.synthesis is None:
-            return
         kd = len(self.w2)
         every = np.concatenate([self.pairs, self.pairs[1:].transpose(0, 2, 1)])  # Q_δ in shift order
         dw2 += 2.0 * self.lam * (every.transpose(1, 0, 2).reshape(kd, -1) @ self.synthesis)
@@ -483,7 +502,7 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
     training's storage, a copy per call of any other), and its gradient,
     ``d_motion`` as `_motion_gradient` lays it out, gains rows in that same
     layout; a parametric model's are its polynomial M(delta).  The
-    reconstruction term of frames t and t+1 of each chunk is `_Reconstruction`'s,
+    reconstruction term of frames t and t+1 of each chunk is `_reconstruction`'s,
     on the lattice rows of their stacks, built once per call.  The loss alone
     takes the same forward pass and sums, without the weight, adjoint and
     motion products or the reconstruction's gradient work.
@@ -506,7 +525,7 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
     n, n_t, n_t1 = plan.n, len(plan.idx_t), len(plan.idx_t1)
     dw2 = d_weights.reshape(kd, q) if gradient else None
     if lam_rec > 0:
-        rec = _Reconstruction(encoder, shape, lam_rec, plan.idx_rec)
+        rec = _reconstruction(encoder, shape, lam_rec, plan.idx_rec)
     if rotation:
         for vec in deltas:
             if np.shape(vec) != (n, 2):

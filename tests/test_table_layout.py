@@ -166,7 +166,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
     """`_group_gradient` as it was before the block rows: the matrices gathered per position
     and laid out per chunk, the motion gradient summed by `np.bincount` through a permuted
     flat index into table order.  ``d_motion`` is written through its (C, m, K, d, d) view.
-    The reconstruction term is the shared `_Reconstruction`'s, on the chunks' lattice rows.
+    The reconstruction term is the shared `_reconstruction`'s, on the chunks' lattice rows.
     Each frame's residuals are weighted by its count in ``counts``."""
     imgs_t, imgs_t1, deltas = map(np.stack, (imgs_t, imgs_t1, deltas))  # the group's frames and fields
     w = encoder.weights
@@ -181,7 +181,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
     dw2 = d_weights.reshape(kd, q)
 
     pos_rec = encoder.grid.positions(*shape)
-    rec = training._Reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, pos_rec, p))
+    rec = training._reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, pos_rec, p))
     centers_t = centers_t1 = pos_rec
     rows_rec_t = rows_rec_t1 = None
     if rotation:

@@ -629,7 +629,7 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
     """`_group_gradient` before chunking: the whole group at once, the matrices laid
     out a second time for the adjoint, the motion gradient as a 6-D outer product,
     every patch stack gathered afresh (``workspace`` unused), and the reconstruction
-    term of the shared `_Reconstruction` on the lattice's stacks.  Each frame's
+    term of the shared `_reconstruction` on the lattice's stacks.  Each frame's
     residuals are weighted by its count in ``counts``."""
     imgs_t, imgs_t1, deltas = map(np.stack, (imgs_t, imgs_t1, deltas))  # the group's frames and fields
     w = encoder.weights
@@ -686,7 +686,7 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
 
     if lam_rec > 0:
         pos_rec = encoder.grid.positions(*shape)
-        rec = training._Reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, pos_rec, p))
+        rec = training._reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, pos_rec, p))
         for imgs in (imgs_t, imgs_t1):
             a_rec = core.extract_patches(imgs, pos_rec, p).reshape(-1, q)
             loss += rec.stack(imgs, a_rec, a_rec @ w2.T, counts, dw2, training.Workspace())
@@ -866,7 +866,7 @@ def direct_gradient(enc, batch, counts):
 
 
 class TestReconstructionForms:
-    """`_Reconstruction` in code space equals the canvas formula to rounding; its canvas
+    """`_reconstruction` in code space equals the canvas formula to rounding; its canvas
     form is that formula op for op."""
 
     @pytest.mark.parametrize("geometry", sorted(RECONSTRUCTION_GEOMETRIES))
