@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import resource
 import sys
@@ -584,6 +585,16 @@ def _check_flags(args, config) -> None:
         raise ConfigError("eval needs --pred or --zero-predictor")
 
 
+def _remove_empty(dirs) -> None:
+    """Remove the directories ``dirs``, deepest first, up to the first that is not empty: a
+    failed command leaves no empty --out that it made."""
+    for d in dirs:
+        try:
+            d.rmdir()
+        except OSError:  # not empty, or gone
+            return
+
+
 def run(args) -> int:
     config = default_config()
     if args.desk_scale:
@@ -618,13 +629,18 @@ def run(args) -> int:
                 raise FileNotFoundError(f"field file {f} not found")
 
     out = Path(args.out)
+    made = list(itertools.takewhile(lambda d: not d.exists(), [out, *out.parents]))  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"--out {out} is not a directory: it or a parent is an existing file") from None
     started = time.time()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    metrics = COMMANDS[args.command](args, config, settings)
+    try:
+        metrics = COMMANDS[args.command](args, config, settings)
+    except BaseException:
+        _remove_empty(made)
+        raise
     usage = resource.getrusage(resource.RUSAGE_SELF)
     timings = {
         "wall_seconds": round(time.time() - started, 3),

@@ -80,7 +80,7 @@ def _encode_frames(encoder, images, positions) -> np.ndarray:
 
 def _support_columns(encoder, model, images, positions, clamp=False) -> np.ndarray:
     """The support vectors of each frame of a stack (P, H, W) at ``positions``,
-    in the layout `predict` multiplies, (P, K, m*d, N): the support gather of
+    in the layout that grid scoring multiplies, (P, K, m*d, N): the support gather of
     `offset_encodings`, with one `support_centers` call for the stack, and
     one encode per frame."""
     if isinstance(model, ParametricMotion):
@@ -102,8 +102,10 @@ def _score_pairs(blocks, right, targets, pred=None):
     a buffer that stays in cache (in ``pred`` (P, K, C*d, N), when given,
     where it is kept); the target is subtracted there, the difference
     squared, its d rows summed and the sum added to the scores.  These are
-    the products of `predict` on the pair's own columns, and the sums of its
-    whole prediction reduced over d and then over K, in that order."""
+    table-wide products, the whole table against all of a pair's positions
+    per block, where training and `predicted_vectors` contract each
+    position's own matrices with `predict`; the sums are those of the whole
+    prediction reduced over d and then over K, in that order."""
     k, cd, _ = blocks.shape
     d, n = targets.shape[-2:]
     scores, part, diff = np.empty((cd // d, n)), np.empty((cd // d, n)), np.empty((cd, n))
@@ -132,8 +134,8 @@ def _candidate_scores(encoder, model, image_t, target_vectors, positions, clamp=
     candidate, from one frame.
 
     Returns (scores (N, C), predictions (K, C, d, N)): the prediction of the
-    whole candidate table against every position, in the layout `predict`
-    gives it, whose products `_score_pairs` reduces."""
+    whole candidate table against every position, (K, C, d, N), whose
+    products `_score_pairs` reduces."""
     right = _support_columns(encoder, model, np.asarray(image_t, dtype=np.float64)[None], positions, clamp)
     blocks = model.table_blocks
     targets = np.asarray(target_vectors, dtype=np.float64).transpose(1, 2, 0)[None]

@@ -22,7 +22,6 @@ from patchflow.core import (
     offset_encodings,
     overlap_add,
     polynomial_matrices,
-    predict,
     predicted_vectors,
     support_offsets,
 )
@@ -67,7 +66,9 @@ def grid_scores(encoder, model, image_t, target_vectors, positions, clamp=False)
     whole candidate table against every position, reduced in that layout over
     d and then over K."""
     _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
-    pred = predict(model.table_blocks, vectors[inverse])
+    n, m, k, d = vectors[inverse].shape
+    right = np.moveaxis(vectors[inverse], [2, 1, 3, 0], [0, 1, 2, 3]).reshape(k, m * d, n)
+    pred = (model.table_blocks @ right).reshape(k, -1, d, n)  # one (C*d, m*d) x (m*d, N) product per block
     diff = pred - np.moveaxis(target_vectors, 0, -1)[:, None]
     diff *= diff
     return diff.sum(axis=2).sum(axis=0).T, pred
@@ -118,7 +119,8 @@ def reconstruction_terms(encoder, images, counts):
     """Σ_f c_f ‖x_f − overlap_add(decode(encode(x_f)))‖² of a stack of frames (B, H, W) weighted
     by ``counts``, and its gradient in the weights, −2Σ_x (v(x) e(x)ᵀ + W e(x) a(x)ᵀ) over the
     lattice patches a(x), their codes v(x) and the weighted error's patches e(x): (loss, (K, d, p*p)).
-    Its products and sums are those of training's canvas form, in the same order."""
+    Its products and sums are those of training's canvas form on one stack, in the same order:
+    the synthesis side, then the code gradient −2 W e(x) times the patches."""
     images = np.asarray(images, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
     w = encoder.weights
@@ -130,7 +132,8 @@ def reconstruction_terms(encoder, images, counts):
     e = images - overlap_add((v @ w2).reshape(len(images), len(pos), -1), pos, shape, p)
     e_w = e * counts[:, None, None]
     e_p = extract_patches(e_w, pos, p).reshape(len(v), -1)
-    return float(np.sum(e_w * e)), (-2.0 * (v.T @ e_p + (e_p @ w2.T).T @ a)).reshape(w.shape)
+    synthesis = -2.0 * (v.T @ e_p)
+    return float(np.sum(e_w * e)), (synthesis + (-2.0 * (e_p @ w2.T)).T @ a).reshape(w.shape)
 
 
 def total_loss(encoder, model, batch, config) -> float:

@@ -443,6 +443,24 @@ class TestExitCodes:
         assert "[-6, 6]" in err[0]  # the grid's range next to the data's
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_command_leaves_no_empty_out(self, tmp_path, capsys, existing):
+        # the fields reach past the mixed model's candidate grid, which training finds after
+        # --out is made: an --out that the command made goes, with the parents it made, and
+        # one that was there before stays
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 2, "--size", 48, "--range", 8, "--seed", 1)
+        out = tmp_path / "runs" / "mixed"
+        if existing:
+            out.mkdir(parents=True)
+        capsys.readouterr()
+        code = run_cli("train", "--data", ds, "--variant", "mixed", "--out", out, "--steps", 1, "--blocks", 2)
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "outside the candidate grid" in err[0]
+        assert out.is_dir() == existing and (tmp_path / "runs").exists() == existing
+        assert not existing or not any(out.iterdir())
+
     def test_interpolate_parametric_checkpoint(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run_cli("gen-data", "--out", ds, "--pairs", 2, "--size", 48, "--seed", 1)
@@ -541,11 +559,9 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
-        if "--block" in flags:
-            # the range of --block is the checkpoint's K, read after --out is made
-            assert not any(out.iterdir())
-        else:  # refused with the other flags, before --out is made
-            assert not out.exists()
+        # refused with the other flags before --out is made, or, since the range of --block is
+        # the checkpoint's K, after it, when the failed command removes it
+        assert not out.exists()
 
 
 class TestChecksBeforeWork:
@@ -573,7 +589,7 @@ class TestChecksBeforeWork:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "(0.25, 0.0)" in err[0] and "np.float64" not in err[0]
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_eval_of_a_field_outside_the_frames_is_format_error(self, tmp_path, capsys):
         from patchflow.core import DisplacementField
@@ -606,7 +622,7 @@ class TestChecksBeforeWork:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("format error:")
         assert "20x20" in err[0] and "28x28" in err[0]  # patch 16 + support 4 + the stride-8 row at 16
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, flags",
@@ -656,7 +672,7 @@ class TestChecksBeforeWork:
         if margin < 0:  # refused with the other config values, before --out is made
             assert not out.exists()
         else:  # the frame size is known once the data is read
-            assert "32x32" in err[0] and not any(out.iterdir())
+            assert "32x32" in err[0] and not out.exists()  # the failed command removed the --out it made
 
     @pytest.mark.parametrize("command", ["infer", "interpolate"])
     def test_frames_of_different_sizes_are_format_error(self, tmp_path, capsys, monkeypatch, command):
@@ -676,7 +692,7 @@ class TestChecksBeforeWork:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("format error:")
         assert "64x64" in err[0] and "64x48" in err[0]
-        assert loads == [] and not any(out.iterdir())
+        assert loads == [] and not out.exists()
 
     def test_sequence_of_different_frame_sizes_is_format_error(self, tmp_path, capsys, monkeypatch):
         from patchflow import training
@@ -696,7 +712,7 @@ class TestChecksBeforeWork:
         assert len(err) == 1 and err[0].startswith("format error:")
         assert str(frames / "seq1" / "f0.pgm") in err[0] and str(frames / "seq1" / "f2.pgm") in err[0]
         assert "64x64" in err[0] and "64x48" in err[0]
-        assert trained == [] and not any(out.iterdir())
+        assert trained == [] and not out.exists()
 
     @pytest.mark.parametrize("command", ["infer", "eval"])
     def test_command_without_its_inputs_is_config_error(self, tmp_path, capsys, command):

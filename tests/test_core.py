@@ -461,14 +461,27 @@ class TestChecksAndAdjoint:
         from patchflow.core import block_layout, predict, predict_adjoint
 
         rng = np.random.default_rng(11)
-        mats = rng.standard_normal((4, 3, 5, 2, 2))  # R sets over m offsets of K blocks
-        vectors = rng.standard_normal((6, 3, 5, 2))  # n sets over the same m offsets
-        grads = rng.standard_normal((5, 4, 2, 6))  # like predict's result, (K, R, d, n)
-        blocks = block_layout(mats)
+        mats = rng.standard_normal((6, 3, 5, 2, 2))  # per position, a set over m offsets of K blocks
+        vectors = rng.standard_normal((6, 5, 3 * 2))  # per position and block, its m support vectors
+        grads = rng.standard_normal((6, 5, 2))  # like predict's result, (N, K, d)
+        blocks = block_layout(mats[:, None])  # (N, K, d, m*d)
         lhs = np.sum(predict(blocks, vectors) * grads)
-        adj = predict_adjoint(blocks, grads)  # (K, m, d, n)
-        rhs = np.sum(adj * np.moveaxis(vectors, [0, 1, 2, 3], [3, 1, 0, 2]))
+        rhs = np.sum(predict_adjoint(blocks, grads) * vectors)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    def test_predict_is_each_positions_sum_over_its_support(self):
+        from patchflow.core import block_layout, predict
+
+        rng = np.random.default_rng(12)
+        mats = rng.standard_normal((4, 6, 3, 5, 2, 2))  # (B, N, m, K, d, d)
+        vectors = rng.standard_normal((4, 6, 3, 5, 2))  # (B, N, m, K, d)
+        want = np.zeros((4, 6, 5, 2))
+        for i in np.ndindex(4, 6):
+            for j in range(3):
+                for kk in range(5):
+                    want[i + (kk,)] += mats[i + (j, kk)] @ vectors[i + (j, kk)]
+        right = np.moveaxis(vectors, 2, 3).reshape(4, 6, 5, -1)
+        np.testing.assert_allclose(predict(block_layout(mats[:, :, None]), right), want, rtol=1e-12, atol=1e-14)
 
 
 def axis0_support_centers(encoder, shape, positions, offsets, clamp=False):

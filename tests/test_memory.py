@@ -64,6 +64,30 @@ def test_mixed_training_holds_four_tables():
     assert peak < 4.5 * table + workspace
 
 
+# `test_desk_gradient_peak`'s calls peaked at 15.67 and 15.04 MB (numpy 2.4) before each
+# chunk became one patch stack, when frames t and t+1 had a patch stack and codes each, the
+# reconstruction term held its nine shifted code products at once and the support scatter
+# had its own array; 12.64 and 14.44 MB after
+DESK_GRADIENT_PEAKS = {"parametric": 15.6e6, "mixed": 15.0e6}
+
+
+@pytest.mark.parametrize("variant", ["parametric", "mixed"])
+def test_desk_gradient_peak(variant):
+    # one desk gradient call (K=10, d=2, p=16) on 32 pairs of 64x64 frames, drawn with repeats,
+    # on fresh buffers: one chunk of 32 parametric frames, or eight of 4 mixed ones, whose
+    # peak holds the 5 MB gradient table too; the shared patch stack and code-gradient
+    # buffers may hold no more than the arrays they replaced
+    config = TrainConfig(motion_variant=variant, num_blocks=10, block_dim=2, batch_size=32)
+    encoder, model = training.init_model(config, np.random.default_rng(0))
+    pairs = gen_v1deform(synthetic_textures(2, (64, 64), seed=3), 32, DeformSpec(grid_m=4, lo=-3, hi=3, seed=4))
+    prepared = training.prepare_dataset(pairs, encoder, model, variant != "parametric")
+    counts = np.tile([2.0, 1.0, 1.0, 3.0], 8)
+    grad_total(encoder, model, prepared, config, None, counts)  # a first call's imports and caches are not the step's
+    (_, loss), peak = traced_peak(grad_total, encoder, model, prepared, config, None, counts)
+    assert np.isfinite(loss)
+    assert peak <= DESK_GRADIENT_PEAKS[variant]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a caller's stack holds a call's arguments until it returns")
 def test_train_supervised_frees_pairs_passed_as_the_only_reference(monkeypatch):
     refs = []

@@ -166,8 +166,10 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
     """`_group_gradient` as it was before the block rows: the matrices gathered per position
     and laid out per chunk, the motion gradient summed by `np.bincount` through a permuted
     flat index into table order.  ``d_motion`` is written through its (C, m, K, d, d) view.
-    The reconstruction term is the shared `_reconstruction`'s, on the chunks' lattice rows.
-    Each frame's residuals are weighted by its count in ``counts``."""
+    Each chunk is one patch stack, laid out and encoded as `_group_gradient` lays it out and
+    encodes it; the reconstruction term is the shared `_reconstruction`'s on its lattices, and
+    the terms' code gradients add in `_group_gradient`'s order.  Each frame's residuals are
+    weighted by its count in ``counts``."""
     imgs_t, imgs_t1, deltas = map(np.stack, (imgs_t, imgs_t1, deltas))  # the group's frames and fields
     w = encoder.weights
     k, d, q = w.shape
@@ -180,58 +182,63 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
     loss, frames = 0.0, len(imgs_t)
     dw2 = d_weights.reshape(kd, q)
 
-    pos_rec = encoder.grid.positions(*shape)
-    rec = training._reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, pos_rec, p))
-    centers_t = centers_t1 = pos_rec
-    rows_rec_t = rows_rec_t1 = None
+    lattice = encoder.grid.positions(*shape)
+    n_lat = len(lattice)
+    rec = training._reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, lattice, p))
+    off = lattice[:0]
     if rotation:
         pos = training.eval_positions(encoder, model, shape)
         uniq, inverse = core.support_centers(encoder, shape, pos, model.offsets)
-        n, n_u = len(pos), len(uniq)
-        frames = max(1, training.CHUNK_BYTES // (8 * q * n_u))
-        place = (inverse[:, None, :, None] * k + np.arange(k)[:, None, None]) * d + np.arange(d)
+        n, m = len(pos), inverse.shape[1]
+        frames = max(1, training.CHUNK_BYTES // (8 * q * len(uniq)))
         cols = block_layout(np.arange(d_motion[0].size).reshape(1, -1, k, d, d)).ravel()
-        centers_t, (_, rows_x, rows_rec_t) = training._union_rows(shape[1], uniq, pos, pos_rec)
-        centers_t1, (rows_rec_t1, rows_1) = training._union_rows(shape[1], pos_rec, pos)
-    n_t, n_t1 = len(centers_t), len(centers_t1)
+        lat_of = {c: i for i, c in enumerate(map(tuple, lattice.tolist()))}
+        on = np.array([c in lat_of for c in map(tuple, uniq.tolist())])
+        off = uniq[~on]
+        row = np.where(on, [lat_of.get(c, 0) for c in map(tuple, uniq.tolist())], np.cumsum(~on) - 1)
+        rows_x = np.array([lat_of[c] for c in map(tuple, pos.tolist())])
 
     for c in range(0, len(imgs_t), frames):
         ch_t, ch_t1, ch_d = imgs_t[c : c + frames], imgs_t1[c : c + frames], deltas[c : c + frames]
         ch_c = counts[c : c + frames]
         b = len(ch_t)
-        a_t = core.extract_patches(ch_t, centers_t, p)
-        a_t1 = core.extract_patches(ch_t1, centers_t1, p)
-        v_t = (a_t.reshape(b * n_t, q) @ w2.T).reshape(b, n_t, kd)
-        v_t1 = (a_t1.reshape(b * n_t1, q) @ w2.T).reshape(b, n_t1, kd)
+        lat = 2 * b * n_lat
+        frames2 = np.concatenate([ch_t, ch_t1])
+        a = np.concatenate([core.extract_patches(frames2, lattice, p).reshape(lat, q), core.extract_patches(ch_t, off, p).reshape(-1, q)])
+        v = a @ w2.T
+        g = np.zeros_like(v)
+        if lam_rec > 0:
+            loss += rec.stack(frames2, v[:lat], np.concatenate([ch_c, ch_c]), g[:lat], dw2, workspace)
         if rotation:
-            a1 = training._rows(a_t1, rows_1)
-            v1 = training._rows(v_t1, rows_1).reshape(b, n, k, d)
-            right = np.take(v_t.reshape(b, -1), place, axis=1)
+            # each support vector's row in the stack: on frame t's lattice, or among its centers off it
+            frame = np.arange(b)[:, None, None]
+            stack_rows = np.where(on[inverse], frame * n_lat + row[inverse], lat + frame * len(off) + row[inverse])  # (B, N, m)
+            g_t, g_t1 = g[: lat // 2].reshape(b, n_lat, kd), g[lat // 2 : lat].reshape(b, n_lat, kd)
+            v1 = v[lat // 2 : lat].reshape(b, n_lat, kd)[:, rows_x].reshape(b, n, k, d)
+            right = np.moveaxis(v[stack_rows].reshape(b, n, m, k, d), 2, 3)  # (B, N, K, m, d)
             blocks = block_layout(support_matrices(model, ch_d)[:, :, None])
-            pred = core.predict(blocks, np.moveaxis(right, 3, 2)[:, :, None])[..., 0, :, 0]
+            pred = core.predict(blocks, right.reshape(b, n, k, -1))
             r = v1 - pred
             r_w = r * ch_c[:, None, None, None]
             loss += lam_rot * float(np.sum(r_w * r))
             d_pred = -2.0 * lam_rot * r_w
             if lam_ns > 0:
-                a_x = training._rows(a_t, rows_x)
-                v_x = training._rows(v_t, rows_x).reshape(b, n, k, d)
+                v_x = v[: lat // 2].reshape(b, n_lat, kd)[:, rows_x].reshape(b, n, k, d)
                 ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)
                 ns_w = ns * ch_c[:, None, None]
                 loss += lam_ns * float(np.sum(ns_w * ns))
                 d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
-                dw2 += (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b * n, kd).T @ a_x
-            dw2 += (2.0 * lam_rot * r_w).reshape(b * n, kd).T @ a1
-            mt_g = core.predict_adjoint(blocks, d_pred[..., None, :, None])[..., 0]
-            s = reference_scatter_rows((b * n_t, kd), np.arange(b)[:, None, None, None, None] * n_t, mt_g, place)
-            dw2 += s.T @ a_t.reshape(b * n_t, q)
+            mt_g = core.predict_adjoint(blocks, d_pred).reshape(b, n, k, m, d)
+            place = (stack_rows[:, :, None, :, None] * k + np.arange(k)[:, None, None]) * d + np.arange(d)
+            g += reference_scatter_rows((len(g), kd), 0, mt_g, place)
+            g_t1[:, rows_x] += (2.0 * lam_rot * r_w).reshape(b, n, kd)
+            if lam_ns > 0:
+                g_t[:, rows_x] += (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b, n, kd)
             g_m = (d_pred[..., None] * right.reshape(b, n, k, 1, -1)).reshape(b * n, -1)
             hit, cidx = np.unique(model.grid.round_indices(ch_d).ravel(), return_inverse=True)
             sums = reference_scatter_rows((len(hit), cols.size), cidx[:, None], g_m, cols)
             d_motion[hit] += sums.reshape((len(hit),) + d_motion.shape[1:])
-        if lam_rec > 0:
-            for imgs, a_s, v_s, rows in ((ch_t, a_t, v_t, rows_rec_t), (ch_t1, a_t1, v_t1, rows_rec_t1)):
-                loss += rec.stack(imgs, training._rows(a_s, rows), training._rows(v_s, rows), ch_c, dw2, workspace)
+        dw2 += g.T @ a
     if lam_rec > 0:
         rec.finish(dw2)
     return loss

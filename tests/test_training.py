@@ -626,11 +626,15 @@ def reference_scatter_rows(n_rows, rows, values):
 
 
 def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_weights, d_motion, workspace=None):
-    """`_group_gradient` before chunking: the whole group at once, the matrices laid
-    out a second time for the adjoint, the motion gradient as a 6-D outer product,
-    every patch stack gathered afresh (``workspace`` unused), and the reconstruction
-    term of the shared `_reconstruction` on the lattice's stacks.  Each frame's
-    residuals are weighted by its count in ``counts``."""
+    """`_group_gradient` before chunking: the whole group as one patch stack (the lattice of
+    frames t, of frames t+1, then frame t's support centers off the lattice, each found by a
+    dictionary lookup) encoded by one product, the matrices laid out a second time for the
+    adjoint, the motion gradient as a 6-D outer product, the support gradient summed by
+    `np.bincount` into the stack's rows, every array made afresh (``workspace`` unused), and
+    the reconstruction term of the shared `_reconstruction` on the two lattices.  The terms'
+    code gradients add into one array in `_group_gradient`'s order, and the weight gradient
+    gains that array's product with the stack.  Each frame's residuals are weighted by its
+    count in ``counts``."""
     imgs_t, imgs_t1, deltas = map(np.stack, (imgs_t, imgs_t1, deltas))  # the group's frames and fields
     w = encoder.weights
     k, d, q = w.shape
@@ -645,37 +649,59 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
     loss = 0.0
     dw2 = d_weights.reshape(kd, q)
 
+    lattice = encoder.grid.positions(*shape)
+    lat = 2 * b * len(lattice)
+    row_of = {c: i for i, c in enumerate(map(tuple, lattice.tolist()))}  # a frame's lattice rows
+    frames = np.concatenate([imgs_t, imgs_t1])
+    stacks = [core.extract_patches(frames, lattice, p).reshape(lat, q)]
     if lam_rot > 0 or lam_ns > 0:
         pos = eval_positions(encoder, model, shape)
         n = len(pos)
-        a1 = core.extract_patches(imgs_t1, pos, p).reshape(b * n, q)
-        v1 = (a1 @ w2.T).reshape(b, n, k, d)
-        a_u, v_u, inverse = core.offset_encodings(encoder, imgs_t, pos, model.offsets)
-        n_u, m_off = a_u.shape[1], inverse.shape[1]
-        voff = v_u[:, inverse]  # (B, N, m, K, d)
+        uniq, inverse = core.support_centers(encoder, shape, pos, model.offsets)
+        off = [c for c in map(tuple, uniq.tolist()) if c not in row_of]
+        off_row = {c: i for i, c in enumerate(off)}
+        if off:
+            stacks.append(core.extract_patches(imgs_t, np.array(off), p).reshape(-1, q))
+        # each frame's support centers' rows in the stack
+        center_rows = np.array([
+            [f * len(lattice) + row_of[c] if c in row_of else lat + f * len(off) + off_row[c] for c in map(tuple, uniq.tolist())]
+            for f in range(b)
+        ])
+        pos_rows = [row_of[c] for c in map(tuple, pos.tolist())]
+    a = np.concatenate(stacks)
+    v = a @ w2.T
+    g = np.zeros_like(v)
+
+    if lam_rec > 0:
+        rec = training._reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, lattice, p))
+        loss += rec.stack(frames, v[:lat], np.concatenate([counts, counts]), g[:lat], dw2, training.Workspace())
+
+    if lam_rot > 0 or lam_ns > 0:
+        v_t, v_t1 = v[: lat // 2].reshape(b, -1, kd), v[lat // 2 : lat].reshape(b, -1, kd)
+        v1 = v_t1[:, pos_rows].reshape(b, n, k, d)
+        voff = v[center_rows][:, inverse].reshape(b, n, -1, k, d)  # (B, N, m, K, d)
+        m_off = voff.shape[2]
         mats = core.support_matrices(model, deltas)  # (B, N, m, K, d, d)
-        pred = core.predict(block_layout(mats[:, :, None]), voff[:, :, None])[..., 0, :, 0]
+        right = np.ascontiguousarray(np.moveaxis(voff, 2, 3)).reshape(b, n, k, -1)
+        pred = core.predict(np.ascontiguousarray(block_layout(mats[:, :, None])), right)
 
         r = v1 - pred
         r_w = r * counts[:, None, None, None]
         loss += lam_rot * float(np.sum(r_w * r))
         d_pred = -2.0 * lam_rot * r_w
         if lam_ns > 0:
-            a_x = core.extract_patches(imgs_t, pos, p).reshape(b * n, q)
-            v_x = (a_x @ w2.T).reshape(b, n, k, d)
+            v_x = v_t[:, pos_rows].reshape(b, n, k, d)
             ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
             ns_w = ns * counts[:, None, None]
             loss += lam_ns * float(np.sum(ns_w * ns))
             d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
-            gv = (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b * n, kd)
-            dw2 += gv.T @ a_x
-        dw2 += (2.0 * lam_rot * r_w).reshape(b * n, kd).T @ a1
 
-        mt_g = core.predict(block_layout(np.swapaxes(mats, -1, -2)[:, :, :, None]), d_pred[:, :, None, None])
-        mt_g = np.swapaxes(mt_g[..., 0], 2, 3)  # (B, N, m, K, d)
-        rows = (np.arange(b)[:, None] * n_u + inverse.ravel()[None, :]).ravel()
-        s = reference_scatter_rows(b * n_u, rows, mt_g.reshape(b * n * m_off, kd))
-        dw2 += s.T @ a_u.reshape(b * n_u, q)
+        mt_g = core.predict(np.ascontiguousarray(block_layout(np.swapaxes(mats, -1, -2)[:, :, :, None])), d_pred)
+        mt_g = np.swapaxes(mt_g.reshape(b, n, k, m_off, d), 2, 3)  # (B, N, m, K, d)
+        g += reference_scatter_rows(len(g), center_rows[:, inverse].ravel(), mt_g.reshape(-1, kd))
+        g[lat // 2 : lat].reshape(b, -1, kd)[:, pos_rows] += (2.0 * lam_rot * r_w).reshape(b, n, kd)
+        if lam_ns > 0:
+            g[: lat // 2].reshape(b, -1, kd)[:, pos_rows] += (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b, n, kd)
         g_m = (d_pred[:, :, None, :, :, None] * voff[:, :, :, :, None, :]).reshape(b * n, -1)
         if isinstance(model, ParametricMotion):
             basis = core.delta_basis(deltas).reshape(b * n, 5)
@@ -684,12 +710,8 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
             cidx = model.grid.round_indices(deltas).ravel()
             d_motion += reference_scatter_rows(len(d_motion), cidx, g_m).reshape(d_motion.shape)
 
+    dw2 += g.T @ a
     if lam_rec > 0:
-        pos_rec = encoder.grid.positions(*shape)
-        rec = training._reconstruction(encoder, shape, lam_rec, core._patch_indices(shape, pos_rec, p))
-        for imgs in (imgs_t, imgs_t1):
-            a_rec = core.extract_patches(imgs, pos_rec, p).reshape(-1, q)
-            loss += rec.stack(imgs, a_rec, a_rec @ w2.T, counts, dw2, training.Workspace())
         rec.finish(dw2)
     return loss
 
@@ -752,14 +774,18 @@ class TestChunkedGradient:
     def test_chunks_split_the_group(self, monkeypatch):
         enc, model, batch, config = chunk_problem("mixed", [(24, 24)] * 5, 0.0)
         monkeypatch.setattr(training, "CHUNK_BYTES", 2 * support_stack_bytes(enc, model, (24, 24)))
-        sizes = []
+        sizes, stacks = [], []
         real = training.gather_at
         monkeypatch.setattr(training, "gather_at", lambda imgs, idx, **kw: sizes.append(len(imgs)) or real(imgs, idx, **kw))
+        stack = training._CodeReconstruction.stack
+        monkeypatch.setattr(training._CodeReconstruction, "stack", lambda rec, imgs, *args: stacks.append(len(imgs)) or stack(rec, imgs, *args))
         grad_total(enc, model, batch, config)
-        # chunks of 2, 2 and 1 frames, two gathers each: frames t and t+1 (the code-space
-        # reconstruction term gathers no error patches)
+        # chunks of 2, 2 and 1 frame pairs, two gathers each: both frames' lattices, then frame
+        # t's support centers off the lattice (the code-space reconstruction term gathers no
+        # error patches); and one reconstruction call each, on both frames' lattice codes
         assert training._code_space(3, 2, 8, 4)
-        assert sizes == [2] * 4 + [1] * 2
+        assert sizes == [4, 2, 4, 2, 2, 1]
+        assert stacks == [4, 4, 2]
 
     @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
     def test_reused_buffers_hold_no_stale_rows(self, monkeypatch, variant):
@@ -817,6 +843,31 @@ class TestChunkedGradient:
         assert peak < 40e6
 
 
+class TestOneCodeGradient:
+    """Every term puts its gradient in the codes into one buffer per chunk: the terms together
+    give the sum of each term alone."""
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_all_terms_are_the_sum_of_each_alone(self, monkeypatch, variant):
+        # chunks of two frames, two frame sizes and repeated draws; the rotation target sits at
+        # frame t+1's evaluation positions, norm stability at frame t's, the reconstruction
+        # term at both lattices and the adjoint at the support vectors
+        shapes, per_chunk = CHUNK_CASES["two_sizes"]
+        enc, model, batch, config = chunk_problem(variant, shapes, 0.05)
+        monkeypatch.setattr(training, "CHUNK_BYTES", per_chunk * support_stack_bytes(enc, model, shapes[0]))
+        counts = REPEAT_COUNTS[: len(batch)]
+        got, loss = grad_total(enc, model, batch, config, counts=counts)
+        alone = [
+            grad_total(enc, model, batch, replace(config, weight_rotation=rot, weight_reconstruction=rec, weight_norm_stability=ns), counts=counts)
+            for rot, rec, ns in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.05))
+        ]
+        want_loss = sum(part_loss for _, part_loss in alone)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for name in ("d_weights", "d_motion"):
+            want = sum(getattr(part, name) for part, _ in alone)
+            np.testing.assert_allclose(getattr(got, name), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
 # ---------------------------------------------------------------------------
 # the reconstruction term: code space against the canvases
 
@@ -852,17 +903,16 @@ def reconstruction_problem(variant, geometry, seed=0):
 
 
 def direct_gradient(enc, batch, counts):
-    """`grad_total`'s (d_weights, loss) of a reconstruction-only batch of one size, from the
-    canvas formula, summed and scaled as `grad_total` sums and scales them."""
-    imgs_t, imgs_t1 = (np.stack([triplet[j] for triplet in batch]) for j in (0, 1))
-    loss_t, d_t = reconstruction_terms(enc, imgs_t, counts)
-    loss_t1, d_t1 = reconstruction_terms(enc, imgs_t1, counts)
+    """`grad_total`'s (d_weights, loss) of a reconstruction-only batch of one size in one chunk,
+    from the canvas formula on the chunk's stack of frames (its frames t, then its frames t+1),
+    summed and scaled as `grad_total` sums and scales them."""
+    frames = np.stack([triplet[j] for j in (0, 1) for triplet in batch])
+    loss, d = reconstruction_terms(enc, frames, np.concatenate([counts, counts]))
     scale = 1.0 / float(counts.sum())
     d_weights = np.zeros_like(enc.weights)
-    d_weights += d_t
-    d_weights += d_t1
+    d_weights += d
     d_weights *= scale
-    return d_weights, (0.0 + loss_t + loss_t1) * scale
+    return d_weights, (0.0 + loss) * scale
 
 
 class TestReconstructionForms:
@@ -918,8 +968,9 @@ class TestReconstructionForms:
         assert np.array_equal(got.d_motion, want.d_motion)
 
     def test_form_follows_the_multiply_counts(self):
-        # per lattice position: (9 + 5)·20² + 20·256 = 10,720 against 4·20·256 = 20,480 at
-        # the desk preset, and (9 + 5)·80² + 80·256 = 110,080 against 81,920 at the default
+        # per lattice position, besides the shared patch-side product: (9 + 5)·20² = 5,600
+        # against 3·20·256 = 15,360 at the desk preset, and (9 + 5)·80² = 89,600 against
+        # 61,440 at the default
         desk = TrainConfig(**cli.DESK_SCALE["train"])
         default = TrainConfig()
         assert training._code_space(desk.num_blocks, desk.block_dim, desk.patch_size, desk.stride)
@@ -1056,14 +1107,15 @@ class TestBatchLoss:
         def refuse(*args, **kwargs):
             raise AssertionError("a gradient product ran")
 
-        for name in ("_motion_gradient", "predict_adjoint", "_add_rows", "delta_basis"):
+        for name in ("_motion_gradient", "predict_adjoint", "_add_to_rows", "_add_rows", "delta_basis"):
             monkeypatch.setattr(training, name, refuse)
         sizes = []
         real = training.gather_at
         monkeypatch.setattr(training, "gather_at", lambda imgs, idx, **kw: sizes.append(len(imgs)) or real(imgs, idx, **kw))
         assert batch_loss(enc, model, batch, config) == want
-        # chunks of 2, 2 and 1 frames, two gathers each: frames t and t+1, and no error gathers
-        assert sizes == [2] * 4 + [1] * 2
+        # chunks of 2, 2 and 1 frame pairs: one gather of both frames' lattices each, one of
+        # frame t's support centers off the lattice for the mixed model, and no error gathers
+        assert sizes == ([4, 2, 4, 2, 2, 1] if variant == "mixed" else [4, 4, 2])
 
     def test_empty_batch_and_wrong_counts_raise(self):
         enc, model, batch, config = chunk_problem("parametric", [(24, 24)] * 2, 0.0)
