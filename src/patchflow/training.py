@@ -270,22 +270,6 @@ def _add_rows(table: np.ndarray, cand: np.ndarray, values: np.ndarray) -> None:
         table[grouped[lo]] += total
 
 
-def _rows(stack: np.ndarray, rows) -> np.ndarray:
-    """``stack`` (B, U, ...) at rows ``rows`` of each frame (None: all of them, in order),
-    flattened to (B*len(rows), ...)."""
-    part = stack if rows is None else stack[:, rows]
-    return part.reshape((-1,) + stack.shape[2:])
-
-
-def _add_to_rows(stack: np.ndarray, rows, values: np.ndarray) -> None:
-    """Add ``values`` (B, R, ...) to rows ``rows`` of each frame of ``stack`` (B, U, ...)
-    (None: all of them, in order); the rows are distinct."""
-    if rows is None:
-        stack += values
-    else:
-        stack[:, rows] += values
-
-
 def _weighted(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``x`` (B, ...) with each frame's entries times its count."""
     return x * counts.reshape((-1,) + (1,) * (x.ndim - 1))
@@ -295,19 +279,17 @@ def _weighted(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _IndexPlan:
     """The index arrays of `_group_gradient` for one frame size.  A chunk of b frame pairs
     gathers one patch stack: the lattice of its b frames t, then the lattice of its b frames
-    t+1, then the support centers of its frames t that are off the lattice, frame by frame.
-    A table or parametric model's support is the zero offset at the evaluation positions,
-    which are the lattice, so its stack is the two lattices alone (``support`` None), as is
-    every model's without the rotation terms, whose entries are then unset."""
+    t+1, then the support centers of its frames t that are off the lattice, frame by frame
+    (none for a table or parametric model, whose support is the lattice).  Without the
+    rotation terms the stack is the two lattices alone and the other entries are unset."""
 
     idx_lattice: np.ndarray  # patch-pixel indices of the lattice: the gather of both frames, the canvas form
     idx_off: np.ndarray  # and of frame t's support centers off the lattice, (U, p*p)
     n: int = 0  # evaluation positions
     frames: int | None = None  # frames per chunk; None: the whole group in one
-    rows: np.ndarray | None = None  # the evaluation positions' rows in a frame's lattice; None: all, in order
+    rows: np.ndarray | None = None  # the evaluation positions' rows in a frame's lattice
     # where support vector (position i, offset j) of frame f of a chunk of b frames sits in
-    # the chunk's stack: row base + f*step + b*jump, each (N, m); None: at frame t's lattice
-    # row i, so the support vectors are the lattice codes in order
+    # the chunk's stack: row base + f*step + b*jump, each (N, m)
     support: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     places: np.ndarray | None = None  # `_support_places` of a chunk of ``frames`` frames
 
@@ -341,14 +323,10 @@ def _index_plan(encoder, model, shape, rotation: bool) -> _IndexPlan:
     n_lat, n_off = len(lattice), int(np.count_nonzero(off))
     base = np.where(off, np.cumsum(off) - 1, at)[inverse]  # a center's row in its frame's lattice or off it
     rows = np.searchsorted(flat, pos[:, 0] * shape[1] + pos[:, 1])
-    in_order = np.array_equal(rows, np.arange(n_lat))
-    support = places = None
-    if not (in_order and n_off == 0 and inverse.shape[1] == 1 and np.array_equal(base[:, 0], rows)):
-        off_at = off[inverse]
-        support = (base, np.where(off_at, n_off, n_lat), np.where(off_at, 2 * n_lat, 0))
-        places = _support_places(support, frames, k, d)
+    off_at = off[inverse]
+    support = (base, np.where(off_at, n_off, n_lat), np.where(off_at, 2 * n_lat, 0))
     idx_off = _patch_indices(shape, uniq[off], p)
-    return _IndexPlan(idx_lattice, idx_off, len(pos), frames, None if in_order else rows, support, places)
+    return _IndexPlan(idx_lattice, idx_off, len(pos), frames, rows, support, _support_places(support, frames, k, d))
 
 
 def _overlap_shifts(patch_size: int, stride: int) -> list[tuple[int, int]]:
@@ -572,11 +550,8 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
         if rotation:
             v_t, v_t1 = v[: b * n_lat].reshape(b, n_lat, kd), v[b * n_lat : lat].reshape(b, n_lat, kd)
             ch_d = np.stack(deltas[c : c + b], out=workspace.array("deltas", (b, n, 2)))
-            if plan.support is None:  # the support vectors are frame t's lattice codes
-                places, right = None, v_t.reshape(b, n, k, 1, d)
-            else:
-                places = plan.places if b == frames else _support_places(plan.support, b, k, d)
-                right = np.take(v, places)  # (B, N, K, m, d)
+            places = plan.places if b == frames else _support_places(plan.support, b, k, d)
+            right = np.take(v, places)  # (B, N, K, m, d)
             if table is None:  # a single offset: M(delta) is its own block layout
                 blocks = polynomial_matrices(model.coeffs, ch_d)
             else:
@@ -585,11 +560,11 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
                 blocks = np.take(table, cand, axis=0, out=out, mode="clip")  # (B, N, K, d, m*d)
             pred = predict(blocks, right.reshape(b, n, k, -1))  # (B, N, K, d)
 
-            r = _rows(v_t1, plan.rows).reshape(b, n, k, d) - pred
+            r = v_t1[:, plan.rows].reshape(b, n, k, d) - pred
             r_w = _weighted(r, ch_c)
             loss += lam_rot * float(np.sum(r_w * r))
             if lam_ns > 0:
-                v_x = _rows(v_t, plan.rows).reshape(b, n, k, d)
+                v_x = v_t[:, plan.rows].reshape(b, n, k, d)
                 ns = np.sum(pred * pred, axis=3) - np.sum(v_x * v_x, axis=3)  # (B, N, K)
                 ns_w = _weighted(ns, ch_c)
                 loss += lam_ns * float(np.sum(ns_w * ns))
@@ -599,16 +574,13 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
                     d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
                 # back through the prediction: M^T d_pred per offset, added at the support vectors
                 mt_g = predict_adjoint(blocks, d_pred)  # (B, N, K, m*d)
-                if places is None:
-                    g[: b * n_lat] += mt_g.reshape(b * n, kd)
-                else:
-                    s = np.bincount(places.ravel(), weights=mt_g.ravel(), minlength=g.size).reshape(g.shape)
-                    g[:lat] += s[:lat]
-                    g[lat:] = s[lat:]
+                s = np.bincount(places.ravel(), weights=mt_g.ravel(), minlength=g.size).reshape(g.shape)
+                g[:lat] += s[:lat]
+                g[lat:] = s[lat:]
                 g_t, g_t1 = g[: b * n_lat].reshape(b, n_lat, kd), g[b * n_lat : lat].reshape(b, n_lat, kd)
-                _add_to_rows(g_t1, plan.rows, (2.0 * lam_rot * r_w).reshape(b, n, kd))
+                g_t1[:, plan.rows] += (2.0 * lam_rot * r_w).reshape(b, n, kd)  # the rows are distinct
                 if lam_ns > 0:
-                    _add_to_rows(g_t, plan.rows, (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b, n, kd))
+                    g_t[:, plan.rows] += (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b, n, kd)
                 # per position, a table row's gradient in its block layout, over the spent blocks:
                 # the outer product d_pred vᵀ per block, as an einsum, which on 2x2 blocks runs
                 # about three times faster than a broadcast multiply

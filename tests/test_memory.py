@@ -64,10 +64,12 @@ def test_mixed_training_holds_four_tables():
     assert peak < 4.5 * table + workspace
 
 
-# `test_desk_gradient_peak`'s calls peaked at 15.67 and 15.04 MB (numpy 2.4) before each
-# chunk became one patch stack, when frames t and t+1 had a patch stack and codes each, the
+# `test_desk_gradient_peak`'s calls peaked at 15.67 and 15.04 MB before each chunk became
+# one patch stack, when frames t and t+1 had a patch stack and codes each, the
 # reconstruction term held its nine shifted code products at once and the support scatter
-# had its own array; 12.64 and 14.44 MB after
+# had its own array; 14.33 and 14.44 MB after.  The bounds are the earlier peaks, rounded down.  All four
+# figures are from numpy 2.4.6, and the peaks include numpy's temporaries (einsum, take,
+# bincount), so a failure after a numpy update may be numpy's allocations, not patchflow's
 DESK_GRADIENT_PEAKS = {"parametric": 15.6e6, "mixed": 15.0e6}
 
 
