@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import resource
 import sys
 import time
@@ -98,16 +99,21 @@ def _same_kind(default, value) -> bool:
 
 
 def _check_types(defaults: dict, config: dict, path: str = "") -> None:
-    """Raise ConfigError for a merged value whose type is not its default's."""
+    """Raise ConfigError for a merged value whose type is not its default's, or for a
+    float that is not finite (JSON's NaN and Infinity, or a literal like 1e400)."""
     for key, value in config.items():
         where = f"{path}.{key}" if path else key
         if isinstance(value, dict):
             _check_types(defaults[key], value, where)
-        elif not _same_kind(defaults[key], value):
+            continue
+        if not _same_kind(defaults[key], value):
             raise ConfigError(
                 f"config key {where!r} must have type {type(defaults[key]).__name__} "
                 f"(like {json.dumps(defaults[key])}), got {json.dumps(value)}"
             )
+        floats = [v for v in (value if isinstance(value, list) else [value]) if isinstance(v, float)]
+        if not all(map(math.isfinite, floats)):
+            raise ConfigError(f"config key {where!r} must be finite, got {json.dumps(value)}")
 
 
 def config_hash(config: dict) -> str:

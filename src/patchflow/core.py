@@ -262,12 +262,12 @@ class DisplacementGrid:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
+            raise ValueError(f"candidate grid needs lo < hi, got lo {self.lo} and hi {self.hi}")
         if self.step <= 0:
-            raise ValueError("step must be positive")
+            raise ValueError(f"candidate grid step must be positive, got {self.step}")
         n = (self.hi - self.lo) / self.step
         if abs(n - round(n)) > 1e-9:
-            raise ValueError("step must evenly divide hi - lo")
+            raise ValueError(f"candidate grid step {self.step} must evenly divide hi - lo = {self.hi - self.lo}")
 
     @property
     def side(self) -> int:
@@ -339,8 +339,8 @@ def support_offsets(radius: int = 4, step: int = 2) -> np.ndarray:
 
 
 # the support of a model without mixing: the patch at x alone
-_ZERO_SUPPORT = np.zeros((1, 2), dtype=np.int64)
-_ZERO_SUPPORT.flags.writeable = False
+ZERO_SUPPORT = np.zeros((1, 2), dtype=np.int64)
+ZERO_SUPPORT.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -414,7 +414,7 @@ class ParametricMotion:
 
     coeffs: np.ndarray  # (5, K, d, d)
 
-    offsets = _ZERO_SUPPORT
+    offsets = ZERO_SUPPORT
     max_offset = 0
 
     def __post_init__(self):
@@ -489,17 +489,23 @@ def support_centers(encoder, shape, positions, offsets, clamp=False):
 
 
 def offset_encodings(encoder, images, positions, offsets, clamp=False):
-    """Encode an image (H, W) or a stack (..., H, W) at every position + offset.
+    """Encode an image (H, W) or a stack (..., H, W) at every position + offset:
+    the support gather of grid scoring, descent, animation and interpolation.
 
-    Returns (patches (..., U, p*p), vectors (..., U, K, d), inverse (N, m))
-    at the unique centers of `support_centers`, so ``vectors[..., inverse,
-    :, :]`` is (..., N, m, K, d).  Without ``clamp`` an out-of-bounds center
-    raises BoundsError.
+    Returns (vectors (..., U, K, d), inverse (N, m)) at the unique centers of
+    `support_centers`, so ``vectors[..., inverse, :, :]`` is (..., N, m, K, d);
+    with the zero offset alone, ``inverse[:, 0]`` picks the lattice codes.  One
+    patch gather serves the stack, and each frame is encoded with its own
+    product, so each frame gets the bits of its stack of one (one product of
+    the stack rounds some rows differently).  Without ``clamp`` an
+    out-of-bounds center raises BoundsError.
     """
     images = np.asarray(images, dtype=np.float64)
     uniq, inverse = support_centers(encoder, images.shape[-2:], positions, offsets, clamp)
     patches = extract_patches(images, uniq, encoder.patch_size)
-    return patches, apply_encoder(encoder.weights, patches), inverse
+    frames = patches.reshape((-1,) + patches.shape[-2:])
+    vectors = np.stack([apply_encoder(encoder.weights, frame) for frame in frames])
+    return vectors.reshape(patches.shape[:-1] + vectors.shape[-2:]), inverse
 
 
 def support_matrices(model, deltas: np.ndarray) -> np.ndarray:
@@ -553,10 +559,3 @@ def predict_adjoint(blocks: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Adjoint of `predict` in its vectors, from the same ``blocks``: sum_i M^(k)(delta)[i, j] g[i]
     for ``grads`` laid out like `predict`'s result, shape (..., K, m*d)."""
     return np.einsum("...ij,...i->...j", blocks, grads)
-
-
-def predicted_vectors(encoder, model, image_t, positions, deltas, clamp=False):
-    """Next-frame vector prediction at each position for given displacements, (N, K, d)."""
-    _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
-    right = np.swapaxes(vectors[inverse], 1, 2)  # (N, K, m, d)
-    return predict(block_layout(support_matrices(model, deltas)[:, None]), right.reshape(right.shape[:2] + (-1,)))

@@ -11,19 +11,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ZERO_SUPPORT,
     DisplacementField,
     ParametricMotion,
     VectorField,
-    apply_encoder,
+    block_layout,
     border_filter,
     decode,
     delta_basis,
-    encode,
     eval_positions,
-    extract_patches,
     lattice_axes,
-    predicted_vectors,
+    offset_encodings,
+    predict,
     support_centers,
+    support_matrices,
 )
 from .errors import ConfigError, ShapeError
 
@@ -43,6 +44,8 @@ class InferConfig:
     def __post_init__(self):
         if self.margin < 0:
             raise ValueError(f"margin must be at least 0, got {self.margin}")
+        if self.smoothness_weight < 0:
+            raise ValueError(f"smoothness_weight must be at least 0, got {self.smoothness_weight}")
         if self.init not in ("random", "zeros"):
             raise ValueError(f"init must be 'random' or 'zeros', got {self.init!r}")
         if self.max_iters < 0:
@@ -69,29 +72,14 @@ def _candidate_order(grid) -> np.ndarray:
     return order
 
 
-def _encode_frames(encoder, images, positions) -> np.ndarray:
-    """Encodings (P, N, K, d) of a stack of frames (P, H, W) at ``positions``:
-    one patch gather for the stack and one product per frame, the product
-    that `encode` takes of each frame alone (one product of the stack rounds
-    some rows differently)."""
-    patches = extract_patches(images, positions, encoder.patch_size)
-    return np.stack([apply_encoder(encoder.weights, frame) for frame in patches])
+def _lattice_codes(encoder, images, positions) -> np.ndarray:
+    """Codes (..., N, K, d) of an image (H, W) or a stack (..., H, W) at ``positions``:
+    the support gather of `offset_encodings` on the zero offset."""
+    vectors, inverse = offset_encodings(encoder, images, positions, ZERO_SUPPORT)
+    return vectors[..., inverse[:, 0], :, :]
 
 
-def _support_columns(encoder, model, images, positions, clamp=False) -> np.ndarray:
-    """The support vectors of each frame of a stack (P, H, W) at ``positions``,
-    in the layout that grid scoring multiplies, (P, K, m*d, N): the support gather of
-    `offset_encodings`, with one `support_centers` call for the stack, and
-    one encode per frame."""
-    if isinstance(model, ParametricMotion):
-        raise ShapeError("grid scoring needs a table model")
-    uniq, inverse = support_centers(encoder, images.shape[-2:], positions, model.offsets, clamp)
-    vectors = _encode_frames(encoder, images, uniq)[:, inverse]  # (P, N, m, K, d)
-    p, n, m, k, d = vectors.shape
-    return vectors.transpose(0, 3, 2, 4, 1).reshape(p, k, m * d, n)
-
-
-def _score_pairs(blocks, right, targets, pred=None):
+def _score_pairs(blocks, right, targets):
     """The grid scores of each pair of a stack: yields, pair by pair, the
     squared residuals (C, N) of every candidate against the targets
     ``targets`` (P, K, d, N), from a table's ``blocks`` (K, C*d, m*d) and the
@@ -99,22 +87,20 @@ def _score_pairs(blocks, right, targets, pred=None):
     the last pair's.
 
     For each sub-vector k in turn, one (C*d, m*d) @ (m*d, N) product lands in
-    a buffer that stays in cache (in ``pred`` (P, K, C*d, N), when given,
-    where it is kept); the target is subtracted there, the difference
-    squared, its d rows summed and the sum added to the scores.  These are
-    table-wide products, the whole table against all of a pair's positions
-    per block, where training and `predicted_vectors` contract each
-    position's own matrices with `predict`; the sums are those of the whole
-    prediction reduced over d and then over K, in that order."""
+    a buffer that stays in cache; the target is subtracted there, the
+    difference squared, its d rows summed and the sum added to the scores.
+    These are table-wide products, the whole table against all of a pair's
+    positions per block, where training and `_step` contract each position's
+    own matrices with `predict`; the sums are those of the whole prediction
+    reduced over d and then over K, in that order."""
     k, cd, _ = blocks.shape
     d, n = targets.shape[-2:]
     scores, part, diff = np.empty((cd // d, n)), np.empty((cd // d, n)), np.empty((cd, n))
     sq = diff.reshape(-1, d, n)
     for p in range(len(right)):
         for j in range(k):
-            prod = diff if pred is None else pred[p, j]
-            np.matmul(blocks[j], right[p, j], out=prod)
-            np.subtract(prod.reshape(sq.shape), targets[p, j], out=sq)
+            np.matmul(blocks[j], right[p, j], out=diff)
+            np.subtract(sq, targets[p, j], out=sq)
             sq *= sq
             # the d rows summed in order, as numpy's sum over d does, without its slow middle-axis loop
             rows = part if j else scores
@@ -129,47 +115,37 @@ def _score_pairs(blocks, right, targets, pred=None):
         yield scores
 
 
-def _candidate_scores(encoder, model, image_t, target_vectors, positions, clamp=False):
-    """Squared residual against ``target_vectors`` (N, K, d) for every grid
-    candidate, from one frame.
-
-    Returns (scores (N, C), predictions (K, C, d, N)): the prediction of the
-    whole candidate table against every position, (K, C, d, N), whose
-    products `_score_pairs` reduces."""
-    right = _support_columns(encoder, model, np.asarray(image_t, dtype=np.float64)[None], positions, clamp)
-    blocks = model.table_blocks
-    targets = np.asarray(target_vectors, dtype=np.float64).transpose(1, 2, 0)[None]
-    pred = np.empty((1,) + blocks.shape[:2] + (len(positions),))
-    scores = next(_score_pairs(blocks, right, targets, pred))
-    return scores.T, pred[0].reshape(blocks.shape[0], -1, model.block_dim, len(positions))
-
-
-def _argmin_tiebreak(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
-    # scan candidates in tie-break order; argmin returns the first minimum
-    return order[np.argmin(scores[:, order], axis=1)]
+def _grid_argmin(model, support, targets) -> np.ndarray:
+    """Per position of each pair of a stack, the candidate (P, N, 2) of least
+    rotation residual, ties broken toward the smallest norm, then
+    lexicographically: from the support vectors (P, N, m, K, d) and the target
+    codes (P, N, K, d), each pair scored on its own columns by `_score_pairs`."""
+    p, n, m, k, d = support.shape
+    right = support.transpose(0, 3, 2, 4, 1).reshape(p, k, m * d, n)
+    order = _candidate_order(model.grid)
+    scores = _score_pairs(model.table_blocks, right, targets.transpose(0, 2, 3, 1))
+    # candidates scanned in tie-break order: argmin returns the first minimum
+    return model.grid.candidates()[np.stack([order[np.argmin(s[order], axis=0)] for s in scores])]
 
 
 def infer_grid_stack(encoder, model, images_t, images_t1, config: InferConfig | None = None):
     """Grid inference for a stack of pairs of one frame size, (P, H, W) each:
-    per position, the candidate of least rotation residual, ties broken toward
-    the smallest norm, then lexicographically.  One `support_centers` call, one
-    support gather and one frame-t+1 gather for the stack, one encode per
-    frame, and each pair scored on its own columns by `_score_pairs`, so each
-    pair gets the field of its stack of one.
+    `_grid_argmin` on the support of frames t and the lattice codes of frames
+    t+1, one `offset_encodings` gather of each for the stack, so each pair gets
+    the field of its stack of one.
 
     Returns (positions (N, 2), fields (P, N, 2)).
     """
     config = config or InferConfig()
+    if isinstance(model, ParametricMotion):
+        raise ShapeError("grid scoring needs a table model")
     images_t = np.asarray(images_t, dtype=np.float64)
     images_t1 = np.asarray(images_t1, dtype=np.float64)
     if images_t.shape != images_t1.shape:
         raise ShapeError("frame pair dimensions differ")
     pos = infer_positions(encoder, model, images_t.shape[-2:], config.margin)
-    right = _support_columns(encoder, model, images_t, pos)
-    targets = _encode_frames(encoder, images_t1, pos).transpose(0, 2, 3, 1)  # (P, K, d, N)
-    order = _candidate_order(model.grid)
-    chosen = [_argmin_tiebreak(scores.T, order) for scores in _score_pairs(model.table_blocks, right, targets)]
-    return pos, model.grid.candidates()[np.stack(chosen)]
+    vectors, inverse = offset_encodings(encoder, images_t, pos, model.offsets)
+    return pos, _grid_argmin(model, vectors[:, inverse], _lattice_codes(encoder, images_t1, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +493,8 @@ def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1
         raise ShapeError("frame pair dimensions differ")
     pos = infer_positions(encoder, model, images_t.shape[-2:], config.margin)
     grid_shape = tuple(map(len, lattice_axes(pos)))
-    v0 = _encode_frames(encoder, images_t, pos)
-    v1 = _encode_frames(encoder, images_t1, pos)
+    v0 = _lattice_codes(encoder, images_t, pos)
+    v1 = _lattice_codes(encoder, images_t1, pos)
     shape = (len(images_t), len(pos), 2)
     if starts is not None:
         deltas = np.array(starts, dtype=np.float64).reshape(shape)
@@ -635,20 +611,31 @@ def _field_on_positions(field: DisplacementField, positions) -> np.ndarray:
     return field.vectors[i * len(cols) + j]
 
 
+def _step(encoder, model, cur, positions, field) -> np.ndarray:
+    """The frame that follows ``cur``: the support vectors (N, m, K, d) of the full
+    lattice ``positions``, gathered once with centers clamped into the frame so
+    that the canvas stays covered, predicted along the field ``field(support)``
+    (N, 2) and decoded."""
+    vectors, inverse = offset_encodings(encoder, cur, positions, model.offsets, clamp=True)
+    support = vectors[inverse]
+    right = np.swapaxes(support, 1, 2)  # (N, K, m, d)
+    blocks = block_layout(support_matrices(model, field(support))[:, None])
+    pred = predict(blocks, right.reshape(right.shape[:2] + (-1,)))
+    return decode(encoder, VectorField(positions, pred), cur.shape)
+
+
 def animate(encoder, model, image0, fields) -> list[np.ndarray]:
     """Roll the model forward: transform encodings, decode, re-encode, repeat.
 
-    ``fields`` are DisplacementFields on a lattice.  Every lattice position is
-    predicted; mixed supports that stick out of the image fall back to
-    clamped patch centers so the reconstruction canvas stays fully covered.
+    ``fields`` are DisplacementFields on a lattice, each read at every lattice
+    position by `_field_on_positions`, one `_step` per field.
     """
     cur = np.asarray(image0, dtype=np.float64)
     positions = encoder.grid.positions(*cur.shape)
     frames = []
     for fld in fields:
         deltas = _field_on_positions(fld, positions)
-        pred = predicted_vectors(encoder, model, cur, positions, deltas, clamp=True)
-        cur = decode(encoder, VectorField(positions, pred), cur.shape)
+        cur = _step(encoder, model, cur, positions, lambda _: deltas)
         frames.append(cur)
     return frames
 
@@ -661,9 +648,9 @@ def interpolate_frames(
     max_steps: int = 10,
     stop_thresh: float = 10.0 / 255.0,
 ):
-    """Walk from ``image0`` toward ``image_target`` by repeatedly picking, per
-    position, the candidate whose transformed vector best matches the target
-    encoding.  Returns (frames including the start, success flag).
+    """Walk from ``image0`` toward ``image_target``: each step is animate's `_step`
+    along the grid argmin of its own support against the target's codes.
+    Returns (frames including the start, success flag).
 
     The stop rule compares mean absolute intensity at least INTERP_MARGIN
     pixels from the border.
@@ -682,20 +669,16 @@ def interpolate_frames(
         return float(np.mean(np.abs(frame[win] - target[win]))) < stop_thresh
 
     positions = encoder.grid.positions(*cur.shape)
-    v_target = encode(encoder, target, positions).vectors
-    order = _candidate_order(model.grid)
+    targets = _lattice_codes(encoder, target, positions)[None]
+
+    def argmin(support):
+        return _grid_argmin(model, support[None], targets)[0]
+
     frames = [cur]
-    if close(cur):
-        return frames, True
-    for _ in range(max_steps):
-        scores, pred = _candidate_scores(encoder, model, cur, v_target, positions, clamp=True)
-        ci = _argmin_tiebreak(scores, order)
-        chosen = pred[:, ci, :, np.arange(len(positions))]  # (N, K, d)
-        cur = decode(encoder, VectorField(positions, chosen), cur.shape)
+    while not close(cur) and len(frames) <= max_steps:
+        cur = _step(encoder, model, cur, positions, argmin)
         frames.append(cur)
-        if close(cur):
-            return frames, True
-    return frames, False
+    return frames, close(cur)
 
 
 # ---------------------------------------------------------------------------

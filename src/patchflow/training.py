@@ -76,6 +76,7 @@ class TrainConfig:
         if self.num_steps < 0:
             raise ValueError(f"num_steps must be at least 0, got {self.num_steps}")
         GridSpec(self.patch_size, self.stride)  # checks the patch size and stride
+        DisplacementGrid(self.delta_lo, self.delta_hi, self.delta_step)  # checks the candidate grid
         if min(self.num_blocks, self.block_dim) < 1:
             raise ValueError(f"num_blocks and block_dim must be at least 1, got {self.num_blocks} and {self.block_dim}")
         if self.motion_variant not in ("nonparametric", "mixed", "parametric"):
@@ -755,6 +756,8 @@ class UnsupervisedConfig:
             raise ValueError("unsupervised training uses the parametric motion model")
         if self.init_pairs < 1:
             raise ValueError(f"init_pairs must be at least 1, got {self.init_pairs}")
+        if self.smoothness_weight < 0:
+            raise ValueError(f"smoothness_weight must be at least 0, got {self.smoothness_weight}")
         # the stage-1 TrainConfig and the InferConfig of stages 2 and 3 are built mid-run
         for name in ("init_steps", "steps_per_round", "rounds", "infer_iters"):
             if getattr(self, name) < 0:

@@ -2,7 +2,9 @@
 objective's matrix form, which the polynomial residual must equal, and the
 einsum that built its products u_j = B_j v0, which the set-up must equal bit
 for bit; grid scoring as one whole prediction reduced in its layout, which the
-block-wise scores must equal bit for bit; the per-delta matrix lookup and the
+block-wise scores must equal bit for bit, and the program's block-wise scores
+of a stack of frames; the one-frame prediction from `core`'s gather, lookup
+and product; the per-delta matrix lookup and the
 recurrent multi-frame alignment of the paper built on it; the rotation loss on
 one frame pair and the batch loss of a training step, which training's
 gradient is probed and checked against; the reconstruction term straight from
@@ -17,15 +19,17 @@ from patchflow.core import (
     DisplacementField,
     MixedMotion,
     ParametricMotion,
+    block_layout,
     encode,
     extract_patches,
     offset_encodings,
     overlap_add,
     polynomial_matrices,
-    predicted_vectors,
+    predict,
+    support_matrices,
     support_offsets,
 )
-from patchflow.inference import infer_grid_stack, infer_parametric_stack
+from patchflow.inference import _score_pairs, infer_grid_stack, infer_parametric_stack
 from patchflow.training import grad_total
 
 
@@ -61,17 +65,37 @@ def coeff_products(coeffs, v0) -> np.ndarray:
 
 
 def grid_scores(encoder, model, image_t, target_vectors, positions, clamp=False):
-    """Squared residual against ``target_vectors`` (N, K, d) for every grid
-    candidate: (scores (N, C), prediction (K, C, d, N)), the prediction of the
-    whole candidate table against every position, reduced in that layout over
-    d and then over K."""
-    _, vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
+    """Squared residual (N, C) against ``target_vectors`` (N, K, d) for every grid
+    candidate: the prediction (K, C, d, N) of the whole candidate table against
+    every position, reduced in that layout over d and then over K."""
+    vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
     n, m, k, d = vectors[inverse].shape
     right = np.moveaxis(vectors[inverse], [2, 1, 3, 0], [0, 1, 2, 3]).reshape(k, m * d, n)
     pred = (model.table_blocks @ right).reshape(k, -1, d, n)  # one (C*d, m*d) x (m*d, N) product per block
     diff = pred - np.moveaxis(target_vectors, 0, -1)[:, None]
     diff *= diff
-    return diff.sum(axis=2).sum(axis=0).T, pred
+    return diff.sum(axis=2).sum(axis=0).T
+
+
+def stack_scores(encoder, model, images_t, target_vectors, positions, clamp=False):
+    """The program's grid scores (P, N, C) of a stack of frames (P, H, W) against
+    the codes ``target_vectors`` (P, N, K, d): the support gather of
+    `offset_encodings` and the block-wise products of `inference._score_pairs`."""
+    vectors, inverse = offset_encodings(encoder, images_t, positions, model.offsets, clamp)
+    support = vectors[:, inverse]
+    p, n, m, k, d = support.shape
+    right = support.transpose(0, 3, 2, 4, 1).reshape(p, k, m * d, n)
+    targets = np.asarray(target_vectors).transpose(0, 2, 3, 1)
+    return np.stack([scores.T.copy() for scores in _score_pairs(model.table_blocks, right, targets)])
+
+
+def predicted_vectors(encoder, model, image_t, positions, deltas, clamp=False):
+    """Next-frame vector prediction (N, K, d) at each position of one frame for
+    given displacements: `core`'s support gather, matrix lookup and prediction."""
+    vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
+    right = np.swapaxes(vectors[inverse], 1, 2)  # (N, K, m, d)
+    blocks = block_layout(support_matrices(model, deltas)[:, None])
+    return predict(blocks, right.reshape(right.shape[:2] + (-1,)))
 
 
 def motion_matrices(model, deltas) -> np.ndarray:

@@ -388,13 +388,25 @@ class TestExitCodes:
             ("train", {"train": {"stride": 20}}),  # larger than the 16-pixel patch
             ("train", {"datagen": {"synthetic_sources": 0}}),
             ("train", {"datagen": {"image_size": 0}}),
+            # candidate grids that `DisplacementGrid` refuses
+            ("train", {"train": {"delta_step": -1}}),
+            ("train", {"train": {"delta_lo": 6}}),
+            ("train", {"train": {"delta_step": 0.7}}),
+            ("eval", {"infer": {"smoothness_weight": -1}}),
+            ("train", {"unsupervised": {"smoothness_weight": -0.5}}),
+            # floats that are not finite, as the config file's text
+            ("train", '{"train": {"learning_rate": NaN}}'),
+            ("train", '{"train": {"weight_reconstruction": Infinity}}'),
+            ("train", '{"train": {"learning_rate": 1e400}}'),
+            ("eval", '{"infer": {"smoothness_weight": NaN}}'),
+            ("eval", '{"scene": {"fg_size": [0.3, -Infinity]}}'),
         ],
     )
     def test_wrong_config_type_is_config_error(self, tmp_path, capsys, command, override):
         ds = tmp_path / "ds"
         run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--seed", 1)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(override))
+        cfg.write_text(override if isinstance(override, str) else json.dumps(override))
         capsys.readouterr()
         out = tmp_path / "run"
         extra = ["--zero-predictor"] if command == "eval" else []

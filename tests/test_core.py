@@ -16,13 +16,12 @@ from patchflow.core import (
     extract_patches,
     lattice_axes,
     overlap_add,
-    predicted_vectors,
     support_matrices,
     support_offsets,
 )
 from patchflow.errors import BoundsError, GridLookupError, ShapeError
 
-from matrix_form import ZeroSupportTable, rotation_loss
+from matrix_form import ZeroSupportTable, predicted_vectors, rotation_loss
 
 
 def naive_patch(image, pos, p):
@@ -519,3 +518,20 @@ class TestSupportCenters:
             want = axis0_support_centers(enc, (64, 64), pos, model.offsets, clamp)
             got = support_centers(enc, (64, 64), pos, model.offsets, clamp)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestOffsetEncodings:
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_stack_encodes_each_frame_as_alone(self, clamp):
+        # one product of the whole stack rounds some rows differently from a frame's own
+        from patchflow.core import eval_positions, offset_encodings
+
+        enc = Encoder.random(3, 2, 8, 4, rng=15)
+        model = MixedMotion.identity(DisplacementGrid(-1, 1, 0.5), support_offsets(2, 2), 3, 2)
+        frames = np.random.default_rng(16).random((2, 3, 28, 28))
+        pos = enc.grid.positions(28, 28) if clamp else eval_positions(enc, model, (28, 28))
+        vectors, inverse = offset_encodings(enc, frames, pos, model.offsets, clamp)
+        assert vectors.shape[:2] == (2, 3) and vectors.shape[3:] == (3, 2)
+        for i, j in np.ndindex(2, 3):
+            alone, alone_inverse = offset_encodings(enc, frames[i, j], pos, model.offsets, clamp)
+            assert np.array_equal(vectors[i, j], alone) and np.array_equal(inverse, alone_inverse)

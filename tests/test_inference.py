@@ -22,15 +22,11 @@ from patchflow.inference import (
     STOP_REASONS,
     InferConfig,
     _candidate_order,
-    _candidate_scores,
-    _encode_frames,
     _newton_steps,
     _NewtonSystem,
     _PolynomialObjective,
     _positive_definite,
-    _score_pairs,
     _smoothness_value_grad,
-    _support_columns,
     animate,
     infer_grid_stack,
     infer_pairs,
@@ -49,6 +45,7 @@ from matrix_form import (
     estimate_velocity,
     grid_alone,
     grid_scores,
+    stack_scores,
     taylor_terms,
 )
 
@@ -163,10 +160,9 @@ class TestBlockwiseScores:
         # clamped, as interpolation scores it: the full lattice, supports clipped at the border
         pos = enc.grid.positions(28, 28) if clamp else eval_positions(enc, model, (28, 28))
         v1 = encode(enc, img_t1, pos).vectors
-        scores, pred = _candidate_scores(enc, model, img_t, v1, pos, clamp)
-        want_scores, want_pred = grid_scores(enc, model, img_t, v1, pos, clamp)
+        scores = stack_scores(enc, model, img_t[None], v1[None], pos, clamp)[0]
         assert scores.shape == (len(pos), model.grid.num_candidates)
-        assert np.array_equal(scores, want_scores) and np.array_equal(pred, want_pred)
+        assert np.array_equal(scores, grid_scores(enc, model, img_t, v1, pos, clamp))
 
     @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
     def test_stacks_of_two_frame_sizes_score_each_pair_alone(self, variant):
@@ -178,11 +174,10 @@ class TestBlockwiseScores:
             imgs_t = rng.random((3,) + shape)
             imgs_t1 = np.stack([warp(imgs_t[0], np.full(shape + (2,), 0.5)), imgs_t[1], rng.random(shape)])
             pos, fields = infer_grid_stack(enc, model, imgs_t, imgs_t1, InferConfig(margin=4))
-            right = _support_columns(enc, model, imgs_t, pos)
-            targets = _encode_frames(enc, imgs_t1, pos).transpose(0, 2, 3, 1)
-            for i, scores in enumerate(_score_pairs(model.table_blocks, right, targets)):
-                want, _ = grid_scores(enc, model, imgs_t[i], encode(enc, imgs_t1[i], pos).vectors, pos)
-                assert np.array_equal(scores.T, want), (shape, i)
+            targets = np.stack([encode(enc, img, pos).vectors for img in imgs_t1])
+            for i, scores in enumerate(stack_scores(enc, model, imgs_t, targets, pos)):
+                want = grid_scores(enc, model, imgs_t[i], targets[i], pos)
+                assert np.array_equal(scores, want), (shape, i)
                 choice = order[np.argmin(want[:, order], axis=1)]
                 assert np.array_equal(fields[i], model.grid.candidates()[choice])
                 alone = grid_alone(enc, model, imgs_t[i], imgs_t1[i], InferConfig(margin=4))
@@ -930,6 +925,20 @@ class TestInterpolateFrames:
             chosen[n] = best_pred
         want = decode(enc, VectorField(pos, chosen), img0.shape)
         np.testing.assert_allclose(frames[1], want, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_step_is_animate_along_the_grid_argmin(self, variant):
+        # the argmin on the full lattice, supports clamped at the border, then animate's step
+        rng = np.random.default_rng(23)
+        enc = Encoder.random(3, 2, 8, 4, rng=rng)
+        model = random_table(variant, DisplacementGrid(-1, 1, 0.5), 3, 2, rng)
+        img0, img1 = rng.random((2, 28, 28))
+        frames, _ = interpolate_frames(enc, model, img0, img1, max_steps=1, stop_thresh=0.0)
+        pos = enc.grid.positions(28, 28)
+        scores = grid_scores(enc, model, img0, encode(enc, img1, pos).vectors, pos, clamp=True)
+        order = _candidate_order(model.grid)
+        field = DisplacementField(pos, model.grid.candidates()[order[np.argmin(scores[:, order], axis=1)]])
+        assert len(frames) == 2 and np.array_equal(frames[1], animate(enc, model, img0, [field])[0])
 
     def test_step_cap_reports_failure(self):
         rng = np.random.default_rng(21)

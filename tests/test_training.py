@@ -14,12 +14,11 @@ from patchflow.core import (
     ParametricMotion,
     block_layout,
     encode,
-    predicted_vectors,
     support_offsets,
 )
 from patchflow.datagen import DeformSpec, SamplePair, gen_v1deform, synthetic_textures
 from patchflow.errors import DataFormatError, ShapeError
-from patchflow.inference import InferConfig, _candidate_scores, interpolate_frames
+from patchflow.inference import InferConfig, interpolate_frames
 from patchflow.training import (
     AdamState,
     TrainConfig,
@@ -34,7 +33,15 @@ from patchflow.training import (
     train_unsupervised,
 )
 
-from matrix_form import ZeroSupportTable, grid_alone, reconstruction_terms, rotation_loss, total_loss
+from matrix_form import (
+    ZeroSupportTable,
+    grid_alone,
+    predicted_vectors,
+    reconstruction_terms,
+    rotation_loss,
+    stack_scores,
+    total_loss,
+)
 
 FD_STEP = 1e-5
 
@@ -191,7 +198,7 @@ class TestConsumersAgree:
         img_t, img_t1, deltas = batch[0]
         pos = eval_positions(enc, model, img_t.shape)
         v1 = encode(enc, img_t1, pos).vectors
-        scores, _ = _candidate_scores(enc, model, img_t, v1, pos)
+        scores = stack_scores(enc, model, img_t[None], v1[None], pos)[0]
         given = scores[np.arange(len(pos)), model.grid.round_indices(deltas)]
         resid = v1 - predicted_vectors(enc, model, img_t, pos, deltas)
         np.testing.assert_allclose(given, np.sum(resid * resid, axis=(1, 2)), rtol=1e-10)
@@ -204,12 +211,10 @@ class TestConsumersAgree:
         # clamped, as interpolation scores it: the full lattice, supports clipped at the border
         pos = enc.grid.positions(*img_t.shape) if clamp else eval_positions(enc, model, img_t.shape)
         v1 = encode(enc, img_t1, pos).vectors
-        scores, pred = _candidate_scores(enc, model, img_t, v1, pos, clamp)
+        scores = stack_scores(enc, model, img_t[None], v1[None], pos, clamp)[0]
         assert scores.shape == (len(pos), model.grid.num_candidates)
         for c, delta in enumerate(model.grid.candidates()):
-            want = predicted_vectors(enc, model, img_t, pos, np.tile(delta, (len(pos), 1)), clamp)
-            np.testing.assert_allclose(np.moveaxis(pred[:, c], -1, 0), want, rtol=1e-10, atol=1e-14)
-            resid = v1 - want
+            resid = v1 - predicted_vectors(enc, model, img_t, pos, np.tile(delta, (len(pos), 1)), clamp)
             np.testing.assert_allclose(scores[:, c], np.sum(resid * resid, axis=(1, 2)), rtol=1e-10)
 
     @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
@@ -218,11 +223,11 @@ class TestConsumersAgree:
         img_t, img_t1, _ = batch[0]
         pos = eval_positions(enc, model, img_t.shape)
         v1 = encode(enc, img_t1, pos).vectors
-        before, _ = _candidate_scores(enc, model, img_t, v1, pos)
+        before = stack_scores(enc, model, img_t[None], v1[None], pos)
         other = np.random.default_rng(9).standard_normal(model.matrices.shape)
         fresh = MixedMotion(model.grid, model.offsets, other)
-        got, _ = _candidate_scores(enc, replace(model, matrices=other), img_t, v1, pos)
-        want, _ = _candidate_scores(enc, fresh, img_t, v1, pos)
+        got = stack_scores(enc, replace(model, matrices=other), img_t[None], v1[None], pos)
+        want = stack_scores(enc, fresh, img_t[None], v1[None], pos)
         assert np.array_equal(got, want)
         assert not np.allclose(got, before)
 
