@@ -55,7 +55,7 @@ def default_config() -> dict:
     return {
         "seed": 0,
         "threads": 1,
-        "train": dataclasses.asdict(training.TrainConfig()),
+        "train": _defaults(training.TrainConfig, "rng_seed"),
         "deform": _defaults(datagen.DeformSpec, "seed"),
         "scene": _defaults(datagen.AffineSceneSpec, "seed"),
         "infer": _defaults(inference.InferConfig, "rng_seed"),
@@ -142,26 +142,29 @@ def _build_settings(config: dict) -> dict:
 
     Building them checks every value before any work; a value whose type
     is not its default's, or that a settings class rejects, raises
-    ConfigError.
+    ConfigError naming its section.
     """
     _check_types(default_config(), config)
     seed = config["seed"]
-    try:
-        for key in ("pairs", "synthetic_sources", "image_size"):
-            if config["datagen"][key] < 1:
-                raise ValueError(f"datagen.{key} must be at least 1, got {config['datagen'][key]}")
-        train = training.TrainConfig(**{**config["train"], "rng_seed": seed})
-        unsup_train = dataclasses.replace(train, motion_variant="parametric")
-        scene = {**config["scene"], "fg_size": tuple(config["scene"]["fg_size"])}
-        return {
-            "train": train,
-            "unsupervised": training.UnsupervisedConfig(train=unsup_train, **config["unsupervised"]),
-            "infer": inference.InferConfig(**config["infer"], rng_seed=seed),
-            "deform": datagen.DeformSpec(**config["deform"], seed=seed),
-            "scene": datagen.AffineSceneSpec(**scene, seed=seed),
-        }
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+
+    def build(section, cls, **fixed):
+        try:
+            return cls(**{**config[section], **fixed})
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+
+    for key in ("pairs", "synthetic_sources", "image_size"):
+        if config["datagen"][key] < 1:
+            raise ConfigError(f"datagen.{key} must be at least 1, got {config['datagen'][key]}")
+    train = build("train", training.TrainConfig, rng_seed=seed)
+    unsup_train = dataclasses.replace(train, motion_variant="parametric")
+    return {
+        "train": train,
+        "unsupervised": build("unsupervised", training.UnsupervisedConfig, train=unsup_train),
+        "infer": build("infer", inference.InferConfig, rng_seed=seed),
+        "deform": build("deform", datagen.DeformSpec, seed=seed),
+        "scene": build("scene", datagen.AffineSceneSpec, fg_size=tuple(config["scene"]["fg_size"]), seed=seed),
+    }
 
 
 def _load_sources(args, config, min_side: int = 1) -> list[np.ndarray]:

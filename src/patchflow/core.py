@@ -492,37 +492,43 @@ def offset_encodings(encoder, images, positions, offsets, clamp=False):
     """Encode an image (H, W) or a stack (..., H, W) at every position + offset:
     the support gather of grid scoring, descent, animation and interpolation.
 
-    Returns (vectors (..., U, K, d), inverse (N, m)) at the unique centers of
-    `support_centers`, so ``vectors[..., inverse, :, :]`` is (..., N, m, K, d);
-    with the zero offset alone, ``inverse[:, 0]`` picks the lattice codes.  One
-    patch gather serves the stack, and each frame is encoded with its own
-    product, so each frame gets the bits of its stack of one (one product of
-    the stack rounds some rows differently).  Without ``clamp`` an
-    out-of-bounds center raises BoundsError.
+    Returns each position's support vectors in the layout `predict` reads,
+    (..., N, K, m*d) offset-major; with the zero offset alone, the lattice
+    codes (..., N, K, d).  Each unique center of `support_centers` is gathered
+    and encoded once: one patch gather serves the stack, and each frame is
+    encoded with its own product, so each frame gets the bits of its stack of
+    one (one product of the stack rounds some rows differently).  Without
+    ``clamp`` an out-of-bounds center raises BoundsError.
     """
     images = np.asarray(images, dtype=np.float64)
     uniq, inverse = support_centers(encoder, images.shape[-2:], positions, offsets, clamp)
     patches = extract_patches(images, uniq, encoder.patch_size)
     frames = patches.reshape((-1,) + patches.shape[-2:])
-    vectors = np.stack([apply_encoder(encoder.weights, frame) for frame in frames])
-    return vectors.reshape(patches.shape[:-1] + vectors.shape[-2:]), inverse
+    k, d = encoder.num_blocks, encoder.block_dim
+    codes = np.stack([apply_encoder(encoder.weights, frame).reshape(-1, d) for frame in frames])
+    # block k of center u is row u*K + k; each position takes its K blocks of its m centers
+    rows = np.take(codes, inverse[:, None, :] * k + np.arange(k)[:, None], axis=1)  # (F, N, K, m, d)
+    return rows.reshape(images.shape[:-2] + rows.shape[1:3] + (-1,))
 
 
 def support_matrices(model, deltas: np.ndarray) -> np.ndarray:
-    """M^(k)(delta, dx) for each offset dx of the model's support, shape (..., m, K, d, d).
+    """Each position's matrix set M^(k)(delta, dx) in the layout `predict` reads,
+    (..., K, d, m*d), its columns offset-major over the model's support.
 
-    Tables snap each delta to its nearest candidate; a parametric model has
-    the zero offset alone.
+    Tables snap each delta to its nearest candidate; a parametric model's
+    M(delta), on the zero offset alone, already has this layout.
     """
     if isinstance(model, ParametricMotion):
-        return polynomial_matrices(model.coeffs, deltas)[..., None, :, :, :]
-    return model.matrices[model.grid.round_indices(deltas)]
+        return polynomial_matrices(model.coeffs, deltas)
+    mats = np.moveaxis(model.matrices[model.grid.round_indices(deltas)], -4, -2)  # (..., K, d, m, d)
+    return mats.reshape(mats.shape[:-2] + (-1,))
 
 
 def block_layout(mats: np.ndarray) -> np.ndarray:
     """R matrix sets (..., R, m, K, d, e) over a support of m offsets, laid out
     as one (R*d, m*e) block per sub-vector, shape (..., K, R*d, m*e): with R = 1
-    the per-position blocks of `predict`, with the whole table as R grid scoring's."""
+    a set in the layout of `support_matrices`, with the whole table as R grid
+    scoring's blocks."""
     r, m, k, d, e = mats.shape[-5:]
     left = np.moveaxis(mats, [-3, -5, -2, -4], [-5, -4, -3, -2])  # (..., K, R, d, m, e)
     return left.reshape(left.shape[:-5] + (k, r * d, m * e))
@@ -530,7 +536,7 @@ def block_layout(mats: np.ndarray) -> np.ndarray:
 
 def table_rows(table: np.ndarray) -> np.ndarray:
     """A (C, m, K, d, d) table as candidate-major block rows (C, K, d, m*d): row c is
-    candidate c's matrix set in the layout of `block_layout`, so per-position blocks
+    candidate c's matrix set in the layout of `support_matrices`, so per-position blocks
     are a gather of rows.  A view of a table that `rows_table` made, a copy of any other."""
     return block_layout(table[:, None])
 
@@ -544,13 +550,14 @@ def rows_table(rows: np.ndarray, m: int) -> np.ndarray:
 def predict(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """sum_dx M^(k)(delta, dx) v^(k)(x + dx) at each position, shape (..., K, d).
 
-    ``blocks`` holds each position's matrix set in the layout of `block_layout`
-    (one set: (..., K, d, m*d)), and ``vectors`` (..., K, m*d) its support
-    vectors in the same offset-major order; leading axes broadcast.  It runs
-    as one einsum contraction over every position and block, about three
-    times faster at desk sizes than a BLAS call per position and block.  Grid
-    scoring (`inference._score_pairs`) takes the table-wide products instead,
-    one (C*d, m*d) x (m*d, N) product per block of a pair.
+    ``blocks`` (..., K, d, m*d) holds each position's matrix set, as
+    `support_matrices` returns it, and ``vectors`` (..., K, m*d) its support
+    vectors in the same offset-major order, as `offset_encodings` returns them;
+    leading axes broadcast.  It runs as one einsum contraction over every
+    position and block, about three times faster at desk sizes than a BLAS
+    call per position and block.  Grid scoring (`inference._score_pairs`)
+    takes the table-wide products instead, one (C*d, m*d) x (m*d, N) product
+    per block of a pair.
     """
     return np.einsum("...ij,...j->...i", blocks, vectors)
 

@@ -249,10 +249,7 @@ class PopulationStats:
     r2_mean: float
     r2_std: float
     bandwidths: np.ndarray  # per unit, inf sentinel for broad units
-    bandwidth_hist: tuple[np.ndarray, np.ndarray]
     folded_phase_hist: tuple[np.ndarray, np.ndarray]
-    nx: np.ndarray
-    ny: np.ndarray
     pair_dphi_hist: tuple[np.ndarray, np.ndarray]
     pairs_skipped: int
 
@@ -288,21 +285,15 @@ def quadrature_stats(encoder: Encoder, fits: list[GaborFit]):
 def population_stats(encoder: Encoder, fits: list[GaborFit]) -> PopulationStats:
     r2 = np.array([f.r2 for f in fits])
     bw = np.array([bandwidth_octaves(f) for f in fits])
-    finite_bw = bw[np.isfinite(bw)]
     folded = np.array([fold_phase(f.phase) for f in fits])
-    nx, ny = np.array([envelope_shape(f) for f in fits]).T if fits else (np.array([]), np.array([]))
     pair_dphi, skipped = quadrature_stats(encoder, fits)
-    bw_hist = np.histogram(finite_bw, bins=np.arange(0.0, 5.5, 0.5))
     ph_hist = np.histogram(folded, bins=np.linspace(0.0, math.pi / 2, 5))
     dphi_hist = np.histogram(pair_dphi, bins=np.linspace(0.0, math.pi / 2, 4))
     return PopulationStats(
         r2_mean=float(r2.mean()),
         r2_std=float(r2.std()),
         bandwidths=bw,
-        bandwidth_hist=bw_hist,
         folded_phase_hist=ph_hist,
-        nx=nx,
-        ny=ny,
         pair_dphi_hist=dphi_hist,
         pairs_skipped=skipped,
     )
@@ -344,15 +335,16 @@ def animate_filters(encoder: Encoder, model, k: int, deltas) -> list[np.ndarray]
     A table snaps each delta to its nearest candidate, and a mixed model
     shows its zero-offset matrices M^(k)(delta, 0).
     """
-    p = encoder.patch_size
+    p, d = encoder.patch_size, encoder.block_dim
     zero = np.flatnonzero(~model.offsets.any(axis=1))
     if len(zero) == 0:
         raise GridLookupError("the mixing support has no zero offset")
+    cols = slice(zero[0] * d, (zero[0] + 1) * d)  # the zero offset's d columns of block k
     frames = []
     for delta in deltas:
-        m = support_matrices(model, np.asarray([delta], dtype=np.float64))[0, zero[0], k]
-        moved = m @ encoder.weights[k]
-        frames.append(moved.reshape(encoder.block_dim, p, p))
+        m = support_matrices(model, np.asarray([delta], dtype=np.float64))[0, k, :, cols]
+        moved = np.ascontiguousarray(m) @ encoder.weights[k]
+        frames.append(moved.reshape(d, p, p))
     return frames
 
 

@@ -15,7 +15,6 @@ from .core import (
     DisplacementField,
     ParametricMotion,
     VectorField,
-    block_layout,
     border_filter,
     decode,
     delta_basis,
@@ -72,35 +71,31 @@ def _candidate_order(grid) -> np.ndarray:
     return order
 
 
-def _lattice_codes(encoder, images, positions) -> np.ndarray:
-    """Codes (..., N, K, d) of an image (H, W) or a stack (..., H, W) at ``positions``:
-    the support gather of `offset_encodings` on the zero offset."""
-    vectors, inverse = offset_encodings(encoder, images, positions, ZERO_SUPPORT)
-    return vectors[..., inverse[:, 0], :, :]
-
-
-def _score_pairs(blocks, right, targets):
+def _score_pairs(blocks, support, targets):
     """The grid scores of each pair of a stack: yields, pair by pair, the
-    squared residuals (C, N) of every candidate against the targets
-    ``targets`` (P, K, d, N), from a table's ``blocks`` (K, C*d, m*d) and the
-    support vectors ``right`` (P, K, m*d, N); each pair's scores overwrite
-    the last pair's.
+    squared residuals (C, N) of every candidate against the target codes
+    ``targets`` (P, N, K, d), from a table's ``blocks`` (K, C*d, m*d) and the
+    support vectors ``support`` (P, N, K, m*d) of `offset_encodings`; each
+    pair's scores overwrite the last pair's.
 
-    For each sub-vector k in turn, one (C*d, m*d) @ (m*d, N) product lands in
-    a buffer that stays in cache; the target is subtracted there, the
-    difference squared, its d rows summed and the sum added to the scores.
+    Each pair's support is laid out once as (K, m*d, N).  For each sub-vector
+    k in turn, one (C*d, m*d) @ (m*d, N) product lands in a buffer that stays
+    in cache; the target is subtracted there, the difference squared, its d
+    rows summed and the sum added to the scores.
     These are table-wide products, the whole table against all of a pair's
     positions per block, where training and `_step` contract each position's
     own matrices with `predict`; the sums are those of the whole prediction
     reduced over d and then over K, in that order."""
     k, cd, _ = blocks.shape
-    d, n = targets.shape[-2:]
+    n, d = targets.shape[1], targets.shape[-1]
     scores, part, diff = np.empty((cd // d, n)), np.empty((cd // d, n)), np.empty((cd, n))
     sq = diff.reshape(-1, d, n)
-    for p in range(len(right)):
+    for p in range(len(support)):
+        right = np.ascontiguousarray(np.moveaxis(support[p], 0, -1))  # (K, m*d, N)
+        target = np.moveaxis(targets[p], 0, -1)  # (K, d, N)
         for j in range(k):
-            np.matmul(blocks[j], right[p, j], out=diff)
-            np.subtract(sq, targets[p, j], out=sq)
+            np.matmul(blocks[j], right[j], out=diff)
+            np.subtract(sq, target[j], out=sq)
             sq *= sq
             # the d rows summed in order, as numpy's sum over d does, without its slow middle-axis loop
             rows = part if j else scores
@@ -118,12 +113,11 @@ def _score_pairs(blocks, right, targets):
 def _grid_argmin(model, support, targets) -> np.ndarray:
     """Per position of each pair of a stack, the candidate (P, N, 2) of least
     rotation residual, ties broken toward the smallest norm, then
-    lexicographically: from the support vectors (P, N, m, K, d) and the target
-    codes (P, N, K, d), each pair scored on its own columns by `_score_pairs`."""
-    p, n, m, k, d = support.shape
-    right = support.transpose(0, 3, 2, 4, 1).reshape(p, k, m * d, n)
+    lexicographically: from the support vectors (P, N, K, m*d) and the target
+    codes (P, N, K, d) of `offset_encodings`, each pair scored on its own
+    columns by `_score_pairs`."""
     order = _candidate_order(model.grid)
-    scores = _score_pairs(model.table_blocks, right, targets.transpose(0, 2, 3, 1))
+    scores = _score_pairs(model.table_blocks, support, targets)
     # candidates scanned in tie-break order: argmin returns the first minimum
     return model.grid.candidates()[np.stack([order[np.argmin(s[order], axis=0)] for s in scores])]
 
@@ -131,8 +125,8 @@ def _grid_argmin(model, support, targets) -> np.ndarray:
 def infer_grid_stack(encoder, model, images_t, images_t1, config: InferConfig | None = None):
     """Grid inference for a stack of pairs of one frame size, (P, H, W) each:
     `_grid_argmin` on the support of frames t and the lattice codes of frames
-    t+1, one `offset_encodings` gather of each for the stack, so each pair gets
-    the field of its stack of one.
+    t+1 (the zero offset's support), one `offset_encodings` gather of each for
+    the stack, so each pair gets the field of its stack of one.
 
     Returns (positions (N, 2), fields (P, N, 2)).
     """
@@ -144,8 +138,8 @@ def infer_grid_stack(encoder, model, images_t, images_t1, config: InferConfig | 
     if images_t.shape != images_t1.shape:
         raise ShapeError("frame pair dimensions differ")
     pos = infer_positions(encoder, model, images_t.shape[-2:], config.margin)
-    vectors, inverse = offset_encodings(encoder, images_t, pos, model.offsets)
-    return pos, _grid_argmin(model, vectors[:, inverse], _lattice_codes(encoder, images_t1, pos))
+    support = offset_encodings(encoder, images_t, pos, model.offsets)
+    return pos, _grid_argmin(model, support, offset_encodings(encoder, images_t1, pos, ZERO_SUPPORT))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +263,8 @@ class _NewtonSystem:
     closed form.  With it each matrix is block tridiagonal over the lattice
     rows, with -2 lam I between neighbouring rows: block elimination over the
     rows takes O(N nx^2) time and O(N nx) memory per pair for nx positions per
-    row, with one batched Cholesky test and one batched inverse of the pivot
-    blocks per row; the Cholesky tests tell whether a pair's matrix is
+    row, with one batched Cholesky test and one batched inversion of the
+    pivot blocks per row; the Cholesky tests tell whether a pair's matrix is
     positive definite."""
 
     def __init__(self, hess, lam, grid_shape):
@@ -314,7 +308,7 @@ class _NewtonSystem:
         eye = np.eye(m)
         live = np.arange(len(pairs))  # the pairs positive definite so far, whose rows y and inv hold
         y = -grad.reshape(len(pairs), ny, m)
-        inv = []  # inverses of the pivot blocks, one (live, m, m) array per lattice row
+        inv = []  # the pivot blocks inverted, one (live, m, m) array per lattice row
         for i in range(ny):
             pivot = self.blocks[pairs[live], i]
             pivot += mu[live, None, None] * eye
@@ -493,8 +487,8 @@ def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1
         raise ShapeError("frame pair dimensions differ")
     pos = infer_positions(encoder, model, images_t.shape[-2:], config.margin)
     grid_shape = tuple(map(len, lattice_axes(pos)))
-    v0 = _lattice_codes(encoder, images_t, pos)
-    v1 = _lattice_codes(encoder, images_t1, pos)
+    v0 = offset_encodings(encoder, images_t, pos, ZERO_SUPPORT)
+    v1 = offset_encodings(encoder, images_t1, pos, ZERO_SUPPORT)
     shape = (len(images_t), len(pos), 2)
     if starts is not None:
         deltas = np.array(starts, dtype=np.float64).reshape(shape)
@@ -510,8 +504,8 @@ def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1
 # ---------------------------------------------------------------------------
 # the driver: pairs of any frame sizes, as memory-bounded stacks
 
-# the Newton blocks of one descent stack, ny (2 nx)^2 float64 per pair; their
-# inverses take as much again
+# the Newton blocks of one descent stack, ny (2 nx)^2 float64 per pair; they
+# take as much again inverted
 NEWTON_STACK_BYTES = 4 * 2**20
 
 
@@ -612,15 +606,12 @@ def _field_on_positions(field: DisplacementField, positions) -> np.ndarray:
 
 
 def _step(encoder, model, cur, positions, field) -> np.ndarray:
-    """The frame that follows ``cur``: the support vectors (N, m, K, d) of the full
+    """The frame that follows ``cur``: the support vectors (N, K, m*d) of the full
     lattice ``positions``, gathered once with centers clamped into the frame so
     that the canvas stays covered, predicted along the field ``field(support)``
     (N, 2) and decoded."""
-    vectors, inverse = offset_encodings(encoder, cur, positions, model.offsets, clamp=True)
-    support = vectors[inverse]
-    right = np.swapaxes(support, 1, 2)  # (N, K, m, d)
-    blocks = block_layout(support_matrices(model, field(support))[:, None])
-    pred = predict(blocks, right.reshape(right.shape[:2] + (-1,)))
+    support = offset_encodings(encoder, cur, positions, model.offsets, clamp=True)
+    pred = predict(support_matrices(model, field(support)), support)
     return decode(encoder, VectorField(positions, pred), cur.shape)
 
 
@@ -669,7 +660,7 @@ def interpolate_frames(
         return float(np.mean(np.abs(frame[win] - target[win]))) < stop_thresh
 
     positions = encoder.grid.positions(*cur.shape)
-    targets = _lattice_codes(encoder, target, positions)[None]
+    targets = offset_encodings(encoder, target, positions, ZERO_SUPPORT)[None]
 
     def argmin(support):
         return _grid_argmin(model, support[None], targets)[0]

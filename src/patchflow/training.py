@@ -197,18 +197,9 @@ def init_model(config: TrainConfig, rng) -> tuple[Encoder, object]:
     return encoder, MixedMotion.identity(config.displacement_grid, offsets, config.num_blocks, config.block_dim)
 
 
-def _motion_field(model) -> str:
-    """Name of the model's trained parameter tensor."""
-    return "coeffs" if isinstance(model, ParametricMotion) else "matrices"
-
-
 def _motion_params(model) -> np.ndarray:
-    return getattr(model, _motion_field(model))
-
-
-def _rebuild(encoder: Encoder, model, weights: np.ndarray, motion: np.ndarray):
-    enc = Encoder(weights, encoder.patch_size, encoder.stride)
-    return enc, replace(model, **{_motion_field(model): motion})
+    """The model's trained parameter tensor."""
+    return model.coeffs if isinstance(model, ParametricMotion) else model.matrices
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +683,16 @@ def prepare_dataset(dataset, encoder, model, snap_to_grid: bool) -> list:
     return prepared
 
 
-def _run_steps(params, state, prepared, encoder0, model0, config, rng, num_steps, history, workspace):
+def _run_steps(params, state, prepared, encoder, model, config, rng, num_steps, history, workspace):
+    """Adam steps on ``params``, the arrays of ``encoder`` and ``model``, updated in place."""
     for _ in range(num_steps):
         take = rng.integers(0, len(prepared), size=config.batch_size)
         # a triplet drawn more than once is evaluated once, weighted by its count
         distinct, first, counts = np.unique(take, return_index=True, return_counts=True)
         order = np.argsort(first)
-        enc, model = _rebuild(encoder0, model0, params["weights"], params["motion"])
         batch = [prepared[i] for i in distinct[order]]
         try:
-            bundle, loss = grad_total(enc, model, batch, config, workspace, counts[order])
+            bundle, loss = grad_total(encoder, model, batch, config, workspace, counts[order])
         except NumericError as exc:
             raise TrainingDiverged(str(exc), history) from exc
         history.append(loss)
@@ -715,19 +706,18 @@ def train_supervised(dataset, config: TrainConfig):
     seed give an identical history and identical parameters.
     """
     rng = np.random.default_rng(config.rng_seed)
-    encoder0, model0 = init_model(config, rng)
-    prepared = prepare_dataset(dataset, encoder0, model0, config.motion_variant != "parametric")
+    encoder, model = init_model(config, rng)
+    prepared = prepare_dataset(dataset, encoder, model, config.motion_variant != "parametric")
     del dataset  # the triplets hold the frames; a caller that passed its only reference frees the fields
     if not prepared:
         raise ShapeError("empty dataset")
     # Adam updates the initial model's arrays in place: a mixed table stays a view of
     # block rows, as do its moments (`AdamState.init` keeps the layout)
-    params = {"weights": encoder0.weights, "motion": _motion_params(model0)}
+    params = {"weights": encoder.weights, "motion": _motion_params(model)}
     state = AdamState.init(params)
     history: list[float] = []
-    _run_steps(params, state, prepared, encoder0, model0, config, rng, config.num_steps, history, Workspace())
-    enc, model = _rebuild(encoder0, model0, params["weights"], params["motion"])
-    return enc, model, history
+    _run_steps(params, state, prepared, encoder, model, config, rng, config.num_steps, history, Workspace())
+    return encoder, model, history
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +824,6 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
         _run_steps(
             params, state, triplets, encoder, model, tcfg, rng, config.steps_per_round, history, workspace
         )
-        encoder, model = _rebuild(encoder, model, params["weights"], params["motion"])
         _, new_fields, stops = infer_pairs(encoder, model, pairs, icfg, newton=False, starts=fields)
         descents.append(stops)
         change = float(
@@ -846,7 +835,6 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
         objectives.append(_unsup_objective(encoder, model, triplets, lam_s, tcfg, grid_shapes, workspace))
         if change < config.field_tol:
             break
-    encoder, model = _rebuild(encoder, model, params["weights"], params["motion"])
     diagnostics = {
         "objectives": objectives,
         "field_changes": field_changes,

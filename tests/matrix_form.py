@@ -19,7 +19,6 @@ from patchflow.core import (
     DisplacementField,
     MixedMotion,
     ParametricMotion,
-    block_layout,
     encode,
     extract_patches,
     offset_encodings,
@@ -68,10 +67,10 @@ def grid_scores(encoder, model, image_t, target_vectors, positions, clamp=False)
     """Squared residual (N, C) against ``target_vectors`` (N, K, d) for every grid
     candidate: the prediction (K, C, d, N) of the whole candidate table against
     every position, reduced in that layout over d and then over K."""
-    vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
-    n, m, k, d = vectors[inverse].shape
-    right = np.moveaxis(vectors[inverse], [2, 1, 3, 0], [0, 1, 2, 3]).reshape(k, m * d, n)
-    pred = (model.table_blocks @ right).reshape(k, -1, d, n)  # one (C*d, m*d) x (m*d, N) product per block
+    support = offset_encodings(encoder, image_t, positions, model.offsets, clamp)  # (N, K, m*d)
+    right = np.ascontiguousarray(np.moveaxis(support, 0, -1))  # (K, m*d, N)
+    k, _, n = right.shape
+    pred = (model.table_blocks @ right).reshape(k, -1, target_vectors.shape[-1], n)  # one (C*d, m*d) x (m*d, N) product per block
     diff = pred - np.moveaxis(target_vectors, 0, -1)[:, None]
     diff *= diff
     return diff.sum(axis=2).sum(axis=0).T
@@ -81,21 +80,16 @@ def stack_scores(encoder, model, images_t, target_vectors, positions, clamp=Fals
     """The program's grid scores (P, N, C) of a stack of frames (P, H, W) against
     the codes ``target_vectors`` (P, N, K, d): the support gather of
     `offset_encodings` and the block-wise products of `inference._score_pairs`."""
-    vectors, inverse = offset_encodings(encoder, images_t, positions, model.offsets, clamp)
-    support = vectors[:, inverse]
-    p, n, m, k, d = support.shape
-    right = support.transpose(0, 3, 2, 4, 1).reshape(p, k, m * d, n)
-    targets = np.asarray(target_vectors).transpose(0, 2, 3, 1)
-    return np.stack([scores.T.copy() for scores in _score_pairs(model.table_blocks, right, targets)])
+    support = offset_encodings(encoder, images_t, positions, model.offsets, clamp)
+    scores = _score_pairs(model.table_blocks, support, np.asarray(target_vectors))
+    return np.stack([s.T.copy() for s in scores])
 
 
 def predicted_vectors(encoder, model, image_t, positions, deltas, clamp=False):
     """Next-frame vector prediction (N, K, d) at each position of one frame for
     given displacements: `core`'s support gather, matrix lookup and prediction."""
-    vectors, inverse = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
-    right = np.swapaxes(vectors[inverse], 1, 2)  # (N, K, m, d)
-    blocks = block_layout(support_matrices(model, deltas)[:, None])
-    return predict(blocks, right.reshape(right.shape[:2] + (-1,)))
+    support = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
+    return predict(support_matrices(model, deltas), support)
 
 
 def motion_matrices(model, deltas) -> np.ndarray:

@@ -61,6 +61,8 @@ class TestPipelines:
             assert code == EXIT_OK
             outs.append((out / "model.ckpt").read_bytes())
         assert outs[0] == outs[1]
+        extra = json.loads(outs[0].split(b"\n", 1)[0])["extra"]
+        assert extra["seed"] == 7 and "rng_seed" not in extra["train"]  # the seed the run used, once
 
     def test_infer_eval_roundtrip(self, tmp_path):
         ds = tmp_path / "ds"
@@ -346,7 +348,8 @@ class TestExitCodes:
         out = tmp_path / "run"
         code = run_cli("train", "--data", ds, "--out", out, "--lr", -1)
         assert code == EXIT_CONFIG
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: train: learning_rate")
         assert not out.exists()
 
     def test_nonpositive_pair_count_is_config_error(self, tmp_path, capsys):
@@ -400,6 +403,11 @@ class TestExitCodes:
             ("train", '{"train": {"learning_rate": 1e400}}'),
             ("eval", '{"infer": {"smoothness_weight": NaN}}'),
             ("eval", '{"scene": {"fg_size": [0.3, -Infinity]}}'),
+            # values that a settings class refuses; the message names the section
+            ("train", {"train": {"learning_rate": -1}}),
+            ("train", {"unsupervised": {"smoothness_weight": -1}}),
+            # the run's seed is the top-level `seed`: no train key stands beside it
+            ("train", {"train": {"rng_seed": 5}}),
         ],
     )
     def test_wrong_config_type_is_config_error(self, tmp_path, capsys, command, override):
@@ -414,6 +422,8 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+        section = next(iter(json.loads(override) if isinstance(override, str) else override))
+        assert err[0].startswith((f"config error: {section}: ", f"config error: {section}.")) or f"'{section}." in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize(

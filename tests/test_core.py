@@ -278,19 +278,30 @@ class TestMotion:
     def test_parametric_zero_delta_identity(self):
         rng = np.random.default_rng(29)
         m = ParametricMotion(rng.standard_normal((5, 4, 2, 2)))
-        np.testing.assert_array_equal(support_matrices(m, np.zeros((1, 2)))[0, 0, 2], np.eye(2))
+        np.testing.assert_array_equal(support_matrices(m, np.zeros((1, 2)))[0, 2], np.eye(2))
 
     def test_parametric_all_zero_coeffs(self):
         m = ParametricMotion.zeros(3, 2)
-        np.testing.assert_array_equal(support_matrices(m, np.array([[1.7, -2.3]]))[0, 0, 1], np.eye(2))
+        np.testing.assert_array_equal(support_matrices(m, np.array([[1.7, -2.3]]))[0, 1], np.eye(2))
 
     def test_parametric_direct_substitution(self):
         c = np.zeros((5, 1, 2, 2))
         c[0, 0] = [[0.0, -1.0], [1.0, 0.0]]  # B1 only
         m = ParametricMotion(c)
         np.testing.assert_allclose(
-            support_matrices(m, np.array([[0.5, 0.0]]))[0, 0, 0], [[1.0, -0.5], [0.5, 1.0]]
+            support_matrices(m, np.array([[0.5, 0.0]]))[0, 0], [[1.0, -0.5], [0.5, 1.0]]
         )
+
+    def test_table_lookup_lays_each_offset_out_as_d_columns(self):
+        rng = np.random.default_rng(30)
+        grid, offsets = DisplacementGrid(-1, 1, 0.5), support_offsets(2, 2)
+        m = MixedMotion(grid, offsets, rng.standard_normal((grid.num_candidates, len(offsets), 3, 2, 2)))
+        deltas = grid.candidates()[rng.integers(0, grid.num_candidates, (4, 5))]
+        got = support_matrices(m, deltas)
+        assert got.shape == (4, 5, 3, 2, len(offsets) * 2) and got.flags.c_contiguous
+        idx = grid.round_indices(deltas)
+        for b, n, j in np.ndindex(4, 5, len(offsets)):
+            assert np.array_equal(got[b, n, :, :, 2 * j : 2 * j + 2], m.matrices[idx[b, n], j])
 
     def test_identity_model_keeps_vector(self):
         rng = np.random.default_rng(0)
@@ -530,8 +541,23 @@ class TestOffsetEncodings:
         model = MixedMotion.identity(DisplacementGrid(-1, 1, 0.5), support_offsets(2, 2), 3, 2)
         frames = np.random.default_rng(16).random((2, 3, 28, 28))
         pos = enc.grid.positions(28, 28) if clamp else eval_positions(enc, model, (28, 28))
-        vectors, inverse = offset_encodings(enc, frames, pos, model.offsets, clamp)
-        assert vectors.shape[:2] == (2, 3) and vectors.shape[3:] == (3, 2)
+        vectors = offset_encodings(enc, frames, pos, model.offsets, clamp)
+        assert vectors.shape == (2, 3, len(pos), 3, len(model.offsets) * 2)
         for i, j in np.ndindex(2, 3):
-            alone, alone_inverse = offset_encodings(enc, frames[i, j], pos, model.offsets, clamp)
-            assert np.array_equal(vectors[i, j], alone) and np.array_equal(inverse, alone_inverse)
+            assert np.array_equal(vectors[i, j], offset_encodings(enc, frames[i, j], pos, model.offsets, clamp))
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_each_position_holds_its_centers_codes_offset_major(self, clamp):
+        from patchflow.core import apply_encoder, eval_positions, offset_encodings, support_centers
+
+        enc = Encoder.random(3, 2, 8, 4, rng=17)
+        offsets = support_offsets(2, 2)
+        model = MixedMotion.identity(DisplacementGrid(-1, 1, 0.5), offsets, 3, 2)
+        img = np.random.default_rng(18).random((28, 28))
+        pos = enc.grid.positions(28, 28) if clamp else eval_positions(enc, model, (28, 28))
+        got = offset_encodings(enc, img, pos, offsets, clamp)
+        assert got.shape == (len(pos), 3, len(offsets) * 2) and got.flags.c_contiguous
+        uniq, inverse = support_centers(enc, img.shape, pos, offsets, clamp)
+        codes = apply_encoder(enc.weights, extract_patches(img, uniq, 8))  # (U, K, d)
+        for n, j in np.ndindex(inverse.shape):
+            assert np.array_equal(got[n, :, 2 * j : 2 * j + 2], codes[inverse[n, j]])

@@ -686,9 +686,9 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
         v1 = v_t1[:, pos_rows].reshape(b, n, k, d)
         voff = v[center_rows][:, inverse].reshape(b, n, -1, k, d)  # (B, N, m, K, d)
         m_off = voff.shape[2]
-        mats = core.support_matrices(model, deltas)  # (B, N, m, K, d, d)
+        blocks = core.support_matrices(model, deltas)  # (B, N, K, d, m*d)
         right = np.ascontiguousarray(np.moveaxis(voff, 2, 3)).reshape(b, n, k, -1)
-        pred = core.predict(np.ascontiguousarray(block_layout(mats[:, :, None])), right)
+        pred = core.predict(blocks, right)
 
         r = v1 - pred
         r_w = r * counts[:, None, None, None]
@@ -701,7 +701,9 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
             loss += lam_ns * float(np.sum(ns_w * ns))
             d_pred = d_pred + 4.0 * lam_ns * ns_w[..., None] * pred
 
-        mt_g = core.predict(np.ascontiguousarray(block_layout(np.swapaxes(mats, -1, -2)[:, :, :, None])), d_pred)
+        # each offset's M^T as d rows of one (m*d, d) block: (B, N, K, m*d, d)
+        blocks_t = np.moveaxis(blocks.reshape(b, n, k, d, m_off, d), 3, 5).reshape(b, n, k, -1, d)
+        mt_g = core.predict(blocks_t, d_pred)
         mt_g = np.swapaxes(mt_g.reshape(b, n, k, m_off, d), 2, 3)  # (B, N, m, K, d)
         g += reference_scatter_rows(len(g), center_rows[:, inverse].ravel(), mt_g.reshape(-1, kd))
         g[lat // 2 : lat].reshape(b, -1, kd)[:, pos_rows] += (2.0 * lam_rot * r_w).reshape(b, n, kd)
