@@ -437,7 +437,7 @@ def cmd_filters(args, config, settings) -> dict:
     encoder, model, _ = training.load_checkpoint(args.checkpoint)
     if not 0 <= args.block < encoder.num_blocks:
         raise ConfigError(f"--block must be in [0, {encoder.num_blocks}), got {args.block}")
-    for delta in deltas if hasattr(model, "grid") else ():  # a table's candidates only
+    for delta in deltas if model.grid is not None else ():  # a table's candidates only
         try:
             model.grid.index_of(delta)
         except GridLookupError as exc:

@@ -16,11 +16,22 @@ Conventions used throughout the package:
 There are two motion models: `MixedMotion`, a table of matrices over the
 displacement candidates and a support of offsets (the nonparametric model
 is the table on the zero offset alone), and `ParametricMotion`, whose
-matrices are a polynomial in the displacement.
+matrices are a polynomial in the displacement.  Callers use the same members
+of both and never ask for the class: ``grid`` (None without candidates);
+``offsets`` and ``max_offset``, the support; ``params``, the array that
+training updates in place; the lookup ``support_matrices(deltas,
+out=None)``, each position's matrix set (..., K, d, m*d) in `predict`'s layout;
+``add_gradient(grad, deltas, g_m)``, which adds to ``grad`` (shaped as
+``params``) the gradient of per-position matrix-set gradients ``g_m`` at
+``deltas``; the descent objective ``objective(v0, v1, smoothness_weight,
+grid_shape)`` of two frames' lattice codes, None for a table, which is
+grid-scored on its ``table_blocks``; and ``checkpoint_entry()``, the
+checkpoint header's motion entry and the block it describes.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -369,22 +380,44 @@ class MixedMotion:
         object.__setattr__(self, "matrices", m)
 
     @property
-    def num_blocks(self):
-        return self.matrices.shape[2]
-
-    @property
-    def block_dim(self):
-        return self.matrices.shape[3]
-
-    @property
     def max_offset(self) -> int:
         return int(np.max(np.abs(self.offsets))) if len(self.offsets) else 0
+
+    objective = None  # a table is grid-scored, not descended
+
+    @property
+    def params(self) -> np.ndarray:
+        return self.matrices
 
     @cached_property
     def table_blocks(self) -> np.ndarray:
         """The table in the layout of `block_layout`, built on first use: the blocks that grid
         scoring multiplies."""
         return block_layout(self.matrices)
+
+    def support_matrices(self, deltas: np.ndarray, out=None) -> np.ndarray:
+        """Each delta snapped to its nearest candidate, whose sets are gathered: without ``out``
+        by indexing, which copies only those, into ``out`` by one take of whole rows, which
+        would first copy a table that is not in training's storage."""
+        idx = self.grid.round_indices(deltas)
+        rows = np.moveaxis(self.matrices, 1, 3)  # (C, K, d, m, d), C-ordered in training's storage
+        if out is None:
+            mats = rows[idx]
+        else:
+            mats = np.take(rows, idx, axis=0, out=out.reshape(idx.shape + rows.shape[1:]), mode="clip")
+        return mats.reshape(idx.shape + rows.shape[1:3] + (-1,))
+
+    def add_gradient(self, grad: np.ndarray, deltas: np.ndarray, g_m: np.ndarray) -> None:
+        """Each candidate hit gains the sum of its positions' matrix-set gradients (`_add_rows`)."""
+        sets = np.moveaxis(grad, 1, 3)  # (C, K, d, m, d): a view in the lookup's layout
+        _add_rows(sets, self.grid.round_indices(deltas).ravel(), g_m.reshape((len(g_m),) + sets.shape[1:]))
+
+    def checkpoint_entry(self) -> tuple[dict, np.ndarray]:
+        """A table on the zero offset alone saves as ``nonparametric``, its block (C, K, d, d)."""
+        grid = {"lo": self.grid.lo, "hi": self.grid.hi, "step": self.grid.step}
+        if self.offsets.tolist() == [[0, 0]]:
+            return {"variant": "nonparametric", "grid": grid}, self.matrices[:, 0]
+        return {"variant": "mixed", "grid": grid, "offsets": self.offsets.tolist()}, self.matrices
 
     @classmethod
     def identity(cls, grid, offsets, num_blocks, block_dim):
@@ -400,10 +433,6 @@ class MixedMotion:
         return cls(grid, offsets, m)
 
 
-# order of the parametric coefficient matrices along axis 0
-PARAM_TERMS = ("b1", "b2", "b11", "b22", "b12")
-
-
 @dataclass(frozen=True)
 class ParametricMotion:
     """Second-order polynomial motion: M(delta) = I + B1 d1 + B2 d2 + ...
@@ -416,6 +445,7 @@ class ParametricMotion:
 
     offsets = ZERO_SUPPORT
     max_offset = 0
+    grid = None  # no candidate grid: descended, not grid-scored
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.float64)
@@ -423,17 +453,27 @@ class ParametricMotion:
             raise ShapeError(f"coeffs must be (5, K, d, d), got {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def num_blocks(self):
-        return self.coeffs.shape[1]
-
-    @property
-    def block_dim(self):
-        return self.coeffs.shape[2]
-
     @classmethod
     def zeros(cls, num_blocks, block_dim):
         return cls(np.zeros((5, num_blocks, block_dim, block_dim)))
+
+    @property
+    def params(self) -> np.ndarray:
+        return self.coeffs
+
+    def support_matrices(self, deltas: np.ndarray, out=None) -> np.ndarray:
+        """M(delta) on the zero offset alone, which is the layout `predict` reads."""
+        return polynomial_matrices(self.coeffs, deltas, out)
+
+    def add_gradient(self, grad: np.ndarray, deltas: np.ndarray, g_m: np.ndarray) -> None:
+        """The per-position gradients contracted with their deltas' polynomial features."""
+        grad += (delta_basis(deltas).reshape(-1, 5).T @ g_m).reshape(grad.shape)
+
+    def objective(self, v0: np.ndarray, v1: np.ndarray, smoothness_weight: float, grid_shape):
+        return _PolynomialObjective(self.coeffs, v0, v1, smoothness_weight, grid_shape)
+
+    def checkpoint_entry(self) -> tuple[dict, np.ndarray]:
+        return {"variant": "parametric"}, self.coeffs
 
 
 def delta_basis(deltas: np.ndarray) -> np.ndarray:
@@ -443,13 +483,138 @@ def delta_basis(deltas: np.ndarray) -> np.ndarray:
     return np.stack([d1, d2, d1 * d1, d2 * d2, d1 * d2], axis=-1)
 
 
-def polynomial_matrices(coeffs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """M(delta) = I + sum_j basis_j(delta) B_j for (5, K, d, d) coefficients, shape (..., K, d, d)."""
+def polynomial_matrices(coeffs: np.ndarray, deltas: np.ndarray, out=None) -> np.ndarray:
+    """M(delta) = I + sum_j basis_j(delta) B_j for (5, K, d, d) coefficients, shape (..., K, d, d),
+    written into ``out`` when given."""
     basis = delta_basis(deltas)
     _, k, d, _ = coeffs.shape
-    m = (basis.reshape(-1, 5) @ coeffs.reshape(5, -1)).reshape(basis.shape[:-1] + (k, d, d))
+    flat = None if out is None else out.reshape(-1, k * d * d)
+    m = np.matmul(basis.reshape(-1, 5), coeffs.reshape(5, -1), out=flat).reshape(basis.shape[:-1] + (k, d, d))
     m += np.eye(d)
     return m
+
+
+def _add_rows(table: np.ndarray, cand: np.ndarray, values: np.ndarray) -> None:
+    """Add the rows of ``values`` (R, ...) to rows ``cand`` of ``table`` (C, ...), one sum per row
+    hit: each hit's rows summed in array order, then added to the table row.  The sums build
+    in place in ``values``.  They start from a hit's first row, not from zero: 0 + x and x
+    differ only in the sign of a zero, and a table that starts at +0 never holds -0 (a sum is
+    -0 only when both terms are), so adding either sum gives the same bits."""
+    order = np.argsort(cand, kind="stable")
+    grouped = cand[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
+        total = values[order[lo]]
+        for r in order[lo + 1 : hi].tolist():
+            total += values[r]
+        table[grouped[lo]] += total
+
+
+# ---------------------------------------------------------------------------
+# the parametric model's descent objective
+
+
+def _smoothness_value_grad(deltas: np.ndarray, grid_shape: tuple[int, int], value=True, gradient=True):
+    """Forward-difference smoothness energy of fields (..., N, 2), shape (...), and
+    its gradient (..., N, 2) (free boundary); None for either one not asked for."""
+    f = deltas.reshape(deltas.shape[:-2] + tuple(grid_shape) + (2,))
+    dr = f[..., 1:, :, :] - f[..., :-1, :, :]
+    dc = f[..., :, 1:, :] - f[..., :, :-1, :]
+    energy = np.sum(dr * dr, axis=(-3, -2, -1)) + np.sum(dc * dc, axis=(-3, -2, -1)) if value else None
+    if not gradient:
+        return energy, None
+    g = np.zeros_like(f)
+    g[..., 1:, :, :] += 2 * dr
+    g[..., :-1, :, :] -= 2 * dr
+    g[..., :, 1:, :] += 2 * dc
+    g[..., :, :-1, :] -= 2 * dc
+    return energy, g.reshape(deltas.shape)
+
+
+_ROW_DOT = "...nm,...nm->...n"  # per-position dot products of (..., N, M) arrays
+
+# block sizes up to which `_apply_coeffs` sums in the order of the einsum it replaces
+_LANE_SUM_MAX_D = 7
+
+
+def _apply_coeffs(coeffs, v0) -> np.ndarray:
+    """u_j = B_j v0 for (5, K, d, e) coefficients and vectors (R, K, e), shape (5, R, K, d),
+    C-ordered: the bits of ``einsum("jkde,rke->jrkd")``.
+
+    On C-ordered inputs, as the descent's are, that einsum runs each sum over e
+    in numpy's SIMD loop, on two float64 lanes that start from zero: the even e
+    add in one, the odd e in the other, then the two add (up to e = 7; wider sums
+    go through an unrolled loop, and are left to the einsum).  Here each term is
+    one broadcast multiply-add over rows of a (K, e, R) layout, and the two lanes
+    add into the C-ordered result.  The layout of u matters as well as its bits:
+    `value`'s einsum sums in another order over a strided u."""
+    _, k, d, e = coeffs.shape
+    if e > _LANE_SUM_MAX_D:
+        return np.einsum("jkde,rke->jrkd", coeffs, v0)
+    rows = v0.transpose(1, 2, 0).copy()  # (K, e, R)
+    lanes = np.zeros((2, 5, k, d, len(v0)))
+    for i in range(e):
+        lanes[i % 2] += coeffs[..., i, None] * rows[:, i, None]
+    u = np.empty((5, len(v0), k, d))
+    np.add(lanes[0], lanes[1], out=np.moveaxis(u, 1, -1))
+    return u
+
+
+class _PolynomialObjective:
+    """Rotation residual plus smoothness, on the residual's polynomial form.
+
+    M(delta) = I + sum_j basis_j(delta) B_j, so with u_j = B_j v0 and
+    c = v1 - v0, both built once per pair, each position's residual is the
+    quadratic r(delta) = c - sum_j basis_j(delta) u_j, shape (N, K*d).  The
+    value, the gradient and the exact 2x2 Hessian of each position take a few
+    (N, K*d) array operations; no matrices are built per evaluation.
+
+    Leading axes of ``v0`` and ``v1`` (..., N, K, d) stack pairs of one
+    lattice; every result then carries them, and each pair's numbers are the
+    ones it has alone.
+    """
+
+    def __init__(self, coeffs, v0, v1, smoothness_weight, grid_shape):
+        lead, (n, k, d) = v0.shape[:-3], v0.shape[-3:]
+        self.u = _apply_coeffs(coeffs, v0.reshape(-1, k, d)).reshape((5,) + lead + (n, k * d))
+        self.c = (v1 - v0).reshape(lead + (n, -1))
+        self.lam = smoothness_weight
+        self.grid_shape = grid_shape
+
+    def take(self, pairs):
+        """The objective of the pairs ``pairs`` of a stack."""
+        sub = copy.copy(self)
+        sub.u, sub.c = self.u[:, pairs], self.c[pairs]
+        return sub
+
+    def value(self, deltas, pairs=None):
+        """(objective, residual) at ``deltas``, of the stack's pairs ``pairs`` when given."""
+        u, c = (self.u, self.c) if pairs is None else (self.u[:, pairs], self.c[pairs])
+        r = c - np.einsum("...nj,j...nm->...nm", delta_basis(deltas), u)
+        value = np.sum(r * r, axis=(-2, -1))
+        if self.lam > 0:
+            value = value + self.lam * _smoothness_value_grad(deltas, self.grid_shape, gradient=False)[0]
+        return value, r
+
+    def derivatives(self, deltas, r, hessian=True):
+        """Gradient (..., N, 2) and, when ``hessian``, per-position residual
+        Hessians (..., N, 2, 2) at ``deltas``, given the residual there (else
+        None); the Hessians leave out the smoothness term, whose Hessian is
+        constant."""
+        u1, u2, u11, u22, u12 = self.u
+        d1, d2 = deltas[..., :1], deltas[..., 1:]
+        p1 = u1 + 2.0 * d1 * u11 + d2 * u12  # -dr/d(delta_1)
+        p2 = u2 + 2.0 * d2 * u22 + d1 * u12  # -dr/d(delta_2)
+        grad = -2.0 * np.stack([np.einsum(_ROW_DOT, r, p1), np.einsum(_ROW_DOT, r, p2)], axis=-1)
+        if self.lam > 0:
+            grad += self.lam * _smoothness_value_grad(deltas, self.grid_shape, value=False)[1]
+        if not hessian:
+            return grad, None
+        hess = np.empty(deltas.shape + (2,))
+        hess[..., 0, 0] = 2.0 * (np.einsum(_ROW_DOT, p1, p1) - 2.0 * np.einsum(_ROW_DOT, r, u11))
+        hess[..., 1, 1] = 2.0 * (np.einsum(_ROW_DOT, p2, p2) - 2.0 * np.einsum(_ROW_DOT, r, u22))
+        hess[..., 0, 1] = hess[..., 1, 0] = 2.0 * (np.einsum(_ROW_DOT, p1, p2) - np.einsum(_ROW_DOT, r, u12))
+        return grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +674,6 @@ def offset_encodings(encoder, images, positions, offsets, clamp=False):
     # block k of center u is row u*K + k; each position takes its K blocks of its m centers
     rows = np.take(codes, inverse[:, None, :] * k + np.arange(k)[:, None], axis=1)  # (F, N, K, m, d)
     return rows.reshape(images.shape[:-2] + rows.shape[1:3] + (-1,))
-
-
-def support_matrices(model, deltas: np.ndarray) -> np.ndarray:
-    """Each position's matrix set M^(k)(delta, dx) in the layout `predict` reads,
-    (..., K, d, m*d), its columns offset-major over the model's support.
-
-    Tables snap each delta to its nearest candidate; a parametric model's
-    M(delta), on the zero offset alone, already has this layout.
-    """
-    if isinstance(model, ParametricMotion):
-        return polynomial_matrices(model.coeffs, deltas)
-    mats = np.moveaxis(model.matrices[model.grid.round_indices(deltas)], -4, -2)  # (..., K, d, m, d)
-    return mats.reshape(mats.shape[:-2] + (-1,))
 
 
 def block_layout(mats: np.ndarray) -> np.ndarray:

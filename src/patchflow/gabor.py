@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Encoder, support_matrices
+from .core import Encoder
 from .errors import GridLookupError, PatchflowError
 
 PARAM_NAMES = ("amplitude", "x0", "y0", "theta", "sigma_x", "sigma_y", "frequency", "phase")
@@ -342,7 +342,7 @@ def animate_filters(encoder: Encoder, model, k: int, deltas) -> list[np.ndarray]
     cols = slice(zero[0] * d, (zero[0] + 1) * d)  # the zero offset's d columns of block k
     frames = []
     for delta in deltas:
-        m = support_matrices(model, np.asarray([delta], dtype=np.float64))[0, k, :, cols]
+        m = model.support_matrices(np.asarray([delta], dtype=np.float64))[0, k, :, cols]
         moved = np.ascontiguousarray(m) @ encoder.weights[k]
         frames.append(moved.reshape(d, p, p))
     return frames

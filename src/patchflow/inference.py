@@ -3,29 +3,26 @@ multi-step animation with re-encoding and frame interpolation."""
 
 from __future__ import annotations
 
-import copy
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .core import (
     ZERO_SUPPORT,
     DisplacementField,
-    ParametricMotion,
     VectorField,
     border_filter,
     decode,
-    delta_basis,
     eval_positions,
     lattice_axes,
     offset_encodings,
     predict,
     support_centers,
-    support_matrices,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError
 
 
 @dataclass
@@ -131,7 +128,7 @@ def infer_grid_stack(encoder, model, images_t, images_t1, config: InferConfig | 
     Returns (positions (N, 2), fields (P, N, 2)).
     """
     config = config or InferConfig()
-    if isinstance(model, ParametricMotion):
+    if model.grid is None:
         raise ShapeError("grid scoring needs a table model")
     images_t = np.asarray(images_t, dtype=np.float64)
     images_t1 = np.asarray(images_t1, dtype=np.float64)
@@ -143,114 +140,11 @@ def infer_grid_stack(encoder, model, images_t, images_t1, config: InferConfig | 
 
 
 # ---------------------------------------------------------------------------
-# parametric inference: descent on the residual's polynomial form
+# descent on a model's objective
 
 STOP_REASONS = ("tol", "cap", "no_descent")
 _BACKTRACKS = 40  # step halvings before a gradient step counts as failed
 _DAMPINGS = 12  # damped solves before a Newton step counts as failed (9 at most seen)
-
-
-def _smoothness_value_grad(deltas: np.ndarray, grid_shape: tuple[int, int], value=True, gradient=True):
-    """Forward-difference smoothness energy of fields (..., N, 2), shape (...), and
-    its gradient (..., N, 2) (free boundary); None for either one not asked for."""
-    f = deltas.reshape(deltas.shape[:-2] + tuple(grid_shape) + (2,))
-    dr = f[..., 1:, :, :] - f[..., :-1, :, :]
-    dc = f[..., :, 1:, :] - f[..., :, :-1, :]
-    energy = np.sum(dr * dr, axis=(-3, -2, -1)) + np.sum(dc * dc, axis=(-3, -2, -1)) if value else None
-    if not gradient:
-        return energy, None
-    g = np.zeros_like(f)
-    g[..., 1:, :, :] += 2 * dr
-    g[..., :-1, :, :] -= 2 * dr
-    g[..., :, 1:, :] += 2 * dc
-    g[..., :, :-1, :] -= 2 * dc
-    return energy, g.reshape(deltas.shape)
-
-
-_ROW_DOT = "...nm,...nm->...n"  # per-position dot products of (..., N, M) arrays
-
-# block sizes up to which `_apply_coeffs` sums in the order of the einsum it replaces
-_LANE_SUM_MAX_D = 7
-
-
-def _apply_coeffs(coeffs, v0) -> np.ndarray:
-    """u_j = B_j v0 for (5, K, d, e) coefficients and vectors (R, K, e), shape (5, R, K, d),
-    C-ordered: the bits of ``einsum("jkde,rke->jrkd")``.
-
-    On C-ordered inputs, as the descent's are, that einsum runs each sum over e
-    in numpy's SIMD loop, on two float64 lanes that start from zero: the even e
-    add in one, the odd e in the other, then the two add (up to e = 7; wider sums
-    go through an unrolled loop, and are left to the einsum).  Here each term is
-    one broadcast multiply-add over rows of a (K, e, R) layout, and the two lanes
-    add into the C-ordered result.  The layout of u matters as well as its bits:
-    `value`'s einsum sums in another order over a strided u."""
-    _, k, d, e = coeffs.shape
-    if e > _LANE_SUM_MAX_D:
-        return np.einsum("jkde,rke->jrkd", coeffs, v0)
-    rows = v0.transpose(1, 2, 0).copy()  # (K, e, R)
-    lanes = np.zeros((2, 5, k, d, len(v0)))
-    for i in range(e):
-        lanes[i % 2] += coeffs[..., i, None] * rows[:, i, None]
-    u = np.empty((5, len(v0), k, d))
-    np.add(lanes[0], lanes[1], out=np.moveaxis(u, 1, -1))
-    return u
-
-
-class _PolynomialObjective:
-    """Rotation residual plus smoothness, on the residual's polynomial form.
-
-    M(delta) = I + sum_j basis_j(delta) B_j, so with u_j = B_j v0 and
-    c = v1 - v0, both built once per pair, each position's residual is the
-    quadratic r(delta) = c - sum_j basis_j(delta) u_j, shape (N, K*d).  The
-    value, the gradient and the exact 2x2 Hessian of each position take a few
-    (N, K*d) array operations; no matrices are built per evaluation.
-
-    Leading axes of ``v0`` and ``v1`` (..., N, K, d) stack pairs of one
-    lattice; every result then carries them, and each pair's numbers are the
-    ones it has alone.
-    """
-
-    def __init__(self, coeffs, v0, v1, smoothness_weight, grid_shape):
-        lead, (n, k, d) = v0.shape[:-3], v0.shape[-3:]
-        self.u = _apply_coeffs(coeffs, v0.reshape(-1, k, d)).reshape((5,) + lead + (n, k * d))
-        self.c = (v1 - v0).reshape(lead + (n, -1))
-        self.lam = smoothness_weight
-        self.grid_shape = grid_shape
-
-    def take(self, pairs):
-        """The objective of the pairs ``pairs`` of a stack."""
-        sub = copy.copy(self)
-        sub.u, sub.c = self.u[:, pairs], self.c[pairs]
-        return sub
-
-    def value(self, deltas, pairs=None):
-        """(objective, residual) at ``deltas``, of the stack's pairs ``pairs`` when given."""
-        u, c = (self.u, self.c) if pairs is None else (self.u[:, pairs], self.c[pairs])
-        r = c - np.einsum("...nj,j...nm->...nm", delta_basis(deltas), u)
-        value = np.sum(r * r, axis=(-2, -1))
-        if self.lam > 0:
-            value = value + self.lam * _smoothness_value_grad(deltas, self.grid_shape, gradient=False)[0]
-        return value, r
-
-    def derivatives(self, deltas, r, hessian=True):
-        """Gradient (..., N, 2) and, when ``hessian``, per-position residual
-        Hessians (..., N, 2, 2) at ``deltas``, given the residual there (else
-        None); the Hessians leave out the smoothness term, whose Hessian is
-        constant."""
-        u1, u2, u11, u22, u12 = self.u
-        d1, d2 = deltas[..., :1], deltas[..., 1:]
-        p1 = u1 + 2.0 * d1 * u11 + d2 * u12  # -dr/d(delta_1)
-        p2 = u2 + 2.0 * d2 * u22 + d1 * u12  # -dr/d(delta_2)
-        grad = -2.0 * np.stack([np.einsum(_ROW_DOT, r, p1), np.einsum(_ROW_DOT, r, p2)], axis=-1)
-        if self.lam > 0:
-            grad += self.lam * _smoothness_value_grad(deltas, self.grid_shape, value=False)[1]
-        if not hessian:
-            return grad, None
-        hess = np.empty(deltas.shape + (2,))
-        hess[..., 0, 0] = 2.0 * (np.einsum(_ROW_DOT, p1, p1) - 2.0 * np.einsum(_ROW_DOT, r, u11))
-        hess[..., 1, 1] = 2.0 * (np.einsum(_ROW_DOT, p2, p2) - 2.0 * np.einsum(_ROW_DOT, r, u22))
-        hess[..., 0, 1] = hess[..., 1, 0] = 2.0 * (np.einsum(_ROW_DOT, p1, p2) - np.einsum(_ROW_DOT, r, u12))
-        return grad, hess
 
 
 class _NewtonSystem:
@@ -465,11 +359,11 @@ def _descend(objective, deltas, config: InferConfig, newton: bool):
     return out, iters, stops
 
 
-def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1, config=None, newton=False, starts=None):
-    """Descent on the rotation residual plus smoothness for a stack of pairs of
-    one frame size, (P, H, W) each, from the fields ``starts`` (P, N, 2) when
-    given, else from ``config.init`` (a random start is the one draw that each
-    pair takes alone).  Damped Newton steps (``newton``) solve each pair's 2N
+def infer_parametric_stack(encoder, model, images_t, images_t1, config=None, newton=False, starts=None):
+    """Descent on the model's `objective`, the rotation residual plus smoothness,
+    for a stack of pairs of one frame size, (P, H, W) each, from the fields
+    ``starts`` (P, N, 2) when given, else from ``config.init`` (a random start is
+    the one draw that each pair takes alone).  Damped Newton steps (``newton``) solve each pair's 2N
     unknowns by elimination over the lattice rows; otherwise, and whenever no
     damped step descends, a step is a backtracking gradient step of at most
     ``config.step_size``.  Each pair stops at the cap, below ``config.tol`` or
@@ -479,7 +373,7 @@ def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1
     Returns (positions (N, 2), fields (P, N, 2), iterations (P,), stop reasons (P,)).
     """
     config = config or InferConfig()
-    if not isinstance(model, ParametricMotion):
+    if model.objective is None:
         raise ShapeError("descent needs a parametric motion model")
     images_t = np.asarray(images_t, dtype=np.float64)
     images_t1 = np.asarray(images_t1, dtype=np.float64)
@@ -497,7 +391,7 @@ def infer_parametric_stack(encoder, model: ParametricMotion, images_t, images_t1
     else:
         start = np.random.default_rng(config.rng_seed).uniform(-0.5, 0.5, shape[1:])
         deltas = np.broadcast_to(start, shape).copy()
-    objective = _PolynomialObjective(model.coeffs, v0, v1, config.smoothness_weight, grid_shape)
+    objective = model.objective(v0, v1, config.smoothness_weight, grid_shape)
     return (pos,) + _descend(objective, deltas, config, newton)
 
 
@@ -533,27 +427,27 @@ def infer_pairs(encoder, model, pairs, config: InferConfig | None = None, newton
     sizes: the one path from pairs to fields.  Every size's positions are found
     first, so a frame too small or a margin that leaves no position raises
     before any work.  Each size's pairs are cut into contiguous stacks, at least
-    ``threads`` of them, run in that many threads, each within a byte bound:
-    a parametric model's Newton blocks, ny (2 nx)^2 float64 per pair, in
-    NEWTON_STACK_BYTES, for `infer_parametric_stack` (with ``newton``, and from
-    each pair's field of ``starts`` when given); a table model's support
-    patches, p^2 float64 per center and pair, in `training.CHUNK_BYTES`, for
-    `infer_grid_stack`.  Each pair gets the result of its stack of one.
+    ``threads`` of them, run in that many threads, each within a byte bound: a
+    model with an ``objective`` descends, its Newton blocks (ny (2 nx)^2 float64
+    a pair) in NEWTON_STACK_BYTES, by `infer_parametric_stack` (with ``newton``,
+    from each pair's field of ``starts`` when given); any other is grid-scored,
+    its support patches (p^2 float64 a center and pair) in `training.CHUNK_BYTES`,
+    by `infer_grid_stack`.  Each pair gets the result of its stack of one.
 
     Returns (positions, fields, stops): each pair's positions (N, 2) and field
-    (N, 2), and each descent's (iterations, stop reason), empty for a table model.
+    (N, 2), and each descent's (iterations, stop reason), empty without descent.
     """
     from .training import CHUNK_BYTES, size_groups  # training imports this module
 
     config = config or InferConfig()
     if any(np.shape(a) != np.shape(b) for a, b in pairs):
         raise ShapeError("frame pair dimensions differ")
-    parametric = isinstance(model, ParametricMotion)
+    descends = model.objective is not None
     stacks = []
     for members in size_groups([a for a, _ in pairs]):
         shape = np.shape(pairs[members[0]][0])
         pos = infer_positions(encoder, model, shape, config.margin)
-        if parametric:
+        if descends:
             ny, nx = map(len, lattice_axes(pos))
             stacks += _stacks(members, 8 * ny * (2 * nx) ** 2, NEWTON_STACK_BYTES, threads)
         else:
@@ -563,7 +457,7 @@ def infer_pairs(encoder, model, pairs, config: InferConfig | None = None, newton
     def infer(members):
         images_t = np.stack([pairs[i][0] for i in members])
         images_t1 = np.stack([pairs[i][1] for i in members])
-        if not parametric:
+        if not descends:
             return infer_grid_stack(encoder, model, images_t, images_t1, config)
         begin = None if starts is None else np.stack([starts[i] for i in members])
         return infer_parametric_stack(encoder, model, images_t, images_t1, config, newton, begin)
@@ -572,9 +466,9 @@ def infer_pairs(encoder, model, pairs, config: InferConfig | None = None, newton
     for members, (pos, found, *descent) in zip(stacks, parallel_map(infer, stacks, threads)):
         for j, i in enumerate(members):
             positions[i], fields[i] = pos, found[j]
-            if parametric:
+            if descends:
                 stops[i] = (int(descent[0][j]), descent[1][j])
-    return positions, fields, stops if parametric else []
+    return positions, fields, stops if descends else []
 
 
 def descent_summary(stops) -> dict:
@@ -611,7 +505,7 @@ def _step(encoder, model, cur, positions, field) -> np.ndarray:
     that the canvas stays covered, predicted along the field ``field(support)``
     (N, 2) and decoded."""
     support = offset_encodings(encoder, cur, positions, model.offsets, clamp=True)
-    pred = predict(support_matrices(model, field(support)), support)
+    pred = predict(model.support_matrices(field(support)), support)
     return decode(encoder, VectorField(positions, pred), cur.shape)
 
 
@@ -646,7 +540,7 @@ def interpolate_frames(
     The stop rule compares mean absolute intensity at least INTERP_MARGIN
     pixels from the border.
     """
-    if isinstance(model, ParametricMotion):
+    if model.grid is None:
         raise ShapeError("interpolation scans a candidate grid; needs a table model")
     cur = np.asarray(image0, dtype=np.float64)
     target = np.asarray(image_target, dtype=np.float64)
@@ -697,10 +591,6 @@ def write_field(path, field: DisplacementField) -> None:
 
 
 def read_field(path) -> DisplacementField:
-    from pathlib import Path
-
-    from .errors import DataFormatError
-
     raw = Path(path).read_bytes()
     if raw[:4] != FIELD_MAGIC:
         raise DataFormatError(f"{path}: bad field magic {raw[:4]!r}")

@@ -21,22 +21,19 @@ from .core import (
     MixedMotion,
     ParametricMotion,
     _patch_indices,
-    delta_basis,
+    _smoothness_value_grad,
     eval_positions,
     gather_at,
     lattice_axes,
     overlap_add_at,
-    polynomial_matrices,
     predict,
     predict_adjoint,
-    rows_table,
     support_centers,
     support_offsets,
-    table_rows,
 )
 from .datagen import DeformSpec, gen_v1deform
 from .errors import DataFormatError, GridLookupError, NumericError, ShapeError, TrainingDiverged
-from .inference import InferConfig, _smoothness_value_grad, infer_pairs
+from .inference import InferConfig, infer_pairs
 
 CHECKPOINT_VERSION = 1
 
@@ -68,11 +65,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if min(self.weight_rotation, self.weight_reconstruction, self.weight_norm_stability) < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("weight_rotation", "weight_reconstruction", "weight_norm_stability"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.num_steps < 0:
             raise ValueError(f"num_steps must be at least 0, got {self.num_steps}")
         GridSpec(self.patch_size, self.stride)  # checks the patch size and stride
@@ -197,11 +195,6 @@ def init_model(config: TrainConfig, rng) -> tuple[Encoder, object]:
     return encoder, MixedMotion.identity(config.displacement_grid, offsets, config.num_blocks, config.block_dim)
 
 
-def _motion_params(model) -> np.ndarray:
-    """The model's trained parameter tensor."""
-    return model.coeffs if isinstance(model, ParametricMotion) else model.matrices
-
-
 # ---------------------------------------------------------------------------
 # analytic gradient of the weighted loss
 
@@ -236,30 +229,14 @@ class Workspace:
 
 
 def _motion_gradient(model, workspace: Workspace) -> np.ndarray:
-    """A zeroed motion gradient in ``workspace``, shaped as the model's motion parameters:
-    a view of candidate-major block rows (`rows_table`; for a parametric model its five
-    coefficient tensors are the rows), the layout `_group_gradient` adds into."""
-    params = _motion_params(model)
-    m, k, d = len(model.offsets), model.num_blocks, model.block_dim
-    rows = workspace.array("d_motion", (len(params), k, d, m * d))
-    rows.fill(0.0)
-    return rows_table(rows, m).reshape(params.shape)
-
-
-def _add_rows(table: np.ndarray, cand: np.ndarray, values: np.ndarray) -> None:
-    """Add the rows of ``values`` (R, W) to rows ``cand`` of ``table`` (C, W), one sum per row
-    hit: each hit's rows summed in array order, then added to the table row.  The sums build
-    in place in ``values``.  They start from a hit's first row, not from zero: 0 + x and x
-    differ only in the sign of a zero, and a table that starts at +0 never holds -0 (a sum is
-    -0 only when both terms are), so adding either sum gives the same bits."""
-    order = np.argsort(cand, kind="stable")
-    grouped = cand[order]
-    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
-        total = values[order[lo]]
-        for r in order[lo + 1 : hi].tolist():
-            total += values[r]
-        table[grouped[lo]] += total
+    """A zeroed motion gradient in ``workspace``, shaped as the model's ``params`` and laid
+    out in their memory order (for a table in training's storage, its block rows), so that
+    Adam updates the two in blocks (`_flat_views`)."""
+    params = model.params
+    order = np.argsort([-s for s in params.strides], kind="stable")
+    grad = workspace.array("d_motion", tuple(np.take(params.shape, order))).transpose(np.argsort(order))
+    grad.fill(0.0)
+    return grad
 
 
 def _weighted(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -485,13 +462,12 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
 
     Every model runs the same forward pass over its support (the zero offset
     alone for table and parametric models), on one set of per-position block
-    matrices per chunk for `predict`, its adjoint and the motion gradient.  A
-    table's are a gather of its candidate-major block rows (`table_rows`: a
-    view of a table in training's storage, a copy per call of any other), and
-    its gradient, ``d_motion`` as `_motion_gradient` lays it out, gains rows in
-    that same layout; a parametric model's are its polynomial M(delta).  The
-    loss alone takes the same forward pass and sums, without G, the adjoint and
-    motion products or the reconstruction's gradient work.
+    matrices per chunk for `predict`, its adjoint and the motion gradient: the
+    model's lookup (`support_matrices`) into ``workspace``'s buffer.  The
+    per-position matrix gradients g_m overwrite that buffer, and the model's
+    `add_gradient` takes them into ``d_motion``, laid out as `_motion_gradient`
+    lays it out.  The loss alone takes the same forward pass and sums, without
+    G, the adjoint and motion products or the reconstruction's gradient work.
     """
     w = encoder.weights
     k, d, q = w.shape
@@ -515,12 +491,6 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
         for vec in deltas:
             if np.shape(vec) != (n, 2):
                 raise ShapeError(f"a field has shape {np.shape(vec)}, evaluation grid has {n} positions")
-        if isinstance(model, ParametricMotion):
-            table = None
-        else:
-            table = table_rows(model.matrices)
-            if gradient:  # a view: `_motion_gradient` lays the gradient out as these rows
-                d_table = table_rows(d_motion).reshape(len(table), -1)
 
     for c in range(0, len(imgs_t), frames):
         b = min(frames, len(imgs_t) - c)
@@ -544,12 +514,8 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
             ch_d = np.stack(deltas[c : c + b], out=workspace.array("deltas", (b, n, 2)))
             places = plan.places if b == frames else _support_places(plan.support, b, k, d)
             right = np.take(v, places)  # (B, N, K, m, d)
-            if table is None:  # a single offset: M(delta) is its own block layout
-                blocks = polynomial_matrices(model.coeffs, ch_d)
-            else:
-                cand = model.grid.round_indices(ch_d)
-                out = workspace.array("blocks", cand.shape + table.shape[1:])
-                blocks = np.take(table, cand, axis=0, out=out, mode="clip")  # (B, N, K, d, m*d)
+            out = workspace.array("blocks", (b, n, k, d, len(model.offsets) * d))
+            blocks = model.support_matrices(ch_d, out)  # (B, N, K, d, m*d)
             pred = predict(blocks, right.reshape(b, n, k, -1))  # (B, N, K, d)
 
             r = v_t1[:, plan.rows].reshape(b, n, k, d) - pred
@@ -573,15 +539,11 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
                 g_t1[:, plan.rows] += (2.0 * lam_rot * r_w).reshape(b, n, kd)  # the rows are distinct
                 if lam_ns > 0:
                     g_t[:, plan.rows] += (-4.0 * lam_ns * ns_w[..., None] * v_x).reshape(b, n, kd)
-                # per position, a table row's gradient in its block layout, over the spent blocks:
-                # the outer product d_pred vᵀ per block, as an einsum, which on 2x2 blocks runs
-                # about three times faster than a broadcast multiply
+                # per position, the matrix set's gradient in the lookup's layout, over the spent
+                # blocks: the outer product d_pred vᵀ per block, as an einsum, which on 2x2 blocks
+                # runs about three times faster than a broadcast multiply
                 g_m = np.einsum("...i,...j->...ij", d_pred, right.reshape(b, n, k, -1), out=blocks).reshape(b * n, -1)
-                if table is None:
-                    basis = delta_basis(ch_d).reshape(b * n, 5)
-                    d_motion += (basis.T @ g_m).reshape(d_motion.shape)
-                else:  # only the candidates hit gain
-                    _add_rows(d_table, cand.ravel(), g_m)
+                model.add_gradient(d_motion, ch_d, g_m)
         if gradient:
             dw2 += g.T @ a
     if rec is not None and gradient:
@@ -650,9 +612,9 @@ def batch_loss(encoder, model, batch, config: TrainConfig, workspace: Workspace 
 # supervised training
 
 
-def prepare_dataset(dataset, encoder, model, snap_to_grid: bool) -> list:
+def prepare_dataset(dataset, encoder, model) -> list:
     """(image_t, image_t1, deltas) triplets of `SamplePair`s: each dense field
-    sampled on the evaluation lattice, snapped to the candidates for table models.
+    sampled on the evaluation lattice, snapped to the model's candidates if it has a grid.
 
     Snapping needs every sampled component to round onto the candidate grid;
     data that reaches past it raises DataFormatError naming both ranges.
@@ -667,8 +629,8 @@ def prepare_dataset(dataset, encoder, model, snap_to_grid: bool) -> list:
             cache[img_t.shape] = pos
         vec = sample.field[pos[:, 0], pos[:, 1]]
         prepared.append((img_t, np.asarray(sample.image_t1, dtype=np.float64), vec))
-    if snap_to_grid and prepared:
-        grid = model.grid
+    grid = model.grid
+    if grid is not None and prepared:
         lo = min(float(vec.min()) for *_, vec in prepared)
         hi = max(float(vec.max()) for *_, vec in prepared)
         try:
@@ -707,13 +669,13 @@ def train_supervised(dataset, config: TrainConfig):
     """
     rng = np.random.default_rng(config.rng_seed)
     encoder, model = init_model(config, rng)
-    prepared = prepare_dataset(dataset, encoder, model, config.motion_variant != "parametric")
+    prepared = prepare_dataset(dataset, encoder, model)
     del dataset  # the triplets hold the frames; a caller that passed its only reference frees the fields
     if not prepared:
         raise ShapeError("empty dataset")
     # Adam updates the initial model's arrays in place: a mixed table stays a view of
     # block rows, as do its moments (`AdamState.init` keeps the layout)
-    params = {"weights": encoder.weights, "motion": _motion_params(model)}
+    params = {"weights": encoder.weights, "motion": model.params}
     state = AdamState.init(params)
     history: list[float] = []
     _run_steps(params, state, prepared, encoder, model, config, rng, config.num_steps, history, Workspace())
@@ -811,7 +773,7 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
 
     # stage 3: alternate parameter updates and re-inference (warm-started); Adam
     # updates stage 1's arrays in place, after the first objective has read them
-    params = {"weights": encoder.weights, "motion": model.coeffs}
+    params = {"weights": encoder.weights, "motion": model.params}
     state = AdamState.init(params)
     workspace = Workspace()
     rng = np.random.default_rng([tcfg.rng_seed, 3])
@@ -851,18 +813,8 @@ def train_unsupervised(sequences, config: UnsupervisedConfig):
 
 
 def save_checkpoint(path, encoder: Encoder, model, extra: dict | None = None) -> None:
-    """A table whose support is the zero offset alone saves as ``nonparametric``,
-    its motion block (C, K, d, d); any other as ``mixed``, with its offsets."""
-    motion = _motion_params(model)
-    if isinstance(model, ParametricMotion):
-        motion_meta = {"variant": "parametric"}
-    else:
-        grid = {"lo": model.grid.lo, "hi": model.grid.hi, "step": model.grid.step}
-        if model.offsets.tolist() == [[0, 0]]:
-            motion_meta = {"variant": "nonparametric", "grid": grid}
-            motion = motion[:, 0]
-        else:
-            motion_meta = {"variant": "mixed", "grid": grid, "offsets": model.offsets.tolist()}
+    """The model's motion entry and block are its `checkpoint_entry`."""
+    motion_meta, motion = model.checkpoint_entry()
     header = {
         "format": "patchflow-checkpoint",
         "version": CHECKPOINT_VERSION,

@@ -25,7 +25,6 @@ from patchflow.core import (
     overlap_add,
     polynomial_matrices,
     predict,
-    support_matrices,
     support_offsets,
 )
 from patchflow.inference import _score_pairs, infer_grid_stack, infer_parametric_stack
@@ -89,7 +88,7 @@ def predicted_vectors(encoder, model, image_t, positions, deltas, clamp=False):
     """Next-frame vector prediction (N, K, d) at each position of one frame for
     given displacements: `core`'s support gather, matrix lookup and prediction."""
     support = offset_encodings(encoder, image_t, positions, model.offsets, clamp)
-    return predict(support_matrices(model, deltas), support)
+    return predict(model.support_matrices(deltas), support)
 
 
 def motion_matrices(model, deltas) -> np.ndarray:

@@ -349,7 +349,28 @@ class TestExitCodes:
         code = run_cli("train", "--data", ds, "--out", out, "--lr", -1)
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: train: learning_rate")
+        assert err == ["config error: train: learning_rate must be positive, got -1.0"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("learning_rate", 0, "learning_rate must be positive, got 0"),
+            ("weight_rotation", -0.5, "weight_rotation must be non-negative, got -0.5"),
+            ("weight_reconstruction", -1, "weight_reconstruction must be non-negative, got -1"),
+            ("weight_norm_stability", -0.25, "weight_norm_stability must be non-negative, got -0.25"),
+            ("batch_size", 0, "batch_size must be at least 1, got 0"),
+        ],
+    )
+    def test_refused_train_setting_names_key_and_value(self, tmp_path, capsys, key, value, message):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--seed", 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {key: value}}))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", ds, "--config", cfg, "--out", out) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: train: {message}"]
         assert not out.exists()
 
     def test_nonpositive_pair_count_is_config_error(self, tmp_path, capsys):

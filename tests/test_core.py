@@ -16,7 +16,6 @@ from patchflow.core import (
     extract_patches,
     lattice_axes,
     overlap_add,
-    support_matrices,
     support_offsets,
 )
 from patchflow.errors import BoundsError, GridLookupError, ShapeError
@@ -278,18 +277,18 @@ class TestMotion:
     def test_parametric_zero_delta_identity(self):
         rng = np.random.default_rng(29)
         m = ParametricMotion(rng.standard_normal((5, 4, 2, 2)))
-        np.testing.assert_array_equal(support_matrices(m, np.zeros((1, 2)))[0, 2], np.eye(2))
+        np.testing.assert_array_equal(m.support_matrices(np.zeros((1, 2)))[0, 2], np.eye(2))
 
     def test_parametric_all_zero_coeffs(self):
         m = ParametricMotion.zeros(3, 2)
-        np.testing.assert_array_equal(support_matrices(m, np.array([[1.7, -2.3]]))[0, 1], np.eye(2))
+        np.testing.assert_array_equal(m.support_matrices(np.array([[1.7, -2.3]]))[0, 1], np.eye(2))
 
     def test_parametric_direct_substitution(self):
         c = np.zeros((5, 1, 2, 2))
         c[0, 0] = [[0.0, -1.0], [1.0, 0.0]]  # B1 only
         m = ParametricMotion(c)
         np.testing.assert_allclose(
-            support_matrices(m, np.array([[0.5, 0.0]]))[0, 0], [[1.0, -0.5], [0.5, 1.0]]
+            m.support_matrices(np.array([[0.5, 0.0]]))[0, 0], [[1.0, -0.5], [0.5, 1.0]]
         )
 
     def test_table_lookup_lays_each_offset_out_as_d_columns(self):
@@ -297,7 +296,7 @@ class TestMotion:
         grid, offsets = DisplacementGrid(-1, 1, 0.5), support_offsets(2, 2)
         m = MixedMotion(grid, offsets, rng.standard_normal((grid.num_candidates, len(offsets), 3, 2, 2)))
         deltas = grid.candidates()[rng.integers(0, grid.num_candidates, (4, 5))]
-        got = support_matrices(m, deltas)
+        got = m.support_matrices(deltas)
         assert got.shape == (4, 5, 3, 2, len(offsets) * 2) and got.flags.c_contiguous
         idx = grid.round_indices(deltas)
         for b, n, j in np.ndindex(4, 5, len(offsets)):

@@ -12,6 +12,8 @@ from patchflow.core import (
     MixedMotion,
     ParametricMotion,
     VectorField,
+    _PolynomialObjective,
+    _smoothness_value_grad,
     decode,
     encode,
     eval_positions,
@@ -24,9 +26,7 @@ from patchflow.inference import (
     _candidate_order,
     _newton_steps,
     _NewtonSystem,
-    _PolynomialObjective,
     _positive_definite,
-    _smoothness_value_grad,
     animate,
     infer_grid_stack,
     infer_pairs,
@@ -218,7 +218,7 @@ class TestInferParametric:
             cfg = InferConfig(init="zeros", max_iters=iters, smoothness_weight=0.1)
             fld, _ = descent_alone(enc, model, img, img2, cfg)
             # evaluate the descent objective at the returned field
-            from patchflow.inference import _smoothness_value_grad
+            from patchflow.core import _smoothness_value_grad
 
             pos = fld.positions
             v0 = encode(enc, img, pos).vectors

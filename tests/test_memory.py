@@ -55,7 +55,7 @@ def test_mixed_training_holds_four_tables():
     table = model.matrices.nbytes
     # one gradient call on fresh buffers: the gradient table, the other buffers and the temporaries;
     # a first call, on a workspace of its own, takes the imports and caches that are not the step's
-    prepared = training.prepare_dataset(pairs, encoder, model, True)
+    prepared = training.prepare_dataset(pairs, encoder, model)
     grad_total(encoder, model, prepared, config, training.Workspace())
     _, grad_peak = traced_peak(grad_total, encoder, model, prepared, config)
     workspace = grad_peak - table + 2 * 8 * training.ADAM_BLOCK  # and Adam's two scratch blocks
@@ -84,7 +84,7 @@ def test_desk_gradient_peak(variant):
     config = TrainConfig(motion_variant=variant, num_blocks=10, block_dim=2, batch_size=32)
     encoder, model = training.init_model(config, np.random.default_rng(0))
     pairs = gen_v1deform(synthetic_textures(2, (64, 64), seed=3), 32, DeformSpec(grid_m=4, lo=-3, hi=3, seed=4))
-    prepared = training.prepare_dataset(pairs, encoder, model, variant != "parametric")
+    prepared = training.prepare_dataset(pairs, encoder, model)
     counts = np.tile([2.0, 1.0, 1.0, 3.0], 8)
     grad_total(encoder, model, prepared, config, None, counts)  # a first call's imports and caches are not the step's
     (_, loss), peak = traced_peak(grad_total, encoder, model, prepared, config, None, counts)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from patchflow import core, training
-from patchflow.core import MixedMotion, block_layout, rows_table, support_matrices, table_rows
+from patchflow.core import MixedMotion, block_layout, rows_table, table_rows
 from patchflow.datagen import DeformSpec, gen_v1deform, synthetic_textures
 from patchflow.training import AdamState, TrainConfig, adam_step, grad_total, train_supervised
 
@@ -62,7 +62,7 @@ class TestStorage:
     def test_rows_gather_as_the_lookup_lays_out(self):
         enc, model, batch, _ = storage_problem()
         deltas = np.stack([d for *_, d in batch])
-        old = support_matrices(model, deltas)
+        old = model.support_matrices(deltas)
         for m in (model, MixedMotion(model.grid, model.offsets, np.ascontiguousarray(model.matrices))):
             got = np.take(table_rows(m.matrices), m.grid.round_indices(deltas), axis=0)
             assert np.array_equal(got, old)
@@ -216,7 +216,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
             g_t, g_t1 = g[: lat // 2].reshape(b, n_lat, kd), g[lat // 2 : lat].reshape(b, n_lat, kd)
             v1 = v[lat // 2 : lat].reshape(b, n_lat, kd)[:, rows_x].reshape(b, n, k, d)
             right = np.moveaxis(v[stack_rows].reshape(b, n, m, k, d), 2, 3)  # (B, N, K, m, d)
-            blocks = support_matrices(model, ch_d)
+            blocks = model.support_matrices(ch_d)
             pred = core.predict(blocks, right.reshape(b, n, k, -1))
             r = v1 - pred
             r_w = r * ch_c[:, None, None, None]

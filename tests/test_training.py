@@ -347,7 +347,7 @@ class TestTrainSupervised:
 
         rng = np.random.default_rng(config.rng_seed)
         enc0, model0 = init_model(config, rng)
-        prepared = prepare_dataset(pairs, enc0, model0, True)
+        prepared = prepare_dataset(pairs, enc0, model0)
         loss0 = total_loss(enc0, model0, prepared, config)
         loss1 = total_loss(enc, model, prepared, config)
         assert loss1 < loss0
@@ -483,7 +483,8 @@ class TestUnsupervised:
         their step rule and truncation are what scene EPE depends on."""
         from patchflow.datagen import warp
         from matrix_form import taylor_terms as _taylor_terms
-        from patchflow.inference import _smoothness_value_grad, infer_positions
+        from patchflow.core import _smoothness_value_grad
+        from patchflow.inference import infer_positions
 
         frames = synthetic_textures(2, (40, 40), seed=30)
         seqs = [[f, warp(f, np.full(f.shape + (2,), shift))] for f, shift in zip(frames, (0.7, -1.1))]
@@ -686,7 +687,7 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
         v1 = v_t1[:, pos_rows].reshape(b, n, k, d)
         voff = v[center_rows][:, inverse].reshape(b, n, -1, k, d)  # (B, N, m, K, d)
         m_off = voff.shape[2]
-        blocks = core.support_matrices(model, deltas)  # (B, N, K, d, m*d)
+        blocks = model.support_matrices(deltas)  # (B, N, K, d, m*d)
         right = np.ascontiguousarray(np.moveaxis(voff, 2, 3)).reshape(b, n, k, -1)
         pred = core.predict(blocks, right)
 
@@ -825,7 +826,7 @@ class TestChunkedGradient:
         enc, model = training.init_model(config, np.random.default_rng(0))
         assert 32 * support_stack_bytes(enc, model, (64, 64)) <= training.CHUNK_BYTES
         pairs = desk_dataset(32, seed=5)
-        prepared = training.prepare_dataset(pairs, enc, model, variant != "parametric")
+        prepared = training.prepare_dataset(pairs, enc, model)
         want, want_loss = reference_grad_total(monkeypatch, enc, model, prepared, config)
         got, loss = grad_total(enc, model, prepared, config)
         assert loss == want_loss
@@ -840,7 +841,7 @@ class TestChunkedGradient:
         config = TrainConfig(motion_variant="mixed", num_blocks=10, block_dim=2, batch_size=32)
         enc, model = training.init_model(config, np.random.default_rng(0))
         pairs = desk_dataset(32, seed=6)
-        prepared = training.prepare_dataset(pairs, enc, model, True)
+        prepared = training.prepare_dataset(pairs, enc, model)
         tracemalloc.start()
         try:
             grad_total(enc, model, prepared, config)
@@ -1045,7 +1046,7 @@ class TestRepeatedDraws:
     def test_run_steps_passes_each_distinct_draw_once_with_its_count(self, monkeypatch):
         config = TrainConfig(motion_variant="parametric", num_blocks=3, block_dim=2, patch_size=8, stride=4, batch_size=8)
         enc, model = training.init_model(config, np.random.default_rng(0))
-        prepared = training.prepare_dataset(desk_dataset(6, shape=(24, 24), seed=3), enc, model, False)
+        prepared = training.prepare_dataset(desk_dataset(6, shape=(24, 24), seed=3), enc, model)
         calls = []
         real = training.grad_total
 
@@ -1114,8 +1115,9 @@ class TestBatchLoss:
         def refuse(*args, **kwargs):
             raise AssertionError("a gradient product ran")
 
-        for name in ("_motion_gradient", "predict_adjoint", "_add_rows", "delta_basis"):
+        for name in ("_motion_gradient", "predict_adjoint"):
             monkeypatch.setattr(training, name, refuse)
+        monkeypatch.setattr(type(model), "add_gradient", refuse)  # the model's parameter gradient
         sizes = []
         real = training.gather_at
         monkeypatch.setattr(training, "gather_at", lambda imgs, idx, **kw: sizes.append(len(imgs)) or real(imgs, idx, **kw))
