@@ -388,19 +388,25 @@ def cmd_eval(args, config, settings) -> dict:
         from .core import GridSpec
 
         grid = GridSpec(config["train"]["patch_size"], config["train"]["stride"])
+        index = list(range(len(pairs)))
         fields = []
         for p in pairs:
             pos = grid.positions(*p.image_t.shape)
             fields.append(DisplacementField(pos, np.zeros((len(pos), 2))))
     else:
         pred_dir = Path(args.pred)
-        files = sorted(pred_dir.glob("field_*.v1fd"))
+        files = {}  # each field file scores against the sample that its name field_NNNNN.v1fd indexes
+        for f in pred_dir.glob("field_*.v1fd"):
+            stem = f.name[len("field_") : -len(".v1fd")]
+            i = int(stem) if stem.isascii() and stem.isdigit() else -1
+            if f.name != f"field_{i:05d}.v1fd" or i >= len(pairs):
+                raise DataFormatError(f"{f}: not field_NNNNN.v1fd of a sample NNNNN of {args.data}, which holds {len(pairs)}")
+            files[i] = f
         if not files:
             raise FileNotFoundError(f"no field files under {pred_dir}")
-        fields = [inference.read_field(f) for f in files]
-        if len(fields) > len(pairs):
-            raise DataFormatError("more predicted fields than ground-truth pairs")
-        pairs = pairs[: len(fields)]
+        index = sorted(files)
+        fields = [inference.read_field(files[i]) for i in index]
+        pairs = [pairs[i] for i in index]
     reports = [
         evalviz.epe(fld, pair.field, margin=margin) for fld, pair in zip(fields, pairs)
     ]
@@ -410,7 +416,7 @@ def cmd_eval(args, config, settings) -> dict:
     out = Path(args.out)
     with open(out / "epe.csv", "w") as fh:
         fh.write("pair,count,mean_epe\n")
-        for i, r in enumerate(reports):
+        for i, r in zip(index, reports):
             fh.write(f"{i},{r.count},{r.mean_epe:.9g}\n")
         fh.write(f"pooled,{len(all_errors)},{pooled:.9g}\n")
         fh.write(f"mean_of_means,{len(reports)},{float(np.mean(per_image)):.9g}\n")

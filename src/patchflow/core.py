@@ -32,7 +32,7 @@ checkpoint header's motion entry and the block it describes.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -363,11 +363,15 @@ class MixedMotion:
     The paper's nonparametric model is the table whose support is the zero
     offset alone (``support_offsets(0, 1)``); its mixed model has a wider
     support.  Checkpoints save the first under the ``nonparametric`` header.
+
+    The table is held once, as C-ordered block rows ``rows``, row c candidate c's
+    set in `predict`'s layout; ``matrices``, in the checkpoint's order, views them.
     """
 
     grid: DisplacementGrid
     offsets: np.ndarray  # (m, 2) int
-    matrices: np.ndarray  # (n_candidates, m, K, d, d)
+    matrices: np.ndarray  # (n_candidates, m, K, d, d), a view of rows
+    rows: np.ndarray = field(init=False, repr=False, compare=False)  # (n_candidates, K, d, m*d)
 
     def __post_init__(self):
         off = np.asarray(self.offsets, dtype=np.int64)
@@ -376,8 +380,10 @@ class MixedMotion:
             raise ShapeError(f"offsets must be (m, 2), got {off.shape}")
         if m.ndim != 5 or m.shape[0] != self.grid.num_candidates or m.shape[1] != len(off):
             raise ShapeError(f"matrices must be (n_cand, m, K, d, d), got {m.shape}")
+        rows = np.ascontiguousarray(np.moveaxis(m, 1, 3))  # (C, K, d, m, d): a copy unless m views C-ordered rows
         object.__setattr__(self, "offsets", off)
-        object.__setattr__(self, "matrices", m)
+        object.__setattr__(self, "matrices", np.moveaxis(rows, 3, 1))
+        object.__setattr__(self, "rows", rows.reshape(rows.shape[:3] + (-1,)))
 
     @property
     def max_offset(self) -> int:
@@ -387,30 +393,21 @@ class MixedMotion:
 
     @property
     def params(self) -> np.ndarray:
-        return self.matrices
+        return self.rows
 
     @cached_property
     def table_blocks(self) -> np.ndarray:
-        """The table in the layout of `block_layout`, built on first use: the blocks that grid
-        scoring multiplies."""
-        return block_layout(self.matrices)
+        """Grid scoring's blocks (K, C*d, m*d), built on first use: block k stacks the rows of sub-vector k."""
+        c, k, d, md = self.rows.shape
+        return self.rows.transpose(1, 0, 2, 3).reshape(k, c * d, md)
 
     def support_matrices(self, deltas: np.ndarray, out=None) -> np.ndarray:
-        """Each delta snapped to its nearest candidate, whose sets are gathered: without ``out``
-        by indexing, which copies only those, into ``out`` by one take of whole rows, which
-        would first copy a table that is not in training's storage."""
-        idx = self.grid.round_indices(deltas)
-        rows = np.moveaxis(self.matrices, 1, 3)  # (C, K, d, m, d), C-ordered in training's storage
-        if out is None:
-            mats = rows[idx]
-        else:
-            mats = np.take(rows, idx, axis=0, out=out.reshape(idx.shape + rows.shape[1:]), mode="clip")
-        return mats.reshape(idx.shape + rows.shape[1:3] + (-1,))
+        """Each delta snapped to its nearest candidate, whose row is gathered, into ``out`` when given."""
+        return np.take(self.rows, self.grid.round_indices(deltas), axis=0, out=out, mode="clip")
 
     def add_gradient(self, grad: np.ndarray, deltas: np.ndarray, g_m: np.ndarray) -> None:
         """Each candidate hit gains the sum of its positions' matrix-set gradients (`_add_rows`)."""
-        sets = np.moveaxis(grad, 1, 3)  # (C, K, d, m, d): a view in the lookup's layout
-        _add_rows(sets, self.grid.round_indices(deltas).ravel(), g_m.reshape((len(g_m),) + sets.shape[1:]))
+        _add_rows(grad, self.grid.round_indices(deltas).ravel(), g_m.reshape((len(g_m),) + grad.shape[1:]))
 
     def checkpoint_entry(self) -> tuple[dict, np.ndarray]:
         """A table on the zero offset alone saves as ``nonparametric``, its block (C, K, d, d)."""
@@ -421,16 +418,14 @@ class MixedMotion:
 
     @classmethod
     def identity(cls, grid, offsets, num_blocks, block_dim):
-        """Identity at dx = 0, zero elsewhere: the no-motion model, its matrices a view
-        of candidate-major block rows (`rows_table`), the layout training reads."""
+        """Identity at dx = 0, zero elsewhere: the no-motion model, written into its rows."""
         offsets = np.asarray(offsets, dtype=np.int64)
-        rows = np.zeros((grid.num_candidates, num_blocks, block_dim, len(offsets) * block_dim))
-        m = rows_table(rows, len(offsets))
         center = np.nonzero((offsets == 0).all(axis=1))[0]
         if len(center) == 0:
             raise ValueError("mixing support must contain the zero offset")
-        m[:, center[0]] = np.eye(block_dim)
-        return cls(grid, offsets, m)
+        rows = np.zeros((grid.num_candidates, num_blocks, block_dim, len(offsets), block_dim))
+        rows[:, :, :, center[0]] = np.eye(block_dim)
+        return cls(grid, offsets, np.moveaxis(rows, 3, 1))
 
 
 @dataclass(frozen=True)
@@ -674,29 +669,6 @@ def offset_encodings(encoder, images, positions, offsets, clamp=False):
     # block k of center u is row u*K + k; each position takes its K blocks of its m centers
     rows = np.take(codes, inverse[:, None, :] * k + np.arange(k)[:, None], axis=1)  # (F, N, K, m, d)
     return rows.reshape(images.shape[:-2] + rows.shape[1:3] + (-1,))
-
-
-def block_layout(mats: np.ndarray) -> np.ndarray:
-    """R matrix sets (..., R, m, K, d, e) over a support of m offsets, laid out
-    as one (R*d, m*e) block per sub-vector, shape (..., K, R*d, m*e): with R = 1
-    a set in the layout of `support_matrices`, with the whole table as R grid
-    scoring's blocks."""
-    r, m, k, d, e = mats.shape[-5:]
-    left = np.moveaxis(mats, [-3, -5, -2, -4], [-5, -4, -3, -2])  # (..., K, R, d, m, e)
-    return left.reshape(left.shape[:-5] + (k, r * d, m * e))
-
-
-def table_rows(table: np.ndarray) -> np.ndarray:
-    """A (C, m, K, d, d) table as candidate-major block rows (C, K, d, m*d): row c is
-    candidate c's matrix set in the layout of `support_matrices`, so per-position blocks
-    are a gather of rows.  A view of a table that `rows_table` made, a copy of any other."""
-    return block_layout(table[:, None])
-
-
-def rows_table(rows: np.ndarray, m: int) -> np.ndarray:
-    """The (C, m, K, d, d) table that candidate-major block rows (C, K, d, m*d) hold, as a view."""
-    c, k, d, md = rows.shape
-    return np.moveaxis(rows.reshape(c, k, d, m, md // m), 3, 1)
 
 
 def predict(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:

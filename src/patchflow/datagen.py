@@ -404,8 +404,8 @@ def dataset_read(path) -> list[SamplePair]:
     mode, count = manifest.get("mode", "binary"), manifest.get("count")
     if mode not in ("binary", "pgm"):
         raise DataFormatError(f"{manifest_path}: unknown dataset mode {json.dumps(mode)}")
-    if type(count) is not int or count < 0:
-        raise DataFormatError(f"{manifest_path}: manifest count must be a non-negative integer, got {json.dumps(count)}")
+    if type(count) is not int or count < 1:
+        raise DataFormatError(f"{manifest_path}: manifest count must be a positive integer, got {json.dumps(count)}")
     pairs = []
     for i in range(count):
         stem = f"sample_{i:05d}"

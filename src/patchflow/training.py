@@ -122,16 +122,6 @@ class AdamState:
 ADAM_BLOCK = 65_536
 
 
-def _flat_views(*arrays):
-    """1-D views of same-shaped arrays that hold their elements in one memory order,
-    or None when their layouts differ."""
-    order = np.argsort([-s for s in arrays[0].strides], kind="stable")
-    views = [a.transpose(order) for a in arrays]
-    if not all(v.flags.c_contiguous for v in views):
-        return None
-    return [v.reshape(-1) for v in views]
-
-
 def _adam_update(p, g, m, v, a, b, t, config) -> None:
     """The textbook update of one block, through the scratch blocks ``a`` and ``b``."""
     b1, b2 = config.beta1, config.beta2
@@ -151,29 +141,24 @@ def _adam_update(p, g, m, v, a, b, t, config) -> None:
 def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig) -> None:
     """Bias-corrected Adam update of parameters and moments, in place.
 
-    A parameter larger than ADAM_BLOCK whose gradient and moments share its
-    memory layout (a mixed table in training is a view of block rows, and its
-    moments and gradient follow it) is updated in blocks of ADAM_BLOCK entries
-    in memory order; any other in one block.  Two block-sized scratch buffers
-    replace the temporaries of the textbook expressions; every product and sum
-    is the textbook one, taken in the same order, so the results are bit for
-    bit the same.
+    Each parameter is updated in blocks of ADAM_BLOCK entries, through two
+    block-sized scratch buffers that replace the textbook temporaries; every
+    product and sum is the textbook one, in the same order, so the bits are the
+    same.  A parameter or moment that is not C-ordered raises ShapeError: its
+    flat view would be a copy, and the update would be lost.
     """
     state.step += 1
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {key}")
-        arrays = (p, g, state.m[key], state.v[key])
-        flat = _flat_views(*arrays) if p.size > ADAM_BLOCK else None
-        if flat is None:  # one block: a small parameter, or layouts that differ
-            _adam_update(*arrays, np.empty_like(p), np.empty_like(p), state.step, config)
-            continue
-        a, b = np.empty((2, ADAM_BLOCK))
+        if not all(x.flags.c_contiguous for x in (p, state.m[key], state.v[key])):
+            raise ShapeError(f"Adam updates C-ordered arrays in place; {key} or its moments are not C-ordered")
+        flat = [x.reshape(-1) for x in (p, g, state.m[key], state.v[key])]
+        a, b = np.empty((2, min(p.size, ADAM_BLOCK)))
         for lo in range(0, p.size, ADAM_BLOCK):
-            block = [x[lo : lo + ADAM_BLOCK] for x in flat]
-            n = len(block[0])
-            _adam_update(*block, a[:n], b[:n], state.step, config)
+            n = min(ADAM_BLOCK, p.size - lo)
+            _adam_update(*(x[lo : lo + n] for x in flat), a[:n], b[:n], state.step, config)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +214,8 @@ class Workspace:
 
 
 def _motion_gradient(model, workspace: Workspace) -> np.ndarray:
-    """A zeroed motion gradient in ``workspace``, shaped as the model's ``params`` and laid
-    out in their memory order (for a table in training's storage, its block rows), so that
-    Adam updates the two in blocks (`_flat_views`)."""
-    params = model.params
-    order = np.argsort([-s for s in params.strides], kind="stable")
-    grad = workspace.array("d_motion", tuple(np.take(params.shape, order))).transpose(np.argsort(order))
+    """A zeroed motion gradient in ``workspace``, shaped as the model's ``params``."""
+    grad = workspace.array("d_motion", model.params.shape)
     grad.fill(0.0)
     return grad
 
@@ -465,9 +446,9 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
     matrices per chunk for `predict`, its adjoint and the motion gradient: the
     model's lookup (`support_matrices`) into ``workspace``'s buffer.  The
     per-position matrix gradients g_m overwrite that buffer, and the model's
-    `add_gradient` takes them into ``d_motion``, laid out as `_motion_gradient`
-    lays it out.  The loss alone takes the same forward pass and sums, without
-    G, the adjoint and motion products or the reconstruction's gradient work.
+    `add_gradient` takes them into ``d_motion``, shaped as its ``params``.  The
+    loss alone takes the same forward pass and sums, without G, the adjoint and
+    motion products or the reconstruction's gradient work.
     """
     w = encoder.weights
     k, d, q = w.shape
@@ -673,8 +654,7 @@ def train_supervised(dataset, config: TrainConfig):
     del dataset  # the triplets hold the frames; a caller that passed its only reference frees the fields
     if not prepared:
         raise ShapeError("empty dataset")
-    # Adam updates the initial model's arrays in place: a mixed table stays a view of
-    # block rows, as do its moments (`AdamState.init` keeps the layout)
+    # Adam updates the initial model's arrays in place
     params = {"weights": encoder.weights, "motion": model.params}
     state = AdamState.init(params)
     history: list[float] = []
@@ -833,7 +813,7 @@ def save_checkpoint(path, encoder: Encoder, model, extra: dict | None = None) ->
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for array in (encoder.weights, motion):  # a block-row table's one contiguous copy, no bytes copy
+        for array in (encoder.weights, motion):  # a mixed table's view copied once, no bytes copy
             fh.write(np.ascontiguousarray(array, dtype="<f8").data)
 
 
@@ -880,6 +860,25 @@ def _header_offsets(mmeta, path) -> np.ndarray:
     return np.asarray(offsets, dtype=np.int64)
 
 
+# bytes of the buffer through which `_read_block` reads a parameter block
+READ_BUFFER_BYTES = 1 << 20
+
+
+def _read_block(fh, array, name, path) -> None:
+    """Fill ``array`` (a mixed table's is the (C, m, K, d, d) view of its rows) with the next
+    float64 little-endian entries of ``fh``, in the C order of its shape, through a buffer of
+    about READ_BUFFER_BYTES.  A short read or a non-finite entry raises DataFormatError."""
+    step = max(1, READ_BUFFER_BYTES // array[0].nbytes)
+    buf = np.empty((min(step, len(array)),) + array.shape[1:], dtype="<f8")
+    for lo in range(0, len(array), step):
+        part = buf[: len(array) - lo]
+        if fh.readinto(memoryview(part).cast("B")) != part.nbytes:
+            raise DataFormatError(f"{path}: truncated parameter block {name}")
+        if not np.all(np.isfinite(part)):
+            raise DataFormatError(f"{path}: parameter block {name} has non-finite entries")
+        array[lo : lo + step] = part
+
+
 def load_checkpoint(path):
     """Returns (encoder, model, header).
 
@@ -887,7 +886,8 @@ def load_checkpoint(path):
     blocks are read, and the blocks' shapes against the encoder and motion
     entries; a header that is not a checkpoint's, a body of another length
     or non-finite parameters raise DataFormatError.  Each block is read from
-    the file straight into its array, so loading holds the body once."""
+    the file into its array through a buffer of about READ_BUFFER_BYTES, so
+    loading holds the body once."""
     with open(path, "rb") as fh:
         return _read_checkpoint(fh, path)
 
@@ -931,7 +931,6 @@ def _read_checkpoint(fh, path):
             motion_shape.insert(1, len(offsets))
     if not isinstance(blocks, list) or len(blocks) != 2:
         raise DataFormatError(f"{path}: checkpoint header needs two parameter blocks")
-    arrays = []
     offset = 0
     for block, shape in zip(blocks, ([k, d, p * p], motion_shape)):
         stated = _header_entry(block, "shape", path)
@@ -940,18 +939,16 @@ def _read_checkpoint(fh, path):
                 f"{path}: parameter block {block.get('name')!r} has shape {stated!r}; the header's "
                 f"encoder and motion entries give {shape}"
             )
-        end = offset + 8 * math.prod(shape)
-        array = np.empty(shape, dtype="<f8") if end <= body_size else None  # only what the file can fill
-        if array is None or fh.readinto(memoryview(array).cast("B")) != array.nbytes:
+        offset += 8 * math.prod(shape)
+        if offset > body_size:  # allocate only what the file can fill
             raise DataFormatError(f"{path}: truncated parameter block {block.get('name')}")
-        if not np.all(np.isfinite(array)):
-            raise DataFormatError(f"{path}: parameter block {block.get('name')} has non-finite entries")
-        arrays.append(array)
-        offset = end
     if offset != body_size:
         raise DataFormatError(f"{path}: trailing bytes after parameter blocks")
-    weights, motion = arrays
-    encoder = Encoder(weights, p, stride)
+    weights = np.empty((k, d, p * p))
     if variant == "parametric":
-        return encoder, ParametricMotion(motion), header
-    return encoder, MixedMotion(grid, offsets, motion.reshape(len(motion), len(offsets), k, d, d)), header
+        model = ParametricMotion(np.empty(motion_shape))
+    else:  # a new table, read into its rows through the block that its checkpoint entry views
+        model = MixedMotion(grid, offsets, np.moveaxis(np.empty((grid.num_candidates, k, d, len(offsets), d)), 3, 1))
+    for block, array in zip(blocks, (weights, model.checkpoint_entry()[1])):
+        _read_block(fh, array, block.get("name"), path)
+    return Encoder(weights, p, stride), model, header

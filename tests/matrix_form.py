@@ -11,7 +11,9 @@ gradient is probed and checked against; the reconstruction term straight from
 the canvases, which both of training's forms of it must equal; and one pair's
 inference, the stack of one of each stacked path, which every stack of pairs
 must equal pair by pair.  `ZeroSupportTable` builds the nonparametric model,
-the table motion model on the zero offset alone."""
+the table motion model on the zero offset alone; `block_layout` lays matrix
+sets out as `predict` reads them, and `table_view` shows a table's block rows,
+or its gradient, in the checkpoint's (C, m, K, d, d) order."""
 
 import numpy as np
 
@@ -41,6 +43,22 @@ class ZeroSupportTable:
     @staticmethod
     def identity(grid, num_blocks, block_dim):
         return MixedMotion.identity(grid, support_offsets(0, 1), num_blocks, block_dim)
+
+
+def block_layout(mats: np.ndarray) -> np.ndarray:
+    """R matrix sets (..., R, m, K, d, e) over a support of m offsets, laid out
+    as one (R*d, m*e) block per sub-vector, shape (..., K, R*d, m*e): with R = 1
+    a set in the layout of `support_matrices`, with a whole table as R the blocks
+    of grid scoring."""
+    r, m, k, d, e = mats.shape[-5:]
+    left = np.moveaxis(mats, [-3, -5, -2, -4], [-5, -4, -3, -2])  # (..., K, R, d, m, e)
+    return left.reshape(left.shape[:-5] + (k, r * d, m * e))
+
+
+def table_view(rows: np.ndarray, m: int) -> np.ndarray:
+    """The (C, m, K, d, d) view of a table's block rows (C, K, d, m*d), or of its gradient."""
+    c, k, d, md = rows.shape
+    return np.moveaxis(rows.reshape(c, k, d, m, md // m), 3, 1)
 
 
 def taylor_terms(model: ParametricMotion, deltas: np.ndarray):

@@ -1,15 +1,17 @@
 """The checkpoint reader on damaged files: a seeded sweep of truncations and byte
 flips, and targeted header faults.  Every case loads or raises DataFormatError."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from patchflow import training
 from patchflow.cli import EXIT_FORMAT, main
 from patchflow.core import DisplacementGrid, Encoder, MixedMotion, ParametricMotion, support_offsets
 from patchflow.errors import DataFormatError
-from patchflow.training import load_checkpoint, save_checkpoint
+from patchflow.training import TrainConfig, load_checkpoint, save_checkpoint
 
 from matrix_form import ZeroSupportTable
 
@@ -180,3 +182,66 @@ def test_mixed_checkpoint_on_the_zero_offset_loads(tmp_path):
     assert np.array_equal(loaded.matrices, small_model("nonparametric").matrices)
     save_checkpoint(tmp_path / "again.ckpt", encoder, loaded, extra={"seed": 1})
     assert (tmp_path / "again.ckpt").read_bytes() == raw
+
+
+# ---------------------------------------------------------------------------
+# a mixed table read into its block rows through a buffer of READ_BUFFER_BYTES
+
+
+def desk_mixed_checkpoint(tmp_path):
+    """A desk mixed checkpoint with random matrices, where its motion block starts in
+    the file, and the candidates that one read buffer holds."""
+    config = TrainConfig(motion_variant="mixed", num_blocks=10, block_dim=2)
+    encoder, model = training.init_model(config, np.random.default_rng(0))
+    model.matrices[...] = np.random.default_rng(1).standard_normal(model.matrices.shape)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, encoder, model)
+    raw = path.read_bytes()
+    start = raw.find(b"\n") + 1 + encoder.weights.nbytes
+    per_buffer = training.READ_BUFFER_BYTES // model.matrices[0].nbytes
+    assert 1 < per_buffer and 2 * per_buffer < len(model.matrices) and len(model.matrices) % per_buffer
+    return path, raw, start, model, per_buffer
+
+
+def buffer_cuts(model, per_buffer):
+    """Bytes into the motion block: inside the first buffer, on the boundary after it,
+    and inside the last buffer."""
+    candidate = model.matrices[0].nbytes
+    last = len(model.matrices) // per_buffer * per_buffer
+    return {"first": candidate // 2 + 8, "boundary": per_buffer * candidate, "last": (last + 1) * candidate + 8}
+
+
+@pytest.mark.parametrize("where", ["first", "boundary", "last"])
+def test_mixed_block_cut_inside_a_read_buffer_exits_4(tmp_path, capsys, where):
+    path, raw, start, model, per_buffer = desk_mixed_checkpoint(tmp_path)
+    path.write_bytes(raw[: start + buffer_cuts(model, per_buffer)[where]])
+    code = main(["filters", "--checkpoint", str(path), "--delta-path", "0,0", "--out", str(tmp_path / "out")])
+    assert code == EXIT_FORMAT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "truncated parameter block motion.params" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["first", "boundary", "last"])
+def test_buffered_read_refuses_a_short_stream(tmp_path, where):
+    # the buffer's own short-read check, on a stream whose size the reader cannot see
+    _, raw, start, model, per_buffer = desk_mixed_checkpoint(tmp_path)
+    body = raw[start : start + buffer_cuts(model, per_buffer)[where]]
+    rows = np.empty_like(model.rows)
+    view = np.moveaxis(rows.reshape(rows.shape[:3] + (len(model.offsets), -1)), 3, 1)
+    with pytest.raises(DataFormatError, match="truncated parameter block motion.params"):
+        training._read_block(io.BytesIO(body), view, "motion.params", "m.ckpt")
+
+
+def test_buffered_read_fills_the_rows(tmp_path):
+    path, raw, start, model, per_buffer = desk_mixed_checkpoint(tmp_path)
+    _, loaded, _ = load_checkpoint(path)
+    assert np.array_equal(loaded.rows, model.rows) and loaded.rows.flags.c_contiguous
+
+
+def test_non_finite_entry_in_the_last_read_buffer_is_refused(tmp_path):
+    path, raw, start, model, per_buffer = desk_mixed_checkpoint(tmp_path)
+    at = start + buffer_cuts(model, per_buffer)["last"]
+    path.write_bytes(raw[:at] + np.array([np.inf]).astype("<f8").tobytes() + raw[at + 8 :])
+    with pytest.raises(DataFormatError, match="motion.params has non-finite entries"):
+        load_checkpoint(path)

@@ -648,6 +648,62 @@ class TestChecksBeforeWork:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("format error:") and "32x32" in err[0]
 
+    def test_eval_pairs_each_field_with_the_sample_its_name_indexes(self, tmp_path):
+        from patchflow.core import DisplacementField
+        from patchflow.inference import write_field
+
+        ds, pred = tmp_path / "ds", tmp_path / "pred"
+        run_cli("gen-data", "--out", ds, "--pairs", 3, "--size", 32, "--seed", 4)
+        assert run_cli("eval", "--data", ds, "--zero-predictor", "--out", tmp_path / "zero") == EXIT_OK
+        zero = (tmp_path / "zero" / "epe.csv").read_text().splitlines()
+        # zero fields on the zero predictor's lattice for samples 0 and 2; field_00001 is missing
+        pred.mkdir()
+        pos = GridSpec(16, 8).positions(32, 32)
+        for i in (0, 2):
+            write_field(pred / f"field_{i:05d}.v1fd", DisplacementField(pos, np.zeros((len(pos), 2))))
+        assert run_cli("eval", "--data", ds, "--pred", pred, "--out", tmp_path / "ev") == EXIT_OK
+        lines = (tmp_path / "ev" / "epe.csv").read_text().splitlines()
+        assert lines[1:3] == [zero[1], zero[3]] and zero[2] != zero[3]
+        assert lines[1].startswith("0,") and lines[2].startswith("2,")
+
+    @pytest.mark.parametrize("name", ["field_00003.v1fd", "field_1.v1fd", "field_000001.v1fd", "field_x.v1fd"])
+    def test_eval_field_that_indexes_no_sample_is_format_error(self, tmp_path, capsys, name):
+        from patchflow.core import DisplacementField
+        from patchflow.inference import write_field
+
+        ds, pred = tmp_path / "ds", tmp_path / "pred"
+        run_cli("gen-data", "--out", ds, "--pairs", 3, "--size", 32, "--seed", 4)
+        pred.mkdir()
+        pos = GridSpec(16, 8).positions(32, 32)
+        for file in ("field_00000.v1fd", name):
+            write_field(pred / file, DisplacementField(pos, np.zeros((len(pos), 2))))
+        capsys.readouterr()
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--data", ds, "--pred", pred, "--out", out) == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:") and name in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "infer", "train"])
+    def test_empty_dataset_is_format_error(self, tmp_path, capsys, command):
+        ds = tmp_path / "ds"
+        run_cli("gen-data", "--out", ds, "--pairs", 1, "--size", 32, "--seed", 1)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        (ds / "manifest.json").write_text(json.dumps({**manifest, "count": 0}))
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Encoder.random(2, 2, 8, 8, rng=9), ZeroSupportTable.identity(DisplacementGrid(-1, 1, 1.0), 2, 2))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "eval": ["eval", "--data", ds, "--zero-predictor"],
+            "infer": ["infer", "--checkpoint", ckpt, "--data", ds],
+            "train": ["train", "--data", ds, "--blocks", 2, "--steps", 1],
+        }[command]
+        assert run_cli(*argv, "--out", out) == EXIT_FORMAT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("format error:") and str(ds / "manifest.json") in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "infer"])
     def test_image_smaller_than_patch_and_support_is_format_error(self, tmp_path, capsys, command):
         ds = tmp_path / "ds"

@@ -20,7 +20,7 @@ from patchflow.core import (
 )
 from patchflow.errors import BoundsError, GridLookupError, ShapeError
 
-from matrix_form import ZeroSupportTable, predicted_vectors, rotation_loss
+from matrix_form import ZeroSupportTable, block_layout, predicted_vectors, rotation_loss
 
 
 def naive_patch(image, pos, p):
@@ -467,7 +467,7 @@ class TestChecksAndAdjoint:
             eval_positions(enc, model, (side + 5, side - 1))
 
     def test_predict_adjoint_is_the_transpose(self):
-        from patchflow.core import block_layout, predict, predict_adjoint
+        from patchflow.core import predict, predict_adjoint
 
         rng = np.random.default_rng(11)
         mats = rng.standard_normal((6, 3, 5, 2, 2))  # per position, a set over m offsets of K blocks
@@ -479,7 +479,7 @@ class TestChecksAndAdjoint:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_predict_is_each_positions_sum_over_its_support(self):
-        from patchflow.core import block_layout, predict
+        from patchflow.core import predict
 
         rng = np.random.default_rng(12)
         mats = rng.standard_normal((4, 6, 3, 5, 2, 2))  # (B, N, m, K, d, d)

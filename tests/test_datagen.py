@@ -1,5 +1,7 @@
 """Generator tests: spline fields, warping, scene synthesis, container I/O."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -272,8 +274,11 @@ class TestDatasetIO:
             assert a == b
 
     def test_empty_dataset(self, tmp_path):
+        # a manifest count of 0 is refused, naming the manifest
         dataset_write([], tmp_path / "empty")
-        assert dataset_read(tmp_path / "empty") == []
+        manifest = tmp_path / "empty" / "manifest.json"
+        with pytest.raises(DataFormatError, match=re.escape(f"{manifest}: manifest count must be a positive integer, got 0")):
+            dataset_read(tmp_path / "empty")
 
     def test_corrupted_magic(self, tmp_path):
         pairs = self.make_pairs(1)

@@ -29,10 +29,14 @@ def small_pairs(n_pairs, shape=(24, 24)):
     return gen_v1deform(synthetic_textures(2, shape, seed=3), n_pairs, DeformSpec(grid_m=3, lo=-2, hi=2, seed=4))
 
 
-def test_load_checkpoint_holds_the_body_once(tmp_path):
-    # a desk mixed table, 5 MB: each block is read into its array, so loading holds
-    # the body once and its finiteness mask (an eighth of it), not a bytes copy too
-    config = TrainConfig(motion_variant="mixed", num_blocks=10, block_dim=2)
+@pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+def test_load_checkpoint_holds_the_body_once(tmp_path, variant):
+    # a table of about 5 MB (a desk mixed one, or a nonparametric one on a finer grid):
+    # a block in the file's order is read into its array, and a mixed table into its
+    # block rows through a buffer of about 1 MB, so loading holds the body once, its
+    # finiteness mask (an eighth of it) and that buffer, not a bytes copy too
+    sizes = {"mixed": dict(num_blocks=10), "nonparametric": dict(num_blocks=45, delta_step=0.2)}
+    config = TrainConfig(motion_variant=variant, block_dim=2, **sizes[variant])
     encoder, model = training.init_model(config, np.random.default_rng(0))
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, encoder, model)

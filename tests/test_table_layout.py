@@ -1,15 +1,18 @@
-"""A table in training's storage: candidate-major block rows, the row-sum motion
-gradient, and Adam in blocks, each against the layout and arithmetic it replaced."""
+"""A table held once, as candidate-major block rows: the constructor, the loader and
+`init_model` keep it there, the lookup and the row-sum motion gradient read and
+write it, and Adam updates it in blocks, each against the layout and arithmetic it
+replaced."""
 
 import numpy as np
 import pytest
 
 from patchflow import core, training
-from patchflow.core import MixedMotion, block_layout, rows_table, table_rows
+from patchflow.core import MixedMotion
 from patchflow.datagen import DeformSpec, gen_v1deform, synthetic_textures
-from patchflow.training import AdamState, TrainConfig, adam_step, grad_total, train_supervised
+from patchflow.errors import ShapeError
+from patchflow.training import AdamState, TrainConfig, adam_step, grad_total, load_checkpoint, save_checkpoint, train_supervised
 
-from matrix_form import total_loss
+from matrix_form import block_layout, table_view, total_loss
 
 
 def mixed_config(**kw):
@@ -23,7 +26,7 @@ def mixed_config(**kw):
 
 
 def storage_problem(seed=0):
-    """A mixed model in training's storage with random matrices, and a batch on its grid."""
+    """A mixed model with random matrices, and a batch on its grid."""
     config = mixed_config()
     rng = np.random.default_rng(seed)
     enc, model = training.init_model(config, rng)
@@ -35,6 +38,15 @@ def storage_problem(seed=0):
         for _ in range(3)
     ]
     return enc, model, batch, config
+
+
+def assert_held_as_rows(model):
+    """``rows`` is the model's C-ordered table, and ``matrices`` a view of it."""
+    c, m, k, d, _ = model.matrices.shape
+    assert model.rows.shape == (c, k, d, m * d) and model.rows.flags.c_contiguous
+    assert model.params is model.rows
+    assert np.shares_memory(model.rows, model.matrices)
+    assert np.array_equal(table_view(model.rows, m), model.matrices)
 
 
 def textbook_adam(params, grads_seq, config):
@@ -52,20 +64,40 @@ def textbook_adam(params, grads_seq, config):
 
 
 class TestStorage:
-    def test_identity_matrices_view_block_rows(self):
-        _, model = training.init_model(mixed_config(), np.random.default_rng(0))
-        rows = table_rows(model.matrices)
-        assert rows.flags.c_contiguous and np.shares_memory(rows, model.matrices)
-        assert rows.shape == (model.grid.num_candidates, 3, 2, len(model.offsets) * 2)
-        assert np.array_equal(rows_table(rows, len(model.offsets)), model.matrices)
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_identity_matrices_view_block_rows(self, variant):
+        _, model = training.init_model(mixed_config(motion_variant=variant), np.random.default_rng(0))
+        assert_held_as_rows(model)
+        assert model.rows.shape == (model.grid.num_candidates, 3, 2, len(model.offsets) * 2)
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_loaded_matrices_view_block_rows(self, tmp_path, variant):
+        enc, model, _, _ = storage_problem()
+        if variant == "nonparametric":
+            model = MixedMotion(model.grid, model.offsets[[len(model.offsets) // 2]], model.matrices[:, [len(model.offsets) // 2]])
+        save_checkpoint(tmp_path / "m.ckpt", enc, model)
+        _, loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert_held_as_rows(loaded)
+        assert np.array_equal(loaded.rows, model.rows)
+
+    def test_constructor_copies_matrices_that_are_not_a_view_of_rows(self):
+        _, model, _, _ = storage_problem()
+        given = np.ascontiguousarray(model.matrices)
+        copied = MixedMotion(model.grid, model.offsets, given)
+        assert_held_as_rows(copied)
+        assert not np.shares_memory(copied.rows, given) and np.array_equal(copied.rows, model.rows)
+        # matrices that are a view of C-ordered rows are kept, not copied
+        assert np.shares_memory(MixedMotion(model.grid, model.offsets, model.matrices).rows, model.rows)
 
     def test_rows_gather_as_the_lookup_lays_out(self):
         enc, model, batch, _ = storage_problem()
         deltas = np.stack([d for *_, d in batch])
-        old = model.support_matrices(deltas)
+        idx = model.grid.round_indices(deltas)
+        want = block_layout(model.matrices[idx][:, :, None])  # each position's set, (B, N, K, d, m*d)
         for m in (model, MixedMotion(model.grid, model.offsets, np.ascontiguousarray(model.matrices))):
-            got = np.take(table_rows(m.matrices), m.grid.round_indices(deltas), axis=0)
-            assert np.array_equal(got, old)
+            assert np.array_equal(m.support_matrices(deltas), want)
+            out = np.empty_like(want)
+            assert m.support_matrices(deltas, out) is out and np.array_equal(out, want)
 
 
 class TestAdamBlocks:
@@ -75,9 +107,8 @@ class TestAdamBlocks:
         monkeypatch.setattr(training, "ADAM_BLOCK", 200)
         config = mixed_config(delta_lo=-1.0, delta_hi=1.0, delta_step=1.0)
         _, model = training.init_model(config, np.random.default_rng(1))
-        table = np.copy(model.matrices)  # keeps training's storage order
-        if layout != "storage":
-            table = np.ascontiguousarray(table)
+        # the block rows that training updates, or a C-ordered table in the checkpoint's order
+        table = np.copy(model.rows) if layout != "contiguous" else np.ascontiguousarray(model.matrices)
         rng = np.random.default_rng(2)
         table[...] = rng.standard_normal(table.shape)
         params = {"motion": table, "w": rng.standard_normal((3, 2, 7))}
@@ -87,7 +118,9 @@ class TestAdamBlocks:
         for _ in range(4):
             grads = {}
             for k, p in params.items():
-                g = np.copy(model.matrices) if (k == "motion" and layout == "mixed_layouts") else np.empty_like(p)
+                # a gradient in another memory order than its parameter's is read, not written
+                other = k == "motion" and layout == "mixed_layouts"
+                g = np.empty(p.shape[::-1]).T if other else np.empty_like(p)
                 g[...] = rng.standard_normal(p.shape) * (rng.random(p.shape) < 0.5)
                 grads[k] = g
             grads_seq.append(grads)
@@ -98,12 +131,28 @@ class TestAdamBlocks:
             assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
         assert np.shares_memory(params["motion"], table)
 
+    @pytest.mark.parametrize("which", ["parameter", "moment"])
+    def test_arrays_that_are_not_c_ordered_raise(self, which):
+        config = mixed_config()
+        _, model = training.init_model(config, np.random.default_rng(1))
+        # the (C, m, K, d, d) view of the rows, or the rows with a moment in another order
+        params = {"motion": model.matrices if which == "parameter" else model.rows}
+        state = AdamState.init(params)
+        if which == "moment":
+            state.m["motion"] = np.zeros(model.rows.shape[::-1]).T
+        before = model.rows.copy()
+        grads = {"motion": np.ones(params["motion"].shape)}
+        with pytest.raises(ShapeError, match="C-ordered"):
+            adam_step(params, grads, state, config)
+        assert np.array_equal(model.rows, before)
+
     def test_training_keeps_the_table_in_storage_order(self, monkeypatch):
         seen = []
         real = training.adam_step
 
         def spy(params, grads, state, config):
-            seen.append(all(training._flat_views(params[k], grads[k], state.m[k], state.v[k]) for k in params))
+            arrays = [a for k in params for a in (params[k], grads[k], state.m[k], state.v[k])]
+            seen.append(all(a.flags.c_contiguous for a in arrays) and params["motion"].shape == grads["motion"].shape)
             return real(params, grads, state, config)
 
         monkeypatch.setattr(training, "adam_step", spy)
@@ -111,19 +160,20 @@ class TestAdamBlocks:
         _, model, _ = train_supervised(pairs, mixed_config(num_steps=2, batch_size=2))
         assert seen == [True, True]
         assert model.matrices.shape == (model.grid.num_candidates, len(model.offsets), 3, 2, 2)
+        assert_held_as_rows(model)
 
 
 class TestGradientLayouts:
     def test_checkpoint_layout_gradient_equals_storage_gradient(self):
         enc, model, batch, config = storage_problem()
         flat = MixedMotion(model.grid, model.offsets, np.ascontiguousarray(model.matrices))
-        assert not np.shares_memory(table_rows(flat.matrices), flat.matrices)
+        assert not np.shares_memory(flat.rows, model.rows)
         got, loss = grad_total(enc, model, batch, config)
         want, want_loss = grad_total(enc, flat, batch, config)
         assert loss == want_loss
         assert np.array_equal(got.d_weights, want.d_weights)
         assert np.array_equal(got.d_motion, want.d_motion)
-        assert got.d_motion.shape == model.matrices.shape
+        assert got.d_motion.shape == model.rows.shape and got.d_motion.flags.c_contiguous
 
     @pytest.mark.parametrize("layout", ["storage", "checkpoint"])
     def test_matrices_changed_in_place_are_read(self, layout):
@@ -134,7 +184,7 @@ class TestGradientLayouts:
         bundle, before = grad_total(enc, model, batch, config)
         hit = model.grid.round_indices(batch[0][2][0])
         idx = (hit, 0, 1, 0, 1)
-        assert bundle.d_motion[idx] != 0
+        assert table_view(bundle.d_motion, len(model.offsets))[idx] != 0
         model.matrices[idx] += 1e-3
         after = total_loss(enc, model, batch, config)
         fresh = MixedMotion(model.grid, model.offsets, np.array(model.matrices))
@@ -191,7 +241,8 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
         uniq, inverse = core.support_centers(encoder, shape, pos, model.offsets)
         n, m = len(pos), inverse.shape[1]
         frames = max(1, training.CHUNK_BYTES // (8 * q * len(uniq)))
-        cols = block_layout(np.arange(d_motion[0].size).reshape(1, -1, k, d, d)).ravel()
+        table = table_view(d_motion, m)
+        cols = block_layout(np.arange(table[0].size).reshape(1, -1, k, d, d)).ravel()
         lat_of = {c: i for i, c in enumerate(map(tuple, lattice.tolist()))}
         on = np.array([c in lat_of for c in map(tuple, uniq.tolist())])
         off = uniq[~on]
@@ -237,7 +288,7 @@ def lookup_scatter_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, count
             g_m = (d_pred[..., None] * right.reshape(b, n, k, 1, -1)).reshape(b * n, -1)
             hit, cidx = np.unique(model.grid.round_indices(ch_d).ravel(), return_inverse=True)
             sums = reference_scatter_rows((len(hit), cols.size), cidx[:, None], g_m, cols)
-            d_motion[hit] += sums.reshape((len(hit),) + d_motion.shape[1:])
+            table[hit] += sums.reshape((len(hit),) + table.shape[1:])
         dw2 += g.T @ a
     if lam_rec > 0:
         rec.finish(dw2)

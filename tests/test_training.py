@@ -5,14 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patchflow import cli, core, training
+from patchflow import cli, core, inference, training
 from patchflow.core import (
     DisplacementField,
     DisplacementGrid,
     Encoder,
     MixedMotion,
     ParametricMotion,
-    block_layout,
     encode,
     support_offsets,
 )
@@ -35,11 +34,13 @@ from patchflow.training import (
 
 from matrix_form import (
     ZeroSupportTable,
+    block_layout,
     grid_alone,
     predicted_vectors,
     reconstruction_terms,
     rotation_loss,
     stack_scores,
+    table_view,
     total_loss,
 )
 
@@ -133,7 +134,8 @@ class TestGradients:
                 coords.append((c,) + tuple(rng.integers(0, s) for s in params.shape[1:]))
         loss_fn = lambda: total_loss(enc, model, batch, config)
         fd = fd_gradient(loss_fn, params, coords)
-        analytic = np.array([bundle.d_motion[c] for c in coords])
+        d_motion = bundle.d_motion if variant == "parametric" else table_view(bundle.d_motion, len(model.offsets))
+        analytic = np.array([d_motion[c] for c in coords])
         assert np.all(rel_err(analytic, fd) < 1e-4)
 
     @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
@@ -233,17 +235,15 @@ class TestConsumersAgree:
 
     def test_table_laid_out_once_per_model(self, monkeypatch):
         enc, model, batch, _ = small_problem("mixed")
-        calls = []
-
-        def counted(mats):
-            calls.append(mats.shape)
-            return block_layout(mats)
-
-        monkeypatch.setattr(core, "block_layout", counted)
+        seen = []
+        real = inference._score_pairs
+        monkeypatch.setattr(inference, "_score_pairs", lambda blocks, *args: seen.append(blocks) or real(blocks, *args))
         for img_t, img_t1, _ in batch:
             grid_alone(enc, model, img_t, img_t1, InferConfig(margin=0))
         interpolate_frames(enc, model, *batch[0][:2], max_steps=2, stop_thresh=0.0)
-        assert calls == [model.matrices.shape]
+        # every scoring call multiplies the one cached layout of the rows
+        assert len(seen) > len(batch) and all(blocks is seen[0] for blocks in seen)
+        assert np.array_equal(seen[0], block_layout(model.matrices))
 
 
 class TestAdam:
@@ -716,7 +716,8 @@ def reference_group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, co
             d_motion += (basis.T @ g_m).reshape(d_motion.shape)
         else:
             cidx = model.grid.round_indices(deltas).ravel()
-            d_motion += reference_scatter_rows(len(d_motion), cidx, g_m).reshape(d_motion.shape)
+            table = table_view(d_motion, m_off)
+            table += reference_scatter_rows(len(d_motion), cidx, g_m).reshape(table.shape)
 
     dw2 += g.T @ a
     if lam_rec > 0:
