@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, evalviz, gabor, inference, training
-from .core import DisplacementField, lattice_axes
+from .core import DisplacementField, GridSpec, lattice_axes
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -153,6 +153,8 @@ def _build_settings(config: dict) -> dict:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{section}: {exc}") from exc
 
+    if config["threads"] < 1:
+        raise ConfigError(f"threads must be at least 1, got {config['threads']}")
     for key in ("pairs", "synthetic_sources", "image_size"):
         if config["datagen"][key] < 1:
             raise ConfigError(f"datagen.{key} must be at least 1, got {config['datagen'][key]}")
@@ -385,8 +387,6 @@ def cmd_eval(args, config, settings) -> dict:
     margin = config["infer"]["margin"]
     if args.zero_predictor:
         # baseline: the all-zero field on the default lattice
-        from .core import GridSpec
-
         grid = GridSpec(config["train"]["patch_size"], config["train"]["stride"])
         index = list(range(len(pairs)))
         fields = []

@@ -25,15 +25,15 @@ out=None)``, each position's matrix set (..., K, d, m*d) in `predict`'s layout;
 ``params``) the gradient of per-position matrix-set gradients ``g_m`` at
 ``deltas``; the descent objective ``objective(v0, v1, smoothness_weight,
 grid_shape)`` of two frames' lattice codes, None for a table, which is
-grid-scored on its ``table_blocks``; and ``checkpoint_entry()``, the
-checkpoint header's motion entry and the block it describes.
+grid-scored on the blocks that ``table_blocks()`` lays out per call; and
+``checkpoint_entry()``, the checkpoint header's motion entry and the block it
+describes.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -395,9 +395,9 @@ class MixedMotion:
     def params(self) -> np.ndarray:
         return self.rows
 
-    @cached_property
     def table_blocks(self) -> np.ndarray:
-        """Grid scoring's blocks (K, C*d, m*d), built on first use: block k stacks the rows of sub-vector k."""
+        """Grid scoring's blocks (K, C*d, m*d), laid out from ``rows`` on each call: block k stacks
+        the rows of sub-vector k."""
         c, k, d, md = self.rows.shape
         return self.rows.transpose(1, 0, 2, 3).reshape(k, c * d, md)
 
@@ -646,6 +646,18 @@ def support_centers(encoder, shape, positions, offsets, clamp=False):
     keys, inverse = np.unique((centers[..., 0] - lo[0]) * span + (centers[..., 1] - lo[1]), return_inverse=True)
     uniq = np.stack([keys // span + lo[0], keys % span + lo[1]], axis=1)
     return uniq, inverse.reshape(centers.shape[:2])
+
+
+# bytes of the support patch stack of a training chunk or a grid stack: 4 desk mixed frames, 39 table ones
+CHUNK_BYTES = 4_000_000
+
+
+def size_groups(images) -> list[list[int]]:
+    """Indices of ``images`` grouped by image size, in order of first appearance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, img in enumerate(images):
+        groups.setdefault(np.shape(img), []).append(i)
+    return list(groups.values())
 
 
 def offset_encodings(encoder, images, positions, offsets, clamp=False):

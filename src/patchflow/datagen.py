@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import as_image
 from .errors import DataFormatError, PatchflowError
+from .evalviz import read_pgm, write_pgm
 
 DATASET_MAGIC = b"V1DS"
 DATASET_VERSION = 1
@@ -360,6 +361,8 @@ def dataset_write(pairs: list[SamplePair], path, mode: str = "binary", spec_echo
     """Write a dataset directory: manifest.json plus one file per sample."""
     if mode not in ("binary", "pgm"):
         raise DataFormatError(f"unknown dataset mode {mode!r}")
+    if not pairs:
+        raise DataFormatError("a dataset holds at least one sample, got none")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     dims = sorted({p.image_t.shape for p in pairs})
@@ -380,8 +383,6 @@ def dataset_write(pairs: list[SamplePair], path, mode: str = "binary", spec_echo
         if mode == "binary":
             (path / f"{stem}.v1ds").write_bytes(_sample_bytes(pair))
         else:
-            from .evalviz import write_pgm
-
             write_pgm(path / f"{stem}_t0.pgm", pair.image_t)
             write_pgm(path / f"{stem}_t1.pgm", pair.image_t1)
             (path / f"{stem}.v1ds").write_bytes(_sample_bytes(pair, with_images=False))
@@ -417,8 +418,6 @@ def dataset_read(path) -> list[SamplePair]:
         if mode == "binary":
             img_t, img_t1 = frames
         else:
-            from .evalviz import read_pgm
-
             img_t = read_pgm(path / f"{stem}_t0.pgm") / 255.0
             img_t1 = read_pgm(path / f"{stem}_t1.pgm") / 255.0
             if img_t.shape != (h, w) or img_t1.shape != (h, w):

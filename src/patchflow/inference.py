@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    CHUNK_BYTES,
     ZERO_SUPPORT,
     DisplacementField,
     VectorField,
@@ -20,6 +21,7 @@ from .core import (
     lattice_axes,
     offset_encodings,
     predict,
+    size_groups,
     support_centers,
 )
 from .errors import ConfigError, DataFormatError, ShapeError
@@ -38,14 +40,13 @@ class InferConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError(f"margin must be at least 0, got {self.margin}")
-        if self.smoothness_weight < 0:
-            raise ValueError(f"smoothness_weight must be at least 0, got {self.smoothness_weight}")
+        for name in ("margin", "smoothness_weight", "max_iters", "tol"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+        if self.step_size <= 0:
+            raise ValueError(f"step_size must be positive, got {self.step_size}")
         if self.init not in ("random", "zeros"):
             raise ValueError(f"init must be 'random' or 'zeros', got {self.init!r}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
 
 
 def infer_positions(encoder, model, shape, margin: int = 8) -> np.ndarray:
@@ -107,36 +108,16 @@ def _score_pairs(blocks, support, targets):
         yield scores
 
 
-def _grid_argmin(model, support, targets) -> np.ndarray:
-    """Per position of each pair of a stack, the candidate (P, N, 2) of least
-    rotation residual, ties broken toward the smallest norm, then
-    lexicographically: from the support vectors (P, N, K, m*d) and the target
-    codes (P, N, K, d) of `offset_encodings`, each pair scored on its own
-    columns by `_score_pairs`."""
-    order = _candidate_order(model.grid)
-    scores = _score_pairs(model.table_blocks, support, targets)
+def _grid_argmin(grid, blocks, support, targets) -> np.ndarray:
+    """Per position of each pair of a stack, the candidate (P, N, 2) of ``grid``
+    of least rotation residual, ties broken toward the smallest norm, then
+    lexicographically: from a table's ``blocks`` (`table_blocks`), the support
+    vectors (P, N, K, m*d) and the target codes (P, N, K, d) of
+    `offset_encodings`, each pair scored on its own columns by `_score_pairs`."""
+    order = _candidate_order(grid)
+    scores = _score_pairs(blocks, support, targets)
     # candidates scanned in tie-break order: argmin returns the first minimum
-    return model.grid.candidates()[np.stack([order[np.argmin(s[order], axis=0)] for s in scores])]
-
-
-def infer_grid_stack(encoder, model, images_t, images_t1, config: InferConfig | None = None):
-    """Grid inference for a stack of pairs of one frame size, (P, H, W) each:
-    `_grid_argmin` on the support of frames t and the lattice codes of frames
-    t+1 (the zero offset's support), one `offset_encodings` gather of each for
-    the stack, so each pair gets the field of its stack of one.
-
-    Returns (positions (N, 2), fields (P, N, 2)).
-    """
-    config = config or InferConfig()
-    if model.grid is None:
-        raise ShapeError("grid scoring needs a table model")
-    images_t = np.asarray(images_t, dtype=np.float64)
-    images_t1 = np.asarray(images_t1, dtype=np.float64)
-    if images_t.shape != images_t1.shape:
-        raise ShapeError("frame pair dimensions differ")
-    pos = infer_positions(encoder, model, images_t.shape[-2:], config.margin)
-    support = offset_encodings(encoder, images_t, pos, model.offsets)
-    return pos, _grid_argmin(model, support, offset_encodings(encoder, images_t1, pos, ZERO_SUPPORT))
+    return grid.candidates()[np.stack([order[np.argmin(s[order], axis=0)] for s in scores])]
 
 
 # ---------------------------------------------------------------------------
@@ -359,30 +340,20 @@ def _descend(objective, deltas, config: InferConfig, newton: bool):
     return out, iters, stops
 
 
-def infer_parametric_stack(encoder, model, images_t, images_t1, config=None, newton=False, starts=None):
-    """Descent on the model's `objective`, the rotation residual plus smoothness,
-    for a stack of pairs of one frame size, (P, H, W) each, from the fields
-    ``starts`` (P, N, 2) when given, else from ``config.init`` (a random start is
-    the one draw that each pair takes alone).  Damped Newton steps (``newton``) solve each pair's 2N
-    unknowns by elimination over the lattice rows; otherwise, and whenever no
-    damped step descends, a step is a backtracking gradient step of at most
-    ``config.step_size``.  Each pair stops at the cap, below ``config.tol`` or
-    when no step descends, with the iterates, iteration count and stop reason
-    of its stack of one.
-
-    Returns (positions (N, 2), fields (P, N, 2), iterations (P,), stop reasons (P,)).
-    """
-    config = config or InferConfig()
+def _infer_stack(encoder, model, images_t, images_t1, pos, grid_shape, config, blocks, newton, starts):
+    """The fields (P, N, 2) of a stack of pairs of one frame size, (P, H, W)
+    each, at the positions ``pos`` (N, 2) of their ``grid_shape`` lattice,
+    from two `offset_encodings` gathers: frames t over the model's support, and
+    frames t+1 on the zero offset (their lattice codes).  A table takes the
+    `_grid_argmin` of its ``blocks``; a model with an ``objective`` takes
+    `_descend` on it, with ``newton``, from the fields ``starts`` (P, N, 2) when
+    given, else from ``config.init`` (a random start is the one draw that each
+    pair takes alone).  Returns (fields,), or for descent (fields, iterations
+    (P,), stop reasons (P,))."""
+    support = offset_encodings(encoder, images_t, pos, model.offsets)
+    targets = offset_encodings(encoder, images_t1, pos, ZERO_SUPPORT)
     if model.objective is None:
-        raise ShapeError("descent needs a parametric motion model")
-    images_t = np.asarray(images_t, dtype=np.float64)
-    images_t1 = np.asarray(images_t1, dtype=np.float64)
-    if images_t.shape != images_t1.shape:
-        raise ShapeError("frame pair dimensions differ")
-    pos = infer_positions(encoder, model, images_t.shape[-2:], config.margin)
-    grid_shape = tuple(map(len, lattice_axes(pos)))
-    v0 = offset_encodings(encoder, images_t, pos, ZERO_SUPPORT)
-    v1 = offset_encodings(encoder, images_t1, pos, ZERO_SUPPORT)
+        return (_grid_argmin(model.grid, blocks, support, targets),)
     shape = (len(images_t), len(pos), 2)
     if starts is not None:
         deltas = np.array(starts, dtype=np.float64).reshape(shape)
@@ -391,8 +362,8 @@ def infer_parametric_stack(encoder, model, images_t, images_t1, config=None, new
     else:
         start = np.random.default_rng(config.rng_seed).uniform(-0.5, 0.5, shape[1:])
         deltas = np.broadcast_to(start, shape).copy()
-    objective = model.objective(v0, v1, config.smoothness_weight, grid_shape)
-    return (pos,) + _descend(objective, deltas, config, newton)
+    objective = model.objective(support, targets, config.smoothness_weight, grid_shape)
+    return _descend(objective, deltas, config, newton)
 
 
 # ---------------------------------------------------------------------------
@@ -424,46 +395,46 @@ def _stacks(members: list[int], pair_bytes: int, budget: int, threads: int) -> l
 
 def infer_pairs(encoder, model, pairs, config: InferConfig | None = None, newton=True, starts=None, threads=1):
     """The fields of frame pairs ``pairs``, (image_t, image_t1) each, of any
-    sizes: the one path from pairs to fields.  Every size's positions are found
-    first, so a frame too small or a margin that leaves no position raises
-    before any work.  Each size's pairs are cut into contiguous stacks, at least
-    ``threads`` of them, run in that many threads, each within a byte bound: a
-    model with an ``objective`` descends, its Newton blocks (ny (2 nx)^2 float64
-    a pair) in NEWTON_STACK_BYTES, by `infer_parametric_stack` (with ``newton``,
-    from each pair's field of ``starts`` when given); any other is grid-scored,
-    its support patches (p^2 float64 a center and pair) in `training.CHUNK_BYTES`,
-    by `infer_grid_stack`.  Each pair gets the result of its stack of one.
+    sizes: the one path from pairs to fields.  Every size's positions and
+    lattice are found once, first, so a frame too small or a margin that
+    leaves no position raises before any work.  Each size's pairs are cut into
+    contiguous stacks of `_infer_stack`, at least ``threads`` of them, run in
+    that many threads, each within a byte bound: NEWTON_STACK_BYTES for the
+    Newton blocks (ny (2 nx)^2 float64 a pair) of a model that descends (from
+    each pair's field of ``starts`` when given), CHUNK_BYTES for the support
+    patches (p^2 float64 a center and pair) of a table, which every stack
+    scores on the blocks that one ``table_blocks()`` call lays out.  Each pair
+    gets the result of its stack of one.
 
     Returns (positions, fields, stops): each pair's positions (N, 2) and field
     (N, 2), and each descent's (iterations, stop reason), empty without descent.
     """
-    from .training import CHUNK_BYTES, size_groups  # training imports this module
-
     config = config or InferConfig()
     if any(np.shape(a) != np.shape(b) for a, b in pairs):
         raise ShapeError("frame pair dimensions differ")
     descends = model.objective is not None
-    stacks = []
+    stacks = []  # (pairs, positions, lattice shape) of each stack
     for members in size_groups([a for a, _ in pairs]):
         shape = np.shape(pairs[members[0]][0])
         pos = infer_positions(encoder, model, shape, config.margin)
+        ny, nx = grid_shape = tuple(map(len, lattice_axes(pos)))
         if descends:
-            ny, nx = map(len, lattice_axes(pos))
-            stacks += _stacks(members, 8 * ny * (2 * nx) ** 2, NEWTON_STACK_BYTES, threads)
+            cut = _stacks(members, 8 * ny * (2 * nx) ** 2, NEWTON_STACK_BYTES, threads)
         else:
             centers, _ = support_centers(encoder, shape, pos, model.offsets)
-            stacks += _stacks(members, 8 * encoder.patch_size**2 * len(centers), CHUNK_BYTES, threads)
+            cut = _stacks(members, 8 * encoder.patch_size**2 * len(centers), CHUNK_BYTES, threads)
+        stacks += [(part, pos, grid_shape) for part in cut]
+    blocks = None if descends else model.table_blocks()
 
-    def infer(members):
+    def infer(stack):
+        members, pos, grid_shape = stack
         images_t = np.stack([pairs[i][0] for i in members])
         images_t1 = np.stack([pairs[i][1] for i in members])
-        if not descends:
-            return infer_grid_stack(encoder, model, images_t, images_t1, config)
         begin = None if starts is None else np.stack([starts[i] for i in members])
-        return infer_parametric_stack(encoder, model, images_t, images_t1, config, newton, begin)
+        return _infer_stack(encoder, model, images_t, images_t1, pos, grid_shape, config, blocks, newton, begin)
 
     positions, fields, stops = [None] * len(pairs), [None] * len(pairs), [None] * len(pairs)
-    for members, (pos, found, *descent) in zip(stacks, parallel_map(infer, stacks, threads)):
+    for (members, pos, _), (found, *descent) in zip(stacks, parallel_map(infer, stacks, threads)):
         for j, i in enumerate(members):
             positions[i], fields[i] = pos, found[j]
             if descends:
@@ -555,9 +526,10 @@ def interpolate_frames(
 
     positions = encoder.grid.positions(*cur.shape)
     targets = offset_encodings(encoder, target, positions, ZERO_SUPPORT)[None]
+    blocks = model.table_blocks()
 
     def argmin(support):
-        return _grid_argmin(model, support[None], targets)[0]
+        return _grid_argmin(model.grid, blocks, support[None], targets)[0]
 
     frames = [cur]
     while not close(cur) and len(frames) <= max_steps:

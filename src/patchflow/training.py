@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    CHUNK_BYTES,
     DisplacementGrid,
     Encoder,
     GridSpec,
@@ -28,6 +29,7 @@ from .core import (
     overlap_add_at,
     predict,
     predict_adjoint,
+    size_groups,
     support_centers,
     support_offsets,
 )
@@ -182,10 +184,6 @@ def init_model(config: TrainConfig, rng) -> tuple[Encoder, object]:
 
 # ---------------------------------------------------------------------------
 # analytic gradient of the weighted loss
-
-
-# bytes of a chunk's support patch stack: 4 desk mixed frames, 39 table ones
-CHUNK_BYTES = 4_000_000
 
 
 class Workspace:
@@ -532,14 +530,6 @@ def _group_gradient(encoder, model, imgs_t, imgs_t1, deltas, counts, config, d_w
     return loss
 
 
-def size_groups(images) -> list[list[int]]:
-    """Indices of ``images`` grouped by image size, in order of first appearance."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, img in enumerate(images):
-        groups.setdefault(np.shape(img), []).append(i)
-    return list(groups.values())
-
-
 def _batch_sums(encoder, model, batch, config, workspace, counts, gradient: bool):
     """(loss, d_weights, d_motion) of `grad_total`, or (loss, None, None) when not ``gradient``."""
     if not batch:
@@ -688,10 +678,10 @@ class UnsupervisedConfig:
             raise ValueError("unsupervised training uses the parametric motion model")
         if self.init_pairs < 1:
             raise ValueError(f"init_pairs must be at least 1, got {self.init_pairs}")
-        if self.smoothness_weight < 0:
-            raise ValueError(f"smoothness_weight must be at least 0, got {self.smoothness_weight}")
         # the stage-1 TrainConfig and the InferConfig of stages 2 and 3 are built mid-run
-        for name in ("init_steps", "steps_per_round", "rounds", "infer_iters"):
+        if self.infer_step <= 0:
+            raise ValueError(f"infer_step must be positive, got {self.infer_step}")
+        for name in ("smoothness_weight", "field_tol", "init_steps", "steps_per_round", "rounds", "infer_iters"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
 

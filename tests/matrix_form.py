@@ -9,8 +9,8 @@ recurrent multi-frame alignment of the paper built on it; the rotation loss on
 one frame pair and the batch loss of a training step, which training's
 gradient is probed and checked against; the reconstruction term straight from
 the canvases, which both of training's forms of it must equal; and one pair's
-inference, the stack of one of each stacked path, which every stack of pairs
-must equal pair by pair.  `ZeroSupportTable` builds the nonparametric model,
+inference, the stack of one of `infer_pairs` for either model kind, which
+every stack of pairs must equal pair by pair.  `ZeroSupportTable` builds the nonparametric model,
 the table motion model on the zero offset alone; `block_layout` lays matrix
 sets out as `predict` reads them, and `table_view` shows a table's block rows,
 or its gradient, in the checkpoint's (C, m, K, d, d) order."""
@@ -29,7 +29,7 @@ from patchflow.core import (
     predict,
     support_offsets,
 )
-from patchflow.inference import _score_pairs, infer_grid_stack, infer_parametric_stack
+from patchflow.inference import _score_pairs, infer_pairs
 from patchflow.training import grad_total
 
 
@@ -87,7 +87,7 @@ def grid_scores(encoder, model, image_t, target_vectors, positions, clamp=False)
     support = offset_encodings(encoder, image_t, positions, model.offsets, clamp)  # (N, K, m*d)
     right = np.ascontiguousarray(np.moveaxis(support, 0, -1))  # (K, m*d, N)
     k, _, n = right.shape
-    pred = (model.table_blocks @ right).reshape(k, -1, target_vectors.shape[-1], n)  # one (C*d, m*d) x (m*d, N) product per block
+    pred = (model.table_blocks() @ right).reshape(k, -1, target_vectors.shape[-1], n)  # one (C*d, m*d) x (m*d, N) product per block
     diff = pred - np.moveaxis(target_vectors, 0, -1)[:, None]
     diff *= diff
     return diff.sum(axis=2).sum(axis=0).T
@@ -98,7 +98,7 @@ def stack_scores(encoder, model, images_t, target_vectors, positions, clamp=Fals
     the codes ``target_vectors`` (P, N, K, d): the support gather of
     `offset_encodings` and the block-wise products of `inference._score_pairs`."""
     support = offset_encodings(encoder, images_t, positions, model.offsets, clamp)
-    scores = _score_pairs(model.table_blocks, support, np.asarray(target_vectors))
+    scores = _score_pairs(model.table_blocks(), support, np.asarray(target_vectors))
     return np.stack([s.T.copy() for s in scores])
 
 
@@ -177,16 +177,14 @@ def total_loss(encoder, model, batch, config) -> float:
 
 
 def grid_alone(encoder, model, image_t, image_t1, config=None) -> DisplacementField:
-    """One pair's grid field: the stack of one of `infer_grid_stack`."""
-    pos, fields = infer_grid_stack(encoder, model, np.asarray(image_t)[None], np.asarray(image_t1)[None], config)
-    return DisplacementField(pos, fields[0])
+    """One pair's grid field: its stack of one in `infer_pairs`."""
+    positions, fields, _ = infer_pairs(encoder, model, [(image_t, image_t1)], config)
+    return DisplacementField(positions[0], fields[0])
 
 
 def descent_alone(encoder, model, image_t, image_t1, config=None, newton=True, start=None):
-    """One pair's descent, from the field ``start`` when given: the stack of one
-    of `infer_parametric_stack`.  Returns (field, (iterations, stop reason))."""
-    starts = None if start is None else np.asarray(start)[None]
-    pos, fields, iters, reasons = infer_parametric_stack(
-        encoder, model, np.asarray(image_t)[None], np.asarray(image_t1)[None], config, newton, starts
-    )
-    return DisplacementField(pos, fields[0]), (int(iters[0]), reasons[0])
+    """One pair's descent, from the field ``start`` when given: its stack of one
+    in `infer_pairs`.  Returns (field, (iterations, stop reason))."""
+    starts = None if start is None else [start]
+    positions, fields, stops = infer_pairs(encoder, model, [(image_t, image_t1)], config, newton, starts)
+    return DisplacementField(positions[0], fields[0]), stops[0]

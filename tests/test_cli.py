@@ -186,7 +186,7 @@ class TestPipelines:
 
     @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
     def test_grid_infer_is_each_pairs_own_argmin_at_any_thread_count(self, tmp_path, monkeypatch, variant):
-        from patchflow import inference, training
+        from patchflow import inference
         from patchflow.datagen import dataset_read
         from patchflow.training import load_checkpoint
 
@@ -202,16 +202,16 @@ class TestPipelines:
             model = ZeroSupportTable(grid, np.eye(2) + 0.3 * rng.standard_normal((grid.num_candidates, 3, 2, 2)))
         save_checkpoint(ckpt, Encoder.random(3, 2, 8, 4, rng=rng), model)
         stacks = []  # the pairs of each stack
-        infer_grid_stack = inference.infer_grid_stack
+        infer_stack = inference._infer_stack
 
-        def logged(encoder, model, images_t, images_t1, config):
+        def logged(encoder, model, images_t, *args):
             stacks.append(len(images_t))
-            return infer_grid_stack(encoder, model, images_t, images_t1, config)
+            return infer_stack(encoder, model, images_t, *args)
 
-        monkeypatch.setattr(inference, "infer_grid_stack", logged)
+        monkeypatch.setattr(inference, "_infer_stack", logged)
         runs = {}
-        for name, threads, budget in (("one", 1, training.CHUNK_BYTES), ("three", 3, training.CHUNK_BYTES), ("alone", 1, 1)):
-            monkeypatch.setattr(training, "CHUNK_BYTES", budget)  # 1 byte: every pair its own stack
+        for name, threads, budget in (("one", 1, inference.CHUNK_BYTES), ("three", 3, inference.CHUNK_BYTES), ("alone", 1, 1)):
+            monkeypatch.setattr(inference, "CHUNK_BYTES", budget)  # 1 byte: every pair its own stack
             out = tmp_path / name
             stacks.clear()
             assert run_cli("infer", "--checkpoint", ckpt, "--data", ds, "--out", out, "--text", "--color", "--threads", threads) == EXIT_OK
@@ -245,13 +245,13 @@ class TestPipelines:
         pairs = [(np.full((64, 64), float(i)),) * 2 for i in range(10)]
         encoder, model = Encoder.random(2, 2, 16, 8, rng=8), ParametricMotion.zeros(2, 2)
         stacks = []  # the pairs of each descent stack
-        descend = inference.infer_parametric_stack
+        descend = inference._infer_stack
 
         def logged(encoder, model, images_t, *args):
             stacks.append(images_t[:, 0, 0].astype(int).tolist())
             return descend(encoder, model, images_t, *args)
 
-        monkeypatch.setattr(inference, "infer_parametric_stack", logged)
+        monkeypatch.setattr(inference, "_infer_stack", logged)
 
         def cut(pairs, threads):
             stacks.clear()
@@ -372,6 +372,50 @@ class TestExitCodes:
         assert run_cli("train", "--data", ds, "--config", cfg, "--out", out) == EXIT_CONFIG
         assert capsys.readouterr().err.strip().splitlines() == [f"config error: train: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, override, flags, line",
+        [
+            ("infer", {"infer": {"step_size": 0}}, [], "config error: infer: step_size must be positive, got 0"),
+            ("infer", {"infer": {"tol": -1}}, [], "config error: infer: tol must be at least 0, got -1"),
+            ("train-unsup", {"unsupervised": {"infer_step": -0.2}}, [],
+             "config error: unsupervised: infer_step must be positive, got -0.2"),
+            ("train-unsup", {"unsupervised": {"field_tol": -0.05}}, [],
+             "config error: unsupervised: field_tol must be at least 0, got -0.05"),
+            ("infer", {"threads": 0}, [], "config error: threads must be at least 1, got 0"),
+            ("train-unsup", {}, ["--threads", -4], "config error: threads must be at least 1, got -4"),
+        ],
+    )
+    def test_descent_or_thread_setting_that_cannot_work_is_refused_before_work(
+        self, tmp_path, capsys, monkeypatch, command, override, flags, line
+    ):
+        from patchflow import training
+
+        rng = np.random.default_rng(19)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Encoder.random(2, 2, 16, 8, rng=rng), ParametricMotion(0.05 * rng.standard_normal((5, 2, 2, 2))))
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i in range(2):
+            write_pgm(frames / f"f{i}.pgm", rng.random((32, 32)))
+        # a run of a few steps, were it not refused
+        config = {"unsupervised": {"init_pairs": 2, "init_steps": 1, "rounds": 1, "steps_per_round": 1, "infer_iters": 2}}
+        for section, values in override.items():
+            config[section] = {**config[section], **values} if section in config else values
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        started = []
+        for name in ("load_checkpoint", "train_unsupervised"):
+            real = getattr(training, name)
+            monkeypatch.setattr(training, name, lambda *args, real=real: started.append(args) or real(*args))
+        inputs = {
+            "infer": ["--checkpoint", ckpt, "--pair", frames / "f0.pgm", frames / "f1.pgm"],
+            "train-unsup": ["--frames", frames],
+        }[command]
+        out = tmp_path / "out"
+        assert run_cli(command, "--desk-scale", *inputs, *flags, "--config", cfg, "--out", out) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == [line]
+        assert started == [] and not out.exists()
 
     def test_nonpositive_pair_count_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "ds"

@@ -274,9 +274,14 @@ class TestDatasetIO:
             assert a == b
 
     def test_empty_dataset(self, tmp_path):
-        # a manifest count of 0 is refused, naming the manifest
-        dataset_write([], tmp_path / "empty")
+        # the writer refuses no samples before it makes the directory
+        with pytest.raises(DataFormatError, match="a dataset holds at least one sample, got none"):
+            dataset_write([], tmp_path / "empty")
+        assert not (tmp_path / "empty").exists()
+        # and the reader refuses a manifest count of 0, naming the manifest
+        dataset_write(self.make_pairs(1), tmp_path / "empty")
         manifest = tmp_path / "empty" / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"count": 1', '"count": 0'))
         with pytest.raises(DataFormatError, match=re.escape(f"{manifest}: manifest count must be a positive integer, got 0")):
             dataset_read(tmp_path / "empty")
 

@@ -28,9 +28,7 @@ from patchflow.inference import (
     _NewtonSystem,
     _positive_definite,
     animate,
-    infer_grid_stack,
     infer_pairs,
-    infer_parametric_stack,
     infer_positions,
     interpolate_frames,
     write_field,
@@ -173,7 +171,8 @@ class TestBlockwiseScores:
         for shape in ((24, 24), (36, 28)):
             imgs_t = rng.random((3,) + shape)
             imgs_t1 = np.stack([warp(imgs_t[0], np.full(shape + (2,), 0.5)), imgs_t[1], rng.random(shape)])
-            pos, fields = infer_grid_stack(enc, model, imgs_t, imgs_t1, InferConfig(margin=4))
+            positions, fields, _ = infer_pairs(enc, model, list(zip(imgs_t, imgs_t1)), InferConfig(margin=4))
+            pos = positions[0]
             targets = np.stack([encode(enc, img, pos).vectors for img in imgs_t1])
             for i, scores in enumerate(stack_scores(enc, model, imgs_t, targets, pos)):
                 want = grid_scores(enc, model, imgs_t[i], targets[i], pos)
@@ -182,13 +181,6 @@ class TestBlockwiseScores:
                 assert np.array_equal(fields[i], model.grid.candidates()[choice])
                 alone = grid_alone(enc, model, imgs_t[i], imgs_t1[i], InferConfig(margin=4))
                 assert np.array_equal(alone.positions, pos) and np.array_equal(alone.vectors, fields[i])
-
-    def test_parametric_model_is_refused(self):
-        rng = np.random.default_rng(54)
-        enc = Encoder.random(2, 2, 8, 4, rng=rng)
-        imgs = rng.random((2, 1, 24, 24))
-        with pytest.raises(ShapeError):
-            infer_grid_stack(enc, ParametricMotion.zeros(2, 2), *imgs)
 
     def test_tie_break_order_is_computed_once_per_grid(self):
         grid = DisplacementGrid(-1, 1, 0.5)
@@ -653,20 +645,27 @@ class TestStackedDescent:
     }
 
     def run(self, problem, case):
-        enc, model, frames_t, frames_t1 = problem
         lam, tol, cap, step, start = self.CASES[case]
         cfg = InferConfig(margin=0, smoothness_weight=lam, step_size=step, max_iters=cap, tol=tol, init="zeros")
         starts = self.starts(problem, cfg, start)
-        return cfg, starts, infer_parametric_stack(enc, model, frames_t, frames_t1, cfg, starts=starts)
+        return cfg, starts, self.descend(problem, cfg, newton=False, starts=starts)
 
     @staticmethod
-    def starts(problem, cfg, start):
+    def descend(problem, cfg, newton, starts=None):
+        """The descent of the problem's pairs, one stack in `infer_pairs`:
+        (positions (N, 2), fields (P, N, 2), iterations (P,), stop reasons (P,))."""
+        enc, model, frames_t, frames_t1 = problem
+        positions, fields, stops = infer_pairs(enc, model, list(zip(frames_t, frames_t1)), cfg, newton, starts)
+        iters, reasons = zip(*stops)
+        return positions[0], np.stack(fields), np.array(iters), np.array(reasons, dtype=object)
+
+    @classmethod
+    def starts(cls, problem, cfg, start):
         """The starts of a stack: None for zeros; else a few steps of a rougher
         descent, the identical pair's start off zero."""
         if start != "warm":
             return None
-        enc, model, frames_t, frames_t1 = problem
-        fields = infer_parametric_stack(enc, model, frames_t, frames_t1, replace(cfg, smoothness_weight=0.0, max_iters=3))[1]
+        fields = cls.descend(problem, replace(cfg, smoothness_weight=0.0, max_iters=3), newton=False)[1]
         fields[0] += 0.3
         return fields
 
@@ -724,7 +723,7 @@ class TestStackedDescent:
             cfg = InferConfig(margin=0, smoothness_weight=lam, max_iters=cap, tol=tol, init="zeros")
             starts = self.starts(problem, cfg, start)
             calls.clear()
-            pos, fields, iters, reasons = infer_parametric_stack(enc, model, frames_t, frames_t1, cfg, newton=True, starts=starts)
+            pos, fields, iters, reasons = self.descend(problem, cfg, newton=True, starts=starts)
             # a gradient fallback for some pairs of a Newton iteration, the rest stepping by Newton
             mixed |= any(a[0] == "newton" and b == ("gradient", b[1]) and b[1] < a[1] for a, b in zip(calls, calls[1:]))
             grid_shape = tuple(len(np.unique(pos[:, i])) for i in (0, 1))
@@ -784,7 +783,7 @@ class TestInferPairs:
 
     @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
     def test_table_models_score_each_pair_alone(self, monkeypatch, variant):
-        from patchflow import training
+        import patchflow.inference as inference
 
         rng = np.random.default_rng(72)
         enc = Encoder.random(3, 2, 8, 4, rng=rng)
@@ -792,8 +791,8 @@ class TestInferPairs:
         pairs = self.pairs(73)
         cfg = InferConfig(margin=4)
         alone = [grid_alone(enc, model, a, b, cfg) for a, b in pairs]
-        for threads, budget in ((1, training.CHUNK_BYTES), (3, training.CHUNK_BYTES), (1, 1)):
-            monkeypatch.setattr(training, "CHUNK_BYTES", budget)  # 1 byte: every pair its own stack
+        for threads, budget in ((1, inference.CHUNK_BYTES), (3, inference.CHUNK_BYTES), (1, 1)):
+            monkeypatch.setattr(inference, "CHUNK_BYTES", budget)  # 1 byte: every pair its own stack
             positions, fields, stops = infer_pairs(enc, model, pairs, cfg, threads=threads)
             assert stops == []
             for i, fld in enumerate(alone):
@@ -807,7 +806,7 @@ class TestInferPairs:
         model = ParametricMotion.zeros(2, 2)
         pairs = self.pairs(75)
         ran = []
-        monkeypatch.setattr(inference, "infer_parametric_stack", lambda *args, **kwargs: ran.append(args))
+        monkeypatch.setattr(inference, "_infer_stack", lambda *args, **kwargs: ran.append(args))
         with pytest.raises(ConfigError, match="margin 13 leaves no evaluation position in a 32x32 frame"):
             infer_pairs(enc, model, pairs[1:], InferConfig(margin=13))  # the 48x40 frames, first, keep some
         with pytest.raises(DataFormatError):
@@ -815,6 +814,34 @@ class TestInferPairs:
         with pytest.raises(ShapeError):
             infer_pairs(enc, model, pairs + [(np.zeros((32, 32)), np.zeros((40, 32)))])
         assert ran == []
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed", "parametric"])
+    def test_each_stack_gathers_twice_on_its_sizes_lattice(self, monkeypatch, variant):
+        import patchflow.inference as inference
+
+        rng = np.random.default_rng(76)
+        enc = Encoder.random(3, 2, 8, 4, rng=rng)
+        if variant == "parametric":
+            model = ParametricMotion(0.3 * rng.standard_normal((5, 3, 2, 2)))
+        else:
+            model = random_table(variant, DisplacementGrid(-1, 1, 0.5), 3, 2, rng)
+        calls = {"stacks": 0, "gathers": 0, "positions": 0, "lattices": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for key, name in (("stacks", "_infer_stack"), ("gathers", "offset_encodings"),
+                          ("positions", "infer_positions"), ("lattices", "lattice_axes")):
+            monkeypatch.setattr(inference, name, counted(key, getattr(inference, name)))
+        for budget in ("NEWTON_STACK_BYTES", "CHUNK_BYTES"):
+            monkeypatch.setattr(inference, budget, 1)  # 1 byte: every pair its own stack
+        infer_pairs(enc, model, self.pairs(77), InferConfig(margin=4, max_iters=5))
+        # five pairs of two sizes
+        assert calls == {"stacks": 5, "gathers": 10, "positions": 2, "lattices": 2}
 
 
 class TestAnimate:

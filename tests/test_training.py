@@ -233,17 +233,30 @@ class TestConsumersAgree:
         assert np.array_equal(got, want)
         assert not np.allclose(got, before)
 
-    def test_table_laid_out_once_per_model(self, monkeypatch):
+    def test_table_laid_out_once_per_call(self, monkeypatch):
         enc, model, batch, _ = small_problem("mixed")
         seen = []
         real = inference._score_pairs
         monkeypatch.setattr(inference, "_score_pairs", lambda blocks, *args: seen.append(blocks) or real(blocks, *args))
-        for img_t, img_t1, _ in batch:
-            grid_alone(enc, model, img_t, img_t1, InferConfig(margin=0))
-        interpolate_frames(enc, model, *batch[0][:2], max_steps=2, stop_thresh=0.0)
-        # every scoring call multiplies the one cached layout of the rows
-        assert len(seen) > len(batch) and all(blocks is seen[0] for blocks in seen)
-        assert np.array_equal(seen[0], block_layout(model.matrices))
+        pairs = [(img_t, img_t1) for img_t, img_t1, _ in batch]
+        inference.infer_pairs(enc, model, pairs, InferConfig(margin=0), threads=2)
+        stacks, seen[:] = list(seen), []
+        interpolate_frames(enc, model, *pairs[0], max_steps=2, stop_thresh=0.0)
+        # every stack of the call, and every step, scores on the one layout of the rows that the call made
+        for calls, count in ((stacks, 2), (seen, 2)):
+            assert len(calls) == count and all(blocks is calls[0] for blocks in calls)
+            assert np.array_equal(calls[0], block_layout(model.matrices))
+
+    @pytest.mark.parametrize("variant", ["nonparametric", "mixed"])
+    def test_table_written_in_place_scores_with_its_new_matrices(self, variant):
+        enc, model, batch, _ = small_problem(variant)
+        img_t, img_t1, _ = batch[0]
+        cfg = InferConfig(margin=0)
+        before = grid_alone(enc, model, img_t, img_t1, cfg).vectors
+        model.matrices[...] = np.random.default_rng(9).standard_normal(model.matrices.shape)
+        got = grid_alone(enc, model, img_t, img_t1, cfg).vectors
+        want = grid_alone(enc, MixedMotion(model.grid, model.offsets, model.matrices.copy()), img_t, img_t1, cfg).vectors
+        assert np.array_equal(got, want) and not np.array_equal(got, before)
 
 
 class TestAdam:
